@@ -14,6 +14,7 @@ import sys
 
 from .eisenstein import E, OMEGA
 from .hermitian import (
+    NAMED_LATTICES,
     HermGram,
     basis_vector,
     det_e,
@@ -34,12 +35,17 @@ class InputError(Exception):
     pass
 
 
+class UsageError(Exception):
+    pass
+
+
 def parse_lattice(spec: str) -> HermGram:
     """A named lattice ("lambda", "chain:7", ...) or a path to a JSON Gram."""
-    try:
-        return named_lattice(spec)
-    except ValueError:
-        pass
+    if spec in NAMED_LATTICES or spec.startswith("chain:"):
+        try:
+            return named_lattice(spec)
+        except ValueError as exc:
+            raise InputError(f"bad lattice {spec!r}: {exc}") from None
     try:
         with open(spec) as fh:
             data = json.load(fh)
@@ -99,6 +105,11 @@ def parse_char(text: str):
     return out
 
 
+def _require(args, option):
+    if not getattr(args, option):
+        raise UsageError(f"{args.action} requires --{option}")
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -139,9 +150,7 @@ def cmd_monodromy(args):
 
     G = parse_lattice(args.lattice)
     if args.action == "word-order":
-        if not args.word:
-            print("error: word-order requires --word", file=sys.stderr)
-            return EXIT_USAGE
+        _require(args, "word")
         letters = parse_word(args.word)
         gens = {}
         factors = []
@@ -149,7 +158,10 @@ def cmd_monodromy(args):
             if not 1 <= idx <= G.n:
                 raise InputError(f"generator a{idx} out of range for rank {G.n}")
             if idx not in gens:
-                gens[idx] = mono.triflection(G, basis_vector(G.n, idx - 1))
+                try:
+                    gens[idx] = mono.triflection(G, basis_vector(G.n, idx - 1))
+                except ValueError as exc:
+                    raise InputError(f"no triflection a{idx} on {args.lattice}: {exc}") from None
             factors.append(gens[idx])
         w = mono.word_eval(factors)
         if args.projective:
@@ -160,9 +172,7 @@ def cmd_monodromy(args):
         _emit(args, payload, [f"order: {val}"])
         return EXIT_OK
     if args.action == "closure":
-        import os
-
-        cap = int(os.environ.get("EISENLAT_CLOSURE_CAP", mono.DEFAULT_CLOSURE_CAP))
+        cap = _closure_cap()
         gens = [mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
         handle = mono.group_closure(gens, cap=cap)
         payload = {"order": handle.order}
@@ -185,9 +195,14 @@ def cmd_monodromy(args):
 def cmd_f3(args):
     from . import gluing
 
+    if args.action in ("disc-group", "orbit"):
+        _require(args, "lattice")
     if args.action == "disc-group":
         G = parse_lattice(args.lattice)
-        S = gluing.disc_group(G)
+        try:
+            S = gluing.disc_group(G)
+        except ValueError as exc:
+            raise InputError(f"no F_3 discriminant group for {args.lattice}: {exc}") from None
         payload = {
             "dimension": S.k,
             "form": [list(r) for r in S.form],
@@ -196,7 +211,11 @@ def cmd_f3(args):
         _emit(args, payload, [f"dimension: {S.k}", f"diagonal: {S.diagonal()}"])
         return EXIT_OK
     if args.action == "norm-enum":
-        diag_entries = [int(x) % 3 for x in args.form.split(",")]
+        _require(args, "form")
+        try:
+            diag_entries = [int(x) % 3 for x in args.form.split(",")]
+        except ValueError:
+            raise InputError(f"bad --form {args.form!r}: expected integers like 1,-1,1") from None
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
         payload = {"count": len(vecs), "vectors": [list(v) for v in vecs]}
@@ -230,7 +249,11 @@ def cmd_disc(args):
     from . import discpoly
 
     if args.action == "a11-coeff":
-        m = discpoly.WeightedMonomial.parse(args.monomial)
+        _require(args, "monomial")
+        try:
+            m = discpoly.WeightedMonomial.parse(args.monomial)
+        except ValueError as exc:
+            raise InputError(f"bad --monomial {args.monomial!r}: {exc}") from None
         c = discpoly.a11_coeff(m)
         payload = {"monomial": str(m), "weight": m.weight, "coefficient": str(c)}
         _emit(args, payload, [f"{m} (weight {m.weight}): {c}"])
@@ -253,16 +276,22 @@ def cmd_disc(args):
 def cmd_hodge(args):
     from . import residues
 
-    weights = [int(x) for x in args.weights.split(",")]
+    try:
+        weights = [int(x) for x in args.weights.split(",")]
+    except ValueError:
+        raise InputError(f"bad --weights {args.weights!r}: expected integers like 3,3,3,2,1") from None
     char = parse_char(args.char) if args.char else None
-    if args.mode == "monomial":
-        H = residues.WeightedHypersurface.diagonal(weights, args.degree, char=char)
-    elif args.mode == "generic-ci":
-        H = residues.WeightedHypersurface(
-            weights, args.degree, residues.GENERIC_CI, char=char
-        )
-    else:
-        raise InputError(f"unknown mode {args.mode!r}")
+    try:
+        if args.mode == "monomial":
+            H = residues.WeightedHypersurface.diagonal(weights, args.degree, char=char)
+        elif args.mode == "generic-ci":
+            H = residues.WeightedHypersurface(
+                weights, args.degree, residues.GENERIC_CI, char=char
+            )
+        else:
+            raise InputError(f"unknown mode {args.mode!r}")
+    except ValueError as exc:
+        raise InputError(f"bad hypersurface: {exc}") from None
     rows = residues.full_report(H)
     payload = {
         "weights": weights,
@@ -284,10 +313,19 @@ def cmd_hodge(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    from .verify import run_verify
+def _closure_cap():
+    from .monodromy import env_closure_cap
 
-    report = run_verify(name_filter=args.filter)
+    try:
+        return env_closure_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def cmd_verify(args):
+    from .verify import Context, run_verify
+
+    report = run_verify(name_filter=args.filter, ctx=Context(_closure_cap()))
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -367,6 +405,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

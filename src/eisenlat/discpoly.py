@@ -9,8 +9,11 @@ setting all other variables to zero.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+
+from .linalg import det, solve
 
 WEIGHTS = {i: i for i in range(2, 13)}
 TOTAL_WEIGHT = 132
@@ -31,13 +34,6 @@ def poly_derivative(c):
     return [i * c[i] for i in range(1, len(c))]
 
 
-def poly_eval(c, x):
-    out = 0
-    for a in reversed(c):
-        out = out * x + a
-    return out
-
-
 def sylvester_resultant(f, g):
     """Resultant of integer polynomials via Bareiss on the Sylvester matrix."""
     f, g = poly_trim(f), poly_trim(g)
@@ -56,30 +52,7 @@ def sylvester_resultant(f, g):
     for i in range(n):
         for j, a in enumerate(reversed(g)):
             mat[m + i][i + j] = a
-    return _bareiss(mat)
-
-
-def _bareiss(a):
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return det(mat, operator.floordiv)
 
 
 def discriminant(f):
@@ -230,8 +203,9 @@ def _restricted_coefficients(variables):
                 ]
             )
             rhs.append(Fraction(a11_delta(dict(zip(variables, p)))))
-        sol = _solve_exact(rows, rhs)
-        if sol is None:
+        try:
+            sol = solve(rows, rhs)
+        except ValueError:  # singular sample: draw fresh points
             continue
         table = {}
         for e, c in zip(exps, sol):
@@ -251,23 +225,6 @@ def _monomial_eval(exps, point):
     for e, x in zip(exps, point):
         out *= x**e
     return out
-
-
-def _solve_exact(rows, rhs):
-    n = len(rows)
-    a = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        d = a[k][k]
-        a[k] = [x / d for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
 
 
 def reconstructed_delta_eval(variables, point):

@@ -133,19 +133,20 @@ class EisensteinInt:
             raise ValueError(f"{other} does not divide {self} in E")
         return q
 
-    def canonical_associate(self):
-        """The unique associate u*x with argument in [0, pi/3), i.e. 0 <= b < a.
+    def canonical_unit(self):
+        """The unique unit u with u*x of argument in [0, pi/3), i.e. 0 <= b < a.
 
         Fixed so gcd outputs and normal forms are deterministic.
         """
-        if not self:
-            return self
-        x = self
         for u in UNITS:
-            y = u * x
+            y = u * self
             if 0 <= y.b < y.a:
-                return y
-        raise AssertionError("unreachable: sextants cover C - {0}")
+                return u
+        raise ValueError("zero has no canonical associate")
+
+    def canonical_associate(self):
+        """canonical_unit() * x, and 0 for x = 0."""
+        return self.canonical_unit() * self if self else self
 
     def to_json(self):
         return [self.a, self.b]
@@ -303,6 +304,10 @@ class QOmega:
         other = _coerce_q(other)
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        inv = self.inverse()
+        return inv if other == 1 else _coerce_q(other) * inv
+
     def is_integral(self):
         return self.a.denominator == 1 and self.b.denominator == 1
 
@@ -326,6 +331,3 @@ def _coerce_q(x):
         return QOmega(x, 0)
     return None
 
-
-QW_ZERO = QOmega(0)
-QW_ONE = QOmega(1)

@@ -11,8 +11,6 @@ enumeration.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .eisenstein import (
@@ -25,6 +23,7 @@ from .eisenstein import (
 )
 from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, vector
 from .hnf import hnf_columns_e, snf_e
+from .linalg import clear_denominators, f3_rref, mat_vec, solve
 
 
 class F3QuadSpace:
@@ -54,23 +53,10 @@ class F3QuadSpace:
     def coords(self, v):
         """F_3 coordinates of a vector of theta N* (QOmega coords in N's basis)."""
         L_rows, positions, change = self._solve
-        n = self.ambient.n
-        gbar = [[self.ambient.g[i][j].conj() for j in range(n)] for i in range(n)]
-        w = []
-        for i in range(n):
-            s = QOmega(0)
-            for j in range(n):
-                s = s + QOmega.from_e(gbar[i][j]) * v[j]
-            w.append(s)
-        # w = Gbar v; coordinates of v w.r.t. the P U basis are L (Gbar v / theta)
+        gbar = [[x.conj() for x in row] for row in self.ambient.g]
+        # coordinates of v w.r.t. the P U basis are L (Gbar v / theta)
         tq = QOmega.from_e(THETA)
-        w = [x / tq for x in w]
-        coords = []
-        for i in range(n):
-            s = QOmega(0)
-            for j in range(n):
-                s = s + QOmega.from_e(L_rows[i][j]) * w[j]
-            coords.append(s)
+        coords = mat_vec(L_rows, [x / tq for x in mat_vec(gbar, v)])
         raw = []
         for pos in positions:
             c = coords[pos]
@@ -129,10 +115,12 @@ def disc_group(N: HermGram) -> F3QuadSpace:
             )
     k = len(positions)
     # ambient lifts: columns of P @ Linv = theta Gbar^{-1} Linv at the positions
-    lifts = []
-    for pos in positions:
-        col = [QOmega.from_e(Linv[i][pos]) for i in range(n)]
-        lifts.append(_solve_gbar(N, col))
+    gbar = [[QOmega.from_e(x.conj()) for x in row] for row in N.g]
+    tq = QOmega.from_e(THETA)
+    lifts = [
+        tuple(solve(gbar, [tq * QOmega.from_e(Linv[i][pos]) for i in range(n)]))
+        for pos in positions
+    ]
     form = []
     for i in range(k):
         row = []
@@ -163,28 +151,6 @@ def disc_group(N: HermGram) -> F3QuadSpace:
     return space
 
 
-def _solve_gbar(N: HermGram, rhs):
-    """Solve Gbar x = theta * rhs over Q(w)."""
-    n = N.n
-    a = [
-        [QOmega.from_e(N.g[i][j].conj()) for j in range(n)]
-        + [QOmega.from_e(THETA) * rhs[i]]
-        for i in range(n)
-    ]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("singular Gram in dual computation")
-        a[k], a[piv] = a[piv], a[k]
-        inv = a[k][k].inverse()
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return tuple(a[i][n] for i in range(n))
-
-
 def _ip_q(N: HermGram, x, y):
     n = N.n
     s = QOmega(0)
@@ -200,16 +166,9 @@ def _ip_q(N: HermGram, x, y):
 def _f3_inverse_transpose(C):
     """Inverse of C^T over F_3 (C square, invertible)."""
     k = len(C)
-    a = [[C[j][i] % 3 for j in range(k)] + [1 if t == i else 0 for t in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if a[i][col] % 3)
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, 3)
-        a[col] = [(x * inv) % 3 for x in a[col]]
-        for i in range(k):
-            if i != col and a[i][col] % 3:
-                c = a[i][col] % 3
-                a[i] = [(x - c * y) % 3 for x, y in zip(a[i], a[col])]
+    a = [[C[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(k)] for i in range(k)]
+    if f3_rref(a) != list(range(k)):
+        raise ValueError("singular matrix over F_3")
     return [row[k:] for row in a]
 
 
@@ -345,16 +304,9 @@ def _identity_q(n):
 def _span_with(N: HermGram, extra_vectors) -> GluedLattice:
     """Lattice generated by N's basis and extra QOmega vectors, via E-HNF."""
     n = N.n
-    den = 1
-    for v in extra_vectors:
-        for x in v:
-            den = math.lcm(den, x.denominator())
-    cols = []
-    for j in range(n):
-        cols.append([EisensteinInt(den) if i == j else ZERO for i in range(n)])
-    for v in extra_vectors:
-        cols.append([QOmega(x.a * den, x.b * den).to_e() for x in v])
-    H = hnf_columns_e(cols)
+    den, extra = clear_denominators(extra_vectors)
+    cols = [[EisensteinInt(den) if i == j else ZERO for i in range(n)] for j in range(n)]
+    H = hnf_columns_e(cols + extra)
     if len(H) != n:
         raise AssertionError("enlargement lost rank")
     basis = [

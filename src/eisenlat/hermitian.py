@@ -26,6 +26,7 @@ from .eisenstein import (
     e_gcd,
     is_associate,
 )
+from .linalg import det, kernel, mat_mul
 from .zlattice import ZGram
 
 
@@ -79,10 +80,6 @@ class HermGram:
 
 def vector(coords):
     return tuple(_to_e(x) for x in coords)
-
-
-def zero_vector(n):
-    return tuple(ZERO for _ in range(n))
 
 
 def basis_vector(n, i):
@@ -220,26 +217,7 @@ def signature(G: HermGram):
 
 def det_e(G: HermGram) -> EisensteinInt:
     """Exact determinant over E by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in G.g]
-    n = G.n
-    if n == 0:
-        return ONE
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return ZERO
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return det(G.g, EisensteinInt.exact_div) if G.n else ONE
 
 
 def in_theta_dual(G: HermGram) -> bool:
@@ -287,34 +265,6 @@ def mat_identity(n):
     )
 
 
-def mat_mul(A, B):
-    n = len(A)
-    k = len(B)
-    m = len(B[0])
-    Bt = tuple(tuple(B[t][j] for t in range(k)) for j in range(m))
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            Bj = Bt[j]
-            s = ZERO
-            for t in range(k):
-                if Ai[t] and Bj[t]:
-                    s = s + Ai[t] * Bj[t]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(A, x):
-    n = len(A)
-    return tuple(
-        sum((A[i][j] * x[j] for j in range(len(x)) if x[j]), start=ZERO)
-        for i in range(n)
-    )
-
-
 def mat_conj(A):
     return tuple(tuple(x.conj() for x in row) for row in A)
 
@@ -334,51 +284,9 @@ def is_isometry(G: HermGram, M) -> bool:
     return lhs == G.g
 
 
-def gram_of_basis(G: HermGram, basis_q):
-    """Gram matrix of vectors with QOmega coordinates; entries must be in E."""
-    n = G.n
-    k = len(basis_q)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            s = QOmega(0)
-            for p in range(n):
-                for q in range(n):
-                    s = s + QOmega.from_e(G.g[p][q]) * basis_q[i][p] * basis_q[j][q].conj()
-            row.append(s.to_e())
-        rows.append(row)
-    return HermGram(rows)
-
-
 def radical_basis(G: HermGram):
     """Basis over Q(w) of the radical (kernel of the Gram matrix)."""
-    n = G.n
-    a = [[QOmega.from_e(G.g[i][j]) for j in range(n)] for i in range(n)]
-    pivots = []
-    rowi = 0
-    for col in range(n):
-        piv = next((i for i in range(rowi, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rowi], a[piv] = a[piv], a[rowi]
-        inv = a[rowi][col].inverse()
-        a[rowi] = [x * inv for x in a[rowi]]
-        for i in range(n):
-            if i != rowi and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rowi])]
-        pivots.append(col)
-        rowi += 1
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for f in free:
-        v = [QOmega(0)] * n
-        v[f] = QOmega(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        out.append(tuple(v))
-    return out
+    return kernel([[QOmega.from_e(x) for x in row] for row in G.g])
 
 
 def matrix_rank_q(G: HermGram) -> int:

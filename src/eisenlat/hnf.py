@@ -8,7 +8,7 @@ two generating sets of the same module produce identical output.
 
 from __future__ import annotations
 
-from .eisenstein import ONE, UNITS, ZERO, EisensteinInt
+from .eisenstein import ONE, ZERO, EisensteinInt
 
 
 def hnf_columns_e(cols):
@@ -37,7 +37,7 @@ def hnf_columns_e(cols):
             nz = [c for c in nz if c[row]]
         piv = nz[0]
         active.remove(piv)
-        u = _unit_for_canonical(piv[row])
+        u = piv[row].canonical_unit()
         if u != ONE:
             piv = [u * x for x in piv]
         done.append((row, piv))
@@ -50,14 +50,6 @@ def hnf_columns_e(cols):
                 for i in range(p2, len(c)):
                     c[i] = c[i] - q * c2[i]
     return [c for _, c in done]
-
-
-def _unit_for_canonical(x):
-    for u in UNITS:
-        y = u * x
-        if 0 <= y.b < y.a:
-            return u
-    raise AssertionError("zero pivot")
 
 
 def snf_e(C):
@@ -155,31 +147,13 @@ def snf_e(C):
             break
         diagonalize()
     for i in range(size):
-        d = a[i][i]
-        if d:
-            cand = d.canonical_associate()
-            for u in UNITS:
-                if u * d == cand:
-                    if u != ONE:
-                        row_scale(i, u)
-                    break
+        if a[i][i]:
+            u = a[i][i].canonical_unit()
+            if u != ONE:
+                row_scale(i, u)
     diag = [a[i][i] for i in range(size)]
     return diag, L, Linv
 
 
 def _identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul_e(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = ZERO
-            for t in range(k):
-                s = s + A[i][t] * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out

@@ -1,0 +1,164 @@
+"""Exact linear algebra over Z, Z[w], Q, Q(w) and F_3, written once.
+
+Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
+elimination (Bareiss 1968) over an integral domain, given the ring's exact
+division; ``rref`` is Gauss-Jordan elimination over a field (``Fraction`` or
+``QOmega``), with ``kernel``, ``solve`` and ``inverse`` built on it; ``f3_rref``
+is the same elimination on integer rows modulo 3.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .eisenstein import EisensteinInt
+
+
+def mat_mul(A, B):
+    """A*B over any ring, as a tuple of row tuples; the zero is taken from A."""
+    zero = A[0][0] - A[0][0]
+    Bt = tuple(zip(*B))
+    ks = range(len(B))
+    out = []
+    for Ai in A:
+        row = []
+        for Bj in Bt:
+            s = zero
+            for t in ks:
+                if Ai[t] and Bj[t]:
+                    s = s + Ai[t] * Bj[t]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_vec(A, x):
+    """A*x for a column vector x, as a tuple; the zero is taken from x."""
+    zero = x[0] - x[0]
+    return tuple(sum((a * y for a, y in zip(row, x) if y), zero) for row in A)
+
+
+def det(a, div):
+    """Determinant by Bareiss' fraction-free elimination.
+
+    ``div(x, y)`` is the ring's exact division: ``operator.floordiv`` for int,
+    ``EisensteinInt.exact_div`` for E.  Every quotient taken is exact, so the
+    entries stay in the ring.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        ak = a[k]
+        if not ak[k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return ak[k]
+            a[k], a[piv] = a[piv], ak
+            ak = a[k]
+            sign = -sign
+        p = ak[k]
+        if prev is None:
+            prev = div(p, p)  # the ring's one
+        for ai in a[k + 1 :]:
+            c = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = div(ai[j] * p - c * ak[j], prev)
+        prev = p
+    d = a[-1][-1]
+    return -d if sign < 0 else d
+
+
+def rref(rows):
+    """Reduce ``rows`` (a list of lists over a field) to reduced row echelon form.
+
+    The reduction happens in place: entries of ``rows`` are swapped and
+    replaced by new lists, never mutated.  Each pivot row is scaled by one
+    inverse, so no entry is divided.  Returns the pivot columns.
+    """
+    n = len(rows)
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        pr = rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = [x - c * y for x, y in zip(rows[i], pr)]
+        pivots.append(col)
+    return pivots
+
+
+def kernel(a):
+    """Basis of {v : a v = 0}, one vector per non-pivot column of rref(a)."""
+    rows = [list(r) for r in a]
+    m = len(rows[0])
+    zero = rows[0][0] - rows[0][0]
+    one = zero + 1
+    pivots = rref(rows)
+    out = []
+    for f in range(m):
+        if f in pivots:
+            continue
+        v = [zero] * m
+        v[f] = one
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        out.append(tuple(v))
+    return out
+
+
+def solve(a, b):
+    """The x with a x = b, for a square nonsingular matrix a over a field."""
+    n = len(a)
+    rows = [list(r) + [y] for r, y in zip(a, b)]
+    if rref(rows) != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n] for r in rows]
+
+
+def inverse(a):
+    """The inverse of a square nonsingular matrix over a field, as row lists."""
+    n = len(a)
+    zero = a[0][0] - a[0][0]
+    one = zero + 1
+    rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a)]
+    if rref(rows) != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n:] for r in rows]
+
+
+def clear_denominators(vectors):
+    """(d, E-vectors d*v) for QOmega vectors, d the least common denominator."""
+    den = math.lcm(*(x.denominator() for v in vectors for x in v))
+    return den, [
+        tuple(EisensteinInt(int(x.a * den), int(x.b * den)) for x in v) for v in vectors
+    ]
+
+
+def f3_rref(rows):
+    """``rref`` for integer rows read modulo 3, in place; entries end in {0, 1, 2}."""
+    n = len(rows)
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][col] % 3), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col] % 3  # 1 and 2 are their own inverses mod 3
+        pr = rows[r] = [(x * inv) % 3 for x in rows[r]]
+        for i in range(n):
+            c = rows[i][col] % 3
+            if i != r and c:
+                rows[i] = [(x - c * y) % 3 for x, y in zip(rows[i], pr)]
+        pivots.append(col)
+    return pivots

@@ -9,6 +9,8 @@ into an integer companion embedding so numpy can batch the products.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .eisenstein import (
@@ -18,6 +20,7 @@ from .eisenstein import (
     UNITS,
     ZERO,
     EisensteinInt,
+    QOmega,
     reduce_mod_theta,
 )
 from .hermitian import (
@@ -28,10 +31,10 @@ from .hermitian import (
     is_isometry,
     mat_identity,
     mat_mul,
-    mat_vec,
     norm_of,
     vector,
 )
+from .linalg import clear_denominators, f3_rref, kernel, mat_vec
 
 INFINITE = "Infinite"
 
@@ -82,7 +85,6 @@ class GroupElt:
         return GroupElt(mat_mul(self.m, other.m), self.ambient, check=False)
 
     def __pow__(self, k):
-        n = len(self.m)
         if k < 0:
             raise ValueError("negative powers not supported")
         out = identity(self.ambient)
@@ -99,26 +101,6 @@ class GroupElt:
 
     def is_identity(self):
         return self.m == mat_identity(len(self.m))
-
-    def det(self):
-        a = [list(row) for row in self.m]
-        n = len(a)
-        sign = 1
-        prev = ONE
-        for k in range(n - 1):
-            if not a[k][k]:
-                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if piv is None:
-                    return ZERO
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
-                a[i][k] = ZERO
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return -d if sign < 0 else d
 
 
 def identity(G: HermGram) -> GroupElt:
@@ -201,13 +183,6 @@ def word_eval(factors) -> GroupElt:
     for f in factors[1:]:
         out = out * f
     return out
-
-
-def word_eval_or_identity(factors, G: HermGram) -> GroupElt:
-    factors = list(factors)
-    if not factors:
-        return identity(G)
-    return word_eval(factors)
 
 
 DEFAULT_ORDER_CAP = 10000
@@ -349,6 +324,20 @@ def _companion_unpack(z, n):
 DEFAULT_CLOSURE_CAP = 2_000_000
 
 
+def env_closure_cap() -> int:
+    """The closure cap set by EISENLAT_CLOSURE_CAP, or DEFAULT_CLOSURE_CAP if unset."""
+    text = os.environ.get("EISENLAT_CLOSURE_CAP")
+    if text is None:
+        return DEFAULT_CLOSURE_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"EISENLAT_CLOSURE_CAP must be a positive integer, got {text!r}")
+    return cap
+
+
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     """Breadth-first closure of the generated group; CapExceeded past cap."""
     gens = list(gens)
@@ -446,12 +435,8 @@ def _primitive_vector(v):
             g = x if g is None else e_gcd(g, x)
     out = tuple(x.exact_div(g) for x in v)
     # deterministic orientation: first nonzero coordinate canonical
-    first = next(x for x in out if x)
-    for u in UNITS:
-        y = u * first
-        if 0 <= y.b < y.a:
-            return tuple(u * x for x in out)
-    return out
+    u = next(x for x in out if x).canonical_unit()
+    return tuple(u * x for x in out)
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -494,39 +479,9 @@ def free_action_check(handle: GroupHandle) -> bool:
 
 def _exact_fixed_space(m, n):
     """Basis over Q(w) of ker(M - I), returned as E-vectors (cleared denominators)."""
-    from .eisenstein import QOmega
-
     I = mat_identity(n)
     a = [[QOmega.from_e(m[i][j] - I[i][j]) for j in range(n)] for i in range(n)]
-    pivots = []
-    rowi = 0
-    for col in range(n):
-        piv = next((i for i in range(rowi, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rowi], a[piv] = a[piv], a[rowi]
-        inv = a[rowi][col].inverse()
-        a[rowi] = [x * inv for x in a[rowi]]
-        for i in range(n):
-            if i != rowi and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rowi])]
-        pivots.append(col)
-        rowi += 1
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for f in free:
-        v = [QOmega(0)] * n
-        v[f] = QOmega(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        den = 1
-        import math
-
-        for x in v:
-            den = math.lcm(den, x.denominator())
-        out.append(tuple(QOmega(x.a * den, x.b * den).to_e() for x in v))
-    return out
+    return clear_denominators(kernel(a))[1]
 
 
 def chain_signed(eps):
@@ -637,20 +592,4 @@ def symplectic_gram(G: HermGram):
 
 
 def f3_rank(mat) -> int:
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, n) if rows[i][col] % 3), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 if rows[rank][col] % 3 == 1 else 2
-        rows[rank] = [(x * inv) % 3 for x in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col] % 3:
-                c = rows[i][col] % 3
-                rows[i] = [(x - c * y) % 3 for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(f3_rref([list(r) for r in mat]))

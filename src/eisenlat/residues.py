@@ -64,6 +64,8 @@ class WeightedHypersurface:
                 raise ValueError("monomial mode needs exponent caps")
             self.caps = tuple(caps)
         else:
+            if any(w >= self.degree for w in self.weights):
+                raise ValueError("degree must exceed every weight")
             self.caps = None
         k = len(self.weights)
         self.char = tuple(unit_exp(c) for c in (char or [0] * k))
@@ -180,8 +182,6 @@ def _ci_char_series(H: WeightedHypersurface, grade):
         series = out
     for w, chi in zip(H.weights, H.char):
         e = d - w
-        if e <= 0:
-            raise ValueError("degree must exceed every weight")
         # multiply by (1 - chi^{-1} t^e)
         out = [row[:] for row in series]
         for g in range(e, grade + 1):

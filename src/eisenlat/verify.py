@@ -9,7 +9,7 @@ a context cache.
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
 from .eisenstein import E, OMEGA, THETA, EisensteinInt, QOmega, e_gcd, is_associate
 from .hermitian import (
@@ -34,6 +34,7 @@ from .hermitian import (
     theta_self_dual,
     z_realization,
 )
+from .linalg import clear_denominators, inverse, mat_mul, solve
 from . import zlattice
 from . import monodromy as mono
 from . import gluing
@@ -67,11 +68,7 @@ class Context:
 
     def __init__(self, closure_cap=None):
         self._cache = {}
-        if closure_cap is None:
-            closure_cap = int(
-                os.environ.get("EISENLAT_CLOSURE_CAP", mono.DEFAULT_CLOSURE_CAP)
-            )
-        self.closure_cap = closure_cap
+        self.closure_cap = mono.env_closure_cap() if closure_cap is None else closure_cap
 
     def closure(self, n):
         key = ("closure", n)
@@ -268,42 +265,10 @@ def _herm_from_ii22():
     # u1 = e1, u2 = we2, u3 = we1, u4 = -e2
     P = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1), (0, 1, 0, 0))
     # columns of P are u_i in old coordinates
-    Pi = _int_inverse(P)
-    S = _int_mul(_int_mul(Pi, S0), P)
+    Pi = inverse([[Fraction(x) for x in row] for row in P])
+    S = mat_mul(mat_mul(Pi, S0), P)
+    assert all(x.denominator == 1 for row in S for x in row)
     return zlattice.hermitian_from_z(zlattice.ii22_gram(), S)
-
-
-def _int_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def _int_inverse(P):
-    from fractions import Fraction
-
-    n = len(P)
-    a = [[Fraction(P[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k])
-        a[k], a[piv] = a[piv], a[k]
-        d = a[k][k]
-        a[k] = [x / d for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = a[i][n + j]
-            assert v.denominator == 1
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 @check("root-chordal", "(1, 0, ..., 0) is a chordal root")
@@ -561,8 +526,6 @@ def _(ctx):
 
 
 def _lambda_roundtrip(ctx):
-    import math
-
     from .hnf import hnf_columns_e
 
     L = lambda_()
@@ -572,7 +535,7 @@ def _lambda_roundtrip(ctx):
     NL = gluing.hyperplane_preimage(L, phi)
     S2 = gluing.disc_group(NL.gram)
     # coordinates of the nodal root inside the sublattice
-    c = _solve_basis(NL.basis, NODAL_ROOT)
+    c = solve(list(zip(*NL.basis)), [QOmega.from_e(x) for x in NODAL_ROOT])
     tq = QOmega.from_e(THETA)
     rbar2 = S2.coords(tuple(x / tq for x in c))
     lines = gluing.isotropic_lines(S2, not_orth_to=rbar2)
@@ -589,11 +552,7 @@ def _lambda_roundtrip(ctx):
                     for t in range(11):
                         v[t] = v[t] + GL2.basis[i][j] * NL.basis[j][t]
             amb.append(v)
-        den = 1
-        for v in amb:
-            for x in v:
-                den = math.lcm(den, x.denominator())
-        cols = [[QOmega(x.a * den, x.b * den).to_e() for x in v] for v in amb]
+        den, cols = clear_denominators(amb)
         H = hnf_columns_e(cols)
         if all(
             H[i][j] == (E(den) if i == j else E(0))
@@ -602,25 +561,6 @@ def _lambda_roundtrip(ctx):
         ):
             hits += 1
     return hits == 1
-
-
-def _solve_basis(basis, target):
-    """QOmega coordinates of target in the given basis (list of vectors)."""
-    n = len(basis)
-    a = [
-        [basis[j][i] for j in range(n)] + [QOmega.from_e(target[i])]
-        for i in range(n)
-    ]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k])
-        a[k], a[piv] = a[piv], a[k]
-        inv = a[k][k].inverse()
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return tuple(a[i][n] for i in range(n))
 
 
 @check("hyperplane-orbit", "the orbit of a hyperplane mod theta has size (3^10 - 1)/2 = 29524")

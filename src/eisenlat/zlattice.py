@@ -9,9 +9,11 @@ order 3.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .eisenstein import EisensteinInt, QOmega
+from .linalg import clear_denominators, det, inverse, mat_mul, mat_vec, rref
 
 
 class ZGram:
@@ -41,9 +43,6 @@ class ZGram:
     def __hash__(self):
         return hash(self.g)
 
-    def entry(self, i, j):
-        return self.g[i][j]
-
     def to_json(self):
         return {"n": self.n, "g": [list(r) for r in self.g]}
 
@@ -53,18 +52,6 @@ class ZGram:
         if len(g) != data.get("n", len(g)):
             raise ValueError("rank field does not match matrix size")
         return ZGram(g)
-
-
-def direct_sum(*grams):
-    n = sum(G.n for G in grams)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for G in grams:
-        for i in range(G.n):
-            for j in range(G.n):
-                rows[off + i][off + j] = G.g[i][j]
-        off += G.n
-    return ZGram(rows)
 
 
 def inertia(G: ZGram):
@@ -126,30 +113,7 @@ def inertia(G: ZGram):
 
 def determinant(G: ZGram):
     """Exact determinant by Bareiss fraction-free elimination."""
-    return _bareiss_int([list(r) for r in G.g])
-
-
-def _bareiss_int(a):
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return det(G.g, operator.floordiv)
 
 
 def is_even(G: ZGram):
@@ -219,46 +183,6 @@ def a2_rotation():
     return ((0, -1), (1, -1))
 
 
-def root_lattice_an(n: int) -> ZGram:
-    """A_n root lattice Gram (2 on the diagonal, -1 on adjacent nodes)."""
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-        if i + 1 < n:
-            g[i][i + 1] = g[i + 1][i] = -1
-    return ZGram(g)
-
-
-def cycle_isometry(n: int):
-    """Coxeter rotation of A_{n-1} of order n, fixed-point-free (columns).
-
-    Realizes the span of differences of the n-th roots of unity with the
-    rotation permuting those roots cyclically.
-    """
-    # basis e_i = z_i - z_{i+1} (z = n-th roots); rotation sends e_i -> e_{i+1},
-    # e_{n-1} -> -(e_1 + ... + e_{n-1})
-    m = n - 1
-    cols = []
-    for j in range(m):
-        if j < m - 1:
-            col = [0] * m
-            col[j + 1] = 1
-        else:
-            col = [-1] * m
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
-
-
-def _mat_mul_int(A, B):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def _mat_eq_identity(A):
     n = len(A)
     return all(A[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
@@ -283,10 +207,10 @@ def hermitian_from_z(G: ZGram, S):
     if len(S) != n or any(len(r) != n for r in S):
         raise ValueError("isometry has wrong shape")
     St = tuple(tuple(S[i][j] for i in range(n)) for j in range(n))
-    if _mat_mul_int(St, _mat_mul_int(G.g, S)) != G.g:
+    if mat_mul(St, mat_mul(G.g, S)) != G.g:
         raise ValueError("S is not an isometry of G")
-    S2 = _mat_mul_int(S, S)
-    if not _mat_eq_identity(_mat_mul_int(S2, S)):
+    S2 = mat_mul(S, S)
+    if not _mat_eq_identity(mat_mul(S2, S)):
         raise ValueError("S does not have order dividing 3")
     # no nonzero fixed vector <=> S^2 + S + I = 0
     for i in range(n):
@@ -302,15 +226,12 @@ def hermitian_from_z(G: ZGram, S):
     def dot(x, y):
         return sum(x[i] * G.g[i][j] * y[j] for i in range(n) for j in range(n))
 
-    def apply(M, x):
-        return tuple(sum(M[i][j] * x[j] for j in range(n)) for i in range(n))
-
     rows = []
     for u in basis:
         row = []
         for v in basis:
-            sv = apply(S, v)
-            s2v = apply(S2, v)  # S^-1 = S^2
+            sv = mat_vec(S, v)
+            s2v = mat_vec(S2, v)  # S^-1 = S^2
             re3 = 3 * dot(u, v)
             im = dot(u, tuple(s2v[i] - sv[i] for i in range(n)))
             # h = (1/2)(re3 - theta*im) with theta = 1 + 2w
@@ -330,7 +251,7 @@ def _greedy_e_generators(n, S):
         if not span.contains(e):
             picks.append(e)
             span.add(e)
-            span.add(tuple(sum(S[r][j] * e[j] for j in range(n)) for r in range(n)))
+            span.add(mat_vec(S, e))
     return picks
 
 
@@ -338,7 +259,7 @@ def _e_span_is_everything(picks, S, n):
     span = _ZSpan(n)
     for v in picks:
         span.add(v)
-        span.add(tuple(sum(S[r][j] * v[j] for j in range(n)) for r in range(n)))
+        span.add(mat_vec(S, v))
     return span.index_is_one()
 
 
@@ -349,23 +270,18 @@ def _complete_e_basis(picks, S, n):
     coordinatizes Q^n; every pick is written in those coordinates and a
     Hermite normal form over E reduces the generator list to a basis.
     """
-    import math
-
     from .hnf import hnf_columns_e
 
     m = n // 2
-
-    def s_image(v):
-        return tuple(sum(S[r][j] * v[j] for j in range(n)) for r in range(n))
 
     # select m picks whose pairs (v, Sv) are Q-independent
     chosen = []
     rows = []  # rational row echelon for rank tracking
     for v in picks:
-        cand = rows + [[Fraction(x) for x in v], [Fraction(x) for x in s_image(v)]]
-        if _rational_rank(cand) == len(rows) + 2:
+        cand = rows + [[Fraction(x) for x in v], [Fraction(x) for x in mat_vec(S, v)]]
+        if len(rref(cand)) == len(cand):
             chosen.append(v)
-            rows = _rational_echelon(cand)
+            rows = cand
         if len(chosen) == m:
             break
     if len(chosen) < m:
@@ -373,21 +289,15 @@ def _complete_e_basis(picks, S, n):
     cols = []
     for v in chosen:
         cols.append(v)
-        cols.append(s_image(v))
+        cols.append(mat_vec(S, v))
     B = [[Fraction(cols[c][r]) for c in range(n)] for r in range(n)]
-    Binv = _rational_inverse(B)
+    Binv = inverse(B)
     # Q(w)-coordinates of every pick w.r.t. the chosen basis
     coord_vecs = []
-    den = 1
     for v in picks:
-        w = [sum(Binv[r][j] * v[j] for j in range(n)) for r in range(n)]
-        coords = [QOmega(w[2 * i], w[2 * i + 1]) for i in range(m)]
-        coord_vecs.append(coords)
-        for x in coords:
-            den = math.lcm(den, x.denominator())
-    gens = [
-        [QOmega(x.a * den, x.b * den).to_e() for x in coords] for coords in coord_vecs
-    ]
+        w = mat_vec(Binv, v)
+        coord_vecs.append([QOmega(w[2 * i], w[2 * i + 1]) for i in range(m)])
+    den, gens = clear_denominators(coord_vecs)
     H = hnf_columns_e(gens)
     if len(H) != m:
         raise ValueError("E-basis extraction failed: generators not full rank")
@@ -404,41 +314,6 @@ def _complete_e_basis(picks, S, n):
             raise ValueError("E-basis extraction failed: non-integral basis")
         out.append(tuple(int(x) for x in zvec))
     return out
-
-
-def _rational_echelon(rows):
-    rows = [row[:] for row in rows]
-    out = []
-    for row in rows:
-        for r in out:
-            p = next(i for i, x in enumerate(r) if x)
-            if row[p]:
-                c = row[p] / r[p]
-                row = [x - c * y for x, y in zip(row, r)]
-        if any(row):
-            out.append(row)
-    return out
-
-
-def _rational_rank(rows):
-    return len(_rational_echelon(rows))
-
-
-def _rational_inverse(B):
-    n = len(B)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(B)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        d = a[k][k]
-        a[k] = [x / d for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                c = a[i][k]
-                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
 
 
 class _ZSpan:

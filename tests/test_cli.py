@@ -203,6 +203,36 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env, code, message",
+    [
+        (["monodromy", "word-order", "--lattice", "hyp", "--word", "a1"], {}, 3, "nonzero norm"),
+        (["f3", "disc-group", "--lattice", "chain:11"], {}, 3, "degenerate"),
+        (["disc", "a11-coeff", "--monomial", "x3"], {}, 3, "'x3'"),
+        (["f3", "norm-enum", "--form", "1,a", "--norm", "1"], {}, 3, "--form"),
+        (["lattice", "invariants", "--name", "chain:0"], {}, 3, "n must be >= 1"),
+        (
+            ["hodge", "report", "--mode", "generic-ci", "--weights", "1,1,1", "--degree", "1"],
+            {},
+            3,
+            "degree must exceed every weight",
+        ),
+        (["hodge", "report", "--weights", "1,b", "--degree", "3"], {}, 3, "--weights"),
+        (["disc", "a11-coeff"], {}, 2, "requires --monomial"),
+        (["f3", "norm-enum"], {}, 2, "requires --form"),
+        (["f3", "orbit"], {}, 2, "requires --lattice"),
+        (["verify", "--filter", "lambda-det"], {"EISENLAT_CLOSURE_CAP": "abc"}, 2, "EISENLAT_CLOSURE_CAP"),
+    ],
+)
+def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    got, _, err = run_main(argv, capsys)
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "eisenlat.cli", "lattice", "badaction", "--name", "x"],

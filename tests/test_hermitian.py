@@ -25,7 +25,6 @@ from eisenlat.hermitian import (
     signature,
     theta_self_dual,
     z_realization,
-    zero_vector,
 )
 from eisenlat.zlattice import determinant, inertia, is_even
 
@@ -71,7 +70,7 @@ def test_ip_examples():
     e = lambda i: basis_vector(11, i)
     assert ip(L, e(0), e(0)) == E(3)
     assert ip(L, e(1), e(2)) == THETA
-    assert ip(L, e(1), zero_vector(11)) == E(0)
+    assert ip(L, e(1), (E(0),) * 11) == E(0)
 
 
 def test_ip_hermitian_axioms_random():

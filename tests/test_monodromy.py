@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eisenlat.eisenstein import E, OMEGA, OMEGA_BAR, THETA
+from eisenlat.eisenstein import E, OMEGA, OMEGA_BAR, THETA, EisensteinInt
 from eisenlat.hermitian import (
     basis_vector,
     chain,
@@ -16,6 +16,7 @@ from eisenlat.hermitian import (
     norm_of,
 )
 from eisenlat import monodromy as mono
+from eisenlat.linalg import det
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
 
@@ -62,7 +63,7 @@ def test_reflection_determinant_is_zeta():
     G = chain(3)
     for i in range(3):
         t = mono.triflection(G, basis_vector(3, i))
-        assert t.det() == OMEGA
+        assert det(t.m, EisensteinInt.exact_div) == OMEGA
 
 
 def test_transvection_zero_is_identity():
@@ -117,8 +118,6 @@ def test_d4_transvection_identity():
 
 
 def test_word_eval_empty():
-    G = chain(2)
-    assert mono.word_eval_or_identity([], G).is_identity()
     with pytest.raises(ValueError):
         mono.word_eval([])
 
@@ -316,5 +315,5 @@ def test_words_in_triflections_have_cube_root_determinant():
     gens = mono.chain_triflections(4)
     for _ in range(50):
         w = mono.word_eval([gens[rng.randrange(4)] for _ in range(rng.randint(1, 8))])
-        d = w.det()
+        d = det(w.m, EisensteinInt.exact_div)
         assert d in (E(1), OMEGA, OMEGA_BAR)

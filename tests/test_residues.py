@@ -123,6 +123,14 @@ def test_character_invariance_validation():
         rs.WeightedHypersurface([1, 1], 3, "nosuch")
 
 
+def test_generic_ci_degree_must_exceed_every_weight():
+    # weights (1,1,1) in degree 1 have a negative residue grade, so the series
+    # alone would report (0, 0) instead of rejecting the input
+    for weights, degree in (([1, 1, 1], 1), ([1, 2], 2)):
+        with pytest.raises(ValueError, match="degree must exceed every weight"):
+            rs.WeightedHypersurface(weights, degree, rs.GENERIC_CI)
+
+
 def test_unit_exponent_mapping():
     assert rs.exp_unit(0) == E(1)
     assert rs.exp_unit(2) == OMEGA

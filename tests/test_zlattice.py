@@ -176,8 +176,8 @@ def test_tensor_gram():
 
 def test_tensor_of_cycle_isometries_matches_vanishing_count():
     # V(k) as A_{k-1} with its order-k rotation: sanity on ranks
-    G3 = zl.root_lattice_an(2)
-    S3 = zl.cycle_isometry(3)
+    G3 = zl.a2_gram()  # A_2 with its order-3 Coxeter rotation
+    S3 = zl.a2_rotation()
     H = zl.hermitian_from_z(G3, S3)
     assert H.n == 1
     assert H.g[0][0].a == 3
