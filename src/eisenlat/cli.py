@@ -151,6 +151,8 @@ def cmd_monodromy(args):
     G = parse_lattice(args.lattice)
     if args.action == "word-order":
         _require(args, "word")
+        if args.cap < 1:
+            raise UsageError(f"--cap must be >= 1, got {args.cap}")
         letters = parse_word(args.word)
         gens = {}
         factors = []
@@ -223,7 +225,10 @@ def cmd_f3(args):
         return EXIT_OK
     if args.action == "orbit":
         G = parse_lattice(args.lattice)
-        size, ngens = gluing.hyperplane_orbit(gluing.sp_generating_roots(), G)
+        try:
+            size, ngens = gluing.hyperplane_orbit(gluing.sp_generating_roots(), G)
+        except ValueError as exc:
+            raise InputError(f"no hyperplane orbit on {args.lattice}: {exc}") from None
         payload = {"orbit": size, "generators": ngens}
         lines = [f"orbit: {size} (generators used: {ngens})"]
         _emit(args, payload, lines)

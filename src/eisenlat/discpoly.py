@@ -91,9 +91,11 @@ class WeightedMonomial:
 
     def __init__(self, exponents):
         self.exponents = {int(i): int(e) for i, e in exponents.items() if e}
-        for i in self.exponents:
+        for i, e in self.exponents.items():
             if not 2 <= i <= 12:
                 raise ValueError(f"u_{i} is not a coordinate of the family")
+            if e < 0:
+                raise ValueError(f"negative exponent {e} on u_{i}")
 
     @property
     def weight(self):

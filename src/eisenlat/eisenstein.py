@@ -193,10 +193,6 @@ def e_gcd(x, y):
     return x.canonical_associate()
 
 
-def associates(x):
-    return tuple(u * x for u in UNITS)
-
-
 def is_associate(x, y):
     x, y = _coerce(x), _coerce(y)
     if not x or not y:
@@ -208,26 +204,6 @@ def reduce_mod_theta(x):
     """The residue map E -> E/(theta) = F_3, a ring homomorphism; w |-> 1."""
     x = _coerce(x)
     return (x.a + x.b) % 3
-
-
-def divides(d, x):
-    d, x = _coerce(d), _coerce(x)
-    if not d:
-        return not x
-    return not x % d
-
-
-def half_coordinates(x):
-    """(c, d) with x = c/2 + d*theta/2; c and d always have equal parity."""
-    x = _coerce(x)
-    return (2 * x.a - x.b, x.b)
-
-
-def from_half_coordinates(c, d):
-    """The element c/2 + d*theta/2, defined exactly when c = d (mod 2)."""
-    if (c - d) % 2:
-        raise ValueError("c/2 + d*theta/2 lies in E only for c = d (mod 2)")
-    return EisensteinInt((c + d) // 2, d)
 
 
 class QOmega:

@@ -21,7 +21,7 @@ from .eisenstein import (
     QOmega,
     reduce_mod_theta,
 )
-from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, vector
+from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, ip, vector
 from .hnf import hnf_columns_e, snf_e
 from .linalg import clear_denominators, f3_rref, mat_vec, solve
 
@@ -125,7 +125,7 @@ def disc_group(N: HermGram) -> F3QuadSpace:
     for i in range(k):
         row = []
         for j in range(k):
-            val = _ip_q(N, lifts[i], lifts[j])
+            val = ip(N, lifts[i], lifts[j])
             if not val.is_integral():
                 raise AssertionError("inner product of lifts not in E")
             row.append(reduce_mod_theta(val.to_e()))
@@ -149,18 +149,6 @@ def disc_group(N: HermGram) -> F3QuadSpace:
         (L, positions, change),
     )
     return space
-
-
-def _ip_q(N: HermGram, x, y):
-    n = N.n
-    s = QOmega(0)
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            if y[j]:
-                s = s + QOmega.from_e(N.g[i][j]) * x[i] * y[j].conj()
-    return s
 
 
 def _f3_inverse_transpose(C):
@@ -316,7 +304,7 @@ def _span_with(N: HermGram, extra_vectors) -> GluedLattice:
     for i in range(n):
         row = []
         for j in range(n):
-            val = _ip_q(N, basis[i], basis[j])
+            val = ip(N, basis[i], basis[j])
             if not val.is_integral():
                 raise ValueError("enlargement is not integral over E")
             row.append(val.to_e())
@@ -362,7 +350,7 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     for i in range(n):
         row = []
         for j in range(n):
-            row.append(_ip_q(G, basis[i], basis[j]).to_e())
+            row.append(ip(G, basis[i], basis[j]).to_e())
         rows.append(row)
     return GluedLattice(HermGram(rows), basis)
 

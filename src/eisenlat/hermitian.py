@@ -87,10 +87,13 @@ def basis_vector(n, i):
 
 
 def ip(G: HermGram, x, y):
-    """<x, y> = sum g_ij x_i conj(y_j): E-linear in x, antilinear in y."""
+    """<x, y> = sum g_ij x_i conj(y_j): E-linear in x, antilinear in y.
+
+    The zero is taken from x, so Q(w) vectors give a QOmega.
+    """
     if len(x) != G.n or len(y) != G.n:
         raise ValueError("vector lengths do not match the Gram rank")
-    s = ZERO
+    s = x[0] - x[0]
     for i in range(G.n):
         if not x[i]:
             continue

@@ -20,7 +20,6 @@ from .eisenstein import (
     UNITS,
     ZERO,
     EisensteinInt,
-    QOmega,
     reduce_mod_theta,
 )
 from .hermitian import (
@@ -34,7 +33,7 @@ from .hermitian import (
     norm_of,
     vector,
 )
-from .linalg import clear_denominators, f3_rref, kernel, mat_vec
+from .linalg import f3_rref, mat_vec
 
 INFINITE = "Infinite"
 
@@ -230,6 +229,8 @@ def projective_order(M: GroupElt, modulo_radical: bool = False, cap: int = DEFAU
     Modulo the radical, M^k = u I is tested as G (M^k - u I) = 0, which says
     the columns of M^k - u I lie in the kernel of the form.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     G = M.ambient
     n = G.n
     acc = M
@@ -286,11 +287,11 @@ class CapExceeded(Exception):
 
 
 class GroupHandle:
-    """Finite closure of a generating set: order plus the element list."""
+    """Finite closure of a generating set: order plus the element array."""
 
     def __init__(self, ambient: HermGram, elements):
         self.ambient = ambient
-        self.elements = elements  # list of E-matrices (tuples of tuples)
+        self.elements = elements  # (order, 2n, 2n) int64 companion packings, identity first
 
     @property
     def order(self):
@@ -349,10 +350,9 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
             raise ValueError("generators have different ambients")
     n = G.n
     gen_z = np.stack([_companion_pack(g.m, n) for g in gens])
-    ident = _companion_pack(mat_identity(n), n)
-    seen = {ident.tobytes(): 0}
-    elements = [ident]
-    frontier = ident[None, :, :]
+    frontier = _companion_pack(mat_identity(n), n)[None, :, :]
+    seen = {frontier[0].tobytes()}
+    levels = [frontier]
     while frontier.shape[0]:
         prods = np.einsum("fij,gjk->fgik", frontier, gen_z)
         prods = prods.reshape(-1, 2 * n, 2 * n)
@@ -362,31 +362,29 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
             if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
-                seen[key] = len(elements)
-                elements.append(prods[idx])
-                fresh.append(prods[idx])
-        frontier = np.stack(fresh) if fresh else np.empty((0, 2 * n, 2 * n), dtype=np.int64)
-    return GroupHandle(G, elements)
+                seen.add(key)
+                fresh.append(idx)
+        frontier = prods[fresh]
+        levels.append(frontier)
+    return GroupHandle(G, np.concatenate(levels))
 
 
 def reflections_in(handle: GroupHandle):
     """All complex reflections in the group: (root, rotation unit) pairs.
 
-    A reflection fixes a hyperplane, i.e. M - I has rank one over Q(w);
-    the root is a primitive generator of the image of M - I and the unit is
-    the eigenvalue on it.
+    A reflection with eigenvalue zeta != 1 has trace n - 1 + zeta; only elements
+    with one of those five traces get the exact rank-one test.  The root is a
+    primitive generator of the image of M - I, the unit its eigenvalue.
     """
     n = handle.ambient.n
-    stack = np.stack(handle.elements).astype(np.float64)
-    ident = np.eye(2 * n)
-    diffs = stack - ident
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    tol = 1e-6 * max(1.0, float(np.abs(diffs).max()))
-    ranks = (svals > tol).sum(axis=1)
+    z = handle.elements
+    # the trace a + b w, read off the diagonal 2 x 2 blocks of the packings
+    tr_a = np.trace(z[:, ::2, ::2], axis1=1, axis2=2)
+    tr_b = np.trace(z[:, 1::2, ::2], axis1=1, axis2=2)
+    candidates = np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE])
     out = []
-    for idx in np.nonzero(ranks == 2)[0]:
-        m = _companion_unpack(handle.elements[idx], n)
-        root, unit = _reflection_data(handle.ambient, m)
+    for idx in np.nonzero(candidates)[0]:
+        root, unit = _reflection_data(handle.ambient, _companion_unpack(z[idx], n))
         if root is not None:
             out.append((root, unit))
     return out
@@ -439,49 +437,50 @@ def _primitive_vector(v):
     return tuple(u * x for x in out)
 
 
-def free_action_check(handle: GroupHandle) -> bool:
-    """True iff each non-identity element's fixed space lies in some mirror.
+_BLOCK = 4096  # elements per batch of int64 products in free_action_check
 
-    The zero fixed space is vacuously contained.  This is the statement that
-    the group acts freely off the union of the reflection mirrors.
+
+def free_action_check(handle: GroupHandle) -> bool:
+    """True iff each non-identity element's fixed space lies in some mirror,
+    i.e. the group acts freely off the union of its reflection mirrors.
+
+    The fixed space of g is the column span of P_g = I + g + ... + g^(k-1),
+    k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
+    lies in the mirror of r iff the row (<e_i, r>)_i times P_g vanishes.
+    The zero fixed space (P_g = 0) is vacuously contained.
     """
-    n = handle.ambient.n
-    mirrors = []
-    seen_lines = set()
-    for root, _ in reflections_in(handle):
-        if root not in seen_lines:
-            seen_lines.add(root)
-            mirrors.append(root)
-    stack = np.stack(handle.elements).astype(np.float64)
-    ident = np.eye(2 * n)
-    diffs = stack - ident
-    svals = np.linalg.svd(diffs, compute_uv=False)
-    tol = 1e-6 * max(1.0, float(np.abs(diffs).max()))
-    ranks = (svals > tol).sum(axis=1)
-    for idx in range(len(handle.elements)):
-        if ranks[idx] == 2 * n:
-            continue  # no nonzero fixed vectors (verified exactly below)
-        m = _companion_unpack(handle.elements[idx], n)
-        if m == mat_identity(n):
-            continue
-        fixed = _exact_fixed_space(m, n)
-        if not fixed:
-            continue
-        ok = False
-        for r in mirrors:
-            if all(not ip(handle.ambient, v, r) for v in fixed):
-                ok = True
+    G, z = handle.ambient, handle.elements
+    n = G.n
+    mirrors = dict.fromkeys(root for root, _ in reflections_in(handle))
+    # each mirror as the first packed row of (<e_i, r>)_i = G rbar; it vanishes iff the E-row does
+    rows = np.array(
+        [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
+    ).reshape(-1, 2 * n)
+    # powers are group elements, so their |entries| are <= top; a product sums
+    # 2n terms below top^2, P_g at most |group| powers, rows @ P_g 2n terms
+    top = max(int(z.max()), -int(z.min()))
+    row_top = int(np.abs(rows).max(initial=0))
+    if max(2 * n * top * top, len(z) * top * max(1, 2 * n * row_top)) >= 2**63:
+        raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
+    ident = np.eye(2 * n, dtype=np.int64)
+    for start in range(0, len(z), _BLOCK):
+        g = z[start : start + _BLOCK]
+        g = g[(g != ident).any(axis=(1, 2))]
+        P = np.broadcast_to(ident, g.shape).copy()
+        live, power = np.arange(len(g)), g
+        for _ in range(len(z)):  # the order of g divides |group|
+            keep = (power != ident).any(axis=(1, 2))
+            live, power = live[keep], power[keep]
+            if not len(live):
                 break
-        if not ok:
+            P[live] += power
+            power = power @ g[live]
+        else:
+            raise ValueError("not a finite group: some element's powers never reach I")
+        P = P[P.any(axis=(1, 2))]
+        if not (rows @ P == 0).all(axis=2).any(axis=1).all():
             return False
     return True
-
-
-def _exact_fixed_space(m, n):
-    """Basis over Q(w) of ker(M - I), returned as E-vectors (cleared denominators)."""
-    I = mat_identity(n)
-    a = [[QOmega.from_e(m[i][j] - I[i][j]) for j in range(n)] for i in range(n)]
-    return clear_denominators(kernel(a))[1]
 
 
 def chain_signed(eps):

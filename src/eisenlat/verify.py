@@ -503,7 +503,7 @@ def _(ctx):
         r_old = tuple(
             QOmega(1) if i == 10 else QOmega(0) for i in range(11)
         )
-        vals = [gluing._ip_q(N, GL.basis[i], r_old).to_e() for i in range(11)]
+        vals = [ip(N, GL.basis[i], r_old).to_e() for i in range(11)]
         g = None
         for v in vals:
             if v:

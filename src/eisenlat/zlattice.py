@@ -193,10 +193,8 @@ def hermitian_from_z(G: ZGram, S):
 
     S must be an isometry of G with S^3 = I fixing no nonzero vector; then
     h(x, y) = (1/2) [3 x.y - theta x.(S^-1 y - S y)] is an E-valued Hermitian
-    form whose Z-realization returns G.  The E-basis is extracted by greedily
-    taking standard basis vectors outside the E-span of the previous picks,
-    completed through a Hermite normal form when the greedy picks only
-    generate a finite-index submodule.
+    form whose Z-realization returns G.  The E-basis is extracted from the
+    standard basis vectors through a Hermite normal form over E.
     """
     from .hermitian import HermGram
 
@@ -218,10 +216,7 @@ def hermitian_from_z(G: ZGram, S):
             if S2[i][j] + S[i][j] + (1 if i == j else 0) != 0:
                 raise ValueError("S has a nonzero fixed vector")
 
-    picks = _greedy_e_generators(n, S)
-    basis = picks
-    if len(picks) != n // 2 or not _e_span_is_everything(picks, S, n):
-        basis = _complete_e_basis(picks, S, n)
+    basis = _complete_e_basis([tuple(1 if j == i else 0 for j in range(n)) for i in range(n)], S, n)
 
     def dot(x, y):
         return sum(x[i] * G.g[i][j] * y[j] for i in range(n) for j in range(n))
@@ -241,26 +236,6 @@ def hermitian_from_z(G: ZGram, S):
             row.append(EisensteinInt(a2 // 2, b2 // 2))
         rows.append(row)
     return HermGram(rows)
-
-
-def _greedy_e_generators(n, S):
-    span = _ZSpan(n)
-    picks = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if not span.contains(e):
-            picks.append(e)
-            span.add(e)
-            span.add(mat_vec(S, e))
-    return picks
-
-
-def _e_span_is_everything(picks, S, n):
-    span = _ZSpan(n)
-    for v in picks:
-        span.add(v)
-        span.add(mat_vec(S, v))
-    return span.index_is_one()
 
 
 def _complete_e_basis(picks, S, n):
@@ -314,57 +289,3 @@ def _complete_e_basis(picks, S, n):
             raise ValueError("E-basis extraction failed: non-integral basis")
         out.append(tuple(int(x) for x in zvec))
     return out
-
-
-class _ZSpan:
-    """Integer row span with incremental membership testing (HNF rows)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows = []  # kept in row-echelon form over Z (not fully reduced)
-
-    def _reduce(self, v):
-        v = list(v)
-        for row in self.rows:
-            p = next(i for i, x in enumerate(row) if x)
-            if v[p] and v[p] % row[p] == 0:
-                c = v[p] // row[p]
-                for i in range(p, self.n):
-                    v[i] -= c * row[i]
-        return v
-
-    def contains(self, v):
-        v = self._reduce(v)
-        return not any(v)
-
-    def add(self, v):
-        v = list(v)
-        while True:
-            pivot = next((i for i, x in enumerate(v) if x), None)
-            if pivot is None:
-                return
-            hit = next(
-                (r for r in self.rows if next(i for i, x in enumerate(r) if x) == pivot),
-                None,
-            )
-            if hit is None:
-                if v[pivot] < 0:
-                    v = [-x for x in v]
-                self.rows.append(v)
-                self.rows.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
-                return
-            a, b = hit[pivot], v[pivot]
-            while b:
-                q = a // b
-                hit2 = [x - q * y for x, y in zip(hit, v)]
-                hit[:], v = v, hit2
-                a, b = hit[pivot], v[pivot]
-
-    def index_is_one(self):
-        if len(self.rows) != self.n:
-            return False
-        det = 1
-        for row in self.rows:
-            p = next(i for i, x in enumerate(row) if x)
-            det *= row[p]
-        return abs(det) == 1

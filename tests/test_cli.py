@@ -222,6 +222,10 @@ def test_input_error_exit_code(capsys):
         (["f3", "norm-enum"], {}, 2, "requires --form"),
         (["f3", "orbit"], {}, 2, "requires --lattice"),
         (["verify", "--filter", "lambda-det"], {"EISENLAT_CLOSURE_CAP": "abc"}, 2, "EISENLAT_CLOSURE_CAP"),
+        (["f3", "orbit", "--lattice", "chain:3"], {}, 3, "nondegenerate"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0"], {}, 2, "--cap"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0", "--projective"], {}, 2, "--cap"),
+        (["disc", "a11-coeff", "--monomial", "u12^-1"], {}, 3, "negative exponent"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys):

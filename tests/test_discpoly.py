@@ -64,6 +64,10 @@ def test_weighted_monomial():
     assert str(m) == "u12^9 u11^2 u2"
     with pytest.raises(ValueError):
         dp.WeightedMonomial({1: 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        dp.WeightedMonomial.parse("u12^-1")
+    with pytest.raises(ValueError, match="negative exponent"):
+        dp.WeightedMonomial({12: 2, 2: -1})
 
 
 def test_rigidity_monomials_list():

@@ -155,18 +155,3 @@ def test_qomega_field_ops():
 def test_json_roundtrip():
     x = E(-7, 22)
     assert E.from_json(x.to_json()) == x
-
-
-def test_half_coordinates():
-    # every element is c/2 + d*theta/2 with c = d (mod 2), and conversely
-    from eisenlat.eisenstein import from_half_coordinates, half_coordinates
-
-    rng = random.Random(29)
-    for _ in range(200):
-        x = E(rng.randint(-30, 30), rng.randint(-30, 30))
-        c, d = half_coordinates(x)
-        assert (c - d) % 2 == 0
-        assert from_half_coordinates(c, d) == x
-    with pytest.raises(ValueError):
-        from_half_coordinates(1, 2)
-    assert from_half_coordinates(1, 1) == OMEGA + E(1)  # (1 + theta)/2 = 1 + w

@@ -11,6 +11,7 @@ from eisenlat.hermitian import (
     e8e,
     hyp,
     in_theta_dual,
+    ip,
     lambda10,
     lambda_,
     norm_of,
@@ -160,7 +161,7 @@ def test_glued_lattice_contains_theta_pairing_vector():
     r_old = tuple(QOmega(1) if i == 10 else QOmega(0) for i in range(11))
     for ln in gluing.isotropic_lines(S, not_orth_to=rbar):
         GL = gluing.glue(N, S, ln)
-        vals = [gluing._ip_q(N, GL.basis[i], r_old).to_e() for i in range(11)]
+        vals = [ip(N, GL.basis[i], r_old).to_e() for i in range(11)]
         g = None
         for v in vals:
             if v:

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from eisenlat.eisenstein import E, OMEGA, OMEGA_BAR, THETA, EisensteinInt
+from eisenlat.eisenstein import E, ONE, OMEGA, OMEGA_BAR, THETA, EisensteinInt, QOmega
 from eisenlat.hermitian import (
     basis_vector,
     chain,
@@ -16,7 +17,7 @@ from eisenlat.hermitian import (
     norm_of,
 )
 from eisenlat import monodromy as mono
-from eisenlat.linalg import det
+from eisenlat.linalg import det, kernel
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
 
@@ -158,6 +159,8 @@ def test_projective_order_identity():
     G = chain(2)
     assert mono.projective_order(mono.identity(G)) == 1
     assert mono.projective_order(mono.identity(G), modulo_radical=True) == 1
+    with pytest.raises(ValueError):
+        mono.projective_order(mono.identity(G), cap=0)
 
 
 def test_f3_reductions_preserve_symplectic_form():
@@ -210,6 +213,9 @@ def test_group_closures_small(closures):
     assert closures(1).order == 3
     assert closures(2).order == 24
     assert closures(3).order == 648
+    z = closures(3).elements
+    assert z.shape == (648, 6, 6) and z.dtype == np.int64
+    assert (z[0] == np.eye(6, dtype=np.int64)).all()
 
 
 def test_closure_cap():
@@ -251,6 +257,81 @@ def test_free_action_fixed_point_free_rotation():
     h = mono.group_closure([rot])
     assert h.order == 3
     assert mono.free_action_check(h)
+
+
+def reference_reflections(h):
+    """Every element through the exact rank-one test, with no filter."""
+    n = h.ambient.n
+    out = []
+    for z in h.elements:
+        root, unit = mono._reflection_data(h.ambient, mono._companion_unpack(z, n))
+        if root is not None:
+            out.append((root, unit))
+    return out
+
+
+def reference_free_action(h):
+    """Every non-identity element's fixed space by Gauss-Jordan over Q(w)."""
+    G, n = h.ambient, h.ambient.n
+    mirrors = {root for root, _ in reference_reflections(h)}
+    for z in h.elements:
+        m = mono._companion_unpack(z, n)
+        a = [[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
+        if not any(x for row in a for x in row):
+            continue
+        fixed = kernel(a)
+        if fixed and not any(all(not ip(G, v, r) for v in fixed) for r in mirrors):
+            return False
+    return True
+
+
+def diagonal_group(G, *diagonals):
+    n = G.n
+    gens = []
+    for d in diagonals:
+        m = tuple(tuple(d[i] if i == j else E(0) for j in range(n)) for i in range(n))
+        gens.append(mono.GroupElt(m, G))
+    return mono.group_closure(gens)
+
+
+SMALL_GROUPS = [
+    # (generator diagonals on diag([3, 3, 3]), acts freely off its mirrors)
+    ([(OMEGA, OMEGA, ONE)], False),  # no mirror at all, yet e3 is fixed
+    ([(OMEGA, OMEGA, ONE), (ONE, ONE, OMEGA)], False),  # the mirror misses the fixed line e3
+    ([(OMEGA, ONE, ONE), (ONE, OMEGA, ONE)], True),
+    ([(OMEGA, OMEGA, OMEGA)], True),  # no mirror, but nothing is fixed either
+]
+
+
+@pytest.mark.parametrize("diagonals, free", SMALL_GROUPS)
+def test_free_action_small_groups_against_reference(diagonals, free):
+    h = diagonal_group(diag([3, 3, 3]), *diagonals)
+    assert mono.reflections_in(h) == reference_reflections(h)
+    assert reference_free_action(h) is free
+    assert mono.free_action_check(h) is free
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reflections_and_free_action_match_reference(closures, n):
+    h = closures(n)
+    assert mono.reflections_in(h) == reference_reflections(h)
+    assert mono.free_action_check(h) is reference_free_action(h) is True
+
+
+def test_free_action_rejects_infinite_order():
+    G = chain(6)
+    t = mono.transvection(G, tuple(list(mono.A5_XI) + [E(0)]))
+    h = mono.GroupHandle(G, np.stack([mono._companion_pack(m, 6) for m in (mono.identity(G).m, t.m)]))
+    with pytest.raises(ValueError, match="not a finite group"):
+        mono.free_action_check(h)
+
+
+def test_free_action_overflow_guard():
+    # 2n |entry|^2 = 2^63 for n = 1 and |entry| = 2^31
+    ident, big = np.eye(2, dtype=np.int64), np.full((2, 2), 2**31, dtype=np.int64)
+    h = mono.GroupHandle(diag([3]), np.stack([ident, big]))
+    with pytest.raises(OverflowError):
+        mono.free_action_check(h)
 
 
 def test_f3_reduce_homomorphism():

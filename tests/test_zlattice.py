@@ -278,9 +278,9 @@ def _int_inverse(P):
 
 
 def test_basis_completion_for_skew_isometry():
-    # order-3 fixed-point-free S whose greedy pair-span Z{e1, S e1} has index
-    # 13, forcing the Hermite completion; the recovered rank-1 form must have
-    # the same underlying Z-lattice invariants
+    # order-3 fixed-point-free S whose pair-span Z{e1, S e1} has index 13, so
+    # the Hermite completion must enlarge it; the recovered rank-1 form must
+    # have the same underlying Z-lattice invariants
     S = ((3, -1), (13, -4))
     G = ZGram([[728, -196], [-196, 56]])  # sum of S^k^T (2I) S^k
     H = zl.hermitian_from_z(G, S)
