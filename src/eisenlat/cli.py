@@ -176,17 +176,20 @@ def cmd_monodromy(args):
     if args.action == "closure":
         cap = _closure_cap()
         gens = [mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
-        handle = mono.group_closure(gens, cap=cap)
+        reports = (args.report or "").split(",") if args.report else []
+        try:
+            handle = mono.group_closure(gens, cap=cap)
+            ok = mono.free_action_check(handle) if "free-action" in reports else None
+        except (mono.CapExceeded, OverflowError) as exc:
+            raise InputError(f"no closure of {args.lattice}: {exc}") from None
         payload = {"order": handle.order}
         lines = [f"order: {handle.order}"]
-        reports = (args.report or "").split(",") if args.report else []
         if "reflections" in reports:
             refl = mono.reflections_in(handle)
             payload["reflections"] = len(refl)
             payload["reflection_units"] = sorted({str(u) for _, u in refl})
             lines.append(f"reflections: {len(refl)}")
-        if "free-action" in reports:
-            ok = mono.free_action_check(handle)
+        if ok is not None:
             payload["free_action"] = ok
             lines.append(f"free action: {ok}")
         _emit(args, payload, lines)

@@ -43,13 +43,6 @@ class F3QuadSpace:
                 s += self.form[i][j] * v[i] * v[j]
         return s % 3
 
-    def pairing(self, v, w):
-        s = 0
-        for i in range(self.k):
-            for j in range(self.k):
-                s += self.form[i][j] * v[i] * w[j]
-        return s % 3
-
     def coords(self, v):
         """F_3 coordinates of a vector of theta N* (QOmega coords in N's basis)."""
         L_rows, positions, change = self._solve
@@ -219,49 +212,79 @@ def _f3_diagonalize(form):
     return change, newform
 
 
+_SCAN_DIGITS = 9  # coordinates scanned per block: 3^9 rows of int8 digits
+
+
 def enumerate_norm(S: F3QuadSpace, c):
-    """All vectors of the space with norm c (exhaustive scan of 3^k)."""
+    """All vectors of the space with norm c (exhaustive scan of 3^k).
+
+    The vectors come in base-3 order with coordinate 0 least significant.
+    """
     c = c % 3
+    k = S.k
+    form = np.array(S.form, dtype=np.int16).reshape(k, k) % 3
+    low = min(k, _SCAN_DIGITS)
+    # all digit rows of the low coordinates, coordinate 0 varying fastest
+    rows = np.indices((3,) * low, dtype=np.int8).reshape(low, 3**low)[::-1].T
+    rows = np.concatenate([rows, np.zeros((len(rows), k - low), np.int8)], axis=1)
     out = []
-    vec = [0] * S.k
-    total = 3**S.k
-    for idx in range(total):
-        t = idx
-        for i in range(S.k):
-            vec[i] = t % 3
-            t //= 3
-        if S.norm(vec) == c:
-            out.append(tuple(vec))
+    for high in range(3 ** (k - low)):
+        rows[:, low:] = [high // 3**j % 3 for j in range(k - low)]
+        norms = ((rows @ form) % 3 * rows).sum(axis=1) % 3
+        out.extend(map(tuple, rows[norms == c].tolist()))
     return out
+
+
+def _places(k):
+    """Place values of the line codes: coordinate 0 most significant."""
+    return 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+def line_codes(vectors):
+    """The base-3 int64 code of the line spanned by each F_3 row.
+
+    A line is coded by its generator whose first nonzero entry is 1, read
+    with coordinate 0 most significant.  Of v and 2v that generator has the
+    smaller code, and code(2v) = 3 code(support of v) - code(v).
+    """
+    a = np.asarray(vectors) % 3
+    k = a.shape[-1]
+    if 3**k > np.iinfo(np.int64).max // 2:  # 3 code(support) < 3^(k+1) / 2 must fit
+        raise ValueError(f"rank {k} is too large for base-3 int64 codes")
+    place = _places(k)
+    c = a @ place
+    return np.minimum(c, 3 * ((a != 0) @ place) - c)
+
+
+def line_digits(codes, k):
+    """The F_3 rows of length k coded by ``line_codes``."""
+    return np.asarray(codes)[:, None] // _places(k) % 3
+
+
+def canon_lines(vectors):
+    """Each F_3 row scaled so its first nonzero entry is 1: one generator per line."""
+    a = np.asarray(vectors)
+    return line_digits(line_codes(a), a.shape[-1])
 
 
 def isotropic_lines(S: F3QuadSpace, orth_to=None, not_orth_to=None):
     """1-dimensional isotropic subspaces, optionally constrained.
 
-    Lines are returned as their canonical generators (first nonzero entry 1).
+    Lines are returned as their canonical generators (first nonzero entry 1),
+    in the order their first vector comes in ``enumerate_norm``.
     """
-    seen = set()
-    out = []
-    for v in enumerate_norm(S, 0):
-        if not any(v):
-            continue
-        can = _canon_line(v)
-        if can in seen:
-            continue
-        seen.add(can)
-        if orth_to is not None and S.pairing(can, orth_to) != 0:
-            continue
-        if not_orth_to is not None and S.pairing(can, not_orth_to) == 0:
-            continue
-        out.append(can)
-    return out
-
-
-def _canon_line(v):
-    first = next(x for x in v if x % 3)
-    if first % 3 == 2:
-        return tuple((2 * x) % 3 for x in v)
-    return tuple(x % 3 for x in v)
+    k = S.k
+    vecs = enumerate_norm(S, 0)
+    vecs = np.array(vecs, dtype=np.int64).reshape(len(vecs), k)
+    codes = line_codes(vecs[vecs.any(axis=1)])
+    _, first = np.unique(codes, return_index=True)
+    lines = line_digits(codes[np.sort(first)], k)
+    form = np.array(S.form, dtype=np.int64).reshape(k, k)
+    if orth_to is not None:
+        lines = lines[lines @ form @ np.array(orth_to) % 3 == 0]
+    if not_orth_to is not None:
+        lines = lines[lines @ form @ np.array(not_orth_to) % 3 != 0]
+    return list(map(tuple, lines.tolist()))
 
 
 class GluedLattice:
@@ -381,33 +404,22 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
         start = reduce_vector(vector(roots[0]))
     elif any(isinstance(x, EisensteinInt) for x in start):
         start = reduce_vector(vector(start))
-    start = np.array([int(x) % 3 for x in start], dtype=np.int64)
+    start = np.array([[int(x) % 3 for x in start]], dtype=np.int64)
+    if start.shape != (1, n):
+        raise ValueError(f"start hyperplane normal must have {n} coordinates")
     if not start.any():
         raise ValueError("start hyperplane normal must be nonzero")
-
-    def canon(arr):
-        # scale so the first nonzero entry is 1 (kills the +-v ambiguity)
-        for x in arr:
-            if x:
-                if x == 2:
-                    return tuple((2 * arr) % 3)
-                return tuple(arr)
-        raise AssertionError("zero vector")
-
-    seen = {canon(start)}
-    frontier = [start]
-    while frontier:
-        block = np.stack(frontier)
-        fresh = []
-        for g in gens:
-            imgs = block @ g.T % 3
-            for row in imgs:
-                key = canon(row)
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"orbit exceeded cap {cap}")
-                    seen.add(key)
-                    fresh.append(np.array(key, dtype=np.int64))
+    # int16 holds the unreduced products (at most 4n)
+    gens_t = np.stack(gens).transpose(0, 2, 1).astype(np.int16)
+    seen = line_codes(start)  # sorted codes of the lines reached
+    frontier = seen
+    while len(frontier):
+        imgs = line_digits(frontier, n).astype(np.int16) @ gens_t
+        codes = line_codes(imgs.reshape(-1, n))
+        fresh = np.unique(codes[~np.isin(codes, seen)])
+        if len(fresh) and len(seen) + len(fresh) > cap:
+            raise ValueError(f"orbit exceeded cap {cap}")
+        seen = np.sort(np.concatenate([seen, fresh]))
         frontier = fresh
     return len(seen), len(gens)
 

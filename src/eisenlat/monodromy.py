@@ -303,15 +303,20 @@ class GroupHandle:
 
 def _companion_pack(m, n):
     """Embed an n x n E-matrix into 2n x 2n integers via w -> [[0,-1],[1,-1]]."""
-    out = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            x = m[i][j]
-            if x.a or x.b:
-                out[2 * i, 2 * j] = x.a
-                out[2 * i, 2 * j + 1] = -x.b
-                out[2 * i + 1, 2 * j] = x.b
-                out[2 * i + 1, 2 * j + 1] = x.a - x.b
+    ab = np.array([[(x.a, x.b) for x in row] for row in m], dtype=np.int64).reshape(n, n, 2)
+    return _packings_from_columns(ab.transpose(0, 2, 1).reshape(1, 2 * n, n))[0]
+
+
+def _packings_from_columns(e):
+    """The (m, 2n, 2n) packings whose even columns are e, an (m, 2n, n) array.
+
+    An entry a + b w packs as [[a, -b], [b, a - b]], so its even column (a, b)
+    fixes the odd one.
+    """
+    out = np.empty(e.shape[:2] + (2 * e.shape[2],), dtype=np.int64)
+    out[:, :, ::2] = e
+    out[:, ::2, 1::2] = -e[:, 1::2]
+    out[:, 1::2, 1::2] = e[:, ::2] - e[:, 1::2]
     return out
 
 
@@ -340,7 +345,10 @@ def env_closure_cap() -> int:
 
 
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
-    """Breadth-first closure of the generated group; CapExceeded past cap."""
+    """Breadth-first closure of the generated group; CapExceeded past cap.
+
+    Raises OverflowError before a level's products could leave int64.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -350,23 +358,35 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
             raise ValueError("generators have different ambients")
     n = G.n
     gen_z = np.stack([_companion_pack(g.m, n) for g in gens])
+    gen_top = max(int(gen_z.max()), -int(gen_z.min()))
+    # only the even columns of a product are computed: they are its E-matrix,
+    # fix the whole packing and key seen
+    gen_e = np.ascontiguousarray(gen_z[:, :, ::2])
     frontier = _companion_pack(mat_identity(n), n)[None, :, :]
-    seen = {frontier[0].tobytes()}
-    levels = [frontier]
+    seen = {frontier[0, :, ::2].tobytes()}
+    size = gen_e[0].nbytes
+    levels = [frontier[:, :, ::2]]
     while frontier.shape[0]:
-        prods = np.einsum("fij,gjk->fgik", frontier, gen_z)
-        prods = prods.reshape(-1, 2 * n, 2 * n)
+        top = max(int(frontier.max()), -int(frontier.min()))
+        if 2 * n * top * gen_top >= 2**63:
+            raise OverflowError(f"closure products of entries up to {top} and {gen_top} could overflow int64")
+        halves = np.matmul(frontier[:, None], gen_e[None]).reshape(-1, 2 * n, n)
+        keys = halves.tobytes()
         fresh = []
-        for idx in range(prods.shape[0]):
-            key = prods[idx].tobytes()
+        for idx in range(halves.shape[0]):
+            key = keys[idx * size : (idx + 1) * size]
             if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
                 seen.add(key)
                 fresh.append(idx)
-        frontier = prods[fresh]
-        levels.append(frontier)
-    return GroupHandle(G, np.concatenate(levels))
+        levels.append(halves[fresh])
+        frontier = _packings_from_columns(levels[-1])
+    # free the keys and the levels before the packings are rebuilt
+    del seen, keys, halves
+    columns = np.concatenate(levels)
+    del levels
+    return GroupHandle(G, _packings_from_columns(columns))
 
 
 def reflections_in(handle: GroupHandle):

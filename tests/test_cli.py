@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,13 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_json_matches_golden_report(capsys):
+    golden = (Path(__file__).resolve().parents[1] / "perfbench" / "golden_verify.json").read_text()
+    code, out, _ = run_main(["verify", "--json"], capsys)
+    assert out == golden
+    assert code == (0 if json.loads(golden)["summary"]["failed"] == 0 else 1)
+
+
 def test_verify_reports_failure_exit_code(capsys):
     # the one stated value the computation contradicts: exit code 1
     code, out, _ = run_main(["verify", "--filter", "central-scalar-4"], capsys)
@@ -226,6 +234,7 @@ def test_input_error_exit_code(capsys):
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0"], {}, 2, "--cap"),
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0", "--projective"], {}, 2, "--cap"),
         (["disc", "a11-coeff", "--monomial", "u12^-1"], {}, 3, "negative exponent"),
+        (["monodromy", "closure", "--lattice", "chain:5", "--report", "order"], {"EISENLAT_CLOSURE_CAP": "1000"}, 3, "cap 1000"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys):

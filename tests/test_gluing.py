@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from eisenlat.eisenstein import E, OMEGA, THETA, QOmega, e_gcd, is_associate
@@ -109,14 +111,12 @@ def test_isotropic_lines():
     bbar = S.coords(over_theta(11, 9))
     rbar = S.coords(over_theta(11, 10))
     lines = gluing.isotropic_lines(S, not_orth_to=rbar)
-    expected = {
-        gluing._canon_line(tuple((r - b) % 3 for r, b in zip(rbar, bbar))),
-        gluing._canon_line(tuple((r + b) % 3 for r, b in zip(rbar, bbar))),
-    }
+    ends = [[r - b for r, b in zip(rbar, bbar)], [r + b for r, b in zip(rbar, bbar)]]
+    expected = set(map(tuple, gluing.canon_lines(ends).tolist()))
     assert set(lines) == expected and len(lines) == 2
     abar = S.coords(over_theta(11, 0))
     lines_a = gluing.isotropic_lines(S, orth_to=abar)
-    assert gluing._canon_line(tuple((x + y) % 3 for x, y in zip(bbar, rbar))) in lines_a
+    assert tuple(gluing.canon_lines([[x + y for x, y in zip(bbar, rbar)]])[0].tolist()) in lines_a
 
 
 def test_positive_definite_space_has_no_isotropic_lines():
@@ -283,3 +283,161 @@ def test_disc_group_invariant_under_unimodular_congruence():
         assert S2.k == 3
         assert S2.diagonal() == gluing.disc_group(N).diagonal()
         assert len(gluing.enumerate_norm(S2, 1)) == 12
+
+
+# ---------------------------------------------------------------- references
+# The per-row loops that the batched F_3 layers replaced, kept as references.
+
+
+def reference_canon(arr):
+    """Scale so the first nonzero entry is 1 (kills the +-v ambiguity)."""
+    for x in arr:
+        if x:
+            if x == 2:
+                return tuple((2 * arr) % 3)
+            return tuple(arr)
+    raise AssertionError("zero vector")
+
+
+def reference_orbit(roots, G, start=None, cap=200000):
+    """Orbit size by one set lookup per image row."""
+    gens = [np.array(mono.f3_reduce(mono.triflection(G, r)), dtype=np.int64) for r in roots]
+    if start is None:
+        start = gluing.reduce_vector(roots[0])
+    start = np.array([int(x) % 3 for x in start], dtype=np.int64)
+    seen = {reference_canon(start)}
+    frontier = [start]
+    while frontier:
+        block = np.stack(frontier)
+        fresh = []
+        for g in gens:
+            for row in block @ g.T % 3:
+                key = reference_canon(row)
+                if key not in seen:
+                    if len(seen) >= cap:
+                        raise ValueError(f"orbit exceeded cap {cap}")
+                    seen.add(key)
+                    fresh.append(np.array(key, dtype=np.int64))
+        frontier = fresh
+    return len(seen), len(gens)
+
+
+def reference_enumerate_norm(S, c):
+    """Every vector of norm c, coordinate 0 varying fastest."""
+    out = []
+    vec = [0] * S.k
+    for idx in range(3**S.k):
+        t = idx
+        for i in range(S.k):
+            vec[i] = t % 3
+            t //= 3
+        if S.norm(vec) == c % 3:
+            out.append(tuple(vec))
+    return out
+
+
+def f3_space(form):
+    k = len(form)
+    return gluing.F3QuadSpace(None, k, tuple(tuple(r) for r in form), [None] * k, None)
+
+
+def seeded_starts(seed, count, n=10):
+    rng = random.Random(seed)
+    starts = []
+    while len(starts) < count:
+        v = tuple(rng.randrange(3) for _ in range(n))
+        if any(v):
+            starts.append(v)
+    return starts
+
+
+@pytest.mark.parametrize("m, size", [(3, 12), (5, 40), (8, 40)])
+def test_orbit_of_generator_subsets_matches_reference(m, size):
+    L10, roots = lambda10(), gluing.sp_generating_roots()[:m]
+    assert gluing.hyperplane_orbit(roots, L10) == reference_orbit(roots, L10) == (size, m)
+    for start in seeded_starts(m, 4):
+        assert gluing.hyperplane_orbit(roots, L10, start=start) == reference_orbit(roots, L10, start=start)
+
+
+def test_full_orbit_matches_reference():
+    L10, roots = lambda10(), gluing.sp_generating_roots()
+    assert gluing.hyperplane_orbit(roots, L10) == reference_orbit(roots, L10) == (29524, 12)
+    for start in seeded_starts(7, 3):
+        assert gluing.hyperplane_orbit(roots, L10, start=start) == (29524, 12)
+
+
+def test_orbit_cap():
+    L10, roots = lambda10(), gluing.sp_generating_roots()[:5]
+    assert gluing.hyperplane_orbit(roots, L10, cap=40) == (40, 5)
+    for run in (gluing.hyperplane_orbit, reference_orbit):
+        with pytest.raises(ValueError, match="orbit exceeded cap 39"):
+            run(roots, L10, cap=39)
+
+
+def test_orbit_rejects_bad_start():
+    roots = gluing.sp_generating_roots()
+    with pytest.raises(ValueError, match="nonzero"):
+        gluing.hyperplane_orbit(roots, lambda10(), start=(0,) * 10)
+    with pytest.raises(ValueError, match="10 coordinates"):
+        gluing.hyperplane_orbit(roots, lambda10(), start=(1,) * 9)
+
+
+def test_line_codes_need_int64_room():
+    # 3^39 fits in int64 and 3^40 does not
+    assert gluing.line_codes(np.full((1, 39), 2)) == [(3**39 - 1) // 2]
+    with pytest.raises(ValueError, match="too large"):
+        gluing.line_codes(np.ones((1, 40), dtype=np.int64))
+    with pytest.raises(ValueError, match="rank 40 is too large"):
+        gluing.hyperplane_orbit([basis_vector(40, 0)], direct_sum(*[e8e()] * 10))
+
+
+def test_canon_lines_first_nonzero_entry_is_one():
+    rows = list(itertools.product(range(3), repeat=4))[1:]
+    assert [tuple(r) for r in gluing.canon_lines(rows).tolist()] == [reference_canon(np.array(r)) for r in rows]
+    # v and 2v, and only they, share a line code
+    codes = gluing.line_codes(rows)
+    assert len(set(codes.tolist())) == len(rows) // 2
+    assert (codes == gluing.line_codes([[2 * x for x in r] for r in rows])).all()
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_enumerate_norm_matches_reference_on_diagonal_forms(k):
+    rng = random.Random(k)
+    for _ in range(4):
+        S = f3_space([[rng.randrange(3) if i == j else 0 for j in range(k)] for i in range(k)])
+        for c in range(3):
+            assert gluing.enumerate_norm(S, c) == reference_enumerate_norm(S, c)
+
+
+def test_enumerate_norm_matches_reference_on_a_full_form():
+    S = f3_space([[1, 2, 0, 1], [2, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 1]])
+    for c in range(3):
+        assert gluing.enumerate_norm(S, c) == reference_enumerate_norm(S, c)
+
+
+def test_enumerate_norm_scans_past_one_block():
+    # k = 11 scans 3^2 blocks of 3^9 rows; compare the counts and the order
+    S = f3_space([[1 if i == j else 0 for j in range(11)] for i in range(11)])
+    vecs = gluing.enumerate_norm(S, 1)
+    codes = [sum(x * 3**i for i, x in enumerate(v)) for v in vecs]
+    assert codes == sorted(codes)
+    assert all(sum(x * x for x in v) % 3 == 1 for v in vecs)
+    assert len(vecs) == sum(1 for v in itertools.product(range(3), repeat=11) if sum(x * x for x in v) % 3 == 1)
+
+
+def test_enumerate_norm_matches_reference_on_disc_groups():
+    for N in (diag([3]), e8e(), big_n(), diag([3, -3, 3, 3])):
+        S = gluing.disc_group(N)
+        for c in range(3):
+            assert gluing.enumerate_norm(S, c) == reference_enumerate_norm(S, c)
+
+
+def test_isotropic_lines_match_reference_order():
+    S = f3_space([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    seen, expected = set(), []
+    for v in reference_enumerate_norm(S, 0):
+        if any(v) and reference_canon(np.array(v)) not in seen:
+            seen.add(reference_canon(np.array(v)))
+            expected.append(reference_canon(np.array(v)))
+    assert gluing.isotropic_lines(S) == expected
+    assert gluing.isotropic_lines(f3_space([])) == []

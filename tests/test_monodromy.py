@@ -17,6 +17,7 @@ from eisenlat.hermitian import (
     norm_of,
 )
 from eisenlat import monodromy as mono
+from eisenlat.gluing import sp_generating_roots
 from eisenlat.linalg import det, kernel
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
@@ -219,8 +220,11 @@ def test_group_closures_small(closures):
 
 
 def test_closure_cap():
-    with pytest.raises(mono.CapExceeded):
-        mono.group_closure(mono.chain_triflections(3), cap=100)
+    gens = mono.chain_triflections(3)
+    for cap in (100, 647):
+        with pytest.raises(mono.CapExceeded):
+            mono.group_closure(gens, cap=cap)
+    assert mono.group_closure(gens, cap=648).order == 648
 
 
 def test_reflections_in_r1(closures):
@@ -285,13 +289,16 @@ def reference_free_action(h):
     return True
 
 
-def diagonal_group(G, *diagonals):
+def diagonal_gens(G, *diagonals):
     n = G.n
-    gens = []
-    for d in diagonals:
-        m = tuple(tuple(d[i] if i == j else E(0) for j in range(n)) for i in range(n))
-        gens.append(mono.GroupElt(m, G))
-    return mono.group_closure(gens)
+    return [
+        mono.GroupElt(tuple(tuple(d[i] if i == j else E(0) for j in range(n)) for i in range(n)), G)
+        for d in diagonals
+    ]
+
+
+def diagonal_group(G, *diagonals):
+    return mono.group_closure(diagonal_gens(G, *diagonals))
 
 
 SMALL_GROUPS = [
@@ -316,6 +323,52 @@ def test_reflections_and_free_action_match_reference(closures, n):
     h = closures(n)
     assert mono.reflections_in(h) == reference_reflections(h)
     assert mono.free_action_check(h) is reference_free_action(h) is True
+
+
+def reference_closure(gens):
+    """The per-row BFS that group_closure replaced: einsum products, whole packings as keys."""
+    n = gens[0].ambient.n
+    gen_z = np.stack([mono._companion_pack(g.m, n) for g in gens])
+    frontier = mono._companion_pack(mono.identity(gens[0].ambient).m, n)[None]
+    seen = {frontier[0].tobytes()}
+    levels = [frontier]
+    while frontier.shape[0]:
+        prods = np.einsum("fij,gjk->fgik", frontier, gen_z).reshape(-1, 2 * n, 2 * n)
+        fresh = []
+        for idx in range(prods.shape[0]):
+            key = prods[idx].tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(idx)
+        frontier = prods[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closure_matches_reference(closures, n):
+    assert np.array_equal(closures(n).elements, reference_closure(mono.chain_triflections(n)))
+
+
+@pytest.mark.parametrize("diagonals", [d for d, _ in SMALL_GROUPS])
+def test_small_closures_match_reference(diagonals):
+    gens = diagonal_gens(diag([3, 3, 3]), *diagonals)
+    assert np.array_equal(mono.group_closure(gens).elements, reference_closure(gens))
+
+
+def test_closure_overflow_guard():
+    # an infinite-order word on lambda10 whose 64th power needs 63-bit entries
+    G = lambda10()
+    tri = [mono.triflection(G, r) for r in sp_generating_roots()]
+    rng = random.Random(3)
+    w = mono.word_eval([rng.choice(tri) for _ in range(8)])
+    assert max(max(abs(x.a), abs(x.b)) for row in (w**64).m for x in row).bit_length() == 63
+    with pytest.raises(OverflowError):
+        mono.group_closure([w], cap=200)
+    # the bound 2n |frontier| |generator| reaches 2^63 exactly at the second level
+    x = mono.GroupElt(((E(2**31),),), diag([3]), check=False)
+    with pytest.raises(OverflowError, match="entries up to 2147483648 and 2147483648 "):
+        mono.group_closure([x])
 
 
 def test_free_action_rejects_infinite_order():
