@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+import time
 
 from .eisenstein import E, OMEGA
 from .hermitian import (
@@ -333,7 +334,13 @@ def _closure_cap():
 def cmd_verify(args):
     from .verify import Context, run_verify
 
-    report = run_verify(name_filter=args.filter, ctx=Context(_closure_cap()))
+    timings = {} if args.timings else None
+    start = time.perf_counter()
+    report = run_verify(name_filter=args.filter, ctx=Context(_closure_cap()), timings=timings)
+    if timings is not None:
+        for name, seconds in timings.items():
+            print(f"{seconds:9.3f} s  {name}", file=sys.stderr)
+        print(f"{time.perf_counter() - start:9.3f} s  total", file=sys.stderr)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -400,6 +407,7 @@ def build_parser():
     pv = sub.add_parser("verify", help="run the full verification suite")
     pv.add_argument("--filter", help="substring filter on check names")
     pv.add_argument("--json", action="store_true")
+    pv.add_argument("--timings", action="store_true", help="write each check's seconds and the total to stderr")
     pv.set_defaults(fn=cmd_verify)
 
     return p

@@ -9,6 +9,7 @@ into an integer companion embedding so numpy can batch the products.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -287,11 +288,12 @@ class CapExceeded(Exception):
 
 
 class GroupHandle:
-    """Finite closure of a generating set: order plus the element array."""
+    """Finite closure of a generating set: the element array and the generators."""
 
-    def __init__(self, ambient: HermGram, elements):
+    def __init__(self, ambient: HermGram, elements, generators):
         self.ambient = ambient
         self.elements = elements  # (order, 2n, 2n) int64 companion packings, identity first
+        self.generators = generators  # (k, 2n, 2n) int64 packings of the generating set
 
     @property
     def order(self):
@@ -386,7 +388,7 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     del seen, keys, halves
     columns = np.concatenate(levels)
     del levels
-    return GroupHandle(G, _packings_from_columns(columns))
+    return GroupHandle(G, _packings_from_columns(columns), gen_z)
 
 
 def reflections_in(handle: GroupHandle):
@@ -457,7 +459,118 @@ def _primitive_vector(v):
     return tuple(u * x for x in out)
 
 
-_BLOCK = 4096  # elements per batch of int64 products in free_action_check
+_BLOCK = 4096  # elements per batch of int64 products
+
+
+def _entry_bound(handle: GroupHandle) -> int:
+    """The largest |entry| of the elements and generators.
+
+    Raises OverflowError when a product of two matrices within that bound,
+    2n terms below top^2, could leave int64.
+    """
+    top = max(max(int(a.max()), -int(a.min())) for a in (handle.elements, handle.generators))
+    if 2 * handle.ambient.n * top * top >= 2**63:
+        raise OverflowError(f"entries up to {top} could overflow int64 in products of group elements")
+    return top
+
+
+def _power_sums(g, bound: int, top: int):
+    """(P, inverse) for a batch g of packings: P = I + g + ... + g^(k-1), the inverse g^(k-1).
+
+    k is the order of g, at most bound.  Raises ValueError when a power leaves
+    the entry bound top (it is then no element) or does not reach I in time.
+    """
+    ident = np.eye(g.shape[1], dtype=np.int64)
+    P = np.broadcast_to(ident, g.shape).copy()
+    inverse = P.copy()
+    live, power = np.arange(len(g)), g
+    for _ in range(bound):
+        keep = (power != ident).any(axis=(1, 2))
+        live, power = live[keep], power[keep]
+        if not len(live):
+            return P, inverse
+        if max(int(power.max()), -int(power.min())) > top:
+            raise ValueError("not a finite group: some element's power is not in it")
+        P[live] += power
+        inverse[live] = power
+        power = power @ g[live]
+    raise ValueError("not a finite group: some element's powers never reach I")
+
+
+class ElementIndex:
+    """Exact lookup of elements by their E-columns, the even packing columns.
+
+    A seeded linear hash mod 2^64 of the columns only locates a candidate in
+    the sorted hashes; every lookup confirms the candidate's columns exactly.
+    """
+
+    def __init__(self, z):
+        self.z = z
+        for seed in itertools.count():
+            rng = np.random.default_rng(seed)
+            self.coeffs = rng.integers(0, 2**64, z.shape[1] * z.shape[2] // 2, dtype=np.uint64)
+            hashes = np.concatenate([self._hash(z[s : s + _BLOCK, :, ::2]) for s in range(0, len(z), _BLOCK)])
+            self.order = np.argsort(hashes)
+            self.hashes = hashes[self.order]
+            same = np.flatnonzero(self.hashes[1:] == self.hashes[:-1])
+            if not len(same):
+                return
+            if (z[self.order[same], :, ::2] == z[self.order[same + 1], :, ::2]).all(axis=(1, 2)).any():
+                raise ValueError("an element is listed twice")
+            # two distinct elements share a hash: draw the next one
+
+    def _hash(self, e):
+        """The hash of each (2n, n) E-column block of e, wrapping mod 2^64."""
+        return np.ascontiguousarray(e).reshape(len(e), -1).view(np.uint64) @ self.coeffs
+
+    def find(self, e):
+        """The indices of the elements with E-columns e, or None if one is missing."""
+        hashes = self._hash(e)
+        # a binary search runs faster over keys in ascending order
+        ranks = np.argsort(hashes)
+        pos = np.empty_like(ranks)
+        pos[ranks] = np.searchsorted(self.hashes, hashes[ranks])
+        idx = self.order[np.minimum(pos, len(self.hashes) - 1)]
+        return idx if np.array_equal(self.z[idx, :, ::2], e) else None
+
+
+def conjugacy_classes(handle: GroupHandle):
+    """(representatives, sizes) of the conjugacy classes, representatives ascending.
+
+    Conjugation x -> g x g^-1 by each generator g permutes the elements; each
+    map comes from exact index lookups, and the classes are the orbits of the
+    maps, labelled by their first element in the handle's order.  Raises
+    ValueError when the handle is not a group.
+    """
+    z = handle.elements
+    top = _entry_bound(handle)
+    index = ElementIndex(z)
+    _, inverses = _power_sums(handle.generators, len(z), top)
+    width = z.shape[1]
+    maps = []
+    for g, g_inv in zip(handle.generators, inverses):
+        images = []
+        for start in range(0, len(z), _BLOCK):
+            # the E-columns of x g^-1, as one 2-D product over the block's rows
+            right = (z[start : start + _BLOCK].reshape(-1, width) @ g_inv[:, ::2]).reshape(-1, width, width // 2)
+            # an element stays within top, and then g (x g^-1) stays within int64
+            if max(int(right.max()), -int(right.min())) > top:
+                raise ValueError("the handle is not a group: some x g^-1 is not in it")
+            idx = index.find(g @ right)
+            if idx is None:
+                raise ValueError("the handle is not a group: some conjugate g x g^-1 is not in it")
+            images.append(idx)
+        maps.append(np.concatenate(images))
+    # min-label propagation with pointer jumping; each label stays in its orbit
+    labels = np.arange(len(z))
+    while True:
+        new = labels
+        for image in maps:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_counts=True)
+        labels = new
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -467,7 +580,8 @@ def free_action_check(handle: GroupHandle) -> bool:
     The fixed space of g is the column span of P_g = I + g + ... + g^(k-1),
     k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
     lies in the mirror of r iff the row (<e_i, r>)_i times P_g vanishes.
-    The zero fixed space (P_g = 0) is vacuously contained.
+    The zero fixed space (P_g = 0) is vacuously contained.  Conjugation moves
+    fixed spaces and mirrors together, so one element per class is tested.
     """
     G, z = handle.ambient, handle.elements
     n = G.n
@@ -476,27 +590,17 @@ def free_action_check(handle: GroupHandle) -> bool:
     rows = np.array(
         [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
     ).reshape(-1, 2 * n)
-    # powers are group elements, so their |entries| are <= top; a product sums
-    # 2n terms below top^2, P_g at most |group| powers, rows @ P_g 2n terms
-    top = max(int(z.max()), -int(z.min()))
+    # _power_sums keeps each power within top; P_g sums at most |group|
+    # powers, rows @ P_g 2n terms
+    top = _entry_bound(handle)
     row_top = int(np.abs(rows).max(initial=0))
-    if max(2 * n * top * top, len(z) * top * max(1, 2 * n * row_top)) >= 2**63:
+    if len(z) * top * max(1, 2 * n * row_top) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
+    reps, _ = conjugacy_classes(handle)
     ident = np.eye(2 * n, dtype=np.int64)
-    for start in range(0, len(z), _BLOCK):
-        g = z[start : start + _BLOCK]
-        g = g[(g != ident).any(axis=(1, 2))]
-        P = np.broadcast_to(ident, g.shape).copy()
-        live, power = np.arange(len(g)), g
-        for _ in range(len(z)):  # the order of g divides |group|
-            keep = (power != ident).any(axis=(1, 2))
-            live, power = live[keep], power[keep]
-            if not len(live):
-                break
-            P[live] += power
-            power = power @ g[live]
-        else:
-            raise ValueError("not a finite group: some element's powers never reach I")
+    for start in range(0, len(reps), _BLOCK):
+        g = z[reps[start : start + _BLOCK]]
+        P, _ = _power_sums(g[(g != ident).any(axis=(1, 2))], len(z), top)
         P = P[P.any(axis=(1, 2))]
         if not (rows @ P == 0).all(axis=2).any(axis=1).all():
             return False

@@ -9,6 +9,7 @@ a context cache.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 from .eisenstein import E, OMEGA, THETA, EisensteinInt, QOmega, e_gcd, is_associate
@@ -84,17 +85,22 @@ class Context:
         return self._cache[key]
 
 
-def run_verify(name_filter=None, ctx=None):
+def run_verify(name_filter=None, ctx=None, timings=None):
     """Run the registered checks (optionally filtered by substring).
 
-    Returns the report dict {"checks": [...], "summary": {...}}.
+    Returns the report dict {"checks": [...], "summary": {...}}.  When timings
+    is a dict, each check's wall seconds are stored in it under the check's
+    name; they never enter the report.
     """
     ctx = ctx or Context()
     rows = []
     for c in _REGISTRY:
         if name_filter and name_filter not in c.name:
             continue
+        start = time.perf_counter()
         expected, computed = c.fn(ctx)
+        if timings is not None:
+            timings[c.name] = time.perf_counter() - start
         rows.append(
             {
                 "name": c.name,

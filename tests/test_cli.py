@@ -190,6 +190,17 @@ def test_verify_json_matches_golden_report(capsys):
     assert code == (0 if json.loads(golden)["summary"]["failed"] == 0 else 1)
 
 
+def test_verify_timings_go_to_stderr_only(capsys):
+    argv = ["verify", "--filter", "hodge", "--json"]
+    code, out, err = run_main(argv, capsys)
+    timed_code, timed_out, timed_err = run_main(argv + ["--timings"], capsys)
+    assert (timed_code, timed_out, err) == (code, out, "")
+    names = [row["name"] for row in json.loads(out)["checks"]]
+    lines = timed_err.splitlines()
+    assert [line.split(" s  ")[1] for line in lines] == names + ["total"]
+    assert all(float(line.split(" s  ")[0]) >= 0 for line in lines)
+
+
 def test_verify_reports_failure_exit_code(capsys):
     # the one stated value the computation contradicts: exit code 1
     code, out, _ = run_main(["verify", "--filter", "central-scalar-4"], capsys)

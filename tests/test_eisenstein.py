@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisenlat.eisenstein import (
     E,
@@ -9,6 +11,8 @@ from eisenlat.eisenstein import (
     ONE,
     THETA,
     UNITS,
+    ZERO,
+    EisensteinInt,
     QOmega,
     e_gcd,
     is_associate,
@@ -155,3 +159,69 @@ def test_qomega_field_ops():
 def test_json_roundtrip():
     x = E(-7, 22)
     assert E.from_json(x.to_json()) == x
+
+
+# Z[w] ring axioms, derandomized so every run draws the same cases; the entries
+# reach past 64 bits, since the arithmetic is arbitrary-precision
+BOUNDED = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+big = st.integers(-(2**70), 2**70)
+elements = st.builds(EisensteinInt, big, big)
+nonzero = elements.filter(bool)
+small = st.builds(EisensteinInt, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def packed(x):
+    """a + b w as the integer matrix of multiplication by it, w -> [[0, -1], [1, -1]]."""
+    return ((x.a, -x.b), (x.b, x.a - x.b))
+
+
+@BOUNDED
+@given(elements, elements, elements)
+def test_ring_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x and x * ONE == x and x * ZERO == ZERO
+    assert x + (-x) == ZERO and x - y == x + (-y)
+
+
+@BOUNDED
+@given(elements, elements)
+def test_multiplication_matches_the_integer_matrix_model(x, y):
+    p, q = packed(x), packed(y)
+    product = tuple(tuple(p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2)) for i in range(2))
+    assert packed(x * y) == product
+
+
+@BOUNDED
+@given(elements, elements)
+def test_conj_is_a_ring_automorphism(x, y):
+    assert (x + y).conj() == x.conj() + y.conj()
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert x.conj().conj() == x and ONE.conj() == ONE
+    assert x * x.conj() == EisensteinInt(x.norm())
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+@BOUNDED
+@given(elements, nonzero)
+def test_exact_div_inverts_mul(x, y):
+    assert (x * y).exact_div(y) == x
+    q, r = x.divmod(y)
+    assert q * y + r == x and r.norm() < y.norm()
+    if r:
+        with pytest.raises(ValueError):
+            x.exact_div(y)
+    else:
+        assert x.exact_div(y) * y == x
+
+
+@BOUNDED
+@given(st.one_of(small, elements))
+def test_units_are_the_elements_of_norm_one(x):
+    assert x.is_unit() == (x in UNITS)
+    for u in UNITS:
+        assert u * u.unit_inverse() == ONE
+        assert (x * u).norm() == x.norm()

@@ -18,7 +18,7 @@ from eisenlat.hermitian import (
 )
 from eisenlat import monodromy as mono
 from eisenlat.gluing import sp_generating_roots
-from eisenlat.linalg import det, kernel
+from eisenlat.linalg import det, kernel, mat_vec
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
 
@@ -289,6 +289,34 @@ def reference_free_action(h):
     return True
 
 
+def reference_projector_free_action(h):
+    """The projector test on every element, as free_action_check ran before it used classes."""
+    G, z, n = h.ambient, h.elements, h.ambient.n
+    mirrors = dict.fromkeys(root for root, _ in mono.reflections_in(h))
+    rows = np.array(
+        [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
+    ).reshape(-1, 2 * n)
+    ident = np.eye(2 * n, dtype=np.int64)
+    for start in range(0, len(z), 4096):
+        g = z[start : start + 4096]
+        g = g[(g != ident).any(axis=(1, 2))]
+        P = np.broadcast_to(ident, g.shape).copy()
+        live, power = np.arange(len(g)), g
+        for _ in range(len(z)):
+            keep = (power != ident).any(axis=(1, 2))
+            live, power = live[keep], power[keep]
+            if not len(live):
+                break
+            P[live] += power
+            power = power @ g[live]
+        else:
+            raise ValueError("not a finite group")
+        P = P[P.any(axis=(1, 2))]
+        if not (rows @ P == 0).all(axis=2).any(axis=1).all():
+            return False
+    return True
+
+
 def diagonal_gens(G, *diagonals):
     n = G.n
     return [
@@ -315,6 +343,7 @@ def test_free_action_small_groups_against_reference(diagonals, free):
     h = diagonal_group(diag([3, 3, 3]), *diagonals)
     assert mono.reflections_in(h) == reference_reflections(h)
     assert reference_free_action(h) is free
+    assert reference_projector_free_action(h) is free
     assert mono.free_action_check(h) is free
 
 
@@ -323,6 +352,90 @@ def test_reflections_and_free_action_match_reference(closures, n):
     h = closures(n)
     assert mono.reflections_in(h) == reference_reflections(h)
     assert mono.free_action_check(h) is reference_free_action(h) is True
+    assert reference_projector_free_action(h) is True
+
+
+def test_conjugacy_classes_match_brute_force(closures):
+    # R2 = G4: the class of x is {y x y^-1 : y in the group}, by whole-group products
+    z = closures(2).elements
+    position = {w.tobytes(): i for i, w in enumerate(z)}
+    inverses = [next(w for w in z if (w @ x == np.eye(4, dtype=np.int64)).all()) for x in z]
+    classes = {frozenset(position[(y @ x @ yi).tobytes()] for y, yi in zip(z, inverses)) for x in z}
+    reps, sizes = mono.conjugacy_classes(closures(2))
+    assert sorted(min(c) for c in classes) == list(reps)
+    assert sorted(len(c) for c in classes) == sorted(sizes)
+
+
+def test_conjugacy_classes_reject_a_set_that_is_not_a_group(closures):
+    h = closures(2)
+    # the first five BFS elements I, a1, a2, a1^2, a1 a2 miss the conjugate a1 a2 a1^-1
+    part = mono.GroupHandle(h.ambient, h.elements[:5], h.generators)
+    with pytest.raises(ValueError, match="not a group"):
+        mono.conjugacy_classes(part)
+    with pytest.raises(ValueError, match="not a group"):
+        mono.free_action_check(part)
+
+
+def test_conjugacy_classes_bound_the_intermediate_product():
+    # g = [[1, 0], [3, -1]] has order 2; x g^-1 = [[1, 0], [6, -2]] leaves the entry bound 3
+    G = diag([3, 3])
+    g, x = ([[E(a) for a in row] for row in m] for m in ([[1, 0], [3, -1]], [[1, 0], [0, 2]]))
+    packed = [mono._companion_pack(m, 2) for m in (mono.identity(G).m, g, x)]
+    h = mono.GroupHandle(G, np.stack(packed), packed[1][None])
+    with pytest.raises(ValueError, match="some x g\\^-1 is not in it"):
+        mono.conjugacy_classes(h)
+
+
+def test_element_index_confirms_every_lookup(closures):
+    z = closures(3).elements
+    index = mono.ElementIndex(z)
+    assert (index.find(z[:, :, ::2]) == np.arange(len(z))).all()
+    assert index.find(z[:, :, ::2] + 3) is None
+    with pytest.raises(ValueError, match="listed twice"):
+        mono.ElementIndex(np.concatenate([z, z[5:6]]))
+
+
+def test_element_index_draws_a_new_hash_on_a_collision():
+    # for n = 1 the E-columns are (a, b); (c1, -c0) and (0, 0) share the hash under (c0, c1)
+    c0, c1 = (int(c) for c in mono.ElementIndex(np.zeros((1, 2, 2), np.int64)).coeffs)
+    z = np.zeros((2, 2, 2), np.int64)
+    z[1, :, 0] = np.array([c1, 2**64 - c0], np.uint64).view(np.int64)
+    index = mono.ElementIndex(z)
+    assert (index.coeffs != [c0, c1]).any()
+    assert (index.find(z[:, :, ::2]) == [0, 1]).all()
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# Shephard-Todd: R1..R4 are Z/3, G4, G25 and G32, with these degrees and class counts
+@pytest.mark.parametrize(
+    "n, degrees, count", [(1, (3,), 3), (2, (4, 6), 7), (3, (6, 9, 12), 24), (4, (12, 18, 24, 30), 102)]
+)
+def test_conjugacy_classes_and_solomon_identity(closures, n, degrees, count):
+    h = closures(n)
+    reps, sizes = mono.conjugacy_classes(h)
+    assert len(reps) == count
+    assert sizes.sum() == h.order
+    assert reps[0] == 0 and sizes[0] == 1  # the identity is its own class
+    assert (np.diff(reps) > 0).all()
+    # Solomon: sum over g of t^(dim Fix g) = prod (t + d_i - 1), over the classes weighted by size
+    lhs = [0] * (n + 1)
+    for idx, size in zip(reps, sizes):
+        m = mono._companion_unpack(h.elements[idx], n)
+        dim = len(kernel([[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]))
+        lhs[dim] += int(size)
+    rhs = [1]
+    for d in degrees:
+        rhs = poly_mul(rhs, [d - 1, 1])
+    assert lhs == rhs
+    if n == 4:
+        assert rhs == [124729, 28400, 2310, 80, 1]
 
 
 def reference_closure(gens):
@@ -374,15 +487,25 @@ def test_closure_overflow_guard():
 def test_free_action_rejects_infinite_order():
     G = chain(6)
     t = mono.transvection(G, tuple(list(mono.A5_XI) + [E(0)]))
-    h = mono.GroupHandle(G, np.stack([mono._companion_pack(m, 6) for m in (mono.identity(G).m, t.m)]))
+    ident, t = (mono._companion_pack(m, 6) for m in (mono.identity(G).m, t.m))
+    h = mono.GroupHandle(G, np.stack([ident, t]), t[None])
     with pytest.raises(ValueError, match="not a finite group"):
+        mono.free_action_check(h)
+
+
+def test_free_action_stops_a_power_that_leaves_the_entry_bound():
+    # 2^20 has infinite order; within |handle| = 4 steps its power 2^80 would wrap in int64
+    G = diag([3])
+    packed = [mono._companion_pack(((x,),), 1) for x in (E(1), E(2**20), E(-1), OMEGA)]
+    h = mono.GroupHandle(G, np.stack(packed), packed[1][None])
+    with pytest.raises(ValueError, match="power is not in it"):
         mono.free_action_check(h)
 
 
 def test_free_action_overflow_guard():
     # 2n |entry|^2 = 2^63 for n = 1 and |entry| = 2^31
     ident, big = np.eye(2, dtype=np.int64), np.full((2, 2), 2**31, dtype=np.int64)
-    h = mono.GroupHandle(diag([3]), np.stack([ident, big]))
+    h = mono.GroupHandle(diag([3]), np.stack([ident, big]), big[None])
     with pytest.raises(OverflowError):
         mono.free_action_check(h)
 
