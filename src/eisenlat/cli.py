@@ -8,6 +8,7 @@ failure, 2 usage error, 3 input-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -356,7 +357,9 @@ def cmd_verify(args):
     return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_CHECK_FAILURE
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="eisenlat",
         description="Exact Eisenstein-lattice, monodromy, discriminant and residue computations",

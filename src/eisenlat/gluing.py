@@ -23,7 +23,7 @@ from .eisenstein import (
 )
 from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, ip, vector
 from .hnf import hnf_columns_e, snf_e
-from .linalg import clear_denominators, f3_rref, mat_vec, solve
+from .linalg import clear_denominators, f3_rref, identity, mat_vec, solve, sym_eliminate
 
 
 class F3QuadSpace:
@@ -157,58 +157,21 @@ def _f3_diagonalize(form):
     """Congruence diagonalization over F_3; returns (change, diag form).
 
     change rows express the new basis in the old one; the diagonal is sorted
-    with +1 entries first, then -1 (=2), then 0.
+    with +1 entries first, then -1 (=2), then 0.  The k-th eliminated row of
+    [form | I] is D_(k-1) times the k-th basis vector (D_r for the radical),
+    whose norm is D_k / D_(k-1); mod 3 these are D_(k-1) and D_k D_(k-1), as
+    1 and 2 are their own inverses.
     """
     k = len(form)
-    a = [[form[i][j] % 3 for j in range(k)] for i in range(k)]
-    basis = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    done = []
-    live = list(range(k))
-
-    def addrow(i, j, c):
-        a[i] = [(x + c * y) % 3 for x, y in zip(a[i], a[j])]
-        for t in range(k):
-            a[t][i] = (a[t][i] + c * a[t][j]) % 3
-        basis[i] = [(x + c * y) % 3 for x, y in zip(basis[i], basis[j])]
-
-    while live:
-        piv = next((i for i in live if a[i][i] % 3), None)
-        if piv is None:
-            off = None
-            for i in live:
-                for j in live:
-                    if j != i and a[i][j] % 3:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                done.extend(live)
-                break
-            i, j = off
-            # zero diagonal, a_ij != 0: adding row j to row i gives
-            # a_ii' = 2 a_ij != 0 in characteristic 3
-            addrow(i, j, 1)
-            piv = i
-            if not a[piv][piv] % 3:
-                raise AssertionError("F_3 diagonalization failed")
-        for i in live:
-            if i != piv and a[i][piv] % 3:
-                c = (-a[i][piv] * pow(a[piv][piv], -1, 3)) % 3
-                addrow(i, piv, c)
-        live.remove(piv)
-        done.append(piv)
-    # sort: +1 diag first, then 2, then 0
-    def key(i):
-        d = a[i][i] % 3
-        return {1: 0, 2: 1, 0: 2}[d]
-
-    order_idx = sorted(done, key=key)
-    change = [basis[i] for i in order_idx]
-    newform = [
-        [a[order_idx[i]][order_idx[j]] % 3 for j in range(len(order_idx))]
-        for i in range(len(order_idx))
-    ]
+    rows = [[x % 3 for x in row] + list(e) for row, e in zip(form, identity(k, 1))]
+    order, minors, a = sym_eliminate(rows, lambda x, y: x * y % 3)
+    r = len(minors)
+    D = [1] + minors
+    diagonal = [D[s] * D[s + 1] % 3 for s in range(r)] + [0] * (k - r)
+    basis = [[D[min(s, r)] * x % 3 for x in a[i][k:]] for s, i in enumerate(order)]
+    ranks = sorted(range(k), key=lambda s: (diagonal[s] - 1) % 3)  # 1, 2, 0
+    change = [basis[s] for s in ranks]
+    newform = [[diagonal[s] if s == t else 0 for t in ranks] for s in ranks]
     return change, newform
 
 
@@ -299,17 +262,11 @@ def glue(N: HermGram, S: F3QuadSpace, line) -> GluedLattice:
     """The enlargement of N spanned by N and a lift of the isotropic line."""
     line = tuple(x % 3 for x in line)
     if not any(line):
-        return GluedLattice(N, _identity_q(N.n))
+        return GluedLattice(N, identity(N.n, QOmega(1)))
     if S.norm(line) != 0:
         raise ValueError("gluing line must be isotropic")
     lift = S.lift(line)
     return _span_with(N, [lift])
-
-
-def _identity_q(n):
-    return [
-        tuple(QOmega(1) if i == j else QOmega(0) for i in range(n)) for j in range(n)
-    ]
 
 
 def _span_with(N: HermGram, extra_vectors) -> GluedLattice:

@@ -262,12 +262,6 @@ def root_classify(G: HermGram, r) -> str:
     )
 
 
-def mat_identity(n):
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
 def mat_conj(A):
     return tuple(tuple(x.conj() for x in row) for row in A)
 

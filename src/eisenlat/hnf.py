@@ -8,7 +8,8 @@ two generating sets of the same module produce identical output.
 
 from __future__ import annotations
 
-from .eisenstein import ONE, ZERO, EisensteinInt
+from .eisenstein import ONE, EisensteinInt
+from .linalg import identity
 
 
 def hnf_columns_e(cols):
@@ -62,8 +63,8 @@ def snf_e(C):
     n = len(C)
     m = len(C[0]) if n else 0
     a = [list(row) for row in C]
-    L = _identity(n)
-    Linv = _identity(n)
+    L = [list(row) for row in identity(n, ONE)]
+    Linv = [list(row) for row in identity(n, ONE)]
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -153,7 +154,3 @@ def snf_e(C):
                 row_scale(i, u)
     diag = [a[i][i] for i in range(size)]
     return diag, L, Linv
-
-
-def _identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -2,9 +2,10 @@
 
 Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
 elimination (Bareiss 1968) over an integral domain, given the ring's exact
-division; ``rref`` is Gauss-Jordan elimination over a field (``Fraction`` or
-``QOmega``), with ``kernel``, ``solve`` and ``inverse`` built on it; ``f3_rref``
-is the same elimination on integer rows modulo 3.
+division, and ``sym_eliminate`` the same elimination as a congruence of a
+symmetric form; ``rref`` is Gauss-Jordan elimination over a field
+(``Fraction`` or ``QOmega``), with ``kernel``, ``solve`` and ``inverse`` built
+on it; ``f3_rref`` is the same elimination on integer rows modulo 3.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from __future__ import annotations
 import math
 
 from .eisenstein import EisensteinInt
+
+
+def identity(n, one):
+    """The n x n identity matrix over the ring of ``one``, as a tuple of row tuples."""
+    zero = one - one
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_mul(A, B):
@@ -70,6 +77,50 @@ def det(a, div):
         prev = p
     d = a[-1][-1]
     return -d if sign < 0 else d
+
+
+def sym_eliminate(rows, div):
+    """Fraction-free congruence elimination of a symmetric form.
+
+    The form is the leading n x n block of ``rows``, n = len(rows); further
+    columns follow the row operations.  Each step pivots on the first live
+    index with a nonzero diagonal entry.  When every live diagonal entry is
+    zero but some a_ij (i < j) is not, row and column j are first added to
+    row and column i: a unimodular congruence that makes a_ii = 2 a_ij.  The
+    update is Bareiss' (p a_ij - a_ip a_pj) / prev, with ``div`` the ring's
+    exact division as in ``det``.
+
+    Returns (order, minors, a): the pivot indices in turn followed by the
+    radical ones; the pivot minors D_1..D_r, D_k the k-th leading principal
+    minor of the form in the pivot basis; and the reduced rows.  The row of
+    the k-th index in ``order`` is D_(k-1) times its Gaussian counterpart
+    (D_0 = 1, and D_r for the radical), so the form is diagonal in the basis
+    the Gaussian rows define, with entries D_k / D_(k-1) and then zeros.
+    """
+    a = [list(row) for row in rows]
+    live = list(range(len(a)))
+    order, minors = [], []
+    prev = 1
+    while live:
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if j > i and a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for t in live:
+                a[t][p] += a[t][j]
+        live.remove(p)
+        ap = a[p]
+        d = ap[p]
+        for t in live:
+            c = a[t][p]
+            a[t] = [div(d * x - c * y, prev) for x, y in zip(a[t], ap)]
+        order.append(p)
+        minors.append(d)
+        prev = d
+    return order + live, minors, a
 
 
 def rref(rows):

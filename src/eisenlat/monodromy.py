@@ -29,11 +29,11 @@ from .hermitian import (
     in_theta_dual,
     ip,
     is_isometry,
-    mat_identity,
     mat_mul,
     norm_of,
     vector,
 )
+from . import linalg
 from .linalg import f3_rref, mat_vec
 
 INFINITE = "Infinite"
@@ -100,11 +100,11 @@ class GroupElt:
         return mat_vec(self.m, x)
 
     def is_identity(self):
-        return self.m == mat_identity(len(self.m))
+        return self.m == linalg.identity(len(self.m), ONE)
 
 
 def identity(G: HermGram) -> GroupElt:
-    return GroupElt(mat_identity(G.n), G, check=False)
+    return GroupElt(linalg.identity(G.n, ONE), G, check=False)
 
 
 def reflection(G: HermGram, r, zeta) -> GroupElt:
@@ -193,7 +193,7 @@ def order(M: GroupElt, cap: int = DEFAULT_ORDER_CAP):
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = len(M.m)
-    I = mat_identity(n)
+    I = linalg.identity(n, ONE)
     if M.m == I:
         return 1
     # unipotent shortcut: (M - I) nilpotent and M != I means infinite order
@@ -364,7 +364,7 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     # only the even columns of a product are computed: they are its E-matrix,
     # fix the whole packing and key seen
     gen_e = np.ascontiguousarray(gen_z[:, :, ::2])
-    frontier = _companion_pack(mat_identity(n), n)[None, :, :]
+    frontier = _companion_pack(linalg.identity(n, ONE), n)[None, :, :]
     seen = {frontier[0, :, ::2].tobytes()}
     size = gen_e[0].nbytes
     levels = [frontier[:, :, ::2]]
@@ -415,7 +415,7 @@ def reflections_in(handle: GroupHandle):
 def _reflection_data(G: HermGram, m):
     """Exact root line and rotation unit of a candidate reflection matrix."""
     n = G.n
-    I = mat_identity(n)
+    I = linalg.identity(n, ONE)
     K = [[m[i][j] - I[i][j] for j in range(n)] for i in range(n)]
     # find a nonzero column of K: it spans the image if rank is one
     col = None
@@ -542,8 +542,12 @@ def conjugacy_classes(handle: GroupHandle):
     maps, labelled by their first element in the handle's order.  Raises
     ValueError when the handle is not a group.
     """
+    return _conjugacy_classes(handle, _entry_bound(handle))
+
+
+def _conjugacy_classes(handle: GroupHandle, top: int):
+    """``conjugacy_classes``, given the handle's ``_entry_bound`` top."""
     z = handle.elements
-    top = _entry_bound(handle)
     index = ElementIndex(z)
     _, inverses = _power_sums(handle.generators, len(z), top)
     width = z.shape[1]
@@ -596,7 +600,7 @@ def free_action_check(handle: GroupHandle) -> bool:
     row_top = int(np.abs(rows).max(initial=0))
     if len(z) * top * max(1, 2 * n * row_top) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
-    reps, _ = conjugacy_classes(handle)
+    reps, _ = _conjugacy_classes(handle, top)
     ident = np.eye(2 * n, dtype=np.int64)
     for start in range(0, len(reps), _BLOCK):
         g = z[reps[start : start + _BLOCK]]

@@ -1,10 +1,10 @@
 """Integer lattices given by symmetric Gram matrices.
 
-Everything is exact: inertia by rational symmetric elimination, determinants
-by fraction-free (Bareiss) elimination.  Also holds the constructors for the
-A_n vanishing lattices of cuspidal fourfold degenerations and the recovery of
-a Hermitian E-structure from a Z-lattice with a fixed-point-free isometry of
-order 3.
+Everything is exact and fraction-free: the inertia counts the signs of the
+pivot minors of ``linalg.sym_eliminate``, and the determinant is Bareiss'
+elimination.  Also holds the constructors for the A_n vanishing lattices of
+cuspidal fourfold degenerations and the recovery of a Hermitian E-structure
+from a Z-lattice with a fixed-point-free isometry of order 3.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import operator
 from fractions import Fraction
 
 from .eisenstein import EisensteinInt, QOmega
-from .linalg import clear_denominators, det, inverse, mat_mul, mat_vec, rref
+from .linalg import clear_denominators, det, identity, inverse, mat_mul, mat_vec, rref, sym_eliminate
 
 
 class ZGram:
@@ -57,58 +57,12 @@ class ZGram:
 def inertia(G: ZGram):
     """Exact inertia (positive, radical, negative) of the rational form.
 
-    Symmetric elimination with symmetric pivoting; when all remaining diagonal
-    entries vanish but an off-diagonal one does not, a hyperbolic 2 x 2 block
-    is split off contributing (1, 0, 1).
+    The k-th pivot of the symmetric elimination is D_k / D_(k-1), whose sign
+    is that of D_k D_(k-1).
     """
-    n = G.n
-    a = [[Fraction(G.g[i][j]) for j in range(n)] for i in range(n)]
-    live = list(range(n))
-    pos = neg = rad = 0
-    while live:
-        piv = next((i for i in live if a[i][i]), None)
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            live.remove(piv)
-            for i in live:
-                if a[i][piv]:
-                    c = a[i][piv] / d
-                    for j in live:
-                        a[i][j] -= c * a[piv][j]
-            for i in live:
-                a[i][piv] = a[piv][i] = Fraction(0)
-            continue
-        off = None
-        for i in live:
-            for j in live:
-                if j > i and a[i][j]:
-                    off = (i, j)
-                    break
-            if off:
-                break
-        if off is None:
-            rad += len(live)
-            break
-        i0, j0 = off
-        # diag is zero, a[i0][j0] != 0: the plane <i0, j0> is hyperbolic
-        pos += 1
-        neg += 1
-        b = a[i0][j0]
-        live.remove(i0)
-        live.remove(j0)
-        for i in live:
-            ci, cj = a[i][i0], a[i][j0]
-            if ci or cj:
-                # subtract the projection onto the hyperbolic plane
-                for j in live:
-                    a[i][j] -= (ci * a[j0][j] + cj * a[i0][j]) / b
-        for i in live:
-            a[i][i0] = a[i0][i] = a[i][j0] = a[j0][i] = Fraction(0)
-    return (pos, rad, neg)
+    _, minors, _ = sym_eliminate(G.g, operator.floordiv)
+    pos = sum(prev * d > 0 for prev, d in zip([1] + minors, minors))
+    return (pos, G.n - len(minors), len(minors) - pos)
 
 
 def determinant(G: ZGram):
@@ -183,11 +137,6 @@ def a2_rotation():
     return ((0, -1), (1, -1))
 
 
-def _mat_eq_identity(A):
-    n = len(A)
-    return all(A[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-
-
 def hermitian_from_z(G: ZGram, S):
     """Recover the Hermitian E-lattice from a Z-lattice with w acting as S.
 
@@ -208,15 +157,16 @@ def hermitian_from_z(G: ZGram, S):
     if mat_mul(St, mat_mul(G.g, S)) != G.g:
         raise ValueError("S is not an isometry of G")
     S2 = mat_mul(S, S)
-    if not _mat_eq_identity(mat_mul(S2, S)):
+    I = identity(n, 1)
+    if mat_mul(S2, S) != I:
         raise ValueError("S does not have order dividing 3")
     # no nonzero fixed vector <=> S^2 + S + I = 0
     for i in range(n):
         for j in range(n):
-            if S2[i][j] + S[i][j] + (1 if i == j else 0) != 0:
+            if S2[i][j] + S[i][j] + I[i][j] != 0:
                 raise ValueError("S has a nonzero fixed vector")
 
-    basis = _complete_e_basis([tuple(1 if j == i else 0 for j in range(n)) for i in range(n)], S, n)
+    basis = _complete_e_basis(I, S, n)
 
     def dot(x, y):
         return sum(x[i] * G.g[i][j] * y[j] for i in range(n) for j in range(n))

@@ -68,6 +68,22 @@ def test_lattice_invariants(capsys):
     assert data["theta_self_dual"] is True
 
 
+def test_successive_main_calls_share_the_parser_but_not_their_flags(capsys):
+    argv = ["lattice", "invariants", "--name", "lambda10"]
+    code, out, _ = run_main(argv + ["--json"], capsys)
+    assert code == 0 and json.loads(out)["signature"] == [9, 0, 1]
+    parser = cli.build_parser()
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0 and cli.build_parser() is parser
+    assert out.splitlines() == [
+        "rank: 10",
+        "det: -243",
+        "signature: [9, 0, 1]",
+        "in_theta_dual: True",
+        "theta_self_dual: True",
+    ]
+
+
 def test_monodromy_word_order(capsys):
     code, out, _ = run_main(
         [

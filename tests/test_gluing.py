@@ -58,6 +58,9 @@ def test_disc_group_norms_of_standard_lifts():
     assert (S.norm(abar), S.norm(bbar), S.norm(rbar)) == (1, 2, 1)
     # the three classes are independent
     assert len({abar, bbar, rbar}) == 3
+    # the diagonalized form and the coordinates themselves, which the report omits
+    assert S.form == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+    assert (abar, bbar, rbar) == ((2, 0, 0), (0, 0, 2), (0, 2, 0))
 
 
 def test_disc_norm_independent_of_lift():

@@ -1,8 +1,38 @@
 import random
 
-from eisenlat.eisenstein import E, ONE, THETA, ZERO
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eisenlat.eisenstein import UNITS, E, ONE, THETA, ZERO
 from eisenlat.hnf import hnf_columns_e, snf_e
-from eisenlat.linalg import mat_mul
+from eisenlat.linalg import identity, mat_mul
+
+# derandomized, so every run draws the same cases
+BOUNDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+e_small = st.builds(E, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def e_matrices(rows, cols):
+    return st.lists(st.lists(e_small, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def unimodular(draw, n):
+    """A unimodular n x n matrix over E: elementary row additions, then unit scalings."""
+    m = [list(row) for row in identity(n, ONE)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), e_small), max_size=3 * n)):
+        if i != j:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    units = draw(st.lists(st.sampled_from(UNITS), min_size=n, max_size=n))
+    return [[u * x for x in row] for u, row in zip(units, m)]
+
+
+@st.composite
+def snf_cases(draw):
+    """(C, U, V): an n x m matrix C with unimodular U (n x n) and V (m x m)."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(e_matrices(n, m)), draw(unimodular(n)), draw(unimodular(m))
 
 
 def random_e(rng, bound=4):
@@ -128,3 +158,24 @@ def test_snf_theta_power_chain():
     assert diag[0].norm() == 3
     assert diag[1].norm() == 9
     assert not diag[1] % diag[0]
+
+
+@BOUNDED
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(e_matrices(m, 3), unimodular(3))))
+def test_hnf_invariant_under_unimodular_change_of_generators(case):
+    A, U = case  # the generators are the 3 columns of the m x 3 matrix A
+    cols = list(zip(*A))
+    changed = list(zip(*mat_mul(A, U)))
+    assert hnf_columns_e(changed) == hnf_columns_e(cols)
+
+
+@BOUNDED
+@given(snf_cases())
+def test_snf_transforms_invert_and_diagonal_is_a_canonical_divisibility_chain(case):
+    C, U, V = case
+    diag, L, Linv = snf_e(C)
+    assert mat_mul(L, Linv) == identity(len(C), ONE)
+    nz = [d for d in diag if d]
+    assert all(0 <= d.b < d.a for d in nz)
+    assert all(not b % a for a, b in zip(nz, nz[1:]))
+    assert diag == snf_e(mat_mul(mat_mul(U, C), V))[0]

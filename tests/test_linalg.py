@@ -15,9 +15,13 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
-from eisenlat.linalg import det, f3_rref, inverse, kernel, mat_mul, rref, solve
+from eisenlat.gluing import _f3_diagonalize
+from eisenlat.linalg import det, f3_rref, identity, inverse, kernel, mat_mul, rref, solve, sym_eliminate
+from eisenlat.zlattice import ZGram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+# the symmetric elimination has more branches: pivots, hyperbolic pairs and radicals
+MANY = settings(BOUNDED, max_examples=300)
 
 W = sympy.Symbol("w")
 
@@ -145,3 +149,172 @@ def test_canonical_unit_puts_x_in_the_first_sextant(x):
 def test_canonical_unit_of_zero_is_undefined():
     with pytest.raises(ValueError):
         E(0).canonical_unit()
+
+
+# References for the two callers of sym_eliminate, written without it.
+
+
+def inertia_reference(G):
+    """Inertia by rational symmetric elimination: the reference for ``zlattice.inertia``.
+
+    Symmetric elimination with symmetric pivoting; when all remaining diagonal
+    entries vanish but an off-diagonal one does not, a hyperbolic 2 x 2 block
+    is split off contributing (1, 0, 1).
+    """
+    n = G.n
+    a = [[Fraction(G.g[i][j]) for j in range(n)] for i in range(n)]
+    live = list(range(n))
+    pos = neg = rad = 0
+    while live:
+        piv = next((i for i in live if a[i][i]), None)
+        if piv is not None:
+            d = a[piv][piv]
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            live.remove(piv)
+            for i in live:
+                if a[i][piv]:
+                    c = a[i][piv] / d
+                    for j in live:
+                        a[i][j] -= c * a[piv][j]
+            for i in live:
+                a[i][piv] = a[piv][i] = Fraction(0)
+            continue
+        off = None
+        for i in live:
+            for j in live:
+                if j > i and a[i][j]:
+                    off = (i, j)
+                    break
+            if off:
+                break
+        if off is None:
+            rad += len(live)
+            break
+        i0, j0 = off
+        # diag is zero, a[i0][j0] != 0: the plane <i0, j0> is hyperbolic
+        pos += 1
+        neg += 1
+        b = a[i0][j0]
+        live.remove(i0)
+        live.remove(j0)
+        for i in live:
+            ci, cj = a[i][i0], a[i][j0]
+            if ci or cj:
+                # subtract the projection onto the hyperbolic plane
+                for j in live:
+                    a[i][j] -= (ci * a[j0][j] + cj * a[i0][j]) / b
+        for i in live:
+            a[i][i0] = a[i0][i] = a[i][j0] = a[j0][i] = Fraction(0)
+    return (pos, rad, neg)
+
+
+def f3_diagonalize_reference(form):
+    """Congruence diagonalization by Gaussian steps mod 3: the reference for ``gluing._f3_diagonalize``.
+
+    change rows express the new basis in the old one; the diagonal is sorted
+    with +1 entries first, then -1 (=2), then 0.
+    """
+    k = len(form)
+    a = [[form[i][j] % 3 for j in range(k)] for i in range(k)]
+    basis = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    done = []
+    live = list(range(k))
+
+    def addrow(i, j, c):
+        a[i] = [(x + c * y) % 3 for x, y in zip(a[i], a[j])]
+        for t in range(k):
+            a[t][i] = (a[t][i] + c * a[t][j]) % 3
+        basis[i] = [(x + c * y) % 3 for x, y in zip(basis[i], basis[j])]
+
+    while live:
+        piv = next((i for i in live if a[i][i] % 3), None)
+        if piv is None:
+            off = None
+            for i in live:
+                for j in live:
+                    if j != i and a[i][j] % 3:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                done.extend(live)
+                break
+            i, j = off
+            # zero diagonal, a_ij != 0: adding row j to row i gives
+            # a_ii' = 2 a_ij != 0 in characteristic 3
+            addrow(i, j, 1)
+            piv = i
+            if not a[piv][piv] % 3:
+                raise AssertionError("F_3 diagonalization failed")
+        for i in live:
+            if i != piv and a[i][piv] % 3:
+                c = (-a[i][piv] * pow(a[piv][piv], -1, 3)) % 3
+                addrow(i, piv, c)
+        live.remove(piv)
+        done.append(piv)
+    # sort: +1 diag first, then 2, then 0
+    def key(i):
+        d = a[i][i] % 3
+        return {1: 0, 2: 1, 0: 2}[d]
+
+    order_idx = sorted(done, key=key)
+    change = [basis[i] for i in order_idx]
+    newform = [
+        [a[order_idx[i]][order_idx[j]] % 3 for j in range(len(order_idx))]
+        for i in range(len(order_idx))
+    ]
+    return change, newform
+
+
+@st.composite
+def symmetric_forms(draw, entries, max_n=8):
+    """Random symmetric forms; some with a repeated row and column, some with zero diagonal."""
+    n = draw(st.integers(1, max_n))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entries)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        for t in range(n):
+            a[j][t] = a[i][t]
+        for t in range(n):
+            a[t][j] = a[t][i]
+    if draw(st.booleans()):
+        for i in range(n):
+            a[i][i] = 0
+    return a
+
+
+@MANY
+@given(symmetric_forms(st.integers(-3, 3)))
+def test_inertia_matches_rational_reference(a):
+    assert inertia(ZGram(a)) == inertia_reference(ZGram(a))
+
+
+@MANY
+@given(symmetric_forms(st.integers(0, 2)))
+def test_f3_diagonalization_matches_reference(form):
+    assert _f3_diagonalize(form) == f3_diagonalize_reference(form)
+
+
+@MANY
+@given(symmetric_forms(st.integers(-3, 3)))
+def test_pivot_minors_are_the_leading_minors_in_the_pivot_basis(a):
+    n = len(a)
+    order, minors, rows = sym_eliminate([row + list(e) for row, e in zip(a, identity(n, 1))], operator.floordiv)
+    r = len(minors)
+    D = [1] + minors
+    assert sorted(order) == list(range(n))
+    # row k of [form | I] is D_(k-1) times the Gaussian basis vector b_k
+    B = [[Fraction(x, D[min(s, r)]) for x in rows[i][n:]] for s, i in enumerate(order)]
+    assert det(B, operator.truediv) in (1, -1)
+    T = mat_mul(mat_mul(B, a), tuple(zip(*B)))
+    diagonal = [Fraction(D[k + 1], D[k]) for k in range(r)] + [0] * (n - r)
+    assert T == tuple(tuple(d if i == j else 0 for j in range(n)) for i, d in enumerate(diagonal))
+    for k in range(1, r + 1):
+        assert det([row[:k] for row in T[:k]], operator.truediv) == D[k]
