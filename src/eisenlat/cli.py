@@ -127,15 +127,15 @@ def cmd_lattice(args):
         return EXIT_OK
     if args.action == "invariants":
         G = parse_lattice(args.name)
+        d = det_e(G)
         payload = {
             "rank": G.n,
-            "det": str(det_e(G)),
+            "det": str(d),
             "signature": list(signature(G)),
             "in_theta_dual": in_theta_dual(G),
         }
-        d = det_e(G)
         if d:
-            payload["theta_self_dual"] = theta_self_dual(G)
+            payload["theta_self_dual"] = theta_self_dual(G, d)
         lines = [f"{k}: {v}" for k, v in payload.items()]
         _emit(args, payload, lines)
         return EXIT_OK

@@ -3,17 +3,18 @@
 delta(u2, ..., u12) is the discriminant of the monic degree-12 polynomial with
 zero root sum; it is quasihomogeneous of weight 132 for wt(u_i) = i.  Exact
 evaluation goes through the Sylvester resultant of (f, f') with fraction-free
-elimination; specific coefficients are recovered by exact interpolation after
-setting all other variables to zero.
+elimination.  Specific coefficients are recovered by fraction-free
+interpolation after setting all other variables to zero: one integer
+Gauss-Jordan elimination of the monomial values at the sample points, then
+an exact division of its adjugate times the resultant values.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from fractions import Fraction
 
-from .linalg import det, solve
+from .linalg import adjugate, det
 
 WEIGHTS = {i: i for i in range(2, 13)}
 TOTAL_WEIGHT = 132
@@ -182,44 +183,37 @@ def a11_coeff(m: WeightedMonomial):
 
 
 def _restricted_coefficients(variables):
+    """{exponents: coefficient} of delta restricted to ``variables``, exactly.
+
+    The k unknown coefficients solve A c = delta at k sample points, with A
+    the monomial values.  Points are drawn from 1..19: a zero coordinate or
+    a sign flip x_i -> (-1)^i x_i makes two rows proportional.  Singularity
+    is decided by ``adjugate`` before any resultant is evaluated, so exactly
+    k values of delta are computed; then c = adj delta / d, exactly.
+    """
     if variables in _coeff_cache:
         return _coeff_cache[variables]
     exps = _weight_132_exponents(variables)
     k = len(exps)
     rng = random.Random(0xA11)
-    while True:
-        points = []
-        seen = set()
+    d = 0
+    while not d:  # singular sample: draw fresh points
+        points = {}
         while len(points) < k:
-            p = tuple(rng.randint(-9, 9) for _ in variables)
-            if p not in seen:
-                seen.add(p)
-                points.append(p)
-        rows = []
-        rhs = []
-        for p in points:
-            rows.append(
-                [
-                    Fraction(_monomial_eval(e, p))
-                    for e in exps
-                ]
+            points[tuple(rng.randint(1, 19) for _ in variables)] = None
+        d, adj = adjugate([[_monomial_eval(e, p) for e in exps] for p in points])
+    values = [a11_delta(dict(zip(variables, p))) for p in points]
+    table = {}
+    for e, row in zip(exps, adj):
+        c, r = divmod(sum(x * y for x, y in zip(row, values)), d)
+        if r:
+            raise ArithmeticError(
+                f"non-integral coefficient of {e}: the exponent set is incomplete"
             )
-            rhs.append(Fraction(a11_delta(dict(zip(variables, p)))))
-        try:
-            sol = solve(rows, rhs)
-        except ValueError:  # singular sample: draw fresh points
-            continue
-        table = {}
-        for e, c in zip(exps, sol):
-            if c.denominator != 1:
-                table = None
-                break
-            if c:
-                table[e] = int(c)
-        if table is None:
-            continue
-        _coeff_cache[variables] = table
-        return table
+        if c:
+            table[e] = c
+    _coeff_cache[variables] = table
+    return table
 
 
 def _monomial_eval(exps, point):
@@ -252,39 +246,3 @@ def quasihomogeneity_check(samples: int = 100, bound: int = 20, seed: int = 1932
         if scaled != lam**TOTAL_WEIGHT * base:
             return False
     return True
-
-
-def int_poly_gcd_nonconstant(f, g):
-    """True iff gcd(f, g) over Q has positive degree (shared root)."""
-    f = [Fraction(x) for x in poly_trim(f)]
-    g = [Fraction(x) for x in poly_trim(g)]
-    while g and poly_deg(g) >= 0 and any(g):
-        if poly_deg(g) == 0:
-            return False
-        f, g = g, _poly_mod(f, g)
-        g = _ftrim(g)
-        if not g:
-            return poly_deg(f) >= 1
-    return poly_deg(f) >= 1
-
-
-def _ftrim(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_mod(f, g):
-    f = list(f)
-    dg = poly_deg(g)
-    lg = g[-1]
-    while len(f) - 1 >= dg and any(f):
-        df = len(f) - 1
-        c = f[-1] / lg
-        for i in range(dg + 1):
-            f[df - dg + i] -= c * g[i]
-        f = _ftrim(f)
-        if not f:
-            break
-    return f

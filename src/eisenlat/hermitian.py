@@ -26,7 +26,7 @@ from .eisenstein import (
     e_gcd,
     is_associate,
 )
-from .linalg import det, kernel, mat_mul
+from .linalg import kernel, mat_mul
 from .zlattice import ZGram
 
 
@@ -219,8 +219,46 @@ def signature(G: HermGram):
 
 
 def det_e(G: HermGram) -> EisensteinInt:
-    """Exact determinant over E by fraction-free (Bareiss) elimination."""
-    return det(G.g, EisensteinInt.exact_div) if G.n else ONE
+    """Exact determinant over E by fraction-free (Bareiss) elimination.
+
+    The entries a + b w are kept as two int matrices, of the a and of the b
+    parts, with w^2 = -1 - w.  Each step divides by the previous pivot q as
+    x conj(q) / N(q), which must be exact in both parts.
+    """
+    n = G.n
+    if not n:
+        return ONE
+    re = [[x.a for x in row] for row in G.g]
+    im = [[x.b for x in row] for row in G.g]
+    sign = 1
+    qa, qb = 1, 0  # the previous pivot
+    for k in range(n - 1):
+        if not (re[k][k] or im[k][k]):
+            piv = next((i for i in range(k + 1, n) if re[i][k] or im[i][k]), None)
+            if piv is None:
+                return ZERO
+            re[k], re[piv] = re[piv], re[k]
+            im[k], im[piv] = im[piv], im[k]
+            sign = -sign
+        rk, ik = re[k], im[k]
+        pa, pb = rk[k], ik[k]
+        ua, nq = qa - qb, qa * qa - qa * qb + qb * qb  # conj(q) = ua - qb w
+        for i in range(k + 1, n):
+            ri, ii = re[i], im[i]
+            ca, cb = ri[k], ii[k]
+            for j in range(k + 1, n):
+                xa, xb, ya, yb = ri[j], ii[j], rk[j], ik[j]
+                # t = x p - c y, then t conj(q)
+                s, t = xb * pb, cb * yb
+                ta = xa * pa - s - ca * ya + t
+                tb = xa * pb + xb * pa - s - ca * yb - cb * ya + t
+                s = -tb * qb
+                ri[j], ra = divmod(ta * ua - s, nq)
+                ii[j], rb = divmod(tb * ua - ta * qb - s, nq)
+                if ra or rb:
+                    raise ValueError("inexact Bareiss quotient: the entries are not in E")
+        qa, qb = pa, pb
+    return EisensteinInt(sign * re[-1][-1], sign * im[-1][-1])
 
 
 def in_theta_dual(G: HermGram) -> bool:
@@ -228,9 +266,13 @@ def in_theta_dual(G: HermGram) -> bool:
     return all(not (G.g[i][j] % THETA) for i in range(G.n) for j in range(G.n))
 
 
-def theta_self_dual(G: HermGram) -> bool:
-    """True iff theta L* = L: inner products in theta*E and |det|^2 = 3^n."""
-    d = det_e(G)
+def theta_self_dual(G: HermGram, d=None) -> bool:
+    """True iff theta L* = L: inner products in theta*E and |det|^2 = 3^n.
+
+    ``d`` is det_e(G) when the caller has it already.
+    """
+    if d is None:
+        d = det_e(G)
     if not d:
         raise ValueError("theta-self-duality is undefined for singular forms")
     return in_theta_dual(G) and d.norm() == 3**G.n

@@ -2,8 +2,9 @@
 
 Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
 elimination (Bareiss 1968) over an integral domain, given the ring's exact
-division, and ``sym_eliminate`` the same elimination as a congruence of a
-symmetric form; ``rref`` is Gauss-Jordan elimination over a field
+division; ``adjugate`` its Gauss-Jordan form over Z, which solves integer
+systems without fractions; ``sym_eliminate`` the same elimination as a
+congruence of a symmetric form.  ``rref`` is Gauss-Jordan elimination over a field
 (``Fraction`` or ``QOmega``), with ``kernel``, ``solve`` and ``inverse`` built
 on it; ``f3_rref`` is the same elimination on integer rows modulo 3.
 """
@@ -49,8 +50,9 @@ def det(a, div):
     """Determinant by Bareiss' fraction-free elimination.
 
     ``div(x, y)`` is the ring's exact division: ``operator.floordiv`` for int,
-    ``EisensteinInt.exact_div`` for E.  Every quotient taken is exact, so the
-    entries stay in the ring.
+    ``EisensteinInt.exact_div`` for E (``hermitian.det_e`` runs the same
+    elimination on int pairs).  Every quotient taken is exact, so the entries
+    stay in the ring.
     """
     a = [list(row) for row in a]
     n = len(a)
@@ -77,6 +79,35 @@ def det(a, div):
         prev = p
     d = a[-1][-1]
     return -d if sign < 0 else d
+
+
+def adjugate(a):
+    """(d, adj) with adj * a = d * I and d = +-det a, for a square int matrix.
+
+    Fraction-free Gauss-Jordan elimination on [a | I]: the step on column k
+    updates every other row by Bareiss' (p x - c y) / prev, so each entry is
+    a minor of [a | I] and every quotient is exact.  Each row then drops
+    column k, which is 0 off the pivot row; the left block ends as d * I
+    and is not kept.  The right block records the row operations, swaps
+    included, so it is such an adj with d the last pivot.  A singular a
+    gives (0, None).
+    """
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][0]), None)
+        if piv is None:
+            return 0, None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        p = rows[k][0]
+        rk = rows[k] = rows[k][1:]
+        for i in range(n):
+            if i != k:
+                c = rows[i][0]
+                rows[i] = [(p * x - c * y) // prev for x, y in zip(rows[i][1:], rk)]
+        prev = p
+    return prev, rows
 
 
 def sym_eliminate(rows, div):

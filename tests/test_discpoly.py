@@ -1,8 +1,97 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eisenlat import discpoly as dp
+from eisenlat.linalg import solve
+
+BOUNDED = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+S = sympy.Symbol("s")
+
+
+def int_poly_gcd_nonconstant(f, g):
+    """True iff gcd(f, g) over Q has positive degree (shared root)."""
+    f = [Fraction(x) for x in dp.poly_trim(f)]
+    g = [Fraction(x) for x in dp.poly_trim(g)]
+    while g and dp.poly_deg(g) >= 0 and any(g):
+        if dp.poly_deg(g) == 0:
+            return False
+        f, g = g, _poly_mod(f, g)
+        g = _ftrim(g)
+        if not g:
+            return dp.poly_deg(f) >= 1
+    return dp.poly_deg(f) >= 1
+
+
+def _ftrim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_mod(f, g):
+    f = list(f)
+    dg = dp.poly_deg(g)
+    lg = g[-1]
+    while len(f) - 1 >= dg and any(f):
+        df = len(f) - 1
+        c = f[-1] / lg
+        for i in range(dg + 1):
+            f[df - dg + i] -= c * g[i]
+        f = _ftrim(f)
+        if not f:
+            break
+    return f
+
+
+def restricted_coefficients_reference(variables):
+    """The Fraction solve at points from [-9, 9], redrawing singular or
+    non-integral samples (the interpolation before the fraction-free one)."""
+    exps = dp._weight_132_exponents(variables)
+    k = len(exps)
+    rng = random.Random(0xA11)
+    while True:
+        points = []
+        seen = set()
+        while len(points) < k:
+            p = tuple(rng.randint(-9, 9) for _ in variables)
+            if p not in seen:
+                seen.add(p)
+                points.append(p)
+        rows = [[Fraction(dp._monomial_eval(e, p)) for e in exps] for p in points]
+        rhs = [Fraction(dp.a11_delta(dict(zip(variables, p)))) for p in points]
+        try:
+            sol = solve(rows, rhs)
+        except ValueError:
+            continue
+        if all(c.denominator == 1 for c in sol):
+            return {e: int(c) for e, c in zip(exps, sol) if c}
+
+
+def to_sympy(c):
+    return sympy.Poly(list(reversed(c)), S)
+
+
+def sympy_resultant(f, g):
+    """Res(f, g) = det Sylvester(f, g) from sympy.  sympy 1.14 returns Res(g, f)
+    when deg f < deg g (for s - 1 and a cubic, 3 both ways round), so the
+    larger degree goes first and the swap's sign (-1)^(deg f deg g) is applied."""
+    n, m = len(f) - 1, len(g) - 1
+    if n < m:
+        return (-1) ** (n * m) * sympy.resultant(to_sympy(g), to_sympy(f))
+    return sympy.resultant(to_sympy(f), to_sympy(g))
+
+
+# coefficient lists c0, c1, ..., with a nonzero leading coefficient
+polys = st.lists(st.integers(-6, 6), min_size=0, max_size=6).flatmap(
+    lambda c: st.integers(-4, 4).filter(bool).map(lambda lead: c + [lead])
+)
 
 
 def test_disc_quadratic():
@@ -49,7 +138,7 @@ def test_disc_zero_iff_gcd_nonconstant():
         if dp.poly_deg(f) < 2:
             continue
         d = dp.discriminant(f)
-        shared = dp.int_poly_gcd_nonconstant(f, dp.poly_derivative(f))
+        shared = int_poly_gcd_nonconstant(f, dp.poly_derivative(f))
         assert (d == 0) == shared, (f, d, shared)
 
 
@@ -122,3 +211,67 @@ def test_quasihomogeneity_lambda_one_and_minus_one():
 
 def test_quasihomogeneity_random_batch():
     assert dp.quasihomogeneity_check(samples=30, bound=12, seed=5)
+
+
+@BOUNDED
+@given(polys, polys)
+@example([0, 0, 3], [5, 0, -2])  # zero constant terms, non-monic
+@example([7], [1, 2, 3])  # degree-0 operands
+@example([2, -3, 0, 1], [-4])
+@example([-1, 1], [-1, -2, -1, 1])  # odd degrees, the smaller first
+def test_sylvester_resultant_matches_sympy(f, g):
+    assert dp.sylvester_resultant(f, g) == sympy_resultant(f, g)
+
+
+@BOUNDED
+@given(polys.filter(lambda c: len(c) >= 3))
+@example([0, 0, -3])
+@example([0, 4, 0, 2])
+def test_discriminant_matches_sympy(f):
+    assert dp.discriminant(f) == sympy.discriminant(to_sympy(f))
+
+
+def _eligible_sets():
+    """Variable sets of at most 3 variables with 1 to 20 unknowns."""
+    out = []
+    for r in (1, 2, 3):
+        for vs in combinations(range(2, 13), r):
+            if 1 <= len(dp._weight_132_exponents(vs)) <= 20:
+                out.append(vs)
+    return out
+
+
+def test_interpolation_matches_the_fraction_reference():
+    rigid = {tuple(sorted(m.exponents)) for m in dp.rigidity_monomials()}
+    sample = random.Random(61).sample(_eligible_sets(), 8)
+    for vs in sorted(rigid) + sample:
+        assert dp._restricted_coefficients(vs) == restricted_coefficients_reference(vs), vs
+
+
+def _counting_delta(monkeypatch, delta):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return delta(u)
+
+    monkeypatch.setattr(dp, "_coeff_cache", {})
+    monkeypatch.setattr(dp, "a11_delta", counted)
+    return calls
+
+
+def test_interpolation_evaluates_delta_once_per_unknown(monkeypatch):
+    calls = _counting_delta(monkeypatch, dp.a11_delta)
+    vs = (5, 11, 12)
+    table = dp._restricted_coefficients(vs)
+    assert len(calls) == len(dp._weight_132_exponents(vs)) == 15
+    assert table == restricted_coefficients_reference(vs)
+
+
+def test_inconsistent_system_raises_without_redrawing(monkeypatch):
+    # a constant is not a weight-132 polynomial, so the solution is not integral
+    calls = _counting_delta(monkeypatch, lambda u: 1)
+    vs = (2, 11, 12)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        dp._restricted_coefficients(vs)
+    assert len(calls) == len(dp._weight_132_exponents(vs))

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eisenlat.eisenstein import E, OMEGA, THETA
+from eisenlat.eisenstein import E, ONE, OMEGA, THETA, EisensteinInt
 from eisenlat.hermitian import (
     CHORDAL,
     NODAL,
@@ -26,6 +28,7 @@ from eisenlat.hermitian import (
     theta_self_dual,
     z_realization,
 )
+from eisenlat.linalg import det
 from eisenlat.zlattice import determinant, inertia, is_even
 
 
@@ -133,6 +136,42 @@ def test_det_e_multiplicative_on_sums():
         assert det_e(direct_sum(A, B)) == det_e(A) * det_e(B)
 
 
+def det_e_reference(G):
+    """Bareiss on EisensteinInt objects, the determinant before the pair kernel."""
+    return det(G.g, EisensteinInt.exact_div) if G.n else ONE
+
+
+# zeros and small values make zero pivots and radicals; large ones reach 2^70
+big = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def hermitian_grams(draw, max_n=8):
+    """A Hermitian Gram of rank <= 8; if asked, one index is doubled, which
+    repeats a row and a column and makes the Gram singular."""
+    n = draw(st.integers(1, max_n))
+    rows = [[E(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = E(draw(big))
+        for j in range(i):
+            v = E(draw(big), draw(big))
+            rows[i][j], rows[j][i] = v.conj(), v
+    if n < max_n and draw(st.booleans()):
+        s = list(range(n)) + [draw(st.integers(0, n - 1))]
+        rows = [[rows[i][j] for j in s] for i in s]
+    return HermGram(rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(hermitian_grams())
+@example(hyp())  # zero leading pivot: the row-swap path
+@example(direct_sum(hyp(), chain(3)))
+@example(HermGram([[0, 0], [0, 5]]))  # singular, zero first column
+@example(chain(11))  # singular; its 5x5 leading minor is 0, so a row swap comes first
+def test_det_e_matches_object_bareiss(G):
+    assert det_e(G) == det_e_reference(G)
+
+
 def test_theta_duality():
     assert in_theta_dual(lambda_())
     assert not theta_self_dual(lambda_())  # norm(det) = 3^12 but rank 11
@@ -141,6 +180,9 @@ def test_theta_duality():
     assert theta_self_dual(hyp())
     with pytest.raises(ValueError):
         theta_self_dual(chain(5))
+    # a precomputed determinant is used as given
+    assert theta_self_dual(lambda10(), det_e(lambda10()))
+    assert not theta_self_dual(lambda10(), E(-81))
 
 
 def test_norms_in_3z_when_theta_dual():

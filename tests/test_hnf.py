@@ -3,9 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisenlat.eisenstein import UNITS, E, ONE, THETA, ZERO
+from eisenlat.eisenstein import UNITS, E, ONE, THETA, ZERO, EisensteinInt
 from eisenlat.hnf import hnf_columns_e, snf_e
-from eisenlat.linalg import identity, mat_mul
+from eisenlat.linalg import det, identity, mat_mul
 
 # derandomized, so every run draws the same cases
 BOUNDED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -107,32 +107,10 @@ def test_snf_transform_identities():
         for d in nz:
             assert 0 <= d.b < d.a
         # |det| is preserved up to units: norm of product of diag = norm det C
-        det = ONE
+        diag_prod = ONE
         for d in diag:
-            det = det * d
-        detC = _det_e_generic(C)
-        assert det.norm() == detC.norm()
-
-
-def _det_e_generic(C):
-    n = len(C)
-    a = [list(r) for r in C]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return ZERO
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+            diag_prod = diag_prod * d
+        assert diag_prod.norm() == det(C, EisensteinInt.exact_div).norm()
 
 
 def test_snf_rectangular():

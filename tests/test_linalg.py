@@ -16,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
-from eisenlat.linalg import det, f3_rref, identity, inverse, kernel, mat_mul, rref, solve, sym_eliminate
+from eisenlat.linalg import adjugate, det, f3_rref, identity, inverse, kernel, mat_mul, rref, solve, sym_eliminate
 from eisenlat.zlattice import ZGram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -84,6 +84,19 @@ def identity_like(a):
 @given(square(ints, max_n=6))
 def test_int_det_matches_sympy(a):
     assert det(a, operator.floordiv) == sympy.Matrix(a).det()
+
+
+@BOUNDED
+@given(square(small, max_n=6))
+def test_adjugate_inverts_up_to_the_determinant(a):
+    d, adj = adjugate(a)
+    expected = sympy.Matrix(a).det()
+    if not expected:
+        assert (d, adj) == (0, None)
+        return
+    assert abs(d) == abs(expected)
+    n = len(a)
+    assert mat_mul(adj, a) == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
 
 
 @BOUNDED
