@@ -18,22 +18,25 @@ from .eisenstein import (
     THETA,
     ZERO,
     EisensteinInt,
-    QOmega,
     reduce_mod_theta,
 )
 from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, ip, vector
 from .hnf import hnf_columns_e, snf_e
-from .linalg import clear_denominators, f3_rref, identity, mat_vec, solve, sym_eliminate
+from .linalg import adjugate_e, f3_rref, identity, mat_vec, sym_eliminate
 
 
 class F3QuadSpace:
-    """theta N*/N with its F_3-valued symmetric form and ambient lift data."""
+    """theta N*/N with its F_3-valued symmetric form and ambient lift data.
+
+    A vector of theta N* has rational coordinates in N's basis; it travels
+    as a pair (d, x) of a positive int d and an E-vector x, meaning x / d.
+    """
 
     def __init__(self, ambient: HermGram, k, form, lifts, solve_data):
         self.ambient = ambient
         self.k = k
         self.form = form  # k x k tuple of ints mod 3
-        self.lifts = lifts  # k vectors over QOmega in N-coordinates
+        self.lifts = lifts  # (d, [x_1..x_k]): the k lifts x_i / d in N-coordinates
         self._solve = solve_data  # (L_rows, positions, change) for coords()
 
     def norm(self, v):
@@ -44,18 +47,19 @@ class F3QuadSpace:
         return s % 3
 
     def coords(self, v):
-        """F_3 coordinates of a vector of theta N* (QOmega coords in N's basis)."""
+        """F_3 coordinates of a vector (d, x) of theta N*, x / d in N's basis."""
+        d, x = v
         L_rows, positions, change = self._solve
-        gbar = [[x.conj() for x in row] for row in self.ambient.g]
-        # coordinates of v w.r.t. the P U basis are L (Gbar v / theta)
-        tq = QOmega.from_e(THETA)
-        coords = mat_vec(L_rows, [x / tq for x in mat_vec(gbar, v)])
+        gbar = [[y.conj() for y in row] for row in self.ambient.g]
+        # coordinates of x / d w.r.t. the P U basis are L (Gbar x) / (theta d)
+        coords = mat_vec(L_rows, mat_vec(gbar, x))
+        td = THETA * d
         raw = []
         for pos in positions:
-            c = coords[pos]
-            if not c.is_integral():
+            c, r = coords[pos].divmod(td)
+            if r:
                 raise ValueError("vector is not in theta N*")
-            raw.append(reduce_mod_theta(c.to_e()))
+            raw.append(reduce_mod_theta(c))
         # raw coords are w.r.t. the SNF basis; new = (change^T)^{-1} raw
         inv_t = _f3_inverse_transpose(change)
         out = [0] * self.k
@@ -65,18 +69,22 @@ class F3QuadSpace:
         return tuple(out)
 
     def lift(self, v):
-        """A lift to theta N* (QOmega coords) of the F_3 vector v."""
-        n = self.ambient.n
-        out = [QOmega(0)] * n
-        for i in range(self.k):
-            if v[i] % 3:
-                c = v[i] % 3
-                for j in range(n):
-                    out[j] = out[j] + QOmega(c) * self.lifts[i][j]
-        return tuple(out)
+        """A lift (d, x) to theta N*, x / d in N's basis, of the F_3 vector v."""
+        d, xs = self.lifts
+        return d, _combine(v, xs, self.ambient.n)
 
     def diagonal(self):
         return tuple(self.form[i][i] for i in range(self.k))
+
+
+def _combine(coeffs, vectors, n):
+    """sum c_i v_i over E for F_3 coefficients c_i in {0, 1, 2}."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        c %= 3
+        if c:
+            out = [o + c * y for o, y in zip(out, v)]
+    return tuple(out)
 
 
 def disc_group(N: HermGram) -> F3QuadSpace:
@@ -107,38 +115,27 @@ def disc_group(N: HermGram) -> F3QuadSpace:
                 f"theta N*/N has a cyclic factor E/({d}); not an F_3 space"
             )
     k = len(positions)
-    # ambient lifts: columns of P @ Linv = theta Gbar^{-1} Linv at the positions
-    gbar = [[QOmega.from_e(x.conj()) for x in row] for row in N.g]
-    tq = QOmega.from_e(THETA)
-    lifts = [
-        tuple(solve(gbar, [tq * QOmega.from_e(Linv[i][pos]) for i in range(n)]))
-        for pos in positions
-    ]
+    # ambient lifts: columns of P @ Linv = theta Gbar^{-1} Linv at the positions,
+    # with Gbar^{-1} = B / d
+    d, B = adjugate_e([[x.conj() for x in row] for row in N.g])
+    lifts = [mat_vec(B, [THETA * Linv[i][pos] for i in range(n)]) for pos in positions]
+    dd = EisensteinInt(d * d)
     form = []
     for i in range(k):
         row = []
         for j in range(k):
-            val = ip(N, lifts[i], lifts[j])
-            if not val.is_integral():
+            val, r = ip(N, lifts[i], lifts[j]).divmod(dd)
+            if r:
                 raise AssertionError("inner product of lifts not in E")
-            row.append(reduce_mod_theta(val.to_e()))
+            row.append(reduce_mod_theta(val))
         form.append(row)
     # canonicalize: diagonalize the form over F_3 and sort diagonal (+1s, -1s, 0s)
     change, newform = _f3_diagonalize(form)
-    newlifts = []
-    for i in range(k):
-        acc = [QOmega(0)] * n
-        for j in range(k):
-            if change[i][j] % 3:
-                c = change[i][j] % 3
-                for t in range(n):
-                    acc[t] = acc[t] + QOmega(c) * lifts[j][t]
-        newlifts.append(tuple(acc))
     space = F3QuadSpace(
         N,
         k,
         tuple(tuple(r) for r in newform),
-        newlifts,
+        (d, [_combine(change[i], lifts, n) for i in range(k)]),
         (L, positions, change),
     )
     return space
@@ -255,41 +252,39 @@ class GluedLattice:
 
     def __init__(self, gram: HermGram, basis):
         self.gram = gram
-        self.basis = basis  # columns over QOmega, in the old coordinate system
+        self.basis = basis  # (d, columns): the basis columns / d, in the old coordinates
 
 
 def glue(N: HermGram, S: F3QuadSpace, line) -> GluedLattice:
     """The enlargement of N spanned by N and a lift of the isotropic line."""
     line = tuple(x % 3 for x in line)
     if not any(line):
-        return GluedLattice(N, identity(N.n, QOmega(1)))
+        return GluedLattice(N, (1, identity(N.n, ONE)))
     if S.norm(line) != 0:
         raise ValueError("gluing line must be isotropic")
-    lift = S.lift(line)
-    return _span_with(N, [lift])
+    d, lift = S.lift(line)
+    return _span_with(N, (d, [lift]))
 
 
-def _span_with(N: HermGram, extra_vectors) -> GluedLattice:
-    """Lattice generated by N's basis and extra QOmega vectors, via E-HNF."""
+def _span_with(N: HermGram, extra) -> GluedLattice:
+    """Lattice generated by N's basis and extra vectors (d, [x..]), x / d, via E-HNF."""
     n = N.n
-    den, extra = clear_denominators(extra_vectors)
+    den, vectors = extra
     cols = [[EisensteinInt(den) if i == j else ZERO for i in range(n)] for j in range(n)]
-    H = hnf_columns_e(cols + extra)
+    H = hnf_columns_e(cols + list(vectors))
     if len(H) != n:
         raise AssertionError("enlargement lost rank")
-    basis = [
-        tuple(QOmega(x.a, x.b) / QOmega(den) for x in col) for col in H
-    ]
+    dd = EisensteinInt(den * den)
     rows = []
-    for i in range(n):
+    for u in H:
         row = []
-        for j in range(n):
-            val = ip(N, basis[i], basis[j])
-            if not val.is_integral():
+        for v in H:
+            val, r = ip(N, u, v).divmod(dd)
+            if r:
                 raise ValueError("enlargement is not integral over E")
-            row.append(val.to_e())
+            row.append(val)
         rows.append(row)
-    return GluedLattice(HermGram(rows), basis)
+    return GluedLattice(HermGram(rows), (den, H))
 
 
 def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
@@ -325,14 +320,7 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     H = hnf_columns_e(cols)
     if len(H) != n:
         raise AssertionError("sublattice lost rank")
-    basis = [tuple(QOmega.from_e(x) for x in col) for col in H]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(ip(G, basis[i], basis[j]).to_e())
-        rows.append(row)
-    return GluedLattice(HermGram(rows), basis)
+    return GluedLattice(HermGram([[ip(G, u, v) for v in H] for u in H]), (1, H))
 
 
 def reduce_vector(v):

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from .eisenstein import (
     ONE,
-    OMEGA,
     THETA,
     ZERO,
     EisensteinInt,
-    QOmega,
     e_gcd,
     is_associate,
+    reduce_mod_theta,
 )
-from .linalg import kernel, mat_mul
+from .linalg import mat_mul
 from .zlattice import ZGram
 
 
@@ -87,13 +86,14 @@ def basis_vector(n, i):
 
 
 def ip(G: HermGram, x, y):
-    """<x, y> = sum g_ij x_i conj(y_j): E-linear in x, antilinear in y.
+    """<x, y> = sum g_ij x_i conj(y_j) for E-vectors: E-linear in x, antilinear in y.
 
-    The zero is taken from x, so Q(w) vectors give a QOmega.
+    For rational vectors given as pairs (d, x) and (e, y), meaning x / d and
+    y / e, the value is <x, y> / (d e).
     """
     if len(x) != G.n or len(y) != G.n:
         raise ValueError("vector lengths do not match the Gram rank")
-    s = x[0] - x[0]
+    s = ZERO
     for i in range(G.n):
         if not x[i]:
             continue
@@ -178,23 +178,27 @@ def named_lattice(name: str) -> HermGram:
 
 
 def z_realization(G: HermGram) -> ZGram:
-    """Gram of the underlying Z-lattice in the basis (e1, w e1, e2, w e2, ...)."""
+    """Gram of the underlying Z-lattice in the basis (e1, w e1, e2, w e2, ...).
+
+    The dot product is (2/3) Re <u e_i, v e_j> = (2/3) Re(u conj(v) h) for
+    h = g_ij = a + b w and u, v in {1, w}; since 2 Re(a + b w) = 2a - b, the
+    2 x 2 block is [[2a - b, 2b - a], [-a - b, 2a - b]] / 3.  Each entry is
+    congruent to -(a + b) mod 3, so all are integral exactly when theta | h.
+    """
     n = G.n
     rows = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
-        for j in range(n):
-            h = G.g[i][j]
-            for (bi, ui) in ((0, ONE), (1, OMEGA)):
-                for (bj, uj) in ((0, ONE), (1, OMEGA)):
-                    # <u_i e_i, u_j e_j> = u_i conj(u_j) h ; dot = (2/3) Re
-                    v = ui * uj.conj() * h
-                    num = 2 * v.a - v.b  # 2*Re(v) = 2a - b
-                    if num % 3:
-                        raise ValueError(
-                            "Z-realization is not integral; inner products "
-                            "must lie in theta*E"
-                        )
-                    rows[2 * i + bi][2 * j + bj] = num // 3
+        top, bottom = rows[2 * i], rows[2 * i + 1]
+        for j, h in enumerate(G.g[i]):
+            a, b = h.a, h.b
+            if (a + b) % 3:
+                raise ValueError(
+                    "Z-realization is not integral; inner products "
+                    "must lie in theta*E"
+                )
+            re = (2 * a - b) // 3
+            top[2 * j], top[2 * j + 1] = re, (2 * b - a) // 3
+            bottom[2 * j], bottom[2 * j + 1] = -(a + b) // 3, re
     return ZGram(rows)
 
 
@@ -263,7 +267,7 @@ def det_e(G: HermGram) -> EisensteinInt:
 
 def in_theta_dual(G: HermGram) -> bool:
     """True iff every inner product lies in theta*E, i.e. L is contained in theta L*."""
-    return all(not (G.g[i][j] % THETA) for i in range(G.n) for j in range(G.n))
+    return all(reduce_mod_theta(x) == 0 for row in G.g for x in row)
 
 
 def theta_self_dual(G: HermGram, d=None) -> bool:
@@ -321,12 +325,3 @@ def is_isometry(G: HermGram, M) -> bool:
         return False
     lhs = mat_mul(mat_mul(mat_transpose(m), G.g), mat_conj(m))
     return lhs == G.g
-
-
-def radical_basis(G: HermGram):
-    """Basis over Q(w) of the radical (kernel of the Gram matrix)."""
-    return kernel([[QOmega.from_e(x) for x in row] for row in G.g])
-
-
-def matrix_rank_q(G: HermGram) -> int:
-    return G.n - len(radical_basis(G))

@@ -1,12 +1,14 @@
-"""Exact linear algebra over Z, Z[w], Q, Q(w) and F_3, written once.
+"""Exact linear algebra over Z, Z[w] and F_3, written once and fraction-free.
 
 Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
 elimination (Bareiss 1968) over an integral domain, given the ring's exact
 division; ``adjugate`` its Gauss-Jordan form over Z, which solves integer
 systems without fractions; ``sym_eliminate`` the same elimination as a
-congruence of a symmetric form.  ``rref`` is Gauss-Jordan elimination over a field
-(``Fraction`` or ``QOmega``), with ``kernel``, ``solve`` and ``inverse`` built
-on it; ``f3_rref`` is the same elimination on integer rows modulo 3.
+congruence of a symmetric form.  E-matrices are solved through ``pack``,
+the ring map a + b w -> [[a, -b], [b, a - b]] into integer 2 x 2 blocks:
+``adjugate_e`` is ``adjugate`` of the packing.  A rational vector travels as
+a pair (d, x) of a positive int d and an integer vector x, meaning x / d.
+``f3_rref`` is Gauss-Jordan elimination on integer rows modulo 3.
 """
 
 from __future__ import annotations
@@ -110,6 +112,40 @@ def adjugate(a):
     return prev, rows
 
 
+def pack(a):
+    """The 2n x 2n int matrix of an n x n E-matrix: a + b w -> [[a, -b], [b, a - b]].
+
+    This is the matrix of multiplication by a + b w on the basis (1, w), so
+    packing is a ring map into integer matrices.
+    """
+    out = []
+    for row in a:
+        out.append(tuple(y for x in row for y in (x.a, -x.b)))
+        out.append(tuple(y for x in row for y in (x.b, x.a - x.b)))
+    return tuple(out)
+
+
+def adjugate_e(a):
+    """(d, b) with b * a = d * I, d > 0 an int and b an E-matrix, for a nonsingular a.
+
+    ``adjugate`` of ``pack(a)`` is d times the packing of a^-1, so it is the
+    packing of an E-matrix; d and b are then divided by their common factor,
+    which leaves d the least common denominator of a^-1.  Raises ValueError
+    when a is singular.
+    """
+    d, adj = adjugate(pack(a))
+    if not d:
+        raise ValueError("singular matrix")
+    g = math.gcd(d, *(x for row in adj[::2] for x in row))  # even rows hold a and -b
+    if d < 0:
+        g = -g
+    n = len(a)
+    return d // g, tuple(
+        tuple(EisensteinInt(adj[2 * i][2 * j] // g, adj[2 * i + 1][2 * j] // g) for j in range(n))
+        for i in range(n)
+    )
+
+
 def sym_eliminate(rows, div):
     """Fraction-free congruence elimination of a symmetric form.
 
@@ -154,80 +190,8 @@ def sym_eliminate(rows, div):
     return order + live, minors, a
 
 
-def rref(rows):
-    """Reduce ``rows`` (a list of lists over a field) to reduced row echelon form.
-
-    The reduction happens in place: entries of ``rows`` are swapped and
-    replaced by new lists, never mutated.  Each pivot row is scaled by one
-    inverse, so no entry is divided.  Returns the pivot columns.
-    """
-    n = len(rows)
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, n) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        pr = rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            c = rows[i][col]
-            if i != r and c:
-                rows[i] = [x - c * y for x, y in zip(rows[i], pr)]
-        pivots.append(col)
-    return pivots
-
-
-def kernel(a):
-    """Basis of {v : a v = 0}, one vector per non-pivot column of rref(a)."""
-    rows = [list(r) for r in a]
-    m = len(rows[0])
-    zero = rows[0][0] - rows[0][0]
-    one = zero + 1
-    pivots = rref(rows)
-    out = []
-    for f in range(m):
-        if f in pivots:
-            continue
-        v = [zero] * m
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        out.append(tuple(v))
-    return out
-
-
-def solve(a, b):
-    """The x with a x = b, for a square nonsingular matrix a over a field."""
-    n = len(a)
-    rows = [list(r) + [y] for r, y in zip(a, b)]
-    if rref(rows) != list(range(n)):
-        raise ValueError("singular matrix")
-    return [r[n] for r in rows]
-
-
-def inverse(a):
-    """The inverse of a square nonsingular matrix over a field, as row lists."""
-    n = len(a)
-    zero = a[0][0] - a[0][0]
-    one = zero + 1
-    rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a)]
-    if rref(rows) != list(range(n)):
-        raise ValueError("singular matrix")
-    return [r[n:] for r in rows]
-
-
-def clear_denominators(vectors):
-    """(d, E-vectors d*v) for QOmega vectors, d the least common denominator."""
-    den = math.lcm(*(x.denominator() for v in vectors for x in v))
-    return den, [
-        tuple(EisensteinInt(int(x.a * den), int(x.b * den)) for x in v) for v in vectors
-    ]
-
-
 def f3_rref(rows):
-    """``rref`` for integer rows read modulo 3, in place; entries end in {0, 1, 2}."""
+    """Gauss-Jordan on integer rows modulo 3, in place; entries end in {0, 1, 2}."""
     n = len(rows)
     pivots = []
     for col in range(len(rows[0]) if rows else 0):

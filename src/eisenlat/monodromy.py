@@ -257,10 +257,10 @@ NOT_SCALAR = "NotScalar"
 
 def central_word_scalar(n: int):
     """Evaluate (a_1 ... a_n)^(n+1) on chain(n); the unit u if it is u*I."""
-    from .hermitian import chain, matrix_rank_q
+    from .hermitian import chain, det_e
 
     G = chain(n)
-    if matrix_rank_q(G) != n:
+    if not det_e(G):
         raise ValueError(f"chain({n}) is degenerate; the scalar is not defined")
     gens = chain_triflections(n)
     w = word_eval(gens) ** (n + 1)
@@ -304,16 +304,15 @@ class GroupHandle:
 
 
 def _companion_pack(m, n):
-    """Embed an n x n E-matrix into 2n x 2n integers via w -> [[0,-1],[1,-1]]."""
-    ab = np.array([[(x.a, x.b) for x in row] for row in m], dtype=np.int64).reshape(n, n, 2)
-    return _packings_from_columns(ab.transpose(0, 2, 1).reshape(1, 2 * n, n))[0]
+    """The 2n x 2n int64 ``linalg.pack`` of an n x n E-matrix."""
+    return np.array(linalg.pack(m), dtype=np.int64).reshape(2 * n, 2 * n)
 
 
 def _packings_from_columns(e):
     """The (m, 2n, 2n) packings whose even columns are e, an (m, 2n, n) array.
 
-    An entry a + b w packs as [[a, -b], [b, a - b]], so its even column (a, b)
-    fixes the odd one.
+    ``linalg.pack`` maps an entry a + b w to [[a, -b], [b, a - b]], so its
+    even column (a, b) fixes the odd one.
     """
     out = np.empty(e.shape[:2] + (2 * e.shape[2],), dtype=np.int64)
     out[:, :, ::2] = e

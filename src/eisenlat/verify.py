@@ -10,9 +10,8 @@ a context cache.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
-from .eisenstein import E, OMEGA, THETA, EisensteinInt, QOmega, e_gcd, is_associate
+from .eisenstein import E, OMEGA, THETA, EisensteinInt, e_gcd, is_associate
 from .hermitian import (
     CHORDAL,
     NODAL,
@@ -28,14 +27,13 @@ from .hermitian import (
     is_isometry,
     lambda10,
     lambda_,
-    matrix_rank_q,
     norm_of,
     root_classify,
     signature,
     theta_self_dual,
     z_realization,
 )
-from .linalg import clear_denominators, inverse, mat_mul, solve
+from .linalg import adjugate, adjugate_e, mat_mul, mat_vec
 from . import zlattice
 from . import monodromy as mono
 from . import gluing
@@ -211,7 +209,8 @@ def _(ctx):
 
 @check("chain11-rank", "the 11 chain roots span only a 10-dimensional space")
 def _(ctx):
-    return 10, matrix_rank_q(chain(11))
+    G = chain(11)
+    return 10, G.n - signature(G)[1]
 
 
 @check("e8-unimodular", "the standard E8 Gram is even unimodular")
@@ -270,11 +269,11 @@ def _herm_from_ii22():
     # basis change P: z_real(hyp) basis (e1, we1, e2, we2) -> hyperbolic pairs
     # u1 = e1, u2 = we2, u3 = we1, u4 = -e2
     P = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1), (0, 1, 0, 0))
-    # columns of P are u_i in old coordinates
-    Pi = inverse([[Fraction(x) for x in row] for row in P])
-    S = mat_mul(mat_mul(Pi, S0), P)
-    assert all(x.denominator == 1 for row in S for x in row)
-    return zlattice.hermitian_from_z(zlattice.ii22_gram(), S)
+    # columns of P are u_i in old coordinates; adj P = d I
+    d, adj = adjugate(P)
+    S = mat_mul(mat_mul(adj, S0), P)
+    assert all(x % d == 0 for row in S for x in row)
+    return zlattice.hermitian_from_z(zlattice.ii22_gram(), [[x // d for x in row] for row in S])
 
 
 @check("root-chordal", "(1, 0, ..., 0) is a chordal root")
@@ -440,12 +439,10 @@ def _disc_setup(ctx):
     def build():
         N = direct_sum(diag([3]), e8e(), e8e(), diag([-3]), diag([3]))
         S = gluing.disc_group(N)
-        tq = QOmega.from_e(THETA)
 
         def bar(i):
-            v = [QOmega(0)] * 11
-            v[i] = QOmega(1) / tq
-            return S.coords(v)
+            # e_i / theta = conj(theta) e_i / 3
+            return S.coords((3, tuple(THETA.conj() if j == i else E(0) for j in range(11))))
 
         return N, S, bar(0), bar(9), bar(10)
 
@@ -504,10 +501,9 @@ def _(ctx):
     for ln in lines:
         GL = gluing.glue(N, S, ln)
         M = GL.gram
-        r_old = tuple(
-            QOmega(1) if i == 10 else QOmega(0) for i in range(11)
-        )
-        vals = [ip(N, GL.basis[i], r_old).to_e() for i in range(11)]
+        r_old = basis_vector(11, 10)
+        d, cols = GL.basis
+        vals = [ip(N, col, r_old).exact_div(d) for col in cols]
         g = None
         for v in vals:
             if v:
@@ -538,28 +534,22 @@ def _lambda_roundtrip(ctx):
     phi = tuple(sum(sg[i][j] * rbar[j] for j in range(11)) % 3 for i in range(11))
     NL = gluing.hyperplane_preimage(L, phi)
     S2 = gluing.disc_group(NL.gram)
-    # coordinates of the nodal root inside the sublattice
-    c = solve(list(zip(*NL.basis)), [QOmega.from_e(x) for x in NODAL_ROOT])
-    tq = QOmega.from_e(THETA)
-    rbar2 = S2.coords(tuple(x / tq for x in c))
+    # coordinates of the nodal root inside the sublattice: B^-1 r = (adj r) / d
+    dn, H = NL.basis
+    d, adj = adjugate_e(tuple(zip(*H)))
+    c = mat_vec(adj, [dn * x for x in NODAL_ROOT])
+    # c / theta = conj(theta) c / (3 d)
+    rbar2 = S2.coords((3 * d, tuple(x * THETA.conj() for x in c)))
     lines = gluing.isotropic_lines(S2, not_orth_to=rbar2)
     if len(lines) != 2:
         return False
     hits = 0
     for ln in lines:
-        GL2 = gluing.glue(NL.gram, S2, ln)
-        amb = []
-        for i in range(11):
-            v = [QOmega(0)] * 11
-            for j in range(11):
-                if GL2.basis[i][j]:
-                    for t in range(11):
-                        v[t] = v[t] + GL2.basis[i][j] * NL.basis[j][t]
-            amb.append(v)
-        den, cols = clear_denominators(amb)
-        H = hnf_columns_e(cols)
+        den, cols = gluing.glue(NL.gram, S2, ln).basis
+        # the new basis columns in the old coordinates, over den * dn
+        Hg = hnf_columns_e(mat_mul(cols, H))
         if all(
-            H[i][j] == (E(den) if i == j else E(0))
+            Hg[i][j] == (E(den * dn) if i == j else E(0))
             for i in range(11)
             for j in range(11)
         ):

@@ -10,10 +10,9 @@ from a Z-lattice with a fixed-point-free isometry of order 3.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
-from .eisenstein import EisensteinInt, QOmega
-from .linalg import clear_denominators, det, identity, inverse, mat_mul, mat_vec, rref, sym_eliminate
+from .eisenstein import EisensteinInt
+from .linalg import adjugate, det, identity, mat_mul, mat_vec, sym_eliminate
 
 
 class ZGram:
@@ -199,43 +198,39 @@ def _complete_e_basis(picks, S, n):
 
     m = n // 2
 
-    # select m picks whose pairs (v, Sv) are Q-independent
+    # select m picks whose pairs (v, Sv) are Q-independent: rows R are
+    # independent exactly when their Gram R R^T is nonsingular
     chosen = []
-    rows = []  # rational row echelon for rank tracking
+    rows = []
     for v in picks:
-        cand = rows + [[Fraction(x) for x in v], [Fraction(x) for x in mat_vec(S, v)]]
-        if len(rref(cand)) == len(cand):
+        cand = rows + [tuple(v), mat_vec(S, v)]
+        if det(mat_mul(cand, tuple(zip(*cand))), operator.floordiv):
             chosen.append(v)
             rows = cand
         if len(chosen) == m:
             break
     if len(chosen) < m:
         raise ValueError("E-basis extraction failed: picks do not span")
-    cols = []
-    for v in chosen:
-        cols.append(v)
-        cols.append(mat_vec(S, v))
-    B = [[Fraction(cols[c][r]) for c in range(n)] for r in range(n)]
-    Binv = inverse(B)
-    # Q(w)-coordinates of every pick w.r.t. the chosen basis
-    coord_vecs = []
+    # the columns of B are the chosen vectors and their S-images, and
+    # adj B = d I, so the Q(w)-coordinates of a pick v are (adj v) / d; the
+    # sign of d flips every basis vector, which leaves the Gram unchanged
+    d, adj = adjugate(tuple(zip(*rows)))
+    gens = []
     for v in picks:
-        w = mat_vec(Binv, v)
-        coord_vecs.append([QOmega(w[2 * i], w[2 * i + 1]) for i in range(m)])
-    den, gens = clear_denominators(coord_vecs)
+        w = mat_vec(adj, v)
+        gens.append([EisensteinInt(w[2 * i], w[2 * i + 1]) for i in range(m)])
     H = hnf_columns_e(gens)
     if len(H) != m:
         raise ValueError("E-basis extraction failed: generators not full rank")
     out = []
     for col in H:
-        zvec = [Fraction(0)] * n
+        zvec = [0] * n
         for i in range(m):
-            a = Fraction(col[i].a, den)
-            b = Fraction(col[i].b, den)
-            v, sv = cols[2 * i], cols[2 * i + 1]
+            a, b = col[i].a, col[i].b
+            v, sv = rows[2 * i], rows[2 * i + 1]
             for r in range(n):
                 zvec[r] += a * v[r] + b * sv[r]
-        if any(x.denominator != 1 for x in zvec):
+        if any(x % d for x in zvec):
             raise ValueError("E-basis extraction failed: non-integral basis")
-        out.append(tuple(int(x) for x in zvec))
+        out.append(tuple(x // d for x in zvec))
     return out

@@ -11,7 +11,7 @@ the central-scalar-4 check).
 import random
 import time
 
-from eisenlat.eisenstein import E, OMEGA, OMEGA_BAR, THETA, QOmega
+from eisenlat.eisenstein import E, OMEGA, OMEGA_BAR, THETA
 from eisenlat.hermitian import (
     CHORDAL,
     NODAL,
@@ -174,12 +174,10 @@ def test_criterion_10_f3_machinery():
     S = gluing.disc_group(N)
     assert S.k == 3 and sorted(S.diagonal()) == [1, 1, 2]
     assert len(gluing.enumerate_norm(S, 1)) == 12
-    tq = QOmega.from_e(THETA)
 
     def bar(i):
-        v = [QOmega(0)] * 11
-        v[i] = QOmega(1) / tq
-        return S.coords(v)
+        # e_i / theta as the pair (3, conj(theta) e_i)
+        return S.coords((3, tuple(THETA.conj() if j == i else E(0) for j in range(11))))
 
     rbar = bar(10)
     lines = gluing.isotropic_lines(S, not_orth_to=rbar)

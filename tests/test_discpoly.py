@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlat import discpoly as dp
-from eisenlat.linalg import solve
+from test_linalg import solve
 
 BOUNDED = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 S = sympy.Symbol("s")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from eisenlat.eisenstein import E, OMEGA, THETA, QOmega, e_gcd, is_associate
+from eisenlat.eisenstein import E, OMEGA, THETA, e_gcd, is_associate
 from eisenlat.hermitian import (
     basis_vector,
     det_e,
@@ -22,13 +22,10 @@ from eisenlat.hermitian import (
 from eisenlat import gluing
 from eisenlat import monodromy as mono
 
-TQ = QOmega.from_e(THETA)
-
 
 def over_theta(n, i):
-    v = [QOmega(0)] * n
-    v[i] = QOmega(1) / TQ
-    return tuple(v)
+    """e_i / theta as a pair (d, x), x / d: 1 / theta = conj(theta) / 3."""
+    return 3, tuple(THETA.conj() if j == i else E(0) for j in range(n))
 
 
 def big_n():
@@ -69,11 +66,18 @@ def test_disc_norm_independent_of_lift():
     S = gluing.disc_group(N)
     rng = random.Random(43)
     base = over_theta(11, 0)
+    d, x = base
     for _ in range(30):
-        pert = list(base)
-        for i in range(11):
-            pert[i] = pert[i] + QOmega(rng.randint(-2, 2), rng.randint(-2, 2))
-        assert S.coords(tuple(pert)) == S.coords(base)
+        # adding the lattice vector e to x / d adds d e to x
+        pert = [y + d * E(rng.randint(-2, 2), rng.randint(-2, 2)) for y in x]
+        assert S.coords((d, tuple(pert))) == S.coords(base)
+
+
+def test_coords_rejects_a_vector_outside_theta_dual():
+    # e_0 / 3 pairs with the (3) summand to 1, which is not in theta E
+    S = gluing.disc_group(big_n())
+    with pytest.raises(ValueError, match="not in theta N"):
+        S.coords((3, basis_vector(11, 0)))
 
 
 def test_enumerate_norm_counts():
@@ -161,10 +165,10 @@ def test_glued_lattice_contains_theta_pairing_vector():
     N = big_n()
     S = gluing.disc_group(N)
     rbar = S.coords(over_theta(11, 10))
-    r_old = tuple(QOmega(1) if i == 10 else QOmega(0) for i in range(11))
+    r_old = basis_vector(11, 10)
     for ln in gluing.isotropic_lines(S, not_orth_to=rbar):
-        GL = gluing.glue(N, S, ln)
-        vals = [ip(N, GL.basis[i], r_old).to_e() for i in range(11)]
+        d, cols = gluing.glue(N, S, ln).basis
+        vals = [ip(N, col, r_old).exact_div(d) for col in cols]
         g = None
         for v in vals:
             if v:
@@ -193,13 +197,13 @@ def test_hyperplane_preimage_explicit_coordinate_kernel():
     # kernel of the first coordinate functional: basis (unit*theta)*e1, e2, ..., en
     L10 = lambda10()
     GL = gluing.hyperplane_preimage(L10, (1,) + (0,) * 9)
-    first = GL.basis[0]
+    d, cols = GL.basis
+    assert d == 1
+    first = cols[0]
     assert all(not first[i] for i in range(1, 10))
-    assert is_associate(first[0].to_e(), THETA)
+    assert is_associate(first[0], THETA)
     for j in range(1, 10):
-        assert GL.basis[j] == tuple(
-            QOmega(1) if i == j else QOmega(0) for i in range(10)
-        )
+        assert tuple(cols[j]) == basis_vector(10, j)
 
 
 def test_glue_undoes_hyperplane_preimage_on_lambda():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eisenlat.eisenstein import E, ONE, OMEGA, THETA, EisensteinInt
+from eisenlat.eisenstein import E, ONE, OMEGA, THETA, EisensteinInt, QOmega
 from eisenlat.hermitian import (
     CHORDAL,
     NODAL,
@@ -21,7 +21,6 @@ from eisenlat.hermitian import (
     is_isometry,
     lambda10,
     lambda_,
-    matrix_rank_q,
     norm_of,
     root_classify,
     signature,
@@ -29,7 +28,8 @@ from eisenlat.hermitian import (
     z_realization,
 )
 from eisenlat.linalg import det
-from eisenlat.zlattice import determinant, inertia, is_even
+from eisenlat.zlattice import ZGram, determinant, inertia, is_even
+from test_linalg import kernel
 
 
 def random_vec(rng, n, bound=3):
@@ -172,6 +172,70 @@ def test_det_e_matches_object_bareiss(G):
     assert det_e(G) == det_e_reference(G)
 
 
+def z_realization_reference(G):
+    """The Z-realization from E-products u_i conj(u_j) h, before the closed-form block."""
+    n = G.n
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            h = G.g[i][j]
+            for (bi, ui) in ((0, ONE), (1, OMEGA)):
+                for (bj, uj) in ((0, ONE), (1, OMEGA)):
+                    # <u_i e_i, u_j e_j> = u_i conj(u_j) h ; dot = (2/3) Re
+                    v = ui * uj.conj() * h
+                    num = 2 * v.a - v.b  # 2*Re(v) = 2a - b
+                    if num % 3:
+                        raise ValueError(
+                            "Z-realization is not integral; inner products "
+                            "must lie in theta*E"
+                        )
+                    rows[2 * i + bi][2 * j + bj] = num // 3
+    return ZGram(rows)
+
+
+@st.composite
+def theta_grams(draw, max_n=6):
+    """A Hermitian Gram with entries in theta E; if asked, one entry and its
+    mirror are then moved by a small amount, which may leave theta E."""
+    n = draw(st.integers(1, max_n))
+    rows = [[E(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = E(3 * draw(big))
+        for j in range(i):
+            v = THETA * E(draw(big), draw(big))
+            rows[i][j], rows[j][i] = v.conj(), v
+    if draw(st.booleans()):
+        i, j = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        u = E(draw(st.integers(1, 2))) if i == j else E(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        rows[i][j] = rows[i][j] + u
+        if i != j:
+            rows[j][i] = rows[j][i] + u.conj()
+    return HermGram(rows)
+
+
+some_grams = st.one_of(theta_grams(), hermitian_grams(max_n=6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(some_grams)
+@example(lambda_())
+@example(diag([1]))
+def test_z_realization_matches_product_reference(G):
+    try:
+        expected = z_realization_reference(G)
+    except ValueError:
+        with pytest.raises(ValueError):
+            z_realization(G)
+        return
+    assert z_realization(G) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(some_grams)
+def test_in_theta_dual_matches_division_by_theta(G):
+    assert in_theta_dual(G) == all(not (x % THETA) for row in G.g for x in row)
+
+
 def test_theta_duality():
     assert in_theta_dual(lambda_())
     assert not theta_self_dual(lambda_())  # norm(det) = 3^12 but rank 11
@@ -225,9 +289,11 @@ def test_is_isometry():
 
 
 def test_matrix_rank():
-    assert matrix_rank_q(chain(11)) == 10
-    assert matrix_rank_q(chain(5)) == 4
-    assert matrix_rank_q(lambda_()) == 11
+    # the rank over Q(w) is n minus the radical count of the signature; the
+    # reference kernel is Gauss-Jordan over Q(w)
+    for G, rank in ((chain(11), 10), (chain(5), 4), (lambda_(), 11)):
+        assert G.n - signature(G)[1] == rank
+        assert G.n - len(kernel([[QOmega.from_e(x) for x in row] for row in G.g])) == rank
 
 
 def test_named_and_json():

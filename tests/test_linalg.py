@@ -1,10 +1,15 @@
 """Property tests of the shared exact linear algebra, with sympy as the oracle.
 
 Hypothesis runs derandomized with a bounded example count, so every run
-draws the same cases.
+draws the same cases.  The field Gauss-Jordan routines ``rref``, ``kernel``,
+``solve`` and ``inverse`` over Fraction and QOmega live here as references;
+``eisenlat`` solves through integer adjugates instead.
 """
 
+import ast
+import math
 import operator
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -16,7 +21,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
-from eisenlat.linalg import adjugate, det, f3_rref, identity, inverse, kernel, mat_mul, rref, solve, sym_eliminate
+from eisenlat.linalg import adjugate, adjugate_e, det, f3_rref, identity, mat_mul, pack, sym_eliminate
 from eisenlat.zlattice import ZGram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -80,6 +85,73 @@ def identity_like(a):
     return tuple(tuple(zero + (i == j) for j in range(len(a))) for i in range(len(a)))
 
 
+# The field Gauss-Jordan elimination, the reference for the fraction-free solves.
+
+
+def rref(rows):
+    """Reduce ``rows`` (a list of lists over a field) to reduced row echelon form.
+
+    The reduction happens in place: entries of ``rows`` are swapped and
+    replaced by new lists, never mutated.  Each pivot row is scaled by one
+    inverse, so no entry is divided.  Returns the pivot columns.
+    """
+    n = len(rows)
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        pr = rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = [x - c * y for x, y in zip(rows[i], pr)]
+        pivots.append(col)
+    return pivots
+
+
+def kernel(a):
+    """Basis of {v : a v = 0}, one vector per non-pivot column of rref(a)."""
+    rows = [list(r) for r in a]
+    m = len(rows[0])
+    zero = rows[0][0] - rows[0][0]
+    one = zero + 1
+    pivots = rref(rows)
+    out = []
+    for f in range(m):
+        if f in pivots:
+            continue
+        v = [zero] * m
+        v[f] = one
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        out.append(tuple(v))
+    return out
+
+
+def solve(a, b):
+    """The x with a x = b, for a square nonsingular matrix a over a field."""
+    n = len(a)
+    rows = [list(r) + [y] for r, y in zip(a, b)]
+    if rref(rows) != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n] for r in rows]
+
+
+def inverse(a):
+    """The inverse of a square nonsingular matrix over a field, as row lists."""
+    n = len(a)
+    zero = a[0][0] - a[0][0]
+    one = zero + 1
+    rows = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(a)]
+    if rref(rows) != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n:] for r in rows]
+
+
 @BOUNDED
 @given(square(ints, max_n=6))
 def test_int_det_matches_sympy(a):
@@ -97,6 +169,73 @@ def test_adjugate_inverts_up_to_the_determinant(a):
     assert abs(d) == abs(expected)
     n = len(a)
     assert mat_mul(adj, a) == tuple(tuple(d * (i == j) for j in range(n)) for i in range(n))
+
+
+@st.composite
+def e_squares(draw, max_n=5):
+    """E-matrices up to rank 5; half of those above rank 1 repeat a row times a unit."""
+    a = draw(square(st.builds(E, small, small), max_n=max_n))
+    if len(a) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(a))))[:2]
+        u = draw(st.sampled_from(UNITS))
+        a[j] = [u * x for x in a[i]]
+    return a
+
+
+@settings(BOUNDED, max_examples=150)
+@given(e_squares())
+def test_adjugate_e_inverts_up_to_a_positive_int(a):
+    n = len(a)
+    if not det(a, EisensteinInt.exact_div):
+        with pytest.raises(ValueError):
+            adjugate_e(a)
+        return
+    d, b = adjugate_e(a)
+    assert type(d) is int and d > 0
+    assert mat_mul(b, a) == identity(n, E(d))
+    # d is the least common denominator of a^-1
+    assert math.gcd(d, *(y for row in b for x in row for y in (x.a, x.b))) == 1
+    aq = [[QOmega.from_e(x) for x in row] for row in a]
+    for j in range(n):
+        col = solve(aq, [QOmega(int(i == j)) for i in range(n)])
+        assert col == [QOmega.from_e(b[i][j]) / QOmega(d) for i in range(n)]
+
+
+@BOUNDED
+@given(st.integers(1, 3), st.data())
+def test_pack_is_a_ring_map(n, data):
+    a, b = (data.draw(st.lists(st.lists(e_ints, min_size=n, max_size=n), min_size=n, max_size=n)) for _ in "ab")
+    assert pack(mat_mul(a, b)) == mat_mul(pack(a), pack(b))
+    assert pack(identity(len(a), E(1))) == identity(2 * len(a), 1)
+
+
+def test_only_eisenstein_imports_fractions_or_names_qomega():
+    """The library has one fraction-free kernel: Fraction and QOmega stay in eisenstein.py.
+
+    ``__init__.py`` may re-export QOmega from it, and names nothing else of the kind.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "eisenstein.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module == "fractions" or (
+                    any(alias.name == "QOmega" for alias in node.names)
+                    and not (path.name == "__init__.py" and node.module == "eisenstein" and node.level == 1)
+                )
+            elif isinstance(node, ast.Name):
+                bad = node.id == "QOmega"
+            elif isinstance(node, ast.Attribute):
+                bad = node.attr == "QOmega"
+            else:
+                bad = False
+            if bad:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 @BOUNDED
