@@ -22,7 +22,7 @@ from .eisenstein import (
 )
 from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, ip, vector
 from .hnf import hnf_columns_e, snf_e
-from .linalg import adjugate_e, f3_rref, identity, mat_vec, sym_eliminate
+from .linalg import adjugate_e, f3_rref, identity, mat_mul, mat_vec, sym_eliminate
 
 
 class F3QuadSpace:
@@ -37,7 +37,7 @@ class F3QuadSpace:
         self.k = k
         self.form = form  # k x k tuple of ints mod 3
         self.lifts = lifts  # (d, [x_1..x_k]): the k lifts x_i / d in N-coordinates
-        self._solve = solve_data  # (L_rows, positions, change) for coords()
+        self._solve = solve_data  # (rows, inv_t) for coords(): rows L Gbar at the SNF positions, inv_t (change^T)^-1
 
     def norm(self, v):
         s = 0
@@ -49,24 +49,17 @@ class F3QuadSpace:
     def coords(self, v):
         """F_3 coordinates of a vector (d, x) of theta N*, x / d in N's basis."""
         d, x = v
-        L_rows, positions, change = self._solve
-        gbar = [[y.conj() for y in row] for row in self.ambient.g]
+        rows, inv_t = self._solve
         # coordinates of x / d w.r.t. the P U basis are L (Gbar x) / (theta d)
-        coords = mat_vec(L_rows, mat_vec(gbar, x))
         td = THETA * d
         raw = []
-        for pos in positions:
-            c, r = coords[pos].divmod(td)
+        for y in mat_vec(rows, x):
+            c, r = y.divmod(td)
             if r:
                 raise ValueError("vector is not in theta N*")
             raw.append(reduce_mod_theta(c))
         # raw coords are w.r.t. the SNF basis; new = (change^T)^{-1} raw
-        inv_t = _f3_inverse_transpose(change)
-        out = [0] * self.k
-        for i in range(self.k):
-            for j in range(self.k):
-                out[i] = (out[i] + inv_t[i][j] * raw[j]) % 3
-        return tuple(out)
+        return tuple(sum(a * b for a, b in zip(row, raw)) % 3 for row in inv_t)
 
     def lift(self, v):
         """A lift (d, x) to theta N*, x / d in N's basis, of the F_3 vector v."""
@@ -117,7 +110,8 @@ def disc_group(N: HermGram) -> F3QuadSpace:
     k = len(positions)
     # ambient lifts: columns of P @ Linv = theta Gbar^{-1} Linv at the positions,
     # with Gbar^{-1} = B / d
-    d, B = adjugate_e([[x.conj() for x in row] for row in N.g])
+    gbar = [[x.conj() for x in row] for row in N.g]
+    d, B = adjugate_e(gbar)
     lifts = [mat_vec(B, [THETA * Linv[i][pos] for i in range(n)]) for pos in positions]
     dd = EisensteinInt(d * d)
     form = []
@@ -136,7 +130,7 @@ def disc_group(N: HermGram) -> F3QuadSpace:
         k,
         tuple(tuple(r) for r in newform),
         (d, [_combine(change[i], lifts, n) for i in range(k)]),
-        (L, positions, change),
+        ([row for i, row in enumerate(mat_mul(L, gbar)) if i in positions], _f3_inverse_transpose(change)),
     )
     return space
 

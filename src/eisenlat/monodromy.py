@@ -21,6 +21,7 @@ from .eisenstein import (
     UNITS,
     ZERO,
     EisensteinInt,
+    e_gcd,
     reduce_mod_theta,
 )
 from .hermitian import (
@@ -288,12 +289,13 @@ class CapExceeded(Exception):
 
 
 class GroupHandle:
-    """Finite closure of a generating set: the element array and the generators."""
+    """Finite closure of a generating set: the element array, the generators and the right Cayley table."""
 
-    def __init__(self, ambient: HermGram, elements, generators):
+    def __init__(self, ambient: HermGram, elements, generators, table=None):
         self.ambient = ambient
         self.elements = elements  # (order, 2n, 2n) int64 companion packings, identity first
         self.generators = generators  # (k, 2n, 2n) int64 packings of the generating set
+        self.table = table  # (order, k) int32, x g_j at [x, j]; a handle made by hand gets it on first use
 
     @property
     def order(self):
@@ -345,49 +347,117 @@ def env_closure_cap() -> int:
     return cap
 
 
+_BLOCK = 4096  # elements per batch of int64 products
+
+
+def _hash_coeffs(seed: int, size: int):
+    """The coefficients of the seeded linear hash of ``size`` int64 entries."""
+    return np.random.default_rng(seed).integers(0, 2**64, size, dtype=np.uint64)
+
+
+def _hash(e, coeffs):
+    """The hash of each (2n, n) E-column block of e, wrapping mod 2^64."""
+    return np.ascontiguousarray(e).reshape(len(e), -1).view(np.uint64) @ coeffs
+
+
+class _Collision(Exception):
+    """Two distinct elements share a hash."""
+
+
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     """Breadth-first closure of the generated group; CapExceeded past cap.
 
-    Raises OverflowError before a level's products could leave int64.
+    Raises OverflowError before a block's products could leave int64.  The
+    handle's table records the index of x g for each element x and generator g.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     G = gens[0].ambient
-    for g in gens:
-        if g.ambient != G:
-            raise ValueError("generators have different ambients")
-    n = G.n
-    gen_z = np.stack([_companion_pack(g.m, n) for g in gens])
+    if any(g.ambient != G for g in gens):
+        raise ValueError("generators have different ambients")
+    gen_z = np.stack([_companion_pack(g.m, G.n) for g in gens])
+    for seed in itertools.count():
+        try:
+            return _closure(G, gen_z, cap, _hash_coeffs(seed, 2 * G.n * G.n))
+        except _Collision:
+            pass  # two distinct elements share a hash: draw the next one
+
+
+def _search(keys, idx, h):
+    """(found, where): which ascending hashes h are among the sorted keys, and the idx of each match."""
+    pos = np.minimum(np.searchsorted(keys, h), len(keys) - 1)
+    return keys[pos] == h, idx[pos]
+
+
+def _merge(keys, idx, new_keys, new_idx):
+    """The sorted union of two sorted hash arrays, with their indices."""
+    at = np.searchsorted(keys, new_keys)
+    return np.insert(keys, at, new_keys), np.insert(idx, at, new_idx)
+
+
+def _stored(chunks, starts, idx, e, at):
+    """Whether each element idx[i], kept in chunks that begin at starts, has the E-columns e[at[i]]."""
+    order = np.argsort(idx)
+    parts = np.split(order, np.searchsorted(idx[order], starts[1:]))
+    return all(np.array_equal(chunk[idx[p] - s], e[at[p]]) for chunk, s, p in zip(chunks, starts, parts) if len(p))
+
+
+def _closure(G, gen_z, cap, coeffs):
+    """``group_closure`` under one hash; raises _Collision when two elements share a hash.
+
+    The E-columns of the elements are kept in chunks, one per block's fresh rows.
+    """
+    n, k = G.n, len(gen_z)
     gen_top = max(int(gen_z.max()), -int(gen_z.min()))
-    # only the even columns of a product are computed: they are its E-matrix,
-    # fix the whole packing and key seen
     gen_e = np.ascontiguousarray(gen_z[:, :, ::2])
-    frontier = _companion_pack(linalg.identity(n, ONE), n)[None, :, :]
-    seen = {frontier[0, :, ::2].tobytes()}
-    size = gen_e[0].nbytes
-    levels = [frontier[:, :, ::2]]
-    while frontier.shape[0]:
-        top = max(int(frontier.max()), -int(frontier.min()))
-        if 2 * n * top * gen_top >= 2**63:
-            raise OverflowError(f"closure products of entries up to {top} and {gen_top} could overflow int64")
-        halves = np.matmul(frontier[:, None], gen_e[None]).reshape(-1, 2 * n, n)
-        keys = halves.tobytes()
-        fresh = []
-        for idx in range(halves.shape[0]):
-            key = keys[idx * size : (idx + 1) * size]
-            if key not in seen:
-                if len(seen) >= cap:
+    chunks = [_companion_pack(linalg.identity(n, ONE), n)[None, :, ::2]]
+    starts, rows = [0], []
+    keys, key_idx = _hash(chunks[0], coeffs), np.zeros(1, np.int64)
+    count, level = 1, 0
+    while level < len(chunks):
+        end, pending, pending_idx = len(chunks), keys[:0], key_idx[:0]
+        for chunk in chunks[level:end]:
+            for s in range(0, len(chunk), _BLOCK):
+                frontier = _packings_from_columns(chunk[s : s + _BLOCK])
+                top = max(int(frontier.max()), -int(frontier.min()))
+                if 2 * n * top * gen_top >= 2**63:
+                    raise OverflowError(f"closure products of entries up to {top} and {gen_top} could overflow int64")
+                prods = np.matmul(frontier[:, None], gen_e[None]).reshape(-1, 2 * n, n)
+                # in ascending hash order binary searches run faster, and equal hashes are adjacent
+                h = _hash(prods, coeffs)
+                ranks = np.argsort(h)
+                h = h[ranks]
+                found, idx = _search(keys, key_idx, h)
+                if len(pending):
+                    in_level, level_idx = _search(pending, pending_idx, h)
+                    found, idx = found | in_level, np.where(found, idx, level_idx)
+                if not _stored(chunks, starts, idx[found], prods, ranks[found]):
+                    raise _Collision
+                miss = np.flatnonzero(~found)
+                fresh_h, heads, run = np.unique(h[miss], return_index=True, return_inverse=True)
+                # a run of equal hashes is one fresh element, first met at its least product position
+                first = np.minimum.reduceat(ranks[miss], heads) if len(miss) else heads
+                repeat = ranks[miss] != first[run]
+                if not np.array_equal(prods[ranks[miss[repeat]]], prods[first[run[repeat]]]):
+                    raise _Collision
+                if count + len(first) > cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
-                seen.add(key)
-                fresh.append(idx)
-        levels.append(halves[fresh])
-        frontier = _packings_from_columns(levels[-1])
-    # free the keys and the levels before the packings are rebuilt
-    del seen, keys, halves
-    columns = np.concatenate(levels)
-    del levels
-    return GroupHandle(G, _packings_from_columns(columns), gen_z)
+                fresh = count + np.argsort(np.argsort(first))
+                idx[miss] = fresh[run]
+                rows.append(np.empty(len(h), np.int32))
+                rows[-1][ranks] = idx
+                chunks.append(prods[np.sort(first)])
+                starts.append(count)
+                pending, pending_idx = _merge(pending, pending_idx, fresh_h, fresh)
+                count += len(first)
+        keys, key_idx = _merge(keys, key_idx, pending, pending_idx)
+        level = end
+    z = np.empty((count, 2 * n, 2 * n), np.int64)
+    for i, s in enumerate(starts):
+        chunk, chunks[i] = chunks[i], None
+        z[s : s + len(chunk)] = _packings_from_columns(chunk)
+    return GroupHandle(G, z, gen_z, np.concatenate(rows).reshape(-1, k))
 
 
 def reflections_in(handle: GroupHandle):
@@ -446,8 +516,6 @@ def _reflection_data(G: HermGram, m):
 
 
 def _primitive_vector(v):
-    from .eisenstein import e_gcd
-
     g = None
     for x in v:
         if x:
@@ -456,9 +524,6 @@ def _primitive_vector(v):
     # deterministic orientation: first nonzero coordinate canonical
     u = next(x for x in out if x).canonical_unit()
     return tuple(u * x for x in out)
-
-
-_BLOCK = 4096  # elements per batch of int64 products
 
 
 def _entry_bound(handle: GroupHandle) -> int:
@@ -474,24 +539,22 @@ def _entry_bound(handle: GroupHandle) -> int:
 
 
 def _power_sums(g, bound: int, top: int):
-    """(P, inverse) for a batch g of packings: P = I + g + ... + g^(k-1), the inverse g^(k-1).
+    """P = I + g + ... + g^(k-1) for a batch g of packings, k the order of g.
 
-    k is the order of g, at most bound.  Raises ValueError when a power leaves
-    the entry bound top (it is then no element) or does not reach I in time.
+    k is at most bound.  Raises ValueError when a power leaves the entry
+    bound top (it is then no element) or does not reach I in time.
     """
     ident = np.eye(g.shape[1], dtype=np.int64)
     P = np.broadcast_to(ident, g.shape).copy()
-    inverse = P.copy()
     live, power = np.arange(len(g)), g
     for _ in range(bound):
         keep = (power != ident).any(axis=(1, 2))
         live, power = live[keep], power[keep]
         if not len(live):
-            return P, inverse
+            return P
         if max(int(power.max()), -int(power.min())) > top:
             raise ValueError("not a finite group: some element's power is not in it")
         P[live] += power
-        inverse[live] = power
         power = power @ g[live]
     raise ValueError("not a finite group: some element's powers never reach I")
 
@@ -506,9 +569,8 @@ class ElementIndex:
     def __init__(self, z):
         self.z = z
         for seed in itertools.count():
-            rng = np.random.default_rng(seed)
-            self.coeffs = rng.integers(0, 2**64, z.shape[1] * z.shape[2] // 2, dtype=np.uint64)
-            hashes = np.concatenate([self._hash(z[s : s + _BLOCK, :, ::2]) for s in range(0, len(z), _BLOCK)])
+            self.coeffs = _hash_coeffs(seed, z.shape[1] * z.shape[2] // 2)
+            hashes = np.concatenate([_hash(z[s : s + _BLOCK, :, ::2], self.coeffs) for s in range(0, len(z), _BLOCK)])
             self.order = np.argsort(hashes)
             self.hashes = hashes[self.order]
             same = np.flatnonzero(self.hashes[1:] == self.hashes[:-1])
@@ -518,54 +580,64 @@ class ElementIndex:
                 raise ValueError("an element is listed twice")
             # two distinct elements share a hash: draw the next one
 
-    def _hash(self, e):
-        """The hash of each (2n, n) E-column block of e, wrapping mod 2^64."""
-        return np.ascontiguousarray(e).reshape(len(e), -1).view(np.uint64) @ self.coeffs
-
     def find(self, e):
         """The indices of the elements with E-columns e, or None if one is missing."""
-        hashes = self._hash(e)
-        # a binary search runs faster over keys in ascending order
-        ranks = np.argsort(hashes)
-        pos = np.empty_like(ranks)
-        pos[ranks] = np.searchsorted(self.hashes, hashes[ranks])
-        idx = self.order[np.minimum(pos, len(self.hashes) - 1)]
+        ranks = np.argsort(h := _hash(e, self.coeffs))  # binary searches run faster over ascending keys
+        idx = np.empty_like(self.order, shape=len(h))
+        idx[ranks] = _search(self.hashes, self.order, h[ranks])[1]
         return idx if np.array_equal(self.z[idx, :, ::2], e) else None
+
+
+def _right_table(handle: GroupHandle):
+    """The handle's table, by exact lookups of each x g on first use; ValueError if it is no group."""
+    if handle.table is None:
+        z, gens = handle.elements, handle.generators
+        # finite generator orders make each column a permutation; the bound keeps each x g within int64
+        _power_sums(gens, len(z), _entry_bound(handle))
+        if not (z[0] == np.eye(z.shape[1], dtype=np.int64)).all():
+            raise ValueError("the handle is not a group: its first element is not I")
+        index, gen_e, rows = ElementIndex(z), gens[:, :, ::2], []
+        for start in range(0, len(z), _BLOCK):
+            idx = index.find(np.matmul(z[start : start + _BLOCK, None], gen_e[None]).reshape(-1, *gen_e.shape[1:]))
+            if idx is None:
+                raise ValueError("the handle is not a group: some x g is not in it")
+            rows.append(idx.reshape(-1, len(gens)).astype(np.int32))
+        handle.table = np.concatenate(rows)
+    return handle.table
+
+
+def _inverse_maps(table):
+    """(back, inv) as index arrays: back[j][x] is x g_j^-1, inv[x] is x^-1.
+
+    The first entry p g_j of each x in the table, with p before x in a closure, is its parent in a BFS tree
+    from the identity, element 0; walking x's word g_j1 ... g_jd back to it gives x^-1 = g_jd^-1 ... g_j1^-1.
+    """
+    order, k = table.shape
+    back = np.argsort(table, axis=0).T  # each column of the table is a permutation
+    parent, letter = np.divmod(np.unique(table.ravel(), return_index=True)[1], k)
+    if (parent[1:] >= np.arange(1, order)).any():
+        raise ValueError("the handle is not the closure of its generators: some x is no p g with p listed before x")
+    inv = np.zeros(order, np.intp)
+    live = node = np.arange(1, order)
+    while len(live):
+        inv[live] = back[letter[node], inv[live]]
+        node = parent[node]
+        live, node = live[node != 0], node[node != 0]
+    return back, inv
 
 
 def conjugacy_classes(handle: GroupHandle):
     """(representatives, sizes) of the conjugacy classes, representatives ascending.
 
-    Conjugation x -> g x g^-1 by each generator g permutes the elements; each
-    map comes from exact index lookups, and the classes are the orbits of the
-    maps, labelled by their first element in the handle's order.  Raises
-    ValueError when the handle is not a group.
+    The classes are the orbits of the conjugations x -> g x g^-1 by the
+    generators, composed from the right Cayley table and the inverse map, and
+    labelled by their first element.  Raises ValueError when the handle is no group.
     """
-    return _conjugacy_classes(handle, _entry_bound(handle))
-
-
-def _conjugacy_classes(handle: GroupHandle, top: int):
-    """``conjugacy_classes``, given the handle's ``_entry_bound`` top."""
-    z = handle.elements
-    index = ElementIndex(z)
-    _, inverses = _power_sums(handle.generators, len(z), top)
-    width = z.shape[1]
-    maps = []
-    for g, g_inv in zip(handle.generators, inverses):
-        images = []
-        for start in range(0, len(z), _BLOCK):
-            # the E-columns of x g^-1, as one 2-D product over the block's rows
-            right = (z[start : start + _BLOCK].reshape(-1, width) @ g_inv[:, ::2]).reshape(-1, width, width // 2)
-            # an element stays within top, and then g (x g^-1) stays within int64
-            if max(int(right.max()), -int(right.min())) > top:
-                raise ValueError("the handle is not a group: some x g^-1 is not in it")
-            idx = index.find(g @ right)
-            if idx is None:
-                raise ValueError("the handle is not a group: some conjugate g x g^-1 is not in it")
-            images.append(idx)
-        maps.append(np.concatenate(images))
+    back, inv = _inverse_maps(_right_table(handle))
+    # g x g^-1 = ((x g^-1)^-1 g^-1)^-1
+    maps = [inv[b[inv[b]]] for b in back]
     # min-label propagation with pointer jumping; each label stays in its orbit
-    labels = np.arange(len(z))
+    labels = np.arange(len(inv))
     while True:
         new = labels
         for image in maps:
@@ -599,11 +671,11 @@ def free_action_check(handle: GroupHandle) -> bool:
     row_top = int(np.abs(rows).max(initial=0))
     if len(z) * top * max(1, 2 * n * row_top) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
-    reps, _ = _conjugacy_classes(handle, top)
+    reps, _ = conjugacy_classes(handle)
     ident = np.eye(2 * n, dtype=np.int64)
     for start in range(0, len(reps), _BLOCK):
         g = z[reps[start : start + _BLOCK]]
-        P, _ = _power_sums(g[(g != ident).any(axis=(1, 2))], len(z), top)
+        P = _power_sums(g[(g != ident).any(axis=(1, 2))], len(z), top)
         P = P[P.any(axis=(1, 2))]
         if not (rows @ P == 0).all(axis=2).any(axis=1).all():
             return False
@@ -612,8 +684,6 @@ def free_action_check(handle: GroupHandle) -> bool:
 
 def chain_signed(eps):
     """chain(5)-like Gram with <r_i, r_{i+1}> = eps_i * theta, eps_i = +-1."""
-    from .hermitian import HermGram
-
     n = len(eps) + 1
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -635,12 +705,8 @@ def a5_transvection_report():
 
     Returns a list of dicts, one per isotropic pattern.
     """
-    from itertools import product as iproduct
-
-    from .hermitian import basis_vector, norm_of
-
     out = []
-    for eps in iproduct((1, -1), repeat=4):
+    for eps in itertools.product((1, -1), repeat=4):
         G = chain_signed(eps)
         if norm_of(G, A5_XI):
             continue
@@ -662,8 +728,6 @@ def a5_transvection_report():
 def d4_star_gram():
     """Gram of the D4 star: three orthogonal roots r1, r2, r3 and a central
     root r' with <r_i, r'> = theta."""
-    from .hermitian import HermGram
-
     t, tc, z, three = THETA, THETA.conj(), ZERO, EisensteinInt(3)
     return HermGram(
         [
@@ -680,8 +744,6 @@ D4_XI = (ONE, ONE, ONE, -THETA)
 
 def d4_transvection_report():
     """(a1 a2 a3 b)^3 versus the transvection in xi = r1 + r2 + r3 - theta r'."""
-    from .hermitian import basis_vector, norm_of
-
     G = d4_star_gram()
     gens = [triflection(G, basis_vector(4, i)) for i in range(4)]
     T = transvection(G, D4_XI)

@@ -375,16 +375,81 @@ def test_conjugacy_classes_reject_a_set_that_is_not_a_group(closures):
         mono.conjugacy_classes(part)
     with pytest.raises(ValueError, match="not a group"):
         mono.free_action_check(part)
+    with pytest.raises(ValueError, match="first element is not I"):
+        mono.conjugacy_classes(mono.GroupHandle(h.ambient, h.elements[::-1], h.generators))
+    # a1 alone generates a subgroup of order 3
+    with pytest.raises(ValueError, match="no p g with p listed before x"):
+        mono.conjugacy_classes(mono.GroupHandle(h.ambient, h.elements, h.generators[:1]))
 
 
 def test_conjugacy_classes_bound_the_intermediate_product():
-    # g = [[1, 0], [3, -1]] has order 2; x g^-1 = [[1, 0], [6, -2]] leaves the entry bound 3
+    # g = [[1, 0], [3, -1]] has order 2; x g = [[1, 0], [6, -2]] leaves the entry bound 3
     G = diag([3, 3])
     g, x = ([[E(a) for a in row] for row in m] for m in ([[1, 0], [3, -1]], [[1, 0], [0, 2]]))
     packed = [mono._companion_pack(m, 2) for m in (mono.identity(G).m, g, x)]
     h = mono.GroupHandle(G, np.stack(packed), packed[1][None])
-    with pytest.raises(ValueError, match="some x g\\^-1 is not in it"):
+    with pytest.raises(ValueError, match="some x g is not in it"):
         mono.conjugacy_classes(h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closure_table_is_the_right_cayley_table(closures, n):
+    h = closures(n)
+    z, table = h.elements, h.table
+    assert table.dtype == np.int32 and table.shape == (h.order, len(h.generators))
+    for j, g in enumerate(h.generators):
+        assert np.array_equal(z[table[:, j]], z @ g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_maps_invert(closures, n):
+    h = closures(n)
+    z = h.elements
+    back, inv = mono._inverse_maps(h.table)
+    assert (z @ z[inv] == np.eye(2 * n, dtype=np.int64)).all()
+    for j in range(len(h.generators)):
+        assert np.array_equal(h.table[back[j], j], np.arange(h.order))
+
+
+def test_handle_made_by_hand_gets_the_closure_table(closures):
+    h = closures(3)
+    by_hand = mono.GroupHandle(h.ambient, h.elements, h.generators)
+    assert np.array_equal(mono._right_table(by_hand), h.table)
+    assert by_hand.table is not None
+
+
+def test_closure_order_holds_across_block_boundaries(closures, monkeypatch):
+    monkeypatch.setattr(mono, "_BLOCK", 7)
+    h = mono.group_closure(mono.chain_triflections(3))
+    assert np.array_equal(h.elements, closures(3).elements)
+    assert np.array_equal(h.table, closures(3).table)
+
+
+def test_closure_redraws_its_hash_on_a_collision(closures, monkeypatch):
+    # under all-zero coefficients every element hashes to 0, so the first product collides
+    seeds, coeffs = [], mono._hash_coeffs
+    monkeypatch.setattr(mono, "_hash_coeffs", lambda seed, size: seeds.append(seed) or coeffs(seed, size) * (seed > 0))
+    h = mono.group_closure(mono.chain_triflections(3))
+    assert seeds == [0, 1]
+    assert np.array_equal(h.elements, closures(3).elements)
+    assert np.array_equal(h.table, closures(3).table)
+
+
+def test_closure_redraws_its_hash_on_a_collision_inside_a_block(monkeypatch):
+    # diag(w, 1, 1) and diag(1, w, 1) differ from each other and from I only in the E-column
+    # entries 0, 3, 7 and 10; these coefficients give both new products the hash 3 and I the hash 2
+    gens = diagonal_gens(diag([3, 3, 3]), (OMEGA, ONE, ONE), (ONE, OMEGA, ONE))
+    seeds, coeffs = [], mono._hash_coeffs
+    colliding = np.zeros(18, np.uint64)
+    colliding[[3, 7, 10]] = [1, 2, 3]
+    monkeypatch.setattr(mono, "_hash_coeffs", lambda seed, size: seeds.append(seed) or (coeffs(seed, size) if seed else colliding))
+    assert np.array_equal(mono.group_closure(gens).elements, reference_closure(gens))
+    assert seeds == [0, 1]
+    # the collision is caught in the first block, before the next level's two elements pass a cap of 3
+    seeds.clear()
+    with pytest.raises(mono.CapExceeded):
+        mono.group_closure(gens, cap=3)
+    assert seeds == [0, 1]
 
 
 def test_element_index_confirms_every_lookup(closures):
