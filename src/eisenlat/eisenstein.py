@@ -284,14 +284,6 @@ class QOmega:
         inv = self.inverse()
         return inv if other == 1 else _coerce_q(other) * inv
 
-    def is_integral(self):
-        return self.a.denominator == 1 and self.b.denominator == 1
-
-    def to_e(self):
-        if not self.is_integral():
-            raise ValueError(f"{self} is not in E")
-        return EisensteinInt(int(self.a), int(self.b))
-
     def denominator(self):
         import math
 

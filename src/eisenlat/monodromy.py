@@ -3,13 +3,14 @@
 Group elements are matrices over E acting on the left of column vectors in a
 fixed ambient Hermitian lattice; every constructor checks that the lattice is
 preserved exactly.  The finite groups R_1..R_4 generated by triflections in
-chain roots are enumerated by breadth-first closure, with the matrices packed
-into an integer companion embedding so numpy can batch the products.
+chain roots are held as stabilizer chains (Schreier-Sims), with the matrices
+packed into an integer companion embedding so numpy can batch the products.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 
 import numpy as np
@@ -288,39 +289,9 @@ class CapExceeded(Exception):
     pass
 
 
-class GroupHandle:
-    """Finite closure of a generating set: the element array, the generators and the right Cayley table."""
-
-    def __init__(self, ambient: HermGram, elements, generators, table=None):
-        self.ambient = ambient
-        self.elements = elements  # (order, 2n, 2n) int64 companion packings, identity first
-        self.generators = generators  # (k, 2n, 2n) int64 packings of the generating set
-        self.table = table  # (order, k) int32, x g_j at [x, j]; a handle made by hand gets it on first use
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def _companion_pack(m, n):
     """The 2n x 2n int64 ``linalg.pack`` of an n x n E-matrix."""
     return np.array(linalg.pack(m), dtype=np.int64).reshape(2 * n, 2 * n)
-
-
-def _packings_from_columns(e):
-    """The (m, 2n, 2n) packings whose even columns are e, an (m, 2n, n) array.
-
-    ``linalg.pack`` maps an entry a + b w to [[a, -b], [b, a - b]], so its
-    even column (a, b) fixes the odd one.
-    """
-    out = np.empty(e.shape[:2] + (2 * e.shape[2],), dtype=np.int64)
-    out[:, :, ::2] = e
-    out[:, ::2, 1::2] = -e[:, 1::2]
-    out[:, 1::2, 1::2] = e[:, ::2] - e[:, 1::2]
-    return out
 
 
 def _companion_unpack(z, n):
@@ -350,25 +321,188 @@ def env_closure_cap() -> int:
 _BLOCK = 4096  # elements per batch of int64 products
 
 
-def _hash_coeffs(seed: int, size: int):
-    """The coefficients of the seeded linear hash of ``size`` int64 entries."""
-    return np.random.default_rng(seed).integers(0, 2**64, size, dtype=np.uint64)
+def _top(a) -> int:
+    """The largest |entry| of an int64 array, 0 for an empty one."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def _hash(e, coeffs):
-    """The hash of each (2n, n) E-column block of e, wrapping mod 2^64."""
-    return np.ascontiguousarray(e).reshape(len(e), -1).view(np.uint64) @ coeffs
+def _product(a, b):
+    """a @ b for int64 packings, vectors or batches of them; OverflowError before an entry could leave int64."""
+    ta, tb = _top(a), _top(b)
+    if a.shape[-1] * ta * tb >= 2**63:
+        raise OverflowError(f"closure products of entries up to {ta} and {tb} could overflow int64")
+    return a @ b
 
 
-class _Collision(Exception):
-    """Two distinct elements share a hash."""
+def _inverse(z):
+    """The inverse of an int64 packing, exactly; ValueError when it has no integer inverse."""
+    d, adj = linalg.adjugate(z.tolist())
+    if not d or any(x % d for row in adj for x in row):
+        raise ValueError("a generator is not invertible over E")
+    return np.array([[x // d for x in row] for row in adj], np.int64)
+
+
+class Orbit:
+    """The orbit of e_base under one level's generators in a stabilizer chain, with its Schreier tree.
+
+    Points are packed vectors, compared exactly through their bytes.  Point p is gens[letter[p]]
+    applied to point parent[p], and act[p][s] is the point gens[s] maps p to.  trans[p], which
+    maps e_base to point p, is that letter times the parent's; trans_inv[p] is its inverse.
+    """
+
+    def __init__(self, n, base):
+        e = np.eye(2 * n, dtype=np.int64)[2 * base]
+        self.base, self.gens, self.invs = base, [], []
+        self.points, self.where = [e], {e.tobytes(): 0}
+        self.parent, self.letter, self.act = [0], [0], [[]]
+        self.trans = self.trans_inv = np.eye(2 * n, dtype=np.int64)[None]
+
+    def find(self, v):
+        """The index of each point in v, an (..., 2n) int64 array, or -1 where it is not in the orbit."""
+        v = np.ascontiguousarray(v)
+        idx = [self.where.get(p.tobytes(), -1) for p in v.reshape(-1, v.shape[-1])]
+        return np.array(idx, np.intp).reshape(v.shape[:-1])
+
+    def grow(self, cap, others):
+        """Apply every generator to every point, then extend the transversal to the new points.
+
+        CapExceeded once others times the orbit size passes cap.
+        """
+        for p, row in enumerate(self.act):  # act grows with the orbit, so new points are visited too
+            if len(row) == len(self.gens):
+                continue
+            for img in _product(np.stack(self.gens[len(row) :]), self.points[p]):
+                key = img.tobytes()
+                if key not in self.where:
+                    if (len(self.points) + 1) * others > cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
+                    self.where[key] = len(self.points)
+                    self.points.append(img)
+                    self.parent.append(p)
+                    self.letter.append(len(row))
+                    self.act.append([])
+                row.append(self.where[key])
+        self.invs += [_inverse(g) for g in self.gens[len(self.invs) :]]
+        trans, trans_inv = list(self.trans), list(self.trans_inv)
+        for p in range(len(trans), len(self.points)):  # parents come first
+            s, q = self.letter[p], self.parent[p]
+            trans.append(_product(self.gens[s], trans[q]))
+            trans_inv.append(_product(trans_inv[q], self.invs[s]))
+        self.trans, self.trans_inv = np.stack(trans), np.stack(trans_inv)
+
+    def schreier(self):
+        """The Schreier generators trans_inv[act[p][s]] gens[s] trans[p], for every point p and generator s."""
+        if not self.gens:
+            return self.trans[:0]
+        p, s = np.divmod(np.arange(len(self.points) * len(self.gens)), len(self.gens))
+        return _product(self.trans_inv[np.ravel(self.act)], _product(np.stack(self.gens)[s], self.trans[p]))
+
+
+def _sift(orbits, y):
+    """Strip the orbits' transversal elements off each y in turn, in place: (index, stop).
+
+    stop is the position of the first orbit that misses the image of its base vector, len(orbits)
+    when none does; index is the mixed-radix index sum i_l |G_(l+1)| of the stripped part.
+    """
+    idx, stop, live = np.zeros(len(y), np.int64), np.full(len(y), len(orbits)), np.arange(len(y))
+    for depth, o in enumerate(orbits):
+        at = o.find(y[live, :, 2 * o.base])
+        stop[live[at < 0]] = depth
+        live, at = live[at >= 0], at[at >= 0]
+        idx[live] = idx[live] * len(o.points) + at
+        y[live] = _product(o.trans_inv[at], y[live])
+    return idx, stop
+
+
+def _schreier_sims(levels, cap):
+    """Complete the levels, deepest first (Sims 1970; Holt, Eick and O'Brien 2005, 4.4.2).
+
+    A level is complete when each of its Schreier generators sifts through the levels below it.
+    One that does not leaves a residue, which joins every level down to the one whose orbit it
+    extends; the work resumes there.  The orbits only grow, so the product of their sizes, a
+    lower bound on the group order, is checked against cap as each point arrives.
+    """
+    i = len(levels) - 1
+    while i >= 0:
+        level = levels[i]
+        level.grow(cap, math.prod(len(lv.points) for lv in levels) // len(level.points))
+        y = level.schreier()
+        _, stop = _sift(levels[i + 1 :], y)
+        bad = np.flatnonzero(stop < len(levels) - i - 1)
+        if len(bad):
+            j = i + 1 + int(stop[bad[0]])
+            for lv in levels[i + 1 : j + 1]:
+                lv.gens.append(y[bad[0]])
+        i = j if len(bad) else i - 1
+
+
+class GroupHandle:
+    """A finite matrix group as a stabilizer chain over the base e_0, e_1, ... of standard vectors.
+
+    G_0 is the group and G_(l+1) the subgroup of G_l fixing the base vector of orbits[l], which is
+    that vector's orbit under G_l.  Each element is one product trans_0[i_0] trans_1[i_1] ... and
+    has the index sum i_l |G_(l+1)|, so the identity is 0 and the elements of G_l have the indices
+    below |G_l|.  Matrices are formed only for the indices asked for.
+    """
+
+    def __init__(self, ambient: HermGram, orbits, generators):
+        self.ambient = ambient
+        self.orbits = orbits  # the Orbits of length > 1, so every G_l is larger than G_(l+1)
+        self.generators = generators  # (k, 2n, 2n) int64 packings of the generating set
+        self.sizes = [math.prod(len(o.points) for o in orbits[l:]) for l in range(len(orbits) + 1)]  # |G_l|
+        self.order = self.sizes[0]
+        self._table = None
+
+    def matrices(self, idx, level=0):
+        """The (len(idx), 2n, 2n) packings of the elements of G_level with indices idx."""
+        width = self.generators.shape[1]
+        out = np.broadcast_to(np.eye(width, dtype=np.int64), (len(idx), width, width))
+        idx = np.asarray(idx, np.int64)
+        for o, below in zip(self.orbits[level:], self.sizes[level + 1 :]):
+            i, idx = np.divmod(idx, below)
+            out = _product(out, o.trans[i])
+        return out
+
+    def index(self, z, level=0):
+        """The indices in G_level of the packings z; ValueError when one is not in G_level."""
+        out, ident = np.empty(len(z), np.int64), np.eye(z.shape[-1], dtype=np.int64)
+        for start in range(0, len(z), _BLOCK):
+            x = z[start : start + _BLOCK].copy()
+            out[start : start + _BLOCK], stop = _sift(self.orbits[level:], x)
+            if (stop < len(self.orbits) - level).any() or (x != ident).any():
+                raise ValueError("not an element of the group: its sift through the chain does not end at I")
+        return out
+
+    @property
+    def table(self):
+        """The (order, k) int32 left Cayley table: the index of g_j x at [x, j]; built on first use."""
+        if self._table is None:
+            self._table = self._left_rows(self.generators, 0).T.astype(np.int32)
+        return self._table
+
+    def _left_rows(self, z, level):
+        """rows[q, x]: the index in G_level of z[q] x, for elements z[q] and x of G_level.
+
+        z U_i h = U_z(i) s h with s in G_(level+1): sifting z U_i gives z(i) and s at once.  The row
+        of z is i -> z(i) scaled by |G_(level+1)|, plus the level-down row of each distinct s.
+        """
+        if level == len(self.orbits):
+            return np.zeros((len(z), 1), np.int64)
+        trans, below = self.orbits[level].trans, self.sizes[level + 1]
+        zu = _product(z[:, None], trans[None]).reshape(-1, *trans.shape[1:])
+        moved, s = np.divmod(self.index(zu, level).reshape(len(z), len(trans)), below)
+        distinct, at = np.unique(s, return_inverse=True)
+        rows = self._left_rows(self.matrices(distinct, level + 1), level + 1)
+        return (moved[:, :, None] * below + rows[at.reshape(s.shape)]).reshape(len(z), -1)
 
 
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
-    """Breadth-first closure of the generated group; CapExceeded past cap.
+    """The generated group as a certified stabilizer chain; CapExceeded past cap elements.
 
-    Raises OverflowError before a block's products could leave int64.  The
-    handle's table records the index of x g for each element x and generator g.
+    Deterministic Schreier-Sims over the base e_0..e_(n-1): the order is the product of the orbit
+    sizes once every Schreier generator sifts, and the cap is checked against that product as the
+    orbits grow, before any per-element array exists.  A generator starts at every level whose
+    earlier base vectors it fixes.  Raises OverflowError before a product could leave int64.
     """
     gens = list(gens)
     if not gens:
@@ -377,142 +511,53 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     if any(g.ambient != G for g in gens):
         raise ValueError("generators have different ambients")
     gen_z = np.stack([_companion_pack(g.m, G.n) for g in gens])
-    for seed in itertools.count():
-        try:
-            return _closure(G, gen_z, cap, _hash_coeffs(seed, 2 * G.n * G.n))
-        except _Collision:
-            pass  # two distinct elements share a hash: draw the next one
-
-
-def _search(keys, idx, h):
-    """(found, where): which ascending hashes h are among the sorted keys, and the idx of each match."""
-    pos = np.minimum(np.searchsorted(keys, h), len(keys) - 1)
-    return keys[pos] == h, idx[pos]
-
-
-def _merge(keys, idx, new_keys, new_idx):
-    """The sorted union of two sorted hash arrays, with their indices."""
-    at = np.searchsorted(keys, new_keys)
-    return np.insert(keys, at, new_keys), np.insert(idx, at, new_idx)
-
-
-def _stored(chunks, starts, idx, e, at):
-    """Whether each element idx[i], kept in chunks that begin at starts, has the E-columns e[at[i]]."""
-    order = np.argsort(idx)
-    parts = np.split(order, np.searchsorted(idx[order], starts[1:]))
-    return all(np.array_equal(chunk[idx[p] - s], e[at[p]]) for chunk, s, p in zip(chunks, starts, parts) if len(p))
-
-
-def _closure(G, gen_z, cap, coeffs):
-    """``group_closure`` under one hash; raises _Collision when two elements share a hash.
-
-    The E-columns of the elements are kept in chunks, one per block's fresh rows.
-    """
-    n, k = G.n, len(gen_z)
-    gen_top = max(int(gen_z.max()), -int(gen_z.min()))
-    gen_e = np.ascontiguousarray(gen_z[:, :, ::2])
-    chunks = [_companion_pack(linalg.identity(n, ONE), n)[None, :, ::2]]
-    starts, rows = [0], []
-    keys, key_idx = _hash(chunks[0], coeffs), np.zeros(1, np.int64)
-    count, level = 1, 0
-    while level < len(chunks):
-        end, pending, pending_idx = len(chunks), keys[:0], key_idx[:0]
-        for chunk in chunks[level:end]:
-            for s in range(0, len(chunk), _BLOCK):
-                frontier = _packings_from_columns(chunk[s : s + _BLOCK])
-                top = max(int(frontier.max()), -int(frontier.min()))
-                if 2 * n * top * gen_top >= 2**63:
-                    raise OverflowError(f"closure products of entries up to {top} and {gen_top} could overflow int64")
-                prods = np.matmul(frontier[:, None], gen_e[None]).reshape(-1, 2 * n, n)
-                # in ascending hash order binary searches run faster, and equal hashes are adjacent
-                h = _hash(prods, coeffs)
-                ranks = np.argsort(h)
-                h = h[ranks]
-                found, idx = _search(keys, key_idx, h)
-                if len(pending):
-                    in_level, level_idx = _search(pending, pending_idx, h)
-                    found, idx = found | in_level, np.where(found, idx, level_idx)
-                if not _stored(chunks, starts, idx[found], prods, ranks[found]):
-                    raise _Collision
-                miss = np.flatnonzero(~found)
-                fresh_h, heads, run = np.unique(h[miss], return_index=True, return_inverse=True)
-                # a run of equal hashes is one fresh element, first met at its least product position
-                first = np.minimum.reduceat(ranks[miss], heads) if len(miss) else heads
-                repeat = ranks[miss] != first[run]
-                if not np.array_equal(prods[ranks[miss[repeat]]], prods[first[run[repeat]]]):
-                    raise _Collision
-                if count + len(first) > cap:
-                    raise CapExceeded(f"closure exceeded cap {cap}")
-                fresh = count + np.argsort(np.argsort(first))
-                idx[miss] = fresh[run]
-                rows.append(np.empty(len(h), np.int32))
-                rows[-1][ranks] = idx
-                chunks.append(prods[np.sort(first)])
-                starts.append(count)
-                pending, pending_idx = _merge(pending, pending_idx, fresh_h, fresh)
-                count += len(first)
-        keys, key_idx = _merge(keys, key_idx, pending, pending_idx)
-        level = end
-    z = np.empty((count, 2 * n, 2 * n), np.int64)
-    for i, s in enumerate(starts):
-        chunk, chunks[i] = chunks[i], None
-        z[s : s + len(chunk)] = _packings_from_columns(chunk)
-    return GroupHandle(G, z, gen_z, np.concatenate(rows).reshape(-1, k))
+    levels = [Orbit(G.n, b) for b in range(G.n)]
+    for z in gen_z:
+        for level in levels:
+            level.gens.append(z)
+            if not (z[:, 2 * level.base] == level.points[0]).all():
+                break
+    _schreier_sims(levels, cap)
+    return GroupHandle(G, [lv for lv in levels if len(lv.points) > 1], gen_z)
 
 
 def reflections_in(handle: GroupHandle):
-    """All complex reflections in the group: (root, rotation unit) pairs.
+    """All complex reflections in the group: (root, rotation unit) pairs, by ascending element index.
 
-    A reflection with eigenvalue zeta != 1 has trace n - 1 + zeta; only elements
-    with one of those five traces get the exact rank-one test.  The root is a
-    primitive generator of the image of M - I, the unit its eigenvalue.
+    M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1
+    and K^2 = (zeta - 1) K, for K / (zeta - 1) is then an idempotent of trace 1,
+    so K has rank one.  The traces of all elements come from one integer product;
+    only the elements with one of the five traces are formed for the second test.
+    The root is a primitive generator of the image of K, the unit its eigenvalue.
     """
     n = handle.ambient.n
-    z = handle.elements
-    # the trace a + b w, read off the diagonal 2 x 2 blocks of the packings
-    tr_a = np.trace(z[:, ::2, ::2], axis1=1, axis2=2)
-    tr_b = np.trace(z[:, 1::2, ::2], axis1=1, axis2=2)
-    candidates = np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE])
-    out = []
-    for idx in np.nonzero(candidates)[0]:
-        root, unit = _reflection_data(handle.ambient, _companion_unpack(z[idx], n))
-        if root is not None:
-            out.append((root, unit))
-    return out
+    ident = np.eye(2 * n, dtype=np.int64)
+    # element i |H| + j is T[i] H[j], T the first transversal and H the elements of its stabilizer
+    T = handle.orbits[0].trans if handle.orbits else ident[None]
+    H = handle.matrices(np.arange(handle.order // len(T)))
+    # the trace a + b w sums the diagonal 2 x 2 blocks: a from the even rows of T H, b from the odd ones
+    cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1).T
+    tr_a = _product(T[:, ::2].reshape(len(T), -1), cols).ravel()
+    tr_b = _product(T[:, 1::2].reshape(len(T), -1), cols).ravel()
+    idx = np.flatnonzero(np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE]))
+    K = handle.matrices(idx) - ident
+    # zeta - 1 = a + b w times I, packed: a I + b (the packing of w I)
+    a, b = (t[idx, None, None] for t in (tr_a - n, tr_b))
+    scalar = a * ident + b * np.kron(np.eye(n, dtype=np.int64), [[0, -1], [1, -1]])
+    rank_one = (_product(K, K) == _product(scalar, K)).all(axis=(1, 2))
+    return [_reflection_data(_companion_unpack(k + ident, n)) for k in K[rank_one]]
 
 
-def _reflection_data(G: HermGram, m):
-    """Exact root line and rotation unit of a candidate reflection matrix."""
-    n = G.n
-    I = linalg.identity(n, ONE)
-    K = [[m[i][j] - I[i][j] for j in range(n)] for i in range(n)]
-    # find a nonzero column of K: it spans the image if rank is one
-    col = None
-    for j in range(n):
-        c = tuple(K[i][j] for i in range(n))
-        if any(c):
-            col = c
-            break
-    if col is None:
-        return None, None
-    # verify rank one exactly: all 2x2 minors vanish
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            for i1 in range(n):
-                for i2 in range(i1 + 1, n):
-                    if K[i1][j1] * K[i2][j2] != K[i1][j2] * K[i2][j1]:
-                        return None, None
-    root = _primitive_vector(col)
+def _reflection_data(m):
+    """The root line and rotation unit of a reflection matrix m over E.
+
+    The root is a primitive generator of the image of K = m - I, the unit m's eigenvalue on it.
+    """
+    n = len(m)
+    K = [[m[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
+    root = _primitive_vector(next(c for c in zip(*K) if any(c)))
     mr = mat_vec(m, root)
-    # eigenvalue on the root: mr = zeta * root
-    zeta = None
-    for u in UNITS:
-        if mr == tuple(u * x for x in root):
-            zeta = u
-            break
-    if zeta is None or zeta == ONE:
-        return None, None
-    return root, zeta
+    return root, next(u for u in UNITS if mr == tuple(u * x for x in root))
 
 
 def _primitive_vector(v):
@@ -527,12 +572,11 @@ def _primitive_vector(v):
 
 
 def _entry_bound(handle: GroupHandle) -> int:
-    """The largest |entry| of the elements and generators.
+    """A bound on |entry| over the group: an entry of U h is at most the largest row sum of |U| times h's bound.
 
-    Raises OverflowError when a product of two matrices within that bound,
-    2n terms below top^2, could leave int64.
+    Raises OverflowError when a product of two matrices within it, 2n terms below top^2, could leave int64.
     """
-    top = max(max(int(a.max()), -int(a.min())) for a in (handle.elements, handle.generators))
+    top = math.prod(int(np.abs(o.trans).sum(axis=2).max()) for o in handle.orbits)
     if 2 * handle.ambient.n * top * top >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in products of group elements")
     return top
@@ -552,77 +596,44 @@ def _power_sums(g, bound: int, top: int):
         live, power = live[keep], power[keep]
         if not len(live):
             return P
-        if max(int(power.max()), -int(power.min())) > top:
+        if _top(power) > top:
             raise ValueError("not a finite group: some element's power is not in it")
         P[live] += power
         power = power @ g[live]
     raise ValueError("not a finite group: some element's powers never reach I")
 
 
-class ElementIndex:
-    """Exact lookup of elements by their E-columns, the even packing columns.
-
-    A seeded linear hash mod 2^64 of the columns only locates a candidate in
-    the sorted hashes; every lookup confirms the candidate's columns exactly.
-    """
-
-    def __init__(self, z):
-        self.z = z
-        for seed in itertools.count():
-            self.coeffs = _hash_coeffs(seed, z.shape[1] * z.shape[2] // 2)
-            hashes = np.concatenate([_hash(z[s : s + _BLOCK, :, ::2], self.coeffs) for s in range(0, len(z), _BLOCK)])
-            self.order = np.argsort(hashes)
-            self.hashes = hashes[self.order]
-            same = np.flatnonzero(self.hashes[1:] == self.hashes[:-1])
-            if not len(same):
-                return
-            if (z[self.order[same], :, ::2] == z[self.order[same + 1], :, ::2]).all(axis=(1, 2)).any():
-                raise ValueError("an element is listed twice")
-            # two distinct elements share a hash: draw the next one
-
-    def find(self, e):
-        """The indices of the elements with E-columns e, or None if one is missing."""
-        ranks = np.argsort(h := _hash(e, self.coeffs))  # binary searches run faster over ascending keys
-        idx = np.empty_like(self.order, shape=len(h))
-        idx[ranks] = _search(self.hashes, self.order, h[ranks])[1]
-        return idx if np.array_equal(self.z[idx, :, ::2], e) else None
-
-
-def _right_table(handle: GroupHandle):
-    """The handle's table, by exact lookups of each x g on first use; ValueError if it is no group."""
-    if handle.table is None:
-        z, gens = handle.elements, handle.generators
-        # finite generator orders make each column a permutation; the bound keeps each x g within int64
-        _power_sums(gens, len(z), _entry_bound(handle))
-        if not (z[0] == np.eye(z.shape[1], dtype=np.int64)).all():
-            raise ValueError("the handle is not a group: its first element is not I")
-        index, gen_e, rows = ElementIndex(z), gens[:, :, ::2], []
-        for start in range(0, len(z), _BLOCK):
-            idx = index.find(np.matmul(z[start : start + _BLOCK, None], gen_e[None]).reshape(-1, *gen_e.shape[1:]))
-            if idx is None:
-                raise ValueError("the handle is not a group: some x g is not in it")
-            rows.append(idx.reshape(-1, len(gens)).astype(np.int32))
-        handle.table = np.concatenate(rows)
-    return handle.table
-
-
 def _inverse_maps(table):
-    """(back, inv) as index arrays: back[j][x] is x g_j^-1, inv[x] is x^-1.
+    """(back, inv) as index arrays: back[j][x] is g_j^-1 x, inv[x] is x^-1.
 
-    The first entry p g_j of each x in the table, with p before x in a closure, is its parent in a BFS tree
-    from the identity, element 0; walking x's word g_j1 ... g_jd back to it gives x^-1 = g_jd^-1 ... g_j1^-1.
+    A breadth-first search of the left table from the identity, element 0, gives each x a parent p
+    and a letter j with x = g_j p; walking x's word g_j1 ... g_jd back to the identity, left
+    multiplying by each letter's inverse, gives x^-1 = g_jd^-1 ... g_j1^-1.
     """
     order, k = table.shape
-    back = np.argsort(table, axis=0).T  # each column of the table is a permutation
-    parent, letter = np.divmod(np.unique(table.ravel(), return_index=True)[1], k)
-    if (parent[1:] >= np.arange(1, order)).any():
-        raise ValueError("the handle is not the closure of its generators: some x is no p g with p listed before x")
-    inv = np.zeros(order, np.intp)
-    live = node = np.arange(1, order)
-    while len(live):
-        inv[live] = back[letter[node], inv[live]]
-        node = parent[node]
-        live, node = live[node != 0], node[node != 0]
+    back = np.empty((k, order), np.intp)
+    back[np.arange(k)[:, None], table.T] = np.arange(order)  # each column of the table is a permutation
+    parent, letter, slot = np.full(order, -1), np.zeros(order, np.intp), np.empty(order, np.intp)
+    parent[0] = 0
+    layers = [np.zeros(1, np.intp)]
+    while len(layers[-1]):
+        image = table[layers[-1]].ravel()
+        reached = image[fresh := np.flatnonzero(parent[image] < 0)]
+        slot[reached] = fresh
+        x = reached[slot[reached] == fresh]  # each new element once, at the table position whose write held
+        at, letter[x] = np.divmod(slot[x], k)
+        parent[x] = layers[-1][at]
+        layers.append(x)
+    if (parent < 0).any():
+        raise ValueError("the generators do not generate the group")
+    # deepest first, so the elements still walking after t steps, those deeper than t, are a prefix
+    nodes = np.concatenate(layers[::-1])
+    acc, node = np.zeros(order, np.intp), nodes.copy()
+    for live in np.cumsum([len(x) for x in layers[::-1]])[-2::-1]:
+        acc[:live] = back[letter[node[:live]], acc[:live]]
+        node[:live] = parent[node[:live]]
+    inv = np.empty(order, np.intp)
+    inv[nodes] = acc
     return back, inv
 
 
@@ -630,12 +641,13 @@ def conjugacy_classes(handle: GroupHandle):
     """(representatives, sizes) of the conjugacy classes, representatives ascending.
 
     The classes are the orbits of the conjugations x -> g x g^-1 by the
-    generators, composed from the right Cayley table and the inverse map, and
-    labelled by their first element.  Raises ValueError when the handle is no group.
+    generators, composed from the left Cayley table and the inverse map, and
+    labelled by their least index.
     """
-    back, inv = _inverse_maps(_right_table(handle))
-    # g x g^-1 = ((x g^-1)^-1 g^-1)^-1
-    maps = [inv[b[inv[b]]] for b in back]
+    table = handle.table
+    _, inv = _inverse_maps(table)
+    # g x g^-1 = g (g x^-1)^-1
+    maps = [col[inv[col[inv]]] for col in table.T]
     # min-label propagation with pointer jumping; each label stays in its orbit
     labels = np.arange(len(inv))
     while True:
@@ -656,26 +668,25 @@ def free_action_check(handle: GroupHandle) -> bool:
     k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
     lies in the mirror of r iff the row (<e_i, r>)_i times P_g vanishes.
     The zero fixed space (P_g = 0) is vacuously contained.  Conjugation moves
-    fixed spaces and mirrors together, so one element per class is tested.
+    fixed spaces and mirrors together, so one element per class is tested,
+    and only those elements' matrices are formed.
     """
-    G, z = handle.ambient, handle.elements
-    n = G.n
+    G, n = handle.ambient, handle.ambient.n
     mirrors = dict.fromkeys(root for root, _ in reflections_in(handle))
     # each mirror as the first packed row of (<e_i, r>)_i = G rbar; it vanishes iff the E-row does
     rows = np.array(
         [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
     ).reshape(-1, 2 * n)
-    # _power_sums keeps each power within top; P_g sums at most |group|
-    # powers, rows @ P_g 2n terms
+    # _power_sums keeps each power within top; P_g sums at most |group| powers, rows @ P_g 2n terms
     top = _entry_bound(handle)
     row_top = int(np.abs(rows).max(initial=0))
-    if len(z) * top * max(1, 2 * n * row_top) >= 2**63:
+    if handle.order * top * max(1, 2 * n * row_top) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
     reps, _ = conjugacy_classes(handle)
     ident = np.eye(2 * n, dtype=np.int64)
     for start in range(0, len(reps), _BLOCK):
-        g = z[reps[start : start + _BLOCK]]
-        P = _power_sums(g[(g != ident).any(axis=(1, 2))], len(z), top)
+        g = handle.matrices(reps[start : start + _BLOCK])
+        P = _power_sums(g[(g != ident).any(axis=(1, 2))], handle.order, top)
         P = P[P.any(axis=(1, 2))]
         if not (rows @ P == 0).all(axis=2).any(axis=1).all():
             return False

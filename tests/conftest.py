@@ -5,7 +5,7 @@ from eisenlat import monodromy as mono
 
 @pytest.fixture(scope="session")
 def closures():
-    """Shared closures of R_1..R_4 (R_4 takes a few seconds to enumerate)."""
+    """Shared closures of R_1..R_4, so each stabilizer chain and its Cayley table are built once per session."""
     cache = {}
 
     def get(n):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +272,25 @@ def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, messag
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_closure_cap_bounds_the_memory_of_an_infinite_group():
+    # chain(5)'s triflections generate an infinite group; at the default cap the closure must stop on
+    # its orbit sizes, long before millions of elements exist; the child reports its own peak in KiB
+    code = (
+        "import resource, sys\n"
+        "from eisenlat.cli import main\n"
+        "code = main(['monodromy', 'closure', '--lattice', 'chain:5', '--json'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "EISENLAT_CLOSURE_CAP"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    error, peak_kib = proc.stderr.splitlines()
+    assert proc.returncode == 3
+    assert error == "error: no closure of chain:5: closure exceeded cap 2000000"
+    assert int(peak_kib) < 200 * 1024
 
 
 def test_usage_error_exit_code():

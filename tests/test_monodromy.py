@@ -1,10 +1,15 @@
+import itertools
+import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from eisenlat.eisenstein import E, ONE, OMEGA, OMEGA_BAR, THETA, EisensteinInt, QOmega
+from eisenlat.eisenstein import E, ONE, OMEGA, OMEGA_BAR, THETA, UNITS, EisensteinInt, QOmega
 from eisenlat.hermitian import (
+    HermGram,
     basis_vector,
     chain,
     diag,
@@ -215,7 +220,7 @@ def test_group_closures_small(closures):
     assert closures(1).order == 3
     assert closures(2).order == 24
     assert closures(3).order == 648
-    z = closures(3).elements
+    z = closures(3).matrices(np.arange(648))
     assert z.shape == (648, 6, 6) and z.dtype == np.int64
     assert (z[0] == np.eye(6, dtype=np.int64)).all()
 
@@ -264,23 +269,61 @@ def test_free_action_fixed_point_free_rotation():
     assert mono.free_action_check(h)
 
 
-def reference_reflections(h):
-    """Every element through the exact rank-one test, with no filter."""
-    n = h.ambient.n
-    out = []
-    for z in h.elements:
-        root, unit = mono._reflection_data(h.ambient, mono._companion_unpack(z, n))
-        if root is not None:
-            out.append((root, unit))
+def reference_closure(gens):
+    """The per-row BFS that group_closure replaced: einsum products, whole packings as keys."""
+    n = gens[0].ambient.n
+    gen_z = np.stack([mono._companion_pack(g.m, n) for g in gens])
+    frontier = mono._companion_pack(mono.identity(gens[0].ambient).m, n)[None]
+    seen = {frontier[0].tobytes()}
+    levels = [frontier]
+    while frontier.shape[0]:
+        prods = np.einsum("fij,gjk->fgik", frontier, gen_z).reshape(-1, 2 * n, 2 * n)
+        fresh = []
+        for idx in range(prods.shape[0]):
+            key = prods[idx].tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(idx)
+        frontier = prods[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels)
+
+
+def assert_same_elements(h, z):
+    """The chain's elements are exactly the packings z: each one's index, once, and back."""
+    idx = h.index(z)
+    assert h.order == len(z)
+    assert np.array_equal(np.sort(idx), np.arange(len(z)))
+    assert np.array_equal(h.matrices(idx), z)
+
+
+def reference_reflections(G, z):
+    """Every element of z through the exact test over E, with no trace filter: K = M - I has
+    rank one (its nonzero columns are proportional) and M r = zeta r on its root, zeta != 1."""
+    n, out = G.n, []
+    for w in z:
+        m = mono._companion_unpack(w, n)
+        cols = [c for c in zip(*[[m[i][j] - (ONE if i == j else E(0)) for j in range(n)] for i in range(n)]) if any(c)]
+        pairs = itertools.combinations(range(n), 2)
+        if cols and all(a[i] * b[j] == a[j] * b[i] for i, j in pairs for a, b in itertools.combinations(cols, 2)):
+            root = mono._primitive_vector(cols[0])
+            units = [u for u in UNITS if u != ONE and mat_vec(m, root) == tuple(u * x for x in root)]
+            if units:
+                out.append((root, units[0]))
     return out
 
 
-def reference_free_action(h):
+def assert_same_reflections(h, z):
+    """reflections_in finds each reflection of the element array z exactly once."""
+    assert Counter(mono.reflections_in(h)) == Counter(reference_reflections(h.ambient, z))
+
+
+def reference_free_action(G, z):
     """Every non-identity element's fixed space by Gauss-Jordan over Q(w)."""
-    G, n = h.ambient, h.ambient.n
-    mirrors = {root for root, _ in reference_reflections(h)}
-    for z in h.elements:
-        m = mono._companion_unpack(z, n)
+    n = G.n
+    mirrors = {root for root, _ in reference_reflections(G, z)}
+    for w in z:
+        m = mono._companion_unpack(w, n)
         a = [[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
         if not any(x for row in a for x in row):
             continue
@@ -290,9 +333,9 @@ def reference_free_action(h):
     return True
 
 
-def reference_projector_free_action(h):
-    """The projector test on every element, as free_action_check ran before it used classes."""
-    G, z, n = h.ambient, h.elements, h.ambient.n
+def reference_projector_free_action(h, z):
+    """The projector test on every element of z, as free_action_check ran before it used classes."""
+    G, n = h.ambient, h.ambient.n
     mirrors = dict.fromkeys(root for root, _ in mono.reflections_in(h))
     rows = np.array(
         [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
@@ -326,10 +369,6 @@ def diagonal_gens(G, *diagonals):
     ]
 
 
-def diagonal_group(G, *diagonals):
-    return mono.group_closure(diagonal_gens(G, *diagonals))
-
-
 SMALL_GROUPS = [
     # (generator diagonals on diag([3, 3, 3]), acts freely off its mirrors)
     ([(OMEGA, OMEGA, ONE)], False),  # no mirror at all, yet e3 is fixed
@@ -341,24 +380,25 @@ SMALL_GROUPS = [
 
 @pytest.mark.parametrize("diagonals, free", SMALL_GROUPS)
 def test_free_action_small_groups_against_reference(diagonals, free):
-    h = diagonal_group(diag([3, 3, 3]), *diagonals)
-    assert mono.reflections_in(h) == reference_reflections(h)
-    assert reference_free_action(h) is free
-    assert reference_projector_free_action(h) is free
+    gens = diagonal_gens(diag([3, 3, 3]), *diagonals)
+    h, z = mono.group_closure(gens), reference_closure(gens)
+    assert_same_reflections(h, z)
+    assert reference_free_action(h.ambient, z) is free
+    assert reference_projector_free_action(h, z) is free
     assert mono.free_action_check(h) is free
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reflections_and_free_action_match_reference(closures, n):
-    h = closures(n)
-    assert mono.reflections_in(h) == reference_reflections(h)
-    assert mono.free_action_check(h) is reference_free_action(h) is True
-    assert reference_projector_free_action(h) is True
+    h, z = closures(n), reference_closure(mono.chain_triflections(n))
+    assert_same_reflections(h, z)
+    assert mono.free_action_check(h) is reference_free_action(h.ambient, z) is True
+    assert reference_projector_free_action(h, z) is True
 
 
 def test_conjugacy_classes_match_brute_force(closures):
     # R2 = G4: the class of x is {y x y^-1 : y in the group}, by whole-group products
-    z = closures(2).elements
+    z = closures(2).matrices(np.arange(24))
     position = {w.tobytes(): i for i, w in enumerate(z)}
     inverses = [next(w for w in z if (w @ x == np.eye(4, dtype=np.int64)).all()) for x in z]
     classes = {frozenset(position[(y @ x @ yi).tobytes()] for y, yi in zip(z, inverses)) for x in z}
@@ -369,106 +409,78 @@ def test_conjugacy_classes_match_brute_force(closures):
 
 def test_conjugacy_classes_reject_a_set_that_is_not_a_group(closures):
     h = closures(2)
-    # the first five BFS elements I, a1, a2, a1^2, a1 a2 miss the conjugate a1 a2 a1^-1
-    part = mono.GroupHandle(h.ambient, h.elements[:5], h.generators)
-    with pytest.raises(ValueError, match="not a group"):
-        mono.conjugacy_classes(part)
-    with pytest.raises(ValueError, match="not a group"):
-        mono.free_action_check(part)
-    with pytest.raises(ValueError, match="first element is not I"):
-        mono.conjugacy_classes(mono.GroupHandle(h.ambient, h.elements[::-1], h.generators))
-    # a1 alone generates a subgroup of order 3
-    with pytest.raises(ValueError, match="no p g with p listed before x"):
-        mono.conjugacy_classes(mono.GroupHandle(h.ambient, h.elements, h.generators[:1]))
+    # 2 e_0 is no point of e_0's orbit
+    with pytest.raises(ValueError, match="not an element of the group"):
+        h.index(mono._companion_pack(((E(2), E(0)), (E(0), ONE)), 2)[None])
+    # w I is central of order 3, and the centre of G4 has order 2: its sift ends at a scalar
+    with pytest.raises(ValueError, match="does not end at I"):
+        h.index(mono._companion_pack(((OMEGA, E(0)), (E(0), OMEGA)), 2)[None])
+    # a1 alone generates a subgroup of order 3, so its table reaches three of the chain's elements
+    a1_only = mono.GroupHandle(h.ambient, h.orbits, h.generators[:1])
+    with pytest.raises(ValueError, match="do not generate the group"):
+        mono.conjugacy_classes(a1_only)
+    with pytest.raises(ValueError, match="do not generate the group"):
+        mono.free_action_check(a1_only)
 
 
-def test_conjugacy_classes_bound_the_intermediate_product():
-    # g = [[1, 0], [3, -1]] has order 2; x g = [[1, 0], [6, -2]] leaves the entry bound 3
-    G = diag([3, 3])
-    g, x = ([[E(a) for a in row] for row in m] for m in ([[1, 0], [3, -1]], [[1, 0], [0, 2]]))
-    packed = [mono._companion_pack(m, 2) for m in (mono.identity(G).m, g, x)]
-    h = mono.GroupHandle(G, np.stack(packed), packed[1][None])
-    with pytest.raises(ValueError, match="some x g is not in it"):
-        mono.conjugacy_classes(h)
+def test_conjugacy_classes_bound_the_intermediate_product(closures):
+    # the table's Schreier elements are located by sifting: x fixes e_0, so its sift multiplies
+    # x by the identity, and 2n |1| |2^62| reaches 2^63 before the product could wrap
+    x = np.eye(4, dtype=np.int64)
+    x[0, 3] = 2**62
+    with pytest.raises(OverflowError, match="entries up to 1 and 4611686018427387904 "):
+        closures(2).index(x[None])
+
+
+def sample(h):
+    """Every element of R1..R3, every seventh of R4."""
+    return np.arange(0, h.order, 7 if h.order > 648 else 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closure_table_is_the_right_cayley_table(closures, n):
+    # the table records g x; with the inverse map it gives x g = (g^-1 x^-1)^-1 as well
     h = closures(n)
-    z, table = h.elements, h.table
+    table, idx = h.table, sample(h)
     assert table.dtype == np.int32 and table.shape == (h.order, len(h.generators))
+    back, inv = mono._inverse_maps(table)
+    z = h.matrices(idx)
     for j, g in enumerate(h.generators):
-        assert np.array_equal(z[table[:, j]], z @ g)
+        assert np.array_equal(h.matrices(table[idx, j]), g @ z)
+        assert np.array_equal(h.matrices(inv[back[j][inv[idx]]]), z @ g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_inverse_maps_invert(closures, n):
     h = closures(n)
-    z = h.elements
+    idx = sample(h)
     back, inv = mono._inverse_maps(h.table)
-    assert (z @ z[inv] == np.eye(2 * n, dtype=np.int64)).all()
+    assert (h.matrices(idx) @ h.matrices(inv[idx]) == np.eye(2 * n, dtype=np.int64)).all()
     for j in range(len(h.generators)):
         assert np.array_equal(h.table[back[j], j], np.arange(h.order))
 
 
 def test_handle_made_by_hand_gets_the_closure_table(closures):
     h = closures(3)
-    by_hand = mono.GroupHandle(h.ambient, h.elements, h.generators)
-    assert np.array_equal(mono._right_table(by_hand), h.table)
-    assert by_hand.table is not None
+    by_hand = mono.GroupHandle(h.ambient, h.orbits, h.generators)
+    assert by_hand._table is None
+    assert np.array_equal(by_hand.table, h.table)
 
 
 def test_closure_order_holds_across_block_boundaries(closures, monkeypatch):
+    # with 7-row blocks every sift of the table's Schreier elements spans several blocks
+    gens, table = mono.chain_triflections(3), closures(3).table
     monkeypatch.setattr(mono, "_BLOCK", 7)
-    h = mono.group_closure(mono.chain_triflections(3))
-    assert np.array_equal(h.elements, closures(3).elements)
-    assert np.array_equal(h.table, closures(3).table)
-
-
-def test_closure_redraws_its_hash_on_a_collision(closures, monkeypatch):
-    # under all-zero coefficients every element hashes to 0, so the first product collides
-    seeds, coeffs = [], mono._hash_coeffs
-    monkeypatch.setattr(mono, "_hash_coeffs", lambda seed, size: seeds.append(seed) or coeffs(seed, size) * (seed > 0))
-    h = mono.group_closure(mono.chain_triflections(3))
-    assert seeds == [0, 1]
-    assert np.array_equal(h.elements, closures(3).elements)
-    assert np.array_equal(h.table, closures(3).table)
-
-
-def test_closure_redraws_its_hash_on_a_collision_inside_a_block(monkeypatch):
-    # diag(w, 1, 1) and diag(1, w, 1) differ from each other and from I only in the E-column
-    # entries 0, 3, 7 and 10; these coefficients give both new products the hash 3 and I the hash 2
-    gens = diagonal_gens(diag([3, 3, 3]), (OMEGA, ONE, ONE), (ONE, OMEGA, ONE))
-    seeds, coeffs = [], mono._hash_coeffs
-    colliding = np.zeros(18, np.uint64)
-    colliding[[3, 7, 10]] = [1, 2, 3]
-    monkeypatch.setattr(mono, "_hash_coeffs", lambda seed, size: seeds.append(seed) or (coeffs(seed, size) if seed else colliding))
-    assert np.array_equal(mono.group_closure(gens).elements, reference_closure(gens))
-    assert seeds == [0, 1]
-    # the collision is caught in the first block, before the next level's two elements pass a cap of 3
-    seeds.clear()
-    with pytest.raises(mono.CapExceeded):
-        mono.group_closure(gens, cap=3)
-    assert seeds == [0, 1]
+    h = mono.group_closure(gens)
+    assert_same_elements(h, reference_closure(gens))
+    assert np.array_equal(h.table, table)
 
 
 def test_element_index_confirms_every_lookup(closures):
-    z = closures(3).elements
-    index = mono.ElementIndex(z)
-    assert (index.find(z[:, :, ::2]) == np.arange(len(z))).all()
-    assert index.find(z[:, :, ::2] + 3) is None
-    with pytest.raises(ValueError, match="listed twice"):
-        mono.ElementIndex(np.concatenate([z, z[5:6]]))
-
-
-def test_element_index_draws_a_new_hash_on_a_collision():
-    # for n = 1 the E-columns are (a, b); (c1, -c0) and (0, 0) share the hash under (c0, c1)
-    c0, c1 = (int(c) for c in mono.ElementIndex(np.zeros((1, 2, 2), np.int64)).coeffs)
-    z = np.zeros((2, 2, 2), np.int64)
-    z[1, :, 0] = np.array([c1, 2**64 - c0], np.uint64).view(np.int64)
-    index = mono.ElementIndex(z)
-    assert (index.coeffs != [c0, c1]).any()
-    assert (index.find(z[:, :, ::2]) == [0, 1]).all()
+    z = reference_closure(mono.chain_triflections(3))
+    assert_same_elements(closures(3), z)
+    with pytest.raises(ValueError, match="not an element of the group"):
+        closures(3).index(z + 3)
 
 
 def poly_mul(p, q):
@@ -492,8 +504,8 @@ def test_conjugacy_classes_and_solomon_identity(closures, n, degrees, count):
     assert (np.diff(reps) > 0).all()
     # Solomon: sum over g of t^(dim Fix g) = prod (t + d_i - 1), over the classes weighted by size
     lhs = [0] * (n + 1)
-    for idx, size in zip(reps, sizes):
-        m = mono._companion_unpack(h.elements[idx], n)
+    for z, size in zip(h.matrices(reps), sizes):
+        m = mono._companion_unpack(z, n)
         dim = len(kernel([[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]))
         lhs[dim] += int(size)
     rhs = [1]
@@ -504,35 +516,47 @@ def test_conjugacy_classes_and_solomon_identity(closures, n, degrees, count):
         assert rhs == [124729, 28400, 2310, 80, 1]
 
 
-def reference_closure(gens):
-    """The per-row BFS that group_closure replaced: einsum products, whole packings as keys."""
-    n = gens[0].ambient.n
-    gen_z = np.stack([mono._companion_pack(g.m, n) for g in gens])
-    frontier = mono._companion_pack(mono.identity(gens[0].ambient).m, n)[None]
-    seen = {frontier[0].tobytes()}
-    levels = [frontier]
-    while frontier.shape[0]:
-        prods = np.einsum("fij,gjk->fgik", frontier, gen_z).reshape(-1, 2 * n, 2 * n)
-        fresh = []
-        for idx in range(prods.shape[0]):
-            key = prods[idx].tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(idx)
-        frontier = prods[fresh]
-        levels.append(frontier)
-    return np.concatenate(levels)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closure_matches_reference(closures, n):
-    assert np.array_equal(closures(n).elements, reference_closure(mono.chain_triflections(n)))
+    assert_same_elements(closures(n), reference_closure(mono.chain_triflections(n)))
 
 
 @pytest.mark.parametrize("diagonals", [d for d, _ in SMALL_GROUPS])
 def test_small_closures_match_reference(diagonals):
     gens = diagonal_gens(diag([3, 3, 3]), *diagonals)
-    assert np.array_equal(mono.group_closure(gens).elements, reference_closure(gens))
+    assert_same_elements(mono.group_closure(gens), reference_closure(gens))
+
+
+def path_gram():
+    """r1 and r2 orthogonal, both joined to r3 by theta: a chain r1 - r3 - r2 listed out of order."""
+    t, tc, z, three = THETA, THETA.conj(), E(0), E(3)
+    return HermGram([[three, z, t], [z, three, t], [tc, tc, three]])
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [mono.chain_triflections(n) for n in (1, 2, 3)]
+    + [diagonal_gens(diag([3, 3, 3]), *d) for d, _ in SMALL_GROUPS]
+    + [[mono.triflection(path_gram(), basis_vector(3, i)) for i in range(3)]],
+    ids=["R1", "R2", "R3", "small0", "small1", "small2", "small3", "path3"],
+)
+def test_chain_order_is_the_bfs_order(gens):
+    # the order is the product of the orbit sizes, certified without listing an element
+    h = mono.group_closure(gens)
+    assert h.order == math.prod(len(o.trans) for o in h.orbits) == len(reference_closure(gens))
+
+
+def test_closure_cap_trips_before_the_elements_exist():
+    # one short of |R4|: the orbits' product passes the cap as the last point arrives
+    gens = mono.chain_triflections(4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mono.CapExceeded, match="cap 155519"):
+            mono.group_closure(gens, cap=155519)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_closure_overflow_guard():
@@ -544,35 +568,38 @@ def test_closure_overflow_guard():
     assert max(max(abs(x.a), abs(x.b)) for row in (w**64).m for x in row).bit_length() == 63
     with pytest.raises(OverflowError):
         mono.group_closure([w], cap=200)
-    # the bound 2n |frontier| |generator| reaches 2^63 exactly at the second level
+    # the bound 2n |generator| |orbit point| reaches 2^63 exactly at the second point
     x = mono.GroupElt(((E(2**31),),), diag([3]), check=False)
     with pytest.raises(OverflowError, match="entries up to 2147483648 and 2147483648 "):
         mono.group_closure([x])
 
 
 def test_free_action_rejects_infinite_order():
+    # an infinite group never becomes a handle: its orbit passes the cap
     G = chain(6)
     t = mono.transvection(G, tuple(list(mono.A5_XI) + [E(0)]))
-    ident, t = (mono._companion_pack(m, 6) for m in (mono.identity(G).m, t.m))
-    h = mono.GroupHandle(G, np.stack([ident, t]), t[None])
-    with pytest.raises(ValueError, match="not a finite group"):
-        mono.free_action_check(h)
+    with pytest.raises(mono.CapExceeded, match="cap 1000"):
+        mono.free_action_check(mono.group_closure([t], cap=1000))
+    # and the projector sums stop a power that never returns to I
+    with pytest.raises(ValueError, match="never reach I"):
+        mono._power_sums(mono._companion_pack(t.m, 6)[None], 50, 10**6)
 
 
 def test_free_action_stops_a_power_that_leaves_the_entry_bound():
-    # 2^20 has infinite order; within |handle| = 4 steps its power 2^80 would wrap in int64
-    G = diag([3])
-    packed = [mono._companion_pack(((x,),), 1) for x in (E(1), E(2**20), E(-1), OMEGA)]
-    h = mono.GroupHandle(G, np.stack(packed), packed[1][None])
+    # 2^20 has infinite order; within 4 steps its power 2^80 would wrap in int64
+    g = mono._companion_pack(((E(2**20),),), 1)
     with pytest.raises(ValueError, match="power is not in it"):
-        mono.free_action_check(h)
+        mono._power_sums(g[None], 4, 2**20)
 
 
 def test_free_action_overflow_guard():
-    # 2n |entry|^2 = 2^63 for n = 1 and |entry| = 2^31
-    ident, big = np.eye(2, dtype=np.int64), np.full((2, 2), 2**31, dtype=np.int64)
-    h = mono.GroupHandle(diag([3]), np.stack([ident, big]), big[None])
-    with pytest.raises(OverflowError):
+    # diag(w, 1) conjugated by [[1, N], [0, 1]] has order 3 and entries near N; the group's entry
+    # bound, a product of transversal row sums, passes 2n top^2 >= 2^63 before any projector is formed
+    N = 2**29
+    g = mono.GroupElt(((OMEGA, E(N) * (ONE - OMEGA)), (E(0), ONE)), diag([3, 3]), check=False)
+    h = mono.group_closure([g])
+    assert h.order == 3
+    with pytest.raises(OverflowError, match="in products of group elements"):
         mono.free_action_check(h)
 
 

@@ -1,6 +1,9 @@
-"""Randomized property suites: 1000 cases per family, fixed seeds."""
+"""Property suites of 1000 cases per family: Hypothesis derandomized, or fixed seeds."""
 
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisenlat.eisenstein import E, THETA, reduce_mod_theta
 from eisenlat.hermitian import (
@@ -15,6 +18,10 @@ from eisenlat import discpoly as dp
 from eisenlat import monodromy as mono
 from test_discpoly import int_poly_gcd_nonconstant
 
+# derandomized, so every run draws the same 1000 cases
+THOUSAND = settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+small = st.builds(E, st.integers(-3, 3), st.integers(-3, 3))
+
 
 def random_vec(rng, n, bound=3):
     return tuple(
@@ -22,39 +29,39 @@ def random_vec(rng, n, bound=3):
     )
 
 
-def random_herm(rng, n, bound=3):
+@st.composite
+def forms_with_vectors(draw):
+    """A Hermitian Gram of rank 1..4 with entries in [-3, 3], two vectors and a scalar."""
+    n = draw(st.integers(1, 4))
     rows = [[E(0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = E(rng.randint(-bound, bound))
+        rows[i][i] = E(draw(st.integers(-3, 3)))
         for j in range(i):
-            v = E(rng.randint(-bound, bound), rng.randint(-bound, bound))
-            rows[i][j] = v.conj()
-            rows[j][i] = v
-    return HermGram(rows)
+            v = draw(small)
+            rows[i][j], rows[j][i] = v.conj(), v
+    vectors = st.tuples(*[small] * n)
+    return HermGram(rows), draw(vectors), draw(vectors), draw(st.builds(E, st.integers(-4, 4), st.integers(-4, 4)))
 
 
-def test_hermitian_form_axioms_1000():
-    rng = random.Random(2026)
-    for _ in range(1000):
-        n = rng.randint(1, 4)
-        G = random_herm(rng, n)
-        x, y = random_vec(rng, n), random_vec(rng, n)
-        c = E(rng.randint(-4, 4), rng.randint(-4, 4))
-        assert ip(G, x, y) == ip(G, y, x).conj()
-        cx = tuple(c * a for a in x)
-        assert ip(G, cx, y) == c * ip(G, x, y)
-        s = tuple(a + b for a, b in zip(x, y))
-        assert ip(G, s, y) == ip(G, x, y) + ip(G, y, y)
+@THOUSAND
+@given(forms_with_vectors())
+def test_hermitian_form_axioms_1000(case):
+    G, x, y, c = case
+    assert ip(G, x, y) == ip(G, y, x).conj()
+    cx = tuple(c * a for a in x)
+    assert ip(G, cx, y) == c * ip(G, x, y)
+    s = tuple(a + b for a, b in zip(x, y))
+    assert ip(G, s, y) == ip(G, x, y) + ip(G, y, y)
 
 
-def test_generated_elements_preserve_form_1000():
-    rng = random.Random(2027)
-    G = chain(4)
-    gens = mono.chain_triflections(4)
-    gens = gens + [g * g for g in gens]  # include the inverse triflections
-    for _ in range(1000):
-        w = mono.word_eval([gens[rng.randrange(len(gens))] for _ in range(4)])
-        assert is_isometry(G, w.m)
+# the triflections of chain(4) and their squares, the inverse triflections
+CHAIN4_LETTERS = mono.chain_triflections(4) + [g * g for g in mono.chain_triflections(4)]
+
+
+@THOUSAND
+@given(st.lists(st.sampled_from(CHAIN4_LETTERS), min_size=4, max_size=4))
+def test_generated_elements_preserve_form_1000(word):
+    assert is_isometry(chain(4), mono.word_eval(word).m)
 
 
 def test_f3_reduce_homomorphism_1000():
