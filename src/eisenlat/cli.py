@@ -264,7 +264,10 @@ def cmd_disc(args):
             m = discpoly.WeightedMonomial.parse(args.monomial)
         except ValueError as exc:
             raise InputError(f"bad --monomial {args.monomial!r}: {exc}") from None
-        c = discpoly.a11_coeff(m)
+        try:
+            c = discpoly.a11_coeff(m)
+        except ValueError as exc:
+            raise InputError(f"no coefficient of {m}: {exc}") from None
         payload = {"monomial": str(m), "weight": m.weight, "coefficient": str(c)}
         _emit(args, payload, [f"{m} (weight {m.weight}): {c}"])
         return EXIT_OK

@@ -3,18 +3,25 @@
 delta(u2, ..., u12) is the discriminant of the monic degree-12 polynomial with
 zero root sum; it is quasihomogeneous of weight 132 for wt(u_i) = i.  Exact
 evaluation goes through the Sylvester resultant of (f, f') with fraction-free
-elimination.  Specific coefficients are recovered by fraction-free
-interpolation after setting all other variables to zero: one integer
-Gauss-Jordan elimination of the monomial values at the sample points, then
-an exact division of its adjugate times the resultant values.
+elimination.  Specific coefficients are recovered by multimodular
+interpolation after setting all other variables to zero (Collins 1971): for
+each of four primes below 2^31, delta is the determinant of multiplication by
+f' on Z[s]/(f), a 12 x 12 int64 elimination batched over all sample points,
+and the monomial system is solved mod p by batched Gauss-Jordan.  The CRT of
+the residues is exact because every coefficient of delta is bounded by the
+permanent of the Sylvester matrix's coefficients, 12^11 67^12 < 2^113.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import random
 
-from .linalg import adjugate, det
+import numpy as np
+
+from .linalg import det
 
 WEIGHTS = {i: i for i in range(2, 13)}
 TOTAL_WEIGHT = 132
@@ -35,6 +42,21 @@ def poly_derivative(c):
     return [i * c[i] for i in range(1, len(c))]
 
 
+def sylvester_matrix(f, g):
+    """The (deg f + deg g)-square Sylvester matrix of trimmed f and g: deg g
+    shifted rows of f's coefficients, then deg f shifted rows of g's."""
+    n, m = poly_deg(f), poly_deg(g)
+    size = n + m
+    mat = [[0] * size for _ in range(size)]
+    for i in range(m):
+        for j, a in enumerate(reversed(f)):
+            mat[i][i + j] = a
+    for i in range(n):
+        for j, a in enumerate(reversed(g)):
+            mat[m + i][i + j] = a
+    return mat
+
+
 def sylvester_resultant(f, g):
     """Resultant of integer polynomials via Bareiss on the Sylvester matrix."""
     f, g = poly_trim(f), poly_trim(g)
@@ -45,15 +67,7 @@ def sylvester_resultant(f, g):
         return f[0] ** m
     if m == 0:
         return g[0] ** n
-    size = n + m
-    mat = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j, a in enumerate(reversed(f)):
-            mat[i][i + j] = a
-    for i in range(n):
-        for j, a in enumerate(reversed(g)):
-            mat[m + i][i + j] = a
-    return det(mat, operator.floordiv)
+    return det(sylvester_matrix(f, g), operator.floordiv)
 
 
 def discriminant(f):
@@ -139,28 +153,35 @@ def rigidity_monomials():
     return out
 
 
-def _weight_132_exponents(variables):
-    """All exponent tuples over the given variables with weight exactly 132
-    and total degree <= 22 (the degree of the discriminant)."""
+def _iter_weight_132_exponents(variables):
+    """Exponent tuples over the sorted ``variables`` with weight exactly 132 and
+    total degree <= 22 (the degree of the discriminant), lazily and in
+    lexicographic order.  A branch whose remaining weight cannot fit in the
+    degree left, even all on the heaviest variable, is cut."""
     variables = sorted(variables)
-    out = []
+    if not variables:
+        return
+    top = variables[-1]
+    last = len(variables) - 1
 
-    def rec(idx, remaining, degree, acc):
-        if idx == len(variables):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
+    def rec(idx, remaining, room):
         v = variables[idx]
-        maxe = min(remaining // v, 22 - degree)
-        if idx == len(variables) - 1:
-            if remaining % v == 0 and remaining // v <= maxe:
-                out.append(tuple(acc + [remaining // v]))
+        if idx == last:
+            if remaining % v == 0 and remaining // v <= room:
+                yield (remaining // v,)
             return
-        for e in range(maxe + 1):
-            rec(idx + 1, remaining - e * v, degree + e, acc + [e])
+        for e in range(min(remaining // v, room) + 1):
+            rest = remaining - e * v
+            if rest <= (room - e) * top:
+                for tail in rec(idx + 1, rest, room - e):
+                    yield (e, *tail)
 
-    rec(0, TOTAL_WEIGHT, 0, [])
-    return out
+    yield from rec(0, TOTAL_WEIGHT, 22)
+
+
+def _weight_132_exponents(variables):
+    """All exponent tuples of ``_iter_weight_132_exponents``, as a list."""
+    return list(_iter_weight_132_exponents(variables))
 
 
 _coeff_cache = {}
@@ -171,8 +192,8 @@ def a11_coeff(m: WeightedMonomial):
 
     Zero immediately unless the weight is 132 (quasihomogeneity).  Otherwise
     all variables not in the monomial are set to zero and the coefficients of
-    the restricted polynomial identity are recovered by solving an exact
-    linear system against resultant evaluations.
+    the restricted polynomial are interpolated modulo a few primes and
+    combined by the Chinese remainder theorem (``_restricted_coefficients``).
     """
     if m.weight != TOTAL_WEIGHT:
         return 0
@@ -182,38 +203,182 @@ def a11_coeff(m: WeightedMonomial):
     return table.get(target, 0)
 
 
+# Every Sylvester entry of (f, f') is one monomial c u_i, so a coefficient of
+# delta is at most the permanent of the |c|, at most the product of the row
+# sums: 11 rows of f with sum 12 and 12 rows of f' with sum 12 + 55 = 67.
+COEFF_BOUND = 12**11 * 67**12
+# The four largest primes below 2^31: residues and their products stay below
+# 2^62, and the product of the primes (about 2^124) exceeds 2 * COEFF_BOUND.
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+_P = np.array(PRIMES, dtype=np.int64)
+_MODULUS = math.prod(PRIMES)
+_CRT_WEIGHTS = tuple(_MODULUS // p * pow(_MODULUS // p, -1, p) for p in PRIMES)
+# Every set of at most 4 variables fits (the largest has 410 unknowns); the
+# 11-variable u2 u3 ... u11^6 u12 has 2,633,495, which no k x k system holds.
+MAX_UNKNOWNS = 500
+# det V is a nonzero polynomial of degree <= 22 k in the sample coordinates, so
+# a draw is singular mod some prime with probability <= 4 * 22 k / p < 10^-4.
+_MAX_DRAWS = 4
+
+
 def _restricted_coefficients(variables):
     """{exponents: coefficient} of delta restricted to ``variables``, exactly.
 
-    The k unknown coefficients solve A c = delta at k sample points, with A
-    the monomial values.  Points are drawn from 1..19: a zero coordinate or
-    a sign flip x_i -> (-1)^i x_i makes two rows proportional.  Singularity
-    is decided by ``adjugate`` before any resultant is evaluated, so exactly
-    k values of delta are computed; then c = adj delta / d, exactly.
+    The k unknown coefficients solve V c = delta at k sample points, with V the
+    monomial values.  For each prime p of ``PRIMES``, k + 1 points are drawn
+    uniformly mod p; delta is evaluated at all of them at once
+    (``_delta_mod_p``) and V c = delta is solved mod p at the first k.  A
+    system singular mod p for any prime is redrawn, at most ``_MAX_DRAWS``
+    times.  The interpolant must reproduce delta at point k + 1 for every
+    prime, or the exponent set is incomplete.  The residues combine by CRT to
+    symmetric residues, exact because |c| <= COEFF_BOUND.
     """
     if variables in _coeff_cache:
         return _coeff_cache[variables]
-    exps = _weight_132_exponents(variables)
+    exps = list(itertools.islice(_iter_weight_132_exponents(variables), MAX_UNKNOWNS + 1))
     k = len(exps)
+    if k > MAX_UNKNOWNS:
+        raise ValueError(
+            f"delta restricted to {_names(variables)} has more than {MAX_UNKNOWNS} unknown coefficients"
+        )
+    powers = np.array(exps, dtype=np.int64).reshape(k, len(variables))
     rng = random.Random(0xA11)
-    d = 0
-    while not d:  # singular sample: draw fresh points
-        points = {}
-        while len(points) < k:
-            points[tuple(rng.randint(1, 19) for _ in variables)] = None
-        d, adj = adjugate([[_monomial_eval(e, p) for e in exps] for p in points])
-    values = [a11_delta(dict(zip(variables, p))) for p in points]
+    for _ in range(_MAX_DRAWS):
+        points = _draw_points(rng, k + 1, len(variables))
+        monomials = _monomial_values(points, powers)
+        values = _delta_mod_p(variables, points)
+        residues = _solve_mod_p(monomials[:, :k], values[:, :k])
+        if residues is not None:
+            break
+    else:
+        raise RuntimeError(f"{_MAX_DRAWS} sample draws for {_names(variables)} were all singular mod p")
+    check = (residues * monomials[:, k]) % _P[:, None]
+    if np.any(check.sum(axis=1) % _P != values[:, k]):
+        raise ArithmeticError(
+            f"the interpolant of delta on {_names(variables)} misses a sample point: "
+            "the exponent set is incomplete"
+        )
     table = {}
-    for e, row in zip(exps, adj):
-        c, r = divmod(sum(x * y for x, y in zip(row, values)), d)
-        if r:
-            raise ArithmeticError(
-                f"non-integral coefficient of {e}: the exponent set is incomplete"
-            )
+    half = _MODULUS // 2
+    for e, column in zip(exps, residues.T.tolist()):
+        c = sum(r * w for r, w in zip(column, _CRT_WEIGHTS)) % _MODULUS
+        if c > half:
+            c -= _MODULUS
+        if abs(c) > COEFF_BOUND:
+            raise ArithmeticError(f"coefficient of {e} exceeds the permanent bound")
         if c:
             table[e] = c
     _coeff_cache[variables] = table
     return table
+
+
+def _names(variables):
+    return " ".join(f"u{v}" for v in variables)
+
+
+def _draw_points(rng, count, nvars):
+    """(len(PRIMES), count, nvars) coordinates, uniform mod each prime."""
+    return np.array(
+        [[[rng.randrange(p) for _ in range(nvars)] for _ in range(count)] for p in PRIMES], dtype=np.int64
+    ).reshape(len(PRIMES), count, nvars)
+
+
+def _monomial_values(points, powers):
+    """V[i, j, l] = prod_v points[i, j, v] ** powers[l, v] mod PRIMES[i]."""
+    q = _P[:, None, None]
+    top = int(powers.max(initial=0))
+    table = [np.ones_like(points)]
+    for _ in range(top):
+        table.append(table[-1] * points % q)
+    table = np.stack(table, axis=-1)  # (P, count, nvars, top + 1)
+    out = np.ones(points.shape[:2] + (len(powers),), dtype=np.int64)
+    for v in range(points.shape[2]):
+        out = out * table[:, :, v, powers[:, v]] % q
+    return out
+
+
+def _delta_mod_p(variables, points):
+    """delta mod PRIMES[i] at each point of the (P, K, len(variables))
+    residues ``points[i]``: det of multiplication by f' on Z[s]/(f), in the
+    basis 1, s, ..., s^11.  f is monic of degree 12, so this is Res(f, f'), and
+    the sign (-1)^(12*11/2) of the discriminant is +1."""
+    q = _P[:, None]
+    shape = points.shape[:2]
+    low = np.zeros(shape + (12,), dtype=np.int64)  # f = s^12 + sum low[i] s^i
+    fprime = np.zeros(shape + (12,), dtype=np.int64)
+    fprime[..., 11] = 12
+    for v, u in zip(variables, np.moveaxis(points, -1, 0)):
+        low[..., 12 - v] = u
+        if v < 12:
+            fprime[..., 11 - v] = (12 - v) * u % q
+    rows = [fprime]
+    for _ in range(11):  # s^(j+1) f' mod f from s^j f' mod f
+        prev = rows[-1]
+        nxt = np.zeros_like(prev)
+        nxt[..., 1:] = prev[..., :11]
+        rows.append((nxt - prev[..., 11:] * low) % q[..., None])
+    mats = np.stack(rows, axis=-2).reshape(-1, 12, 12)
+    return _det_mod_p(mats, np.broadcast_to(q, shape).reshape(-1)).reshape(shape)
+
+
+def _det_mod_p(a, p):
+    """Determinants of the (B, n, n) residues ``a``, each mod its p[b] < 2^31.
+
+    Division-free elimination: a row update a_i <- pv a_i - a_ik a_k (both
+    products below 2^62) scales the determinant by the pivot pv, so the
+    product of the diagonal is divided, at the end, by prod_k pv_k^(n-1-k):
+    one modular inverse per matrix.  A zero pivot swaps in a lower row; a
+    column with no nonzero entry left makes the determinant 0.
+    """
+    a = a.copy()
+    n = a.shape[-1]
+    q = p[:, None, None]
+    diag = np.ones_like(p)
+    scale = np.ones_like(p)
+    prefix = np.ones_like(p)
+    for k in range(n - 1):
+        first = (a[:, k:, k] != 0).argmax(axis=1)
+        moved = np.flatnonzero(first)
+        if moved.size:
+            below = first[moved] + k
+            a[moved, k], a[moved, below] = a[moved, below], a[moved, k].copy()
+            diag[moved] = (p[moved] - diag[moved]) % p[moved]
+        pv = a[:, k, k]
+        singular = pv == 0
+        if singular.any():
+            diag[singular] = 0
+            pv = np.where(singular, 1, pv)
+        a[:, k + 1 :, k + 1 :] = (
+            a[:, k + 1 :, k + 1 :] * pv[:, None, None] - a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+        ) % q
+        diag = diag * pv % p
+        prefix = prefix * pv % p
+        scale = scale * prefix % p
+    diag = diag * a[:, n - 1, n - 1] % p
+    inverse = [pow(s, -1, m) for s, m in zip(scale.tolist(), p.tolist())]
+    return diag * np.array(inverse, dtype=np.int64) % p
+
+
+def _solve_mod_p(a, y):
+    """x with a[i] x = y[i] mod PRIMES[i] for each i, by Gauss-Jordan
+    elimination on the (P, k, k) residues ``a``; None if some a[i] is singular
+    mod its prime.  Row updates a_j - a_jc (a_c / a_cc) keep products below 2^62."""
+    P, k = y.shape
+    aug = np.concatenate([a, y[:, :, None]], axis=2)
+    q = _P[:, None]
+    for c in range(k):
+        first = (aug[:, c:, c] != 0).argmax(axis=1) + c
+        if not aug[np.arange(P), first, c].all():
+            return None
+        for i in np.flatnonzero(first != c):
+            aug[i, [c, first[i]]] = aug[i, [first[i], c]]
+        inverse = [pow(v, -1, m) for v, m in zip(aug[:, c, c].tolist(), PRIMES)]
+        row = aug[:, c, c:] * np.array(inverse, dtype=np.int64)[:, None] % q
+        factor = aug[:, :, c].copy()
+        factor[:, c] = 0
+        aug[:, :, c:] = (aug[:, :, c:] - factor[:, :, None] * row[:, None, :]) % q[:, None]
+        aug[:, c, c:] = row
+    return aug[:, :, k]
 
 
 def _monomial_eval(exps, point):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,18 @@ def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, messag
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_a11_coeff_with_too_many_unknowns_stops_at_the_cap(capsys):
+    # 11 variables admit 2,633,495 exponent tuples; the count stops at the cap + 1
+    start = time.perf_counter()
+    code, _, err = run_main(
+        ["disc", "a11-coeff", "--monomial", "u2 u3 u4 u5 u6 u7 u8 u9 u10 u11^6 u12"], capsys
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than 500 unknown coefficients" in err
 
 
 def test_closure_cap_bounds_the_memory_of_an_infinite_group():

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlat import discpoly as dp
+from eisenlat.linalg import adjugate
 from test_linalg import solve
 
 BOUNDED = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -72,6 +75,29 @@ def restricted_coefficients_reference(variables):
             continue
         if all(c.denominator == 1 for c in sol):
             return {e: int(c) for e, c in zip(exps, sol) if c}
+
+
+def restricted_coefficients_adjugate_reference(variables):
+    """The integer-adjugate solve at points from 1..19 (the interpolation before
+    the multimodular one): singularity decided before any delta is evaluated,
+    then c = adj(V) delta / det(V), exactly."""
+    exps = dp._weight_132_exponents(variables)
+    k = len(exps)
+    rng = random.Random(0xA11)
+    d = 0
+    while not d:
+        points = {}
+        while len(points) < k:
+            points[tuple(rng.randint(1, 19) for _ in variables)] = None
+        d, adj = adjugate([[dp._monomial_eval(e, p) for e in exps] for p in points])
+    values = [dp.a11_delta(dict(zip(variables, p))) for p in points]
+    table = {}
+    for e, row in zip(exps, adj):
+        c, r = divmod(sum(x * y for x, y in zip(row, values)), d)
+        assert not r, f"non-integral coefficient of {e}"
+        if c:
+            table[e] = c
+    return table
 
 
 def to_sympy(c):
@@ -248,30 +274,123 @@ def test_interpolation_matches_the_fraction_reference():
         assert dp._restricted_coefficients(vs) == restricted_coefficients_reference(vs), vs
 
 
-def _counting_delta(monkeypatch, delta):
+def test_multimodular_tables_match_the_adjugate_reference():
+    # every set the query workloads draw from (those with a monomial using all their
+    # variables) is among the eligible sets, and so are the rigidity sets
+    rigid = {tuple(sorted(m.exponents)) for m in dp.rigidity_monomials()}
+    sets = sorted(set(_eligible_sets()) | rigid)
+    assert sum(any(all(e) for e in dp._weight_132_exponents(vs)) for vs in _eligible_sets()) == 147
+    for vs in sets:
+        assert dp._restricted_coefficients(vs) == restricted_coefficients_adjugate_reference(vs), vs
+
+
+def test_monomial_of_degree_above_22_has_no_unknowns_and_coefficient_zero():
+    # u2^66 has weight 132 but degree 66 > deg delta = 22: the system is 0 x 0
+    assert dp._weight_132_exponents((2,)) == []
+    assert dp.a11_coeff(dp.WeightedMonomial({2: 66})) == 0
+
+
+def test_unknowns_are_capped_before_any_system_is_built():
+    m = dp.WeightedMonomial.parse("u2 u3 u4 u5 u6 u7 u8 u9 u10 u11^6 u12")
+    with pytest.raises(ValueError, match=f"more than {dp.MAX_UNKNOWNS} unknown"):
+        dp.a11_coeff(m)
+    largest = max(
+        len(dp._weight_132_exponents(vs)) for r in range(1, 5) for vs in combinations(range(2, 13), r)
+    )
+    assert largest == 410 <= dp.MAX_UNKNOWNS
+
+
+def test_permanent_bound_from_the_sylvester_row_sums():
+    # every entry of Sylvester(f, f') is one monomial c u_i; with every u_i = 1 the
+    # entries are the c, and the permanent of |c| is at most the product of row sums
+    f = dp.a11_poly({i: 1 for i in range(2, 13)})
+    rows = dp.sylvester_matrix(f, dp.poly_derivative(f))
+    sums = [sum(abs(x) for x in row) for row in rows]
+    assert sorted(sums) == [12] * 11 + [67] * 12
+    assert math.prod(sums) == dp.COEFF_BOUND < 2**113
+    assert all(sympy.isprime(p) and p < 2**31 for p in dp.PRIMES)
+    assert len(set(dp.PRIMES)) == len(dp.PRIMES)
+    assert math.prod(dp.PRIMES) > 2 * dp.COEFF_BOUND
+
+
+def test_coefficient_beyond_the_bound_raises(monkeypatch):
+    monkeypatch.setattr(dp, "_coeff_cache", {})
+    monkeypatch.setattr(dp, "COEFF_BOUND", 12**12 - 1)
+    with pytest.raises(ArithmeticError, match="permanent bound"):
+        dp._restricted_coefficients((12,))
+
+
+@BOUNDED
+@given(st.dictionaries(st.integers(2, 12), st.integers(-(2**40), 2**40), min_size=1))
+@example({12: 1})
+@example({i: -1 for i in range(2, 13)})
+@example({2: 3, 3: 0, 12: 0})  # a zero column: f = s^12 + 3 s^10 has a multiple root
+def test_multiplication_by_f_prime_has_determinant_delta(u):
+    variables = tuple(sorted(u))
+    points = np.array([[[u[v] % p for v in variables]] for p in dp.PRIMES], dtype=np.int64)
+    expected = dp.a11_delta(u)
+    assert dp._delta_mod_p(variables, points)[:, 0].tolist() == [expected % p for p in dp.PRIMES]
+
+
+def _counting_evaluator(monkeypatch, delta):
+    """Record the points of every call to the batched delta evaluator."""
     calls = []
 
-    def counted(u):
-        calls.append(u)
-        return delta(u)
+    def counted(variables, points):
+        calls.append(points.shape)
+        return delta(variables, points)
 
     monkeypatch.setattr(dp, "_coeff_cache", {})
-    monkeypatch.setattr(dp, "a11_delta", counted)
+    monkeypatch.setattr(dp, "_delta_mod_p", counted)
     return calls
 
 
-def test_interpolation_evaluates_delta_once_per_unknown(monkeypatch):
-    calls = _counting_delta(monkeypatch, dp.a11_delta)
+def test_interpolation_evaluates_delta_in_one_batch_of_k_plus_one_points(monkeypatch):
+    calls = _counting_evaluator(monkeypatch, dp._delta_mod_p)
     vs = (5, 11, 12)
     table = dp._restricted_coefficients(vs)
-    assert len(calls) == len(dp._weight_132_exponents(vs)) == 15
+    k = len(dp._weight_132_exponents(vs))
+    assert k == 15
+    assert calls == [(len(dp.PRIMES), k + 1, len(vs))]
     assert table == restricted_coefficients_reference(vs)
 
 
 def test_inconsistent_system_raises_without_redrawing(monkeypatch):
-    # a constant is not a weight-132 polynomial, so the solution is not integral
-    calls = _counting_delta(monkeypatch, lambda u: 1)
+    # a constant is not a weight-132 polynomial, so the interpolant misses the check point
+    calls = _counting_evaluator(monkeypatch, lambda variables, points: np.ones(points.shape[:2], dtype=np.int64))
     vs = (2, 11, 12)
-    with pytest.raises(ArithmeticError, match="non-integral"):
+    with pytest.raises(ArithmeticError, match="incomplete"):
         dp._restricted_coefficients(vs)
-    assert len(calls) == len(dp._weight_132_exponents(vs))
+    assert calls == [(len(dp.PRIMES), len(dp._weight_132_exponents(vs)) + 1, len(vs))]
+
+
+def _duplicating_draws(monkeypatch, singular_draws):
+    """Make the first ``singular_draws`` draws repeat their first point, which makes
+    the monomial system singular mod every prime."""
+    draws = []
+    draw = dp._draw_points
+
+    def duplicated(rng, count, nvars):
+        points = draw(rng, count, nvars)
+        if len(draws) < singular_draws:
+            points[:, 1] = points[:, 0]
+        draws.append(points)
+        return points
+
+    monkeypatch.setattr(dp, "_coeff_cache", {})
+    monkeypatch.setattr(dp, "_draw_points", duplicated)
+    return draws
+
+
+def test_singular_draw_is_redrawn_once(monkeypatch):
+    draws = _duplicating_draws(monkeypatch, 1)
+    vs = (5, 11, 12)
+    assert dp._restricted_coefficients(vs) == restricted_coefficients_adjugate_reference(vs)
+    assert len(draws) == 2
+
+
+def test_singular_draws_are_bounded(monkeypatch):
+    draws = _duplicating_draws(monkeypatch, 10**6)
+    with pytest.raises(RuntimeError, match="u5 u11 u12"):
+        dp._restricted_coefficients((5, 11, 12))
+    assert len(draws) == dp._MAX_DRAWS
