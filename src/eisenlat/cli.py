@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -31,6 +32,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+
+# f3 norm-enum scans 3^k vectors: k = 12 takes seconds and hundreds of MB, and
+# each further two coordinates cost about 9 times more
+NORM_ENUM_MAX_COORDINATES = 12
 
 
 class InputError(Exception):
@@ -112,9 +117,51 @@ def _require(args, option):
         raise UsageError(f"{args.action} requires --{option}")
 
 
+def _dumps(obj, level=0):
+    """What ``json.dumps(obj, indent=2, sort_keys=True)`` writes, built faster.
+
+    The ``json`` module encodes indented output in pure Python, one token at
+    a time.  Here a list of plain ints is joined once, and a list of
+    equal-length plain-int rows (``f3 norm-enum``'s vectors) fills one
+    ``%d`` row template repeated per row; testing ``type(x) is int`` keeps
+    True as true.  Dicts and other lists recurse, and every scalar or string
+    goes through the C-backed ``json.dumps``.
+    """
+    inner = "\n" + "  " * (level + 1)
+    close = inner[:-2]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_dumps(v, level + 1)}"
+            for k, v in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    sep = "," + inner
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        body = sep.join(map(str, obj))
+    elif (
+        kinds <= {list, tuple}
+        and obj[0]
+        and set(map(len, obj)) == {len(obj[0])}
+        and set(map(type, itertools.chain.from_iterable(obj))) == {int}
+    ):
+        row_inner = inner + "  "
+        row = "[" + row_inner + ("," + row_inner).join(["%d"] * len(obj[0])) + inner + "]"
+        body = sep.join([row] * len(obj)) % tuple(itertools.chain.from_iterable(obj))
+    else:
+        body = sep.join([_dumps(x, level + 1) for x in obj])
+    return "[" + inner + body + close + "]"
+
+
 def _emit(args, payload, text_lines):
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -223,10 +270,15 @@ def cmd_f3(args):
             diag_entries = [int(x) % 3 for x in args.form.split(",")]
         except ValueError:
             raise InputError(f"bad --form {args.form!r}: expected integers like 1,-1,1") from None
+        if len(diag_entries) > NORM_ENUM_MAX_COORDINATES:
+            raise InputError(
+                f"--form has {len(diag_entries)} coordinates; norm-enum scans all 3^k vectors "
+                f"and takes at most {NORM_ENUM_MAX_COORDINATES}"
+            )
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
-        payload = {"count": len(vecs), "vectors": [list(v) for v in vecs]}
-        _emit(args, payload, [f"count: {len(vecs)}"] + [str(v) for v in vecs])
+        payload = {"count": len(vecs), "vectors": vecs}
+        _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], map(str, vecs)))
         return EXIT_OK
     if args.action == "orbit":
         G = parse_lattice(args.lattice)
@@ -346,7 +398,7 @@ def cmd_verify(args):
             print(f"{seconds:9.3f} s  {name}", file=sys.stderr)
         print(f"{time.perf_counter() - start:9.3f} s  total", file=sys.stderr)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for row in report["checks"]:
             mark = "PASS" if row["pass"] else "FAIL"

@@ -4,10 +4,12 @@ Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
 elimination (Bareiss 1968) over an integral domain, given the ring's exact
 division; ``adjugate`` its Gauss-Jordan form over Z, which solves integer
 systems without fractions; ``sym_eliminate`` the same elimination as a
-congruence of a symmetric form.  E-matrices are solved through ``pack``,
-the ring map a + b w -> [[a, -b], [b, a - b]] into integer 2 x 2 blocks:
-``adjugate_e`` is ``adjugate`` of the packing.  A rational vector travels as
-a pair (d, x) of a positive int d and an integer vector x, meaning x / d.
+congruence of a symmetric form, updating only the upper half of the still
+live symmetric block and the trailing columns.  E-matrices are solved
+through ``pack``, the ring map a + b w -> [[a, -b], [b, a - b]] into integer
+2 x 2 blocks: ``adjugate_e`` is ``adjugate`` of the packing.  A rational
+vector travels as a pair (d, x) of a positive int d and an integer vector
+x, meaning x / d.
 ``f3_rref`` is Gauss-Jordan elimination on integer rows modulo 3.
 """
 
@@ -157,15 +159,22 @@ def sym_eliminate(rows, div):
     update is Bareiss' (p a_ij - a_ip a_pj) / prev, with ``div`` the ring's
     exact division as in ``det``.
 
+    The block of the live indices stays symmetric, so a step computes its
+    upper half, mirrors it, and updates the trailing columns; nothing else
+    is read again.  In the returned rows, the columns of the eliminated
+    indices hold stale values: only the trailing columns are reduced.
+
     Returns (order, minors, a): the pivot indices in turn followed by the
     radical ones; the pivot minors D_1..D_r, D_k the k-th leading principal
-    minor of the form in the pivot basis; and the reduced rows.  The row of
-    the k-th index in ``order`` is D_(k-1) times its Gaussian counterpart
-    (D_0 = 1, and D_r for the radical), so the form is diagonal in the basis
-    the Gaussian rows define, with entries D_k / D_(k-1) and then zeros.
+    minor of the form in the pivot basis; and the rows.  The trailing part
+    of the row of the k-th index in ``order`` is D_(k-1) times its Gaussian
+    counterpart (D_0 = 1, and D_r for the radical), so the form is diagonal
+    in the basis the Gaussian rows define, with entries D_k / D_(k-1) and
+    then zeros.
     """
     a = [list(row) for row in rows]
-    live = list(range(len(a)))
+    n = len(a)
+    live = list(range(n))
     order, minors = [], []
     prev = 1
     while live:
@@ -175,15 +184,22 @@ def sym_eliminate(rows, div):
             if pair is None:
                 break
             p, j = pair
-            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            ap, aj = a[p], a[j]
+            for t in [*live, *range(n, len(ap))]:
+                ap[t] += aj[t]
             for t in live:
                 a[t][p] += a[t][j]
         live.remove(p)
         ap = a[p]
         d = ap[p]
-        for t in live:
-            c = a[t][p]
-            a[t] = [div(d * x - c * y, prev) for x, y in zip(a[t], ap)]
+        tail = ap[n:]
+        for s, t in enumerate(live):
+            at = a[t]
+            c = at[p]
+            for u in live[s:]:
+                at[u] = a[u][t] = div(d * at[u] - c * ap[u], prev)
+            if tail:
+                at[n:] = [div(d * x - c * y, prev) for x, y in zip(at[n:], tail)]
         order.append(p)
         minors.append(d)
         prev = d

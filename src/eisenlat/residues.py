@@ -43,6 +43,17 @@ MONOMIAL = "monomial"
 GENERIC_CI = "generic_ci"
 
 
+def _checked(weights, degree):
+    """(weights, degree) as a tuple and an int; raises ValueError unless all are positive."""
+    weights = tuple(int(w) for w in weights)
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
+    degree = int(degree)
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    return weights, degree
+
+
 class WeightedHypersurface:
     """Weights, degree, Jacobian-ideal model and automorphism character.
 
@@ -52,10 +63,7 @@ class WeightedHypersurface:
     """
 
     def __init__(self, weights, degree, mode, caps=None, char=None):
-        self.weights = tuple(int(w) for w in weights)
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        self.degree = int(degree)
+        self.weights, self.degree = _checked(weights, degree)
         if mode not in (MONOMIAL, GENERIC_CI):
             raise ValueError(f"unknown ideal mode {mode!r}")
         self.mode = mode
@@ -75,7 +83,7 @@ class WeightedHypersurface:
     @staticmethod
     def diagonal(weights, degree, char=None):
         """F = sum x_i^(m_i) with w_i m_i = d; caps are m_i - 2."""
-        weights = tuple(int(w) for w in weights)
+        weights, degree = _checked(weights, degree)
         caps = []
         exps = []
         for w in weights:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisenlat import cli
 from eisenlat.hermitian import chain, lambda_
@@ -15,6 +18,81 @@ def run_main(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def stock_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def int_rows():
+    """Lists of int rows of one width, each a list or a tuple."""
+    return st.integers(0, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(), min_size=m, max_size=m).flatmap(lambda r: st.sampled_from([r, tuple(r)])),
+            max_size=6,
+        )
+    )
+
+
+scalars = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.floats(), st.text(), st.text(alphabet="\"\\/\b\f\n\r\t\x00\x1féλ€😀")
+)
+int_lists = st.lists(st.one_of(st.integers(), st.booleans()))  # True must stay true among ints
+payloads = st.recursive(
+    st.one_of(scalars, int_lists, int_rows(), st.lists(st.lists(st.integers(), max_size=3))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        # json writes these keys as strings; one key type per dict, as keys of mixed types do not sort
+        *(st.dictionaries(k, inner, max_size=3) for k in (st.integers(), st.booleans(), st.floats(allow_nan=False), st.none())),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(payloads)
+def test_json_writer_matches_the_stock_encoder(obj):
+    assert cli._dumps(obj) == stock_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "make", "--name", "lambda"],
+        ["lattice", "invariants", "--name", "lambda10"],
+        ["lattice", "z-realization", "--name", "chain:3"],
+        ["monodromy", "word-order", "--lattice", "chain:4", "--word", "a1 a2 a3^2 a4"],
+        ["monodromy", "closure", "--lattice", "chain:2", "--report", "reflections,free-action"],
+        ["f3", "disc-group", "--lattice", "lambda10"],
+        ["f3", "norm-enum", "--form", "1,-1,1,1", "--norm", "0"],
+        ["f3", "orbit", "--lattice", "lambda10"],
+        ["disc", "a11-coeff", "--monomial", "u12^9 u11^2 u2"],
+        ["hodge", "report", "--weights", "3,3,3,2,1", "--degree", "6", "--char", "1,1,1,w,1"],
+        ["verify", "--filter", "hodge"],
+    ],
+)
+def test_json_output_is_what_the_stock_encoder_writes(argv, capsys):
+    code, out, _ = run_main(argv + ["--json"], capsys)
+    assert code == 0
+    assert stock_dumps(json.loads(out)) + "\n" == out
+
+
+def test_no_source_call_passes_indent_to_json_dumps():
+    """Indented output goes through ``cli._dumps``; ``json.dumps(..., indent=...)`` is the slow encoder."""
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Attribute, ast.Name))
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+                and any(kw.arg == "indent" for kw in node.keywords)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_parse_word_expansion():
@@ -205,6 +283,7 @@ def test_verify_json_matches_golden_report(capsys):
     golden = (Path(__file__).resolve().parents[1] / "perfbench" / "golden_verify.json").read_text()
     code, out, _ = run_main(["verify", "--json"], capsys)
     assert out == golden
+    assert stock_dumps(json.loads(out)) + "\n" == out
     assert code == (0 if json.loads(golden)["summary"]["failed"] == 0 else 1)
 
 
@@ -255,6 +334,9 @@ def test_input_error_exit_code(capsys):
             "degree must exceed every weight",
         ),
         (["hodge", "report", "--weights", "1,b", "--degree", "3"], {}, 3, "--weights"),
+        (["hodge", "report", "--weights", "0,1", "--degree", "3"], {}, 3, "weights must be positive"),
+        (["hodge", "report", "--weights", "1,1,1", "--degree", "0"], {}, 3, "degree must be >= 1"),
+        (["hodge", "report", "--weights", "1,1,1", "--degree", "-3"], {}, 3, "degree must be >= 1"),
         (["disc", "a11-coeff"], {}, 2, "requires --monomial"),
         (["f3", "norm-enum"], {}, 2, "requires --form"),
         (["f3", "orbit"], {}, 2, "requires --lattice"),
@@ -285,6 +367,16 @@ def test_a11_coeff_with_too_many_unknowns_stops_at_the_cap(capsys):
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than 500 unknown coefficients" in err
+
+
+def test_norm_enum_refuses_a_long_form_before_scanning(capsys):
+    # 3^30 vectors could never be scanned; the form length is refused up front
+    start = time.perf_counter()
+    code, out, err = run_main(["f3", "norm-enum", "--form", ",".join(["1"] * 30), "--json"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "30 coordinates" in err and "at most 12" in err
 
 
 def test_closure_cap_bounds_the_memory_of_an_infinite_group():

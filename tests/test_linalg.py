@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -303,6 +303,42 @@ def test_canonical_unit_of_zero_is_undefined():
         E(0).canonical_unit()
 
 
+# The full-row symmetric elimination, the reference for ``linalg.sym_eliminate``.
+
+
+def sym_eliminate_reference(rows, div):
+    """The same elimination, each step rewriting every column of every live row.
+
+    The columns of eliminated indices end at zero; ``sym_eliminate`` leaves
+    them stale, so only the order, the minors and the trailing columns are
+    compared.
+    """
+    a = [list(row) for row in rows]
+    live = list(range(len(a)))
+    order, minors = [], []
+    prev = 1
+    while live:
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if j > i and a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for t in live:
+                a[t][p] += a[t][j]
+        live.remove(p)
+        ap = a[p]
+        d = ap[p]
+        for t in live:
+            c = a[t][p]
+            a[t] = [div(d * x - c * y, prev) for x, y in zip(a[t], ap)]
+        order.append(p)
+        minors.append(d)
+        prev = d
+    return order + live, minors, a
+
+
 # References for the two callers of sym_eliminate, written without it.
 
 
@@ -470,3 +506,32 @@ def test_pivot_minors_are_the_leading_minors_in_the_pivot_basis(a):
     assert T == tuple(tuple(d if i == j else 0 for j in range(n)) for i, d in enumerate(diagonal))
     for k in range(1, r + 1):
         assert det([row[:k] for row in T[:k]], operator.truediv) == D[k]
+
+
+def f3_div(x, y):
+    """The exact division of ``gluing._f3_diagonalize``: 1 and 2 are their own inverses mod 3."""
+    return x * y % 3
+
+
+@st.composite
+def forms_with_tails(draw, entries):
+    """A symmetric form followed by 0..3 further columns of the same entries."""
+    a = draw(symmetric_forms(entries))
+    width = draw(st.integers(0, 3))
+    return [row + draw(st.lists(entries, min_size=width, max_size=width)) for row in a]
+
+
+@MANY
+@given(st.one_of(
+    st.tuples(forms_with_tails(st.integers(-3, 3)), st.just(operator.floordiv)),
+    st.tuples(forms_with_tails(st.integers(0, 2)), st.just(f3_div)),
+))
+@example(([[0, 1, 5], [1, 0, 7]], operator.floordiv))  # a hyperbolic pair
+@example(([[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 1]], f3_div))  # a pair, then a radical
+def test_live_block_elimination_matches_the_full_row_reference(case):
+    rows, div = case
+    n = len(rows)
+    order, minors, a = sym_eliminate(rows, div)
+    ref_order, ref_minors, ref = sym_eliminate_reference(rows, div)
+    assert (order, minors) == (ref_order, ref_minors)
+    assert [row[n:] for row in a] == [row[n:] for row in ref]
