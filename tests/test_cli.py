@@ -334,9 +334,6 @@ def test_input_error_exit_code(capsys):
             "degree must exceed every weight",
         ),
         (["hodge", "report", "--weights", "1,b", "--degree", "3"], {}, 3, "--weights"),
-        (["hodge", "report", "--weights", "0,1", "--degree", "3"], {}, 3, "weights must be positive"),
-        (["hodge", "report", "--weights", "1,1,1", "--degree", "0"], {}, 3, "degree must be >= 1"),
-        (["hodge", "report", "--weights", "1,1,1", "--degree", "-3"], {}, 3, "degree must be >= 1"),
         (["disc", "a11-coeff"], {}, 2, "requires --monomial"),
         (["f3", "norm-enum"], {}, 2, "requires --form"),
         (["f3", "orbit"], {}, 2, "requires --lattice"),
@@ -346,6 +343,9 @@ def test_input_error_exit_code(capsys):
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0", "--projective"], {}, 2, "--cap"),
         (["disc", "a11-coeff", "--monomial", "u12^-1"], {}, 3, "negative exponent"),
         (["monodromy", "closure", "--lattice", "chain:5", "--report", "order"], {"EISENLAT_CLOSURE_CAP": "1000"}, 3, "cap 1000"),
+        (["hodge", "report", "--weights", "0,1", "--degree", "3"], {}, 3, "weights must be positive"),
+        (["hodge", "report", "--weights", "1,1,1", "--degree", "0"], {}, 3, "degree must be >= 1"),
+        (["hodge", "report", "--weights", "1,1,1", "--degree", "-3"], {}, 3, "degree must be >= 1"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys):
