@@ -61,9 +61,12 @@ def parse_lattice(spec: str) -> HermGram:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {spec!r}: {exc}") from None
     try:
-        return HermGram.from_json(data)
+        G = HermGram.from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad Gram matrix in {spec!r}: {exc}") from None
+    if not G.n:
+        raise InputError(f"bad Gram matrix in {spec!r}: rank must be >= 1")
+    return G
 
 
 _WORD_TOKEN = re.compile(r"^a(\d+)(?:\^(\d+))?$")
@@ -188,7 +191,10 @@ def cmd_lattice(args):
         return EXIT_OK
     if args.action == "z-realization":
         G = parse_lattice(args.name)
-        Z = z_realization(G)
+        try:
+            Z = z_realization(G)
+        except ValueError as exc:
+            raise InputError(f"no Z-realization of {args.name}: {exc}") from None
         _emit(args, Z.to_json(), [str(Z)])
         return EXIT_OK
     raise InputError(f"unknown lattice action {args.action!r}")
@@ -224,7 +230,10 @@ def cmd_monodromy(args):
         return EXIT_OK
     if args.action == "closure":
         cap = _closure_cap()
-        gens = [mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
+        try:
+            gens = [mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
+        except ValueError as exc:
+            raise InputError(f"no triflections on {args.lattice}: {exc}") from None
         reports = (args.report or "").split(",") if args.report else []
         try:
             handle = mono.group_closure(gens, cap=cap)
@@ -358,6 +367,7 @@ def cmd_hodge(args):
     except ValueError as exc:
         raise InputError(f"bad hypersurface: {exc}") from None
     rows = residues.full_report(H)
+    hodge = residues.hodge_vector(H)
     payload = {
         "weights": weights,
         "degree": args.degree,
@@ -370,10 +380,10 @@ def cmd_hodge(args):
             }
             for p, q, lam, dim in rows
         ],
-        "hodge_numbers": list(residues.hodge_vector(H)),
+        "hodge_numbers": list(hodge),
     }
     lines = [f"h^({p},{q})[{residues.exp_unit(lam)}] = {dim}" for p, q, lam, dim in rows]
-    lines.append(f"hodge numbers: {residues.hodge_vector(H)}")
+    lines.append(f"hodge numbers: {hodge}")
     _emit(args, payload, lines)
     return EXIT_OK
 

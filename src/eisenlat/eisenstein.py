@@ -154,7 +154,9 @@ class EisensteinInt:
     @staticmethod
     def from_json(data):
         a, b = data
-        return EisensteinInt(int(a), int(b))
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"coordinates of an Eisenstein integer must be integers, got {data!r}")
+        return EisensteinInt(a, b)
 
 
 def _coerce(x):

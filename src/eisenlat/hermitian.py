@@ -10,11 +10,17 @@ are built by the named constructors:
     hyp()       ((0, theta), (thetabar, 0)), underlying Z-lattice II_{2,2}
     chain(n)    3 on the diagonal, theta above it, thetabar below it
 
-The Z-realization pairs alpha.beta = (2/3) Re <alpha, beta> on the basis
-(e1, w e1, e2, w e2, ...).
+The integral real form pairs the basis (e1, w e1, e2, w e2, ...) by
+2 Re <alpha, beta>; it is defined for every Gram, and one symmetric
+elimination of it gives both the determinant over E and the signature.  The
+Z-realization alpha.beta = (2/3) Re <alpha, beta> is this form divided by 3,
+which is integral exactly when every inner product lies in theta*E.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 from .eisenstein import (
     ONE,
@@ -26,7 +32,7 @@ from .eisenstein import (
     reduce_mod_theta,
 )
 from .linalg import mat_mul
-from .zlattice import ZGram
+from .zlattice import ZGram, invariants
 
 
 def _to_e(x):
@@ -177,29 +183,34 @@ def named_lattice(name: str) -> HermGram:
     raise ValueError(f"unknown lattice name {name!r}")
 
 
+def _real_form(G: HermGram):
+    """The 2n x 2n int rows of 2 Re <u e_i, v e_j> = 2 Re(u conj(v) h), u, v in {1, w}.
+
+    Since 2 Re(a + b w) = 2a - b, the block of h = g_ij = a + b w is
+    [[2a - b, 2b - a], [-a - b, 2a - b]]: 3 times the Z-realization.
+    """
+    rows = []
+    for row in G.g:
+        top, bottom = [], []
+        for h in row:
+            a, b = h.a, h.b
+            re = 2 * a - b
+            top += (re, 2 * b - a)
+            bottom += (-a - b, re)
+        rows += (top, bottom)
+    return rows
+
+
 def z_realization(G: HermGram) -> ZGram:
     """Gram of the underlying Z-lattice in the basis (e1, w e1, e2, w e2, ...).
 
-    The dot product is (2/3) Re <u e_i, v e_j> = (2/3) Re(u conj(v) h) for
-    h = g_ij = a + b w and u, v in {1, w}; since 2 Re(a + b w) = 2a - b, the
-    2 x 2 block is [[2a - b, 2b - a], [-a - b, 2a - b]] / 3.  Each entry is
-    congruent to -(a + b) mod 3, so all are integral exactly when theta | h.
+    The dot product is (2/3) Re <u e_i, v e_j>, the real form divided by 3.
+    Each entry of a block is congruent to -(a + b) mod 3, so all are
+    integral exactly when theta | h.
     """
-    n = G.n
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        top, bottom = rows[2 * i], rows[2 * i + 1]
-        for j, h in enumerate(G.g[i]):
-            a, b = h.a, h.b
-            if (a + b) % 3:
-                raise ValueError(
-                    "Z-realization is not integral; inner products "
-                    "must lie in theta*E"
-                )
-            re = (2 * a - b) // 3
-            top[2 * j], top[2 * j + 1] = re, (2 * b - a) // 3
-            bottom[2 * j], bottom[2 * j + 1] = -(a + b) // 3, re
-    return ZGram(rows)
+    if any((h.a + h.b) % 3 for row in G.g for h in row):
+        raise ValueError("Z-realization is not integral; inner products must lie in theta*E")
+    return ZGram([[x // 3 for x in row] for row in _real_form(G)])
 
 
 def omega_matrix(n: int):
@@ -213,56 +224,34 @@ def omega_matrix(n: int):
     return tuple(tuple(row) for row in m)
 
 
-def signature(G: HermGram):
-    """(positive, radical, negative) over C, from the Z-realization inertia."""
-    from .zlattice import inertia
+@functools.lru_cache(maxsize=1)
+def det_signature(G: HermGram):
+    """(det_e(G), signature(G)) from one symmetric elimination of the real form.
 
-    p, r, m = inertia(z_realization(G))
-    assert p % 2 == 0 and r % 2 == 0 and m % 2 == 0
-    return (p // 2, r // 2, m // 2)
+    The real form has inertia (2p, 2r, 2m) for the signature (p, r, m), and
+    determinant 3^n det(G)^2, where det(G) is a rational integer because G
+    is Hermitian; its sign is (-1)^m, and it is 0 when r > 0.  The last
+    result is kept, so det_e and signature of one Gram share the elimination.
+    """
+    (p, r, m), d = invariants(_real_form(G))
+    sig = (p // 2, r // 2, m // 2)
+    if r:
+        return ZERO, sig
+    q, rem = divmod(d, 3**G.n)
+    root = math.isqrt(max(q, 0))
+    if rem or root * root != q:
+        raise ArithmeticError(f"real-form determinant {d} is not 3^{G.n} times a square")
+    return EisensteinInt(-root if sig[2] % 2 else root), sig
 
 
 def det_e(G: HermGram) -> EisensteinInt:
-    """Exact determinant over E by fraction-free (Bareiss) elimination.
+    """Exact determinant over E, a rational integer since G is Hermitian."""
+    return det_signature(G)[0]
 
-    The entries a + b w are kept as two int matrices, of the a and of the b
-    parts, with w^2 = -1 - w.  Each step divides by the previous pivot q as
-    x conj(q) / N(q), which must be exact in both parts.
-    """
-    n = G.n
-    if not n:
-        return ONE
-    re = [[x.a for x in row] for row in G.g]
-    im = [[x.b for x in row] for row in G.g]
-    sign = 1
-    qa, qb = 1, 0  # the previous pivot
-    for k in range(n - 1):
-        if not (re[k][k] or im[k][k]):
-            piv = next((i for i in range(k + 1, n) if re[i][k] or im[i][k]), None)
-            if piv is None:
-                return ZERO
-            re[k], re[piv] = re[piv], re[k]
-            im[k], im[piv] = im[piv], im[k]
-            sign = -sign
-        rk, ik = re[k], im[k]
-        pa, pb = rk[k], ik[k]
-        ua, nq = qa - qb, qa * qa - qa * qb + qb * qb  # conj(q) = ua - qb w
-        for i in range(k + 1, n):
-            ri, ii = re[i], im[i]
-            ca, cb = ri[k], ii[k]
-            for j in range(k + 1, n):
-                xa, xb, ya, yb = ri[j], ii[j], rk[j], ik[j]
-                # t = x p - c y, then t conj(q)
-                s, t = xb * pb, cb * yb
-                ta = xa * pa - s - ca * ya + t
-                tb = xa * pb + xb * pa - s - ca * yb - cb * ya + t
-                s = -tb * qb
-                ri[j], ra = divmod(ta * ua - s, nq)
-                ii[j], rb = divmod(tb * ua - ta * qb - s, nq)
-                if ra or rb:
-                    raise ValueError("inexact Bareiss quotient: the entries are not in E")
-        qa, qb = pa, pb
-    return EisensteinInt(sign * re[-1][-1], sign * im[-1][-1])
+
+def signature(G: HermGram):
+    """(positive, radical, negative) over C."""
+    return det_signature(G)[1]
 
 
 def in_theta_dual(G: HermGram) -> bool:

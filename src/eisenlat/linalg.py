@@ -54,9 +54,8 @@ def det(a, div):
     """Determinant by Bareiss' fraction-free elimination.
 
     ``div(x, y)`` is the ring's exact division: ``operator.floordiv`` for int,
-    ``EisensteinInt.exact_div`` for E (``hermitian.det_e`` runs the same
-    elimination on int pairs).  Every quotient taken is exact, so the entries
-    stay in the ring.
+    ``EisensteinInt.exact_div`` for E.  Every quotient taken is exact, so the
+    entries stay in the ring.
     """
     a = [list(row) for row in a]
     n = len(a)

@@ -7,16 +7,20 @@ of F in that weight.  Two ideal models are supported:
 
 * monomial caps: F with a monomial Jacobian ideal (diagonal x_i^(m_i) terms
   give caps m_i - 2; hyperbolic pairs x*y give caps 0 on both variables), so
-  graded pieces are counted by capped exponent enumeration;
+  a capped x_i has the relation x_i^(c_i + 1);
 * generic complete intersection: the Jacobian ring of a quasismooth F has
   Hilbert series prod (1 - t^(d - w_i)) / (1 - t^(w_i)).
 
-A diagonal automorphism with entries in the sixth roots of unity refines both
-counts; the residue of A*Omega/F^(q+1) transforms by chi(A) * prod(chi_i).
+Both are counted by one Hilbert series with a relation per variable.  A
+diagonal automorphism with entries in the sixth roots of unity refines it to
+a character-valued series; the residue of A*Omega/F^(q+1) transforms by
+chi(A) * prod(chi_i).
 Sixth roots are tracked as exponents of zeta6 = -wbar.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .eisenstein import SIXTH_ROOTS, EisensteinInt
 
@@ -147,77 +151,61 @@ def z_model():
     return WeightedHypersurface([1, 1, 6, 6, 6, 4], 12, GENERIC_CI, char=char)
 
 
-def _monomial_char_counts(H: WeightedHypersurface, grade):
-    """Counts of capped monomials of the given weight, by character exponent."""
-    counts = [0] * 6
-    if grade < 0:
-        return counts
-    state = {(0, 0): 1}  # (accumulated weight, char exponent) -> count
-    for w, cap, chi in zip(H.weights, H.caps, H.char):
-        nxt = {}
-        maxe = grade // w if cap is None else min(cap, grade // w)
-        for (wt, ch), cnt in state.items():
-            for e in range(0, maxe + 1):
-                nwt = wt + e * w
-                if nwt > grade:
-                    break
-                key = (nwt, (ch + e * chi) % 6)
-                nxt[key] = nxt.get(key, 0) + cnt
-        state = nxt
-    for (wt, ch), cnt in state.items():
-        if wt == grade:
-            counts[ch] += cnt
-    return counts
+def _relations(H: WeightedHypersurface):
+    """Per variable, the (degree, character) of its relation, or None if it has none.
 
-
-def _ci_char_series(H: WeightedHypersurface, grade):
-    """Character-valued Hilbert function of the generic CI Jacobian ring.
-
-    Series = prod (1 - chi_i^{-1} t^(d - w_i)) / (1 - chi_i t^(w_i)) over the
-    group ring Z[Z/6], expanded to the requested grade.
+    A capped x_i (exponent at most c_i) has the relation x_i^(c_i + 1); in
+    the generic complete intersection the partial derivative of x_i is a
+    relation of degree d - w_i and character -chi_i.
     """
-    if grade < 0:
-        return [0] * 6
-    series = [[0] * 6 for _ in range(grade + 1)]
-    series[0][0] = 1
-    d = H.degree
-    for w, chi in zip(H.weights, H.char):
-        # multiply by 1/(1 - chi t^w): cumulative sums with character shift
-        out = [row[:] for row in series]
-        for g in range(w, grade + 1):
-            for c in range(6):
-                out[g][(c + chi) % 6] += out[g - w][c]
-        series = out
-    for w, chi in zip(H.weights, H.char):
-        e = d - w
-        # multiply by (1 - chi^{-1} t^e)
-        out = [row[:] for row in series]
-        for g in range(e, grade + 1):
-            for c in range(6):
-                out[g][(c - chi) % 6] -= series[g - e][c]
-        series = out
-    return series[grade]
+    if H.mode == GENERIC_CI:
+        return [(H.degree - w, -chi) for w, chi in zip(H.weights, H.char)]
+    return [
+        None if cap is None else (w * max(cap + 1, 0), max(cap + 1, 0) * chi)
+        for w, cap, chi in zip(H.weights, H.caps, H.char)
+    ]
+
+
+def _char_series(H: WeightedHypersurface, top):
+    """Character-valued Hilbert function of the Jacobian ring, grades 0..top.
+
+    The series is prod (1 - chi_r t^(e_r)) / (1 - chi_i t^(w_i)) over the
+    group ring Z[Z/6], one factor per variable and one per relation (of
+    degree e_r and character chi_r).  Row g holds the counts of grade g by
+    character exponent; multiplying by a character chi rotates a row by chi
+    places, which is the slice of the row at (-chi) mod 6.
+    """
+    series = [[0] * 6 for _ in range(top + 1)]
+    if top >= 0:
+        series[0][0] = 1
+    for w, chi, rel in zip(H.weights, H.char, _relations(H)):
+        # divide by (1 - chi t^w): cumulative sums, from the bottom grade up
+        k = (-chi) % 6
+        for g in range(w, top + 1):
+            low = series[g - w]
+            series[g] = list(map(operator.add, series[g], low[k:] + low[:k]))
+        if rel is None:
+            continue
+        # multiply by (1 - chi_r t^e), from the top grade down so that each
+        # step reads a grade not yet updated (e = 0 comes with chi_r = 0)
+        e, chi_r = rel
+        k = (-chi_r) % 6
+        for g in range(top, e - 1, -1):
+            low = series[g - e]
+            series[g] = list(map(operator.sub, series[g], low[k:] + low[:k]))
+    return series
 
 
 def _char_counts(H: WeightedHypersurface, grade):
-    if H.mode == MONOMIAL:
-        return _monomial_char_counts(H, grade)
-    return _ci_char_series(H, grade)
+    """The character counts of the Jacobian ring in one grade."""
+    return _char_series(H, grade)[grade] if grade >= 0 else [0] * 6
 
 
-def jacobian_dim(H: WeightedHypersurface, grade) -> int:
-    """Dimension of the given graded piece of the Jacobian ring."""
-    if grade < 0:
-        return 0
-    return sum(_char_counts(H, grade))
-
-
-def hodge_piece_dim(H: WeightedHypersurface, q) -> int:
-    """h^(dim - q, q) of primitive middle cohomology = Jacobian dim in the
-    residue grade (q+1)d - sum(w_i)."""
-    if q < 0:
-        return 0
-    return jacobian_dim(H, H.grade(q))
+def _residue_counts(H: WeightedHypersurface):
+    """The character counts in the residue grades of q = 0..dim, from one series."""
+    grades = [H.grade(q) for q in range(H.dim + 1)]
+    series = _char_series(H, max(grades, default=-1))
+    return [series[g] if g >= 0 else [0] * 6 for g in grades]
 
 
 def eigen_hodge_dim(H: WeightedHypersurface, q, eigenvalue) -> int:
@@ -227,12 +215,7 @@ def eigen_hodge_dim(H: WeightedHypersurface, q, eigenvalue) -> int:
     eigenvalue may be given as a sixth root of unity in E or as an exponent
     of zeta6 = -wbar.
     """
-    if q < 0:
-        return 0
-    lam = unit_exp(eigenvalue)
-    counts = _char_counts(H, H.grade(q))
-    shift = H.omega_char()
-    return counts[(lam - shift) % 6]
+    return _char_counts(H, H.grade(q))[(unit_exp(eigenvalue) - H.omega_char()) % 6]
 
 
 def jacobian_monomial_basis(H: WeightedHypersurface, grade):
@@ -268,11 +251,8 @@ def monomial_eigenvalue(H: WeightedHypersurface, exponents) -> EisensteinInt:
 def full_report(H: WeightedHypersurface):
     """Rows (p, q, eigenvalue exponent, dim) over all q and eigenvalues."""
     rows = []
-    if H.dim < 0:
-        return rows
-    for q in range(H.dim + 1):
-        counts = _char_counts(H, H.grade(q))
-        shift = H.omega_char()
+    shift = H.omega_char()
+    for q, counts in enumerate(_residue_counts(H)):
         for lam in range(6):
             dim = counts[(lam - shift) % 6]
             if dim:
@@ -282,10 +262,7 @@ def full_report(H: WeightedHypersurface):
 
 def hodge_vector(H: WeightedHypersurface, eigenvalue=None):
     """(h^(dim,0), ..., h^(0,dim)), optionally restricted to one eigenvalue."""
-    out = []
-    for q in range(H.dim + 1):
-        if eigenvalue is None:
-            out.append(hodge_piece_dim(H, q))
-        else:
-            out.append(eigen_hodge_dim(H, q, eigenvalue))
-    return tuple(out)
+    counts = _residue_counts(H)
+    if eigenvalue is None:
+        return tuple(sum(c) for c in counts)
+    return tuple(c[(unit_exp(eigenvalue) - H.omega_char()) % 6] for c in counts)

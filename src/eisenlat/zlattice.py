@@ -1,10 +1,10 @@
 """Integer lattices given by symmetric Gram matrices.
 
-Everything is exact and fraction-free: the inertia counts the signs of the
-pivot minors of ``linalg.sym_eliminate``, and the determinant is Bareiss'
-elimination.  Also holds the constructors for the A_n vanishing lattices of
-cuspidal fourfold degenerations and the recovery of a Hermitian E-structure
-from a Z-lattice with a fixed-point-free isometry of order 3.
+Everything is exact and fraction-free: the inertia, determinant and rank of
+a form are read from the pivot minors of one symmetric elimination,
+``linalg.sym_eliminate``.  Also holds the constructors for the A_n vanishing
+lattices of cuspidal fourfold degenerations and the recovery of a Hermitian
+E-structure from a Z-lattice with a fixed-point-free isometry of order 3.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 
 from .eisenstein import EisensteinInt
-from .linalg import adjugate, det, identity, mat_mul, mat_vec, sym_eliminate
+from .linalg import adjugate, identity, mat_mul, mat_vec, sym_eliminate
 
 
 class ZGram:
@@ -50,23 +50,38 @@ class ZGram:
         g = data["g"]
         if len(g) != data.get("n", len(g)):
             raise ValueError("rank field does not match matrix size")
+        if any(type(x) is not int for row in g for x in row):
+            raise ValueError("Gram entries must be integers")
         return ZGram(g)
 
 
-def inertia(G: ZGram):
-    """Exact inertia (positive, radical, negative) of the rational form.
+def pivot_minors(rows):
+    """The pivot minors D_1..D_r of a symmetric int form, r its rank."""
+    return sym_eliminate(rows, operator.floordiv)[1]
 
-    The k-th pivot of the symmetric elimination is D_k / D_(k-1), whose sign
-    is that of D_k D_(k-1).
+
+def invariants(rows):
+    """((positive, radical, negative), determinant) of a symmetric int form.
+
+    The k-th pivot is D_k / D_(k-1), whose sign is that of D_k D_(k-1).
+    Every congruence of the elimination is unimodular, so the determinant is
+    D_n at full rank, 0 below it, and 1 for n = 0.
     """
-    _, minors, _ = sym_eliminate(G.g, operator.floordiv)
+    minors = pivot_minors(rows)
+    n, r = len(rows), len(minors)
     pos = sum(prev * d > 0 for prev, d in zip([1] + minors, minors))
-    return (pos, G.n - len(minors), len(minors) - pos)
+    det = 0 if r < n else minors[-1] if minors else 1
+    return (pos, n - r, r - pos), det
+
+
+def inertia(G: ZGram):
+    """Exact inertia (positive, radical, negative) of the rational form."""
+    return invariants(G.g)[0]
 
 
 def determinant(G: ZGram):
-    """Exact determinant by Bareiss fraction-free elimination."""
-    return det(G.g, operator.floordiv)
+    """Exact determinant, the last pivot minor of the symmetric elimination."""
+    return invariants(G.g)[1]
 
 
 def is_even(G: ZGram):
@@ -199,12 +214,12 @@ def _complete_e_basis(picks, S, n):
     m = n // 2
 
     # select m picks whose pairs (v, Sv) are Q-independent: rows R are
-    # independent exactly when their Gram R R^T is nonsingular
+    # independent exactly when their Gram R R^T has full rank
     chosen = []
     rows = []
     for v in picks:
         cand = rows + [tuple(v), mat_vec(S, v)]
-        if det(mat_mul(cand, tuple(zip(*cand))), operator.floordiv):
+        if len(pivot_minors(mat_mul(cand, tuple(zip(*cand))))) == len(cand):
             chosen.append(v)
             rows = cand
         if len(chosen) == m:

@@ -357,6 +357,46 @@ def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, messag
     assert message in err
 
 
+def gram_file(tmp_path, rows):
+    """A JSON Gram file of [a, b] entries, one for each entry a + b w."""
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"n": len(rows), "g": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "action, rows, message",
+    [
+        (["lattice", "z-realization", "--name"], [[[1, 0]]], "theta*E"),
+        (["monodromy", "closure", "--lattice"], [[[3, 0], [1, 0]], [[1, 0], [3, 0]]], "does not preserve the lattice"),
+        (["f3", "disc-group", "--lattice"], [], "rank must be >= 1"),
+        (["monodromy", "closure", "--lattice"], [], "rank must be >= 1"),
+        (["lattice", "make", "--name"], [[[3.9, 0]]], "must be integers"),
+        (["lattice", "make", "--name"], [[[True, "0"]]], "must be integers"),
+        (["lattice", "invariants", "--name"], [[[1, 0], [2, 0]], [[2, 0], [1.0, 0]]], "must be integers"),
+    ],
+)
+def test_bad_gram_files_get_one_error_line_and_no_output(action, rows, message, tmp_path, capsys):
+    code, out, err = run_main(action + [gram_file(tmp_path, rows)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "rows, sig, det",
+    [
+        ([[[1, 0]]], [1, 0, 0], "1"),
+        ([[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], [1, 0, 1], "-1"),
+    ],
+)
+def test_invariants_of_grams_outside_theta_e(rows, sig, det, tmp_path, capsys):
+    code, out, err = run_main(["lattice", "invariants", "--json", "--name", gram_file(tmp_path, rows)], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["signature"], payload["det"], payload["in_theta_dual"]) == (sig, det, False)
+
+
 def test_a11_coeff_with_too_many_unknowns_stops_at_the_cap(capsys):
     # 11 variables admit 2,633,495 exponent tuples; the count stops at the cap + 1
     start = time.perf_counter()

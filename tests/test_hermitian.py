@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eisenlat import hermitian
 from eisenlat.eisenstein import E, ONE, OMEGA, THETA, EisensteinInt, QOmega
 from eisenlat.hermitian import (
     CHORDAL,
@@ -28,6 +29,7 @@ from eisenlat.hermitian import (
     z_realization,
 )
 from eisenlat.linalg import det
+from eisenlat.zlattice import inertia
 from eisenlat.zlattice import ZGram, determinant, inertia, is_even
 from test_linalg import kernel
 
@@ -170,6 +172,36 @@ def hermitian_grams(draw, max_n=8):
 @example(chain(11))  # singular; its 5x5 leading minor is 0, so a row swap comes first
 def test_det_e_matches_object_bareiss(G):
     assert det_e(G) == det_e_reference(G)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(hermitian_grams())
+@example(diag([1]))  # outside theta E
+@example(diag([1, -1]))
+@example(chain(11))  # singular
+@example(HermGram([[0, 0], [0, 0]]))
+def test_signature_is_half_the_inertia_of_the_tripled_z_realization(G):
+    # 3G lies in theta E and has the signature of G, so this route does not
+    # pass through the real form of G itself
+    tripled = HermGram([[E(3) * x for x in row] for row in G.g])
+    p, r, m = inertia(z_realization(tripled))
+    assert signature(G) == (p // 2, r // 2, m // 2)
+    assert (p % 2, r % 2, m % 2) == (0, 0, 0)
+
+
+def test_det_e_and_signature_of_rank_0_and_unimodular_grams():
+    assert (det_e(HermGram([])), signature(HermGram([]))) == (ONE, (0, 0, 0))
+    assert (det_e(diag([1])), signature(diag([1]))) == (ONE, (1, 0, 0))
+    assert (det_e(diag([1, -1])), signature(diag([1, -1]))) == (E(-1), (1, 0, 1))
+
+
+@pytest.mark.parametrize("real_form_invariants", [((2, 0, 0), 6), ((2, 0, 0), 3 * 8), ((0, 0, 2), -3)])
+def test_det_signature_refuses_a_determinant_that_is_not_3_to_the_n_times_a_square(real_form_invariants, monkeypatch):
+    monkeypatch.setattr(hermitian, "invariants", lambda rows: real_form_invariants)
+    hermitian.det_signature.cache_clear()
+    with pytest.raises(ArithmeticError, match="not 3\\^1 times a square"):
+        hermitian.det_signature(diag([5]))
+    hermitian.det_signature.cache_clear()
 
 
 def z_realization_reference(G):

@@ -238,6 +238,22 @@ def test_only_eisenstein_imports_fractions_or_names_qomega():
     assert offenders == []
 
 
+def test_only_three_modules_import_the_eliminations():
+    """``det`` and ``sym_eliminate`` are imported from linalg only by discpoly,
+    zlattice and gluing, so a second copy of a form's elimination shows here."""
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "linalg"
+                and any(alias.name in ("det", "sym_eliminate") for alias in node.names)
+            ):
+                importers.add(path.stem)
+    assert importers == {"discpoly", "zlattice", "gluing"}
+
+
 @BOUNDED
 @given(square(e_ints, max_n=4))
 def test_e_det_matches_sympy(a):

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eisenlat import zlattice as zl
 from eisenlat.hermitian import diag, e8e, z_realization
+from eisenlat.linalg import det
 from eisenlat.zlattice import ZGram, an_vanishing_gram, determinant, inertia, is_even
 
 
@@ -125,6 +130,43 @@ def test_determinant_congruence_invariance():
         G = random_gram(rng, n)
         P = random_unimodular(rng, n)
         assert determinant(congruent(G, P)) == determinant(G)
+
+
+@st.composite
+def symmetric_forms(draw, max_n=7):
+    """A symmetric int form of rank <= 7, rank 0 included; if asked, the
+    diagonal is zeroed (hyperbolic pairs) and one index is doubled (singular)."""
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**40), 2**40))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    if 0 < n < max_n and draw(st.booleans()):
+        s = list(range(n)) + [draw(st.integers(0, n - 1))]
+        g = [[g[i][j] for j in s] for i in s]
+    return ZGram(g)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(symmetric_forms())
+@example(ZGram([]))
+@example(ZGram([[0, 1], [1, 0]]))
+@example(zl.ii22_gram())
+@example(ZGram([[0, 0], [0, 0]]))
+@example(ZGram([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+def test_determinant_matches_bareiss(G):
+    assert determinant(G) == det(G.g, operator.floordiv)
+
+
+def test_from_json_takes_only_int_entries():
+    assert ZGram.from_json({"n": 2, "g": [[2, -1], [-1, 2]]}) == zl.a2_gram()
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="must be integers"):
+            ZGram.from_json({"g": [[bad]]})
 
 
 def test_is_even():
