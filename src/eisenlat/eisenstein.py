@@ -153,6 +153,8 @@ class EisensteinInt:
 
     @staticmethod
     def from_json(data):
+        if not isinstance(data, list) or len(data) != 2:
+            raise ValueError(f"an Eisenstein integer is a pair [a, b] for a + b w, got {data!r}")
         a, b = data
         if type(a) is not int or type(b) is not int:
             raise ValueError(f"coordinates of an Eisenstein integer must be integers, got {data!r}")

@@ -11,6 +11,8 @@ enumeration.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .eisenstein import (
@@ -322,12 +324,84 @@ def reduce_vector(v):
     return tuple(reduce_mod_theta(x) for x in v)
 
 
+_CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
+
+
+def _chunk_tables(gens):
+    """Image tables of the (m, n, n) F_3 generators, one per chunk of coordinates.
+
+    For a chunk [lo, hi) the entry (lo, hi, ones, twos, value) has
+    ``ones[g, p]`` and ``twos[g, p]``, the bit-sliced image under generator g
+    of the vector whose digits on the chunk read p in base 3 (coordinate lo
+    most significant) and are 0 elsewhere.  Coordinate j is bit n - 1 - j of
+    a mask, as it is place 3^(n-1-j) of a line code, so ``value[b]`` is the
+    line-code value of the chunk's bits b, taken down by n - hi places.
+    """
+    n = gens.shape[-1]
+    bits = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+    tables = []
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        w = hi - lo
+        images = line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3
+        value = ((np.arange(2**w)[:, None] >> np.arange(w)) & 1) @ 3 ** np.arange(w, dtype=np.int64)
+        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, value * 3 ** (n - hi)))
+    return tables
+
+
+def _line_images(tables, codes):
+    """The (m, F) line codes of the images of F coded lines under each tabulated generator.
+
+    The chunk images are added in bit-sliced F_3, and an image whose leading
+    digit is 2 (the only case with twos > ones) is scaled by 2.
+    """
+    n = tables[-1][1]
+    ones = twos = None
+    for lo, hi, t1, t2, _ in tables:
+        p = codes // 3 ** (n - hi) % 3 ** (hi - lo)
+        b1, b2 = t1[:, p], t2[:, p]
+        if ones is None:
+            ones, twos = b1, b2
+        else:
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+    swap = (ones ^ twos) * (twos > ones)
+    ones ^= swap
+    twos ^= swap
+    out = 0
+    for lo, hi, _, _, value in tables:
+        low = (1 << (hi - lo)) - 1
+        out = out + value[ones >> (n - hi) & low] + 2 * value[twos >> (n - hi) & low]
+    return out
+
+
+def line_orbit(gens, start, cap: int = 200000):
+    """Number of lines of F_3^n in the orbit of the line of ``start`` under (m, n, n) F_3 matrices.
+
+    The lines reached are kept as sorted ``line_codes``; raises ValueError
+    once the orbit outgrows ``cap``.
+    """
+    seen = line_codes([start])
+    tables = _chunk_tables(np.asarray(gens, dtype=np.int64))
+    frontier = seen
+    while len(frontier):
+        codes = _line_images(tables, frontier).ravel()
+        fresh = np.unique(codes[~np.isin(codes, seen)])
+        if len(fresh) and len(seen) + len(fresh) > cap:
+            raise ValueError(f"orbit exceeded cap {cap}")
+        seen = np.sort(np.concatenate([seen, fresh]))
+        frontier = fresh
+    return len(seen)
+
+
 def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     """Size of the orbit of a hyperplane under the reduced triflections.
 
     Hyperplanes of L/theta L are encoded by their symplectic normal vectors
     up to sign; the generators are the transvection images of the
-    triflections in the given roots.  Returns (orbit size, generator count).
+    triflections in the given roots.  ``start`` (default: the first root)
+    has integer or Eisenstein coordinates.  Returns (orbit size, generator
+    count).
     """
     from .monodromy import f3_rank, f3_reduce, symplectic_gram, triflection
 
@@ -335,32 +409,18 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     sg = symplectic_gram(G)
     if f3_rank(sg) != n:
         raise ValueError("symplectic form must be nondegenerate")
-    gens = []
-    for r in roots:
-        t = triflection(G, vector(r))
-        gens.append(np.array(f3_reduce(t), dtype=np.int64))
+    gens = [f3_reduce(triflection(G, vector(r))) for r in roots]
     if start is None:
-        start = reduce_vector(vector(roots[0]))
-    elif any(isinstance(x, EisensteinInt) for x in start):
-        start = reduce_vector(vector(start))
-    start = np.array([[int(x) % 3 for x in start]], dtype=np.int64)
-    if start.shape != (1, n):
+        start = roots[0]
+    try:
+        start = [reduce_mod_theta(x) if isinstance(x, EisensteinInt) else operator.index(x) % 3 for x in start]
+    except TypeError:
+        raise ValueError("start hyperplane normal must have integer or Eisenstein coordinates") from None
+    if len(start) != n:
         raise ValueError(f"start hyperplane normal must have {n} coordinates")
-    if not start.any():
+    if not any(start):
         raise ValueError("start hyperplane normal must be nonzero")
-    # int16 holds the unreduced products (at most 4n)
-    gens_t = np.stack(gens).transpose(0, 2, 1).astype(np.int16)
-    seen = line_codes(start)  # sorted codes of the lines reached
-    frontier = seen
-    while len(frontier):
-        imgs = line_digits(frontier, n).astype(np.int16) @ gens_t
-        codes = line_codes(imgs.reshape(-1, n))
-        fresh = np.unique(codes[~np.isin(codes, seen)])
-        if len(fresh) and len(seen) + len(fresh) > cap:
-            raise ValueError(f"orbit exceeded cap {cap}")
-        seen = np.sort(np.concatenate([seen, fresh]))
-        frontier = fresh
-    return len(seen), len(gens)
+    return line_orbit(np.reshape(gens, (-1, n, n)), start, cap), len(gens)
 
 
 def sp_generating_roots():

@@ -77,7 +77,10 @@ class HermGram:
 
     @staticmethod
     def from_json(data):
-        g = [[EisensteinInt.from_json(x) for x in row] for row in data["g"]]
+        rows = data.get("g") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError('expected {"g": [[[a, b], ...], ...]}, a list of rows of entries a + b w')
+        g = [[EisensteinInt.from_json(x) for x in row] for row in rows]
         if len(g) != data.get("n", len(g)):
             raise ValueError("rank field does not match matrix size")
         return HermGram(g)

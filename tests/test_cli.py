@@ -319,6 +319,21 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+class JsonFile:
+    """A command-line path standing for a file that holds the given JSON text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def write(self, directory):
+        path = directory / "input.json"
+        path.write_text(self.text)
+        return str(path)
+
+
+GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
+
+
 @pytest.mark.parametrize(
     "argv, env, code, message",
     [
@@ -346,11 +361,17 @@ def test_input_error_exit_code(capsys):
         (["hodge", "report", "--weights", "0,1", "--degree", "3"], {}, 3, "weights must be positive"),
         (["hodge", "report", "--weights", "1,1,1", "--degree", "0"], {}, 3, "degree must be >= 1"),
         (["hodge", "report", "--weights", "1,1,1", "--degree", "-3"], {}, 3, "degree must be >= 1"),
+        (["f3", "orbit", "--lattice", JsonFile('{"n": 1}')], {}, 3, GRAM_SHAPE),
+        (["f3", "orbit", "--lattice", JsonFile("[[[1, 0]]]")], {}, 3, GRAM_SHAPE),
+        (["f3", "orbit", "--lattice", JsonFile('{"g": 5}')], {}, 3, GRAM_SHAPE),
+        (["f3", "orbit", "--lattice", JsonFile('{"g": [[[1]]]}')], {}, 3, "pair [a, b] for a + b w, got [1]"),
+        (["f3", "orbit", "--lattice", JsonFile('{"g": [[1]]}')], {}, 3, "pair [a, b] for a + b w, got 1"),
     ],
 )
-def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys):
+def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys, tmp_path):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    argv = [arg.write(tmp_path) if isinstance(arg, JsonFile) else arg for arg in argv]
     got, _, err = run_main(argv, capsys)
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -311,6 +311,11 @@ def reference_orbit(roots, G, start=None, cap=200000):
     gens = [np.array(mono.f3_reduce(mono.triflection(G, r)), dtype=np.int64) for r in roots]
     if start is None:
         start = gluing.reduce_vector(roots[0])
+    return reference_line_orbit(gens, start, cap), len(gens)
+
+
+def reference_line_orbit(gens, start, cap=200000):
+    """Number of lines in the orbit of start's line, one set lookup per image row."""
     start = np.array([int(x) % 3 for x in start], dtype=np.int64)
     seen = {reference_canon(start)}
     frontier = [start]
@@ -326,7 +331,12 @@ def reference_orbit(roots, G, start=None, cap=200000):
                     seen.add(key)
                     fresh.append(np.array(key, dtype=np.int64))
         frontier = fresh
-    return len(seen), len(gens)
+    return len(seen)
+
+
+def reference_code(row):
+    """The base-3 code of the line of a nonzero F_3 row, coordinate 0 most significant."""
+    return int("".join(map(str, reference_canon(np.asarray(row) % 3))), 3)
 
 
 def reference_enumerate_norm(S, c):
@@ -387,6 +397,68 @@ def test_orbit_rejects_bad_start():
         gluing.hyperplane_orbit(roots, lambda10(), start=(0,) * 10)
     with pytest.raises(ValueError, match="10 coordinates"):
         gluing.hyperplane_orbit(roots, lambda10(), start=(1,) * 9)
+
+
+def test_orbit_start_takes_integers_and_eisenstein_integers():
+    L10, roots = lambda10(), gluing.sp_generating_roots()[:5]
+    want = gluing.hyperplane_orbit(roots, L10, start=(2, 1) + (0,) * 8)
+    assert want == reference_orbit(roots, L10, start=(2, 1) + (0,) * 8)
+    for start in [
+        (np.int64(2), np.int8(1)) + (0,) * 8,
+        (-1, True) + (0,) * 8,
+        (E(1, 1), 1) + (0,) * 8,  # 1 + w = 2 mod theta
+        (OMEGA.conj(), E(4)) + (E(0),) * 8,
+    ]:
+        assert gluing.hyperplane_orbit(roots, L10, start=start) == want
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, "2", None, (1,)])
+def test_orbit_rejects_a_start_that_is_not_integral(bad):
+    # int(1.7) and int("2") would read these as 1 and 2
+    with pytest.raises(ValueError, match="integer or Eisenstein coordinates"):
+        gluing.hyperplane_orbit(gluing.sp_generating_roots()[:5], lambda10(), start=(bad,) + (0,) * 9)
+
+
+def random_invertible_f3(rng, n):
+    while True:
+        g = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
+        if mono.f3_rank(g) == n:
+            return np.array(g, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [39])
+def test_line_images_match_row_by_row_images(n):
+    # every chunk remainder of the 5-coordinate tables, and the widest codes
+    rng = random.Random(n)
+    gens = np.stack([random_invertible_f3(rng, n) for _ in range(3)])
+    rows = [[2] * n, [1] * n, [0] * (n - 1) + [2]]
+    rows += [[rng.randrange(3) for _ in range(n)] for _ in range(200)]
+    rows = [r for r in rows if any(r)]
+    images = gluing._line_images(gluing._chunk_tables(gens), gluing.line_codes(rows))
+    assert images.tolist() == [[reference_code(g @ r) for r in rows] for g in gens]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_line_orbit_of_random_matrices_matches_reference(n):
+    rng = random.Random(100 + n)
+    gens = [random_invertible_f3(rng, n) for _ in range(2)]
+    for start in seeded_starts(n, 3, n):
+        assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start)
+
+
+def test_line_orbit_reaches_the_top_codes_of_rank_39():
+    # the 2 of (1, ..., 1, 2) moves through every coordinate; its line
+    # codes lie just above (3^39 - 1) / 2, and (1, 2, ..., 2) has the
+    # largest code of any line, 2 * 3^38 - 1
+    n = 39
+    shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
+    swap = np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
+    start = [1] * (n - 1) + [2]
+    tables = gluing._chunk_tables(np.stack([shift, swap]))
+    assert gluing._line_images(tables, gluing.line_codes([start])).tolist() == [[2 * 3**38 - 1], [(3**39 + 1) // 2]]
+    assert gluing.line_orbit([shift, swap], start) == reference_line_orbit([shift, swap], start) == n
+    with pytest.raises(ValueError, match="orbit exceeded cap 38"):
+        gluing.line_orbit([shift, swap], start, cap=38)
 
 
 def test_line_codes_need_int64_room():
