@@ -325,27 +325,42 @@ def reduce_vector(v):
 
 
 _CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
+_BLOCK = 2048  # frontier lines per batch of images: the (m, block) temporaries stay in cache
+
+
+def _dtypes(n):
+    """The narrowest signed dtypes of the rank-n bit masks and line codes.
+
+    A mask holds bits 0..n-1; ``line_codes`` forms 3 code(support), below
+    3^(n+1) / 2.
+    """
+    mask = np.int16 if n <= 15 else np.int32 if n <= 31 else np.int64
+    return mask, np.int32 if 3 ** (n + 1) < 2**32 else np.int64
 
 
 def _chunk_tables(gens):
     """Image tables of the (m, n, n) F_3 generators, one per chunk of coordinates.
 
-    For a chunk [lo, hi) the entry (lo, hi, ones, twos, value) has
-    ``ones[g, p]`` and ``twos[g, p]``, the bit-sliced image under generator g
-    of the vector whose digits on the chunk read p in base 3 (coordinate lo
-    most significant) and are 0 elsewhere.  Coordinate j is bit n - 1 - j of
-    a mask, as it is place 3^(n-1-j) of a line code, so ``value[b]`` is the
-    line-code value of the chunk's bits b, taken down by n - hi places.
+    For a chunk [lo, hi) of width w the entry (lo, hi, ones, twos, value)
+    has ``ones[p, g]`` and ``twos[p, g]``, the bit-sliced image under
+    generator g of the vector whose digits on the chunk read p in base 3
+    (coordinate lo most significant) and are 0 elsewhere.  Coordinate j is
+    bit n - 1 - j of a mask, as it is place 3^(n-1-j) of a line code, so
+    ``value[o << w | t]`` is the line-code value of the chunk's bits o of
+    the digits 1 and t of the digits 2, taken down by n - hi places.  Masks
+    and values come in the dtypes of ``_dtypes(n)``.
     """
     n = gens.shape[-1]
-    bits = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+    mask, code = _dtypes(n)
+    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(mask)
     tables = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         w = hi - lo
-        images = line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3
-        value = ((np.arange(2**w)[:, None] >> np.arange(w)) & 1) @ 3 ** np.arange(w, dtype=np.int64)
-        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, value * 3 ** (n - hi)))
+        images = (line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3).transpose(1, 0, 2)
+        place = 3 ** np.arange(w, dtype=np.int64)
+        value = (np.arange(4**w)[:, None] >> np.arange(2 * w) & 1) @ np.concatenate([2 * place, place])
+        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, (value * 3 ** (n - hi)).astype(code)))
     return tables
 
 
@@ -353,13 +368,14 @@ def _line_images(tables, codes):
     """The (m, F) line codes of the images of F coded lines under each tabulated generator.
 
     The chunk images are added in bit-sliced F_3, and an image whose leading
-    digit is 2 (the only case with twos > ones) is scaled by 2.
+    digit is 2 (the only case with twos > ones) is scaled by 2.  The work
+    runs on (F, m) arrays, and the result is their transpose.
     """
     n = tables[-1][1]
     ones = twos = None
     for lo, hi, t1, t2, _ in tables:
         p = codes // 3 ** (n - hi) % 3 ** (hi - lo)
-        b1, b2 = t1[:, p], t2[:, p]
+        b1, b2 = np.take(t1, p, axis=0), np.take(t2, p, axis=0)
         if ones is None:
             ones, twos = b1, b2
         else:
@@ -370,26 +386,41 @@ def _line_images(tables, codes):
     twos ^= swap
     out = 0
     for lo, hi, _, _, value in tables:
-        low = (1 << (hi - lo)) - 1
-        out = out + value[ones >> (n - hi) & low] + 2 * value[twos >> (n - hi) & low]
-    return out
+        w = hi - lo
+        low = (1 << w) - 1
+        out = out + np.take(value, (ones >> (n - hi) & low) << w | twos >> (n - hi) & low)
+    return out.T
 
 
 def line_orbit(gens, start, cap: int = 200000):
     """Number of lines of F_3^n in the orbit of the line of ``start`` under (m, n, n) F_3 matrices.
 
     The lines reached are kept as sorted ``line_codes``; raises ValueError
-    once the orbit outgrows ``cap``.
+    once the orbit outgrows ``cap``.  A level's images are formed in blocks
+    of ``_BLOCK`` frontier lines, sorted once and deduplicated by adjacent
+    difference; membership in ``seen`` is a binary search, and ``seen`` takes
+    the fresh codes by a stable sort of two sorted runs, a linear merge.
     """
-    seen = line_codes([start])
-    tables = _chunk_tables(np.asarray(gens, dtype=np.int64))
+    gens = np.asarray(gens, dtype=np.int64)
+    seen = line_codes([start]).astype(_dtypes(gens.shape[-1])[1])
+    tables = _chunk_tables(gens)
+    m = len(gens)
     frontier = seen
     while len(frontier):
-        codes = _line_images(tables, frontier).ravel()
-        fresh = np.unique(codes[~np.isin(codes, seen)])
+        images = np.empty((len(frontier), m), seen.dtype)
+        for i in range(0, len(frontier), _BLOCK):
+            images[i : i + _BLOCK] = _line_images(tables, frontier[i : i + _BLOCK]).T
+        images = images.ravel()
+        images.sort()
+        keep = np.ones(len(images), bool)
+        np.not_equal(images[1:], images[:-1], out=keep[1:])
+        images = images[keep]
+        found = seen.take(np.searchsorted(seen, images), mode="clip") == images
+        fresh = images[~found]
         if len(fresh) and len(seen) + len(fresh) > cap:
             raise ValueError(f"orbit exceeded cap {cap}")
-        seen = np.sort(np.concatenate([seen, fresh]))
+        seen = np.concatenate([seen, fresh])
+        seen.sort(kind="stable")
         frontier = fresh
     return len(seen)
 
@@ -409,7 +440,6 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     sg = symplectic_gram(G)
     if f3_rank(sg) != n:
         raise ValueError("symplectic form must be nondegenerate")
-    gens = [f3_reduce(triflection(G, vector(r))) for r in roots]
     if start is None:
         start = roots[0]
     try:
@@ -420,6 +450,7 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
         raise ValueError(f"start hyperplane normal must have {n} coordinates")
     if not any(start):
         raise ValueError("start hyperplane normal must be nonzero")
+    gens = [f3_reduce(triflection(G, vector(r))) for r in roots]
     return line_orbit(np.reshape(gens, (-1, n, n)), start, cap), len(gens)
 
 

@@ -27,20 +27,24 @@ def identity(n, one):
 
 
 def mat_mul(A, B):
-    """A*B over any ring, as a tuple of row tuples; the zero is taken from A."""
+    """A*B over any ring, as a tuple of row tuples; the zero is taken from A.
+
+    Zeros are skipped by index: each row t of B lists its nonzero (j, y)
+    once, and a row of A adds x times that list into its output row for
+    each nonzero entry x at t, in the order of t, so only products of two
+    nonzero factors are formed.  A row of A must have one entry per row of B.
+    """
     zero = A[0][0] - A[0][0]
-    Bt = tuple(zip(*B))
-    ks = range(len(B))
+    width = len(B[0])
+    rows = [[(j, y) for j, y in enumerate(row) if y] for row in B]
     out = []
     for Ai in A:
-        row = []
-        for Bj in Bt:
-            s = zero
-            for t in ks:
-                if Ai[t] and Bj[t]:
-                    s = s + Ai[t] * Bj[t]
-            row.append(s)
-        out.append(tuple(row))
+        acc = [zero] * width
+        for x, row in zip(Ai, rows, strict=True):
+            if x:
+                for j, y in row:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -442,12 +442,18 @@ def test_norm_enum_refuses_a_long_form_before_scanning(capsys):
 
 def test_closure_cap_bounds_the_memory_of_an_infinite_group():
     # chain(5)'s triflections generate an infinite group; at the default cap the closure must stop on
-    # its orbit sizes, long before millions of elements exist; the child reports its own peak in KiB
+    # its orbit sizes, long before millions of elements exist; the child reports its own peak in KiB.
+    # On Linux a child's ru_maxrss keeps the high-water mark of the address space it replaced at exec,
+    # which after vfork is this test process's; VmHWM counts the child's own address space only.
     code = (
         "import resource, sys\n"
         "from eisenlat.cli import main\n"
         "code = main(['monodromy', 'closure', '--lattice', 'chain:5', '--json'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "try:\n"
+        "    peak = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "EISENLAT_CLOSURE_CAP"}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,37 @@ def test_orbit_rejects_bad_start():
         gluing.hyperplane_orbit(roots, lambda10(), start=(1,) * 9)
 
 
+@pytest.mark.parametrize("start, message", [
+    ((0,) * 10, "nonzero"),
+    ((1,) * 9, "10 coordinates"),
+    ((1.7,) + (0,) * 9, "integer or Eisenstein coordinates"),
+])
+def test_orbit_checks_the_start_before_building_a_triflection(monkeypatch, start, message):
+    calls = []
+    real = mono.triflection
+    monkeypatch.setattr(mono, "triflection", lambda *args: calls.append(args) or real(*args))
+    roots = gluing.sp_generating_roots()[:3]
+    with pytest.raises(ValueError, match=message):
+        gluing.hyperplane_orbit(roots, lambda10(), start=start)
+    assert calls == []
+    # the patched name is the one the orbit builds its generators with
+    assert gluing.hyperplane_orbit(roots, lambda10()) == (12, 3)
+    assert len(calls) == 3
+
+
+def test_orbit_peak_memory_is_bounded():
+    # a level's images come in blocks of narrow codes; whole levels of int64 codes peaked at 6.2 MiB
+    L10, roots = lambda10(), gluing.sp_generating_roots()
+    gluing.hyperplane_orbit(roots, L10)
+    tracemalloc.start()
+    try:
+        assert gluing.hyperplane_orbit(roots, L10) == (29524, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 def test_orbit_start_takes_integers_and_eisenstein_integers():
     L10, roots = lambda10(), gluing.sp_generating_roots()[:5]
     want = gluing.hyperplane_orbit(roots, L10, start=(2, 1) + (0,) * 8)
@@ -426,9 +458,10 @@ def random_invertible_f3(rng, n):
             return np.array(g, dtype=np.int64)
 
 
-@pytest.mark.parametrize("n", list(range(1, 13)) + [39])
+@pytest.mark.parametrize("n", list(range(1, 13)) + [15, 16, 19, 20, 31, 32, 39])
 def test_line_images_match_row_by_row_images(n):
-    # every chunk remainder of the 5-coordinate tables, and the widest codes
+    # every chunk remainder of the 5-coordinate tables, both sides of each
+    # switch of the mask or code dtype, and the widest codes
     rng = random.Random(n)
     gens = np.stack([random_invertible_f3(rng, n) for _ in range(3)])
     rows = [[2] * n, [1] * n, [0] * (n - 1) + [2]]
@@ -459,6 +492,33 @@ def test_line_orbit_reaches_the_top_codes_of_rank_39():
     assert gluing.line_orbit([shift, swap], start) == reference_line_orbit([shift, swap], start) == n
     with pytest.raises(ValueError, match="orbit exceeded cap 38"):
         gluing.line_orbit([shift, swap], start, cap=38)
+
+
+def shift_and_swap(n):
+    """The cyclic shift and the swap of coordinates 0 and 1, as F_3 matrices of rank n."""
+    return np.roll(np.eye(n, dtype=np.int64), 1, axis=0), np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
+
+
+@pytest.mark.parametrize("n, mask, code", [
+    (15, np.int16, np.int32),
+    (16, np.int32, np.int32),
+    (19, np.int32, np.int32),
+    (20, np.int32, np.int64),
+    (31, np.int32, np.int64),
+    (32, np.int64, np.int64),
+])
+def test_line_orbit_across_the_dtype_switches(n, mask, code):
+    # masks: int16 up to rank 15, int32 up to 31; codes: int32 while 3^(n+1) / 2 < 2^31
+    gens = shift_and_swap(n)
+    start = [1] * (n - 1) + [2]
+    tables = gluing._chunk_tables(np.stack(gens))
+    _, _, ones, twos, value = tables[0]
+    assert ones.dtype == twos.dtype == mask and value.dtype == code
+    images = gluing._line_images(tables, gluing.line_codes([start]))
+    assert images.tolist() == [[reference_code(g @ start)] for g in gens]
+    assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start) == n
+    with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
+        gluing.line_orbit(gens, start, cap=n - 1)
 
 
 def test_line_codes_need_int64_room():

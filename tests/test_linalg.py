@@ -9,6 +9,7 @@ draws the same cases.  The field Gauss-Jordan routines ``rref``, ``kernel``,
 import ast
 import math
 import operator
+import random
 from pathlib import Path
 from fractions import Fraction
 
@@ -266,6 +267,76 @@ def test_e_det_matches_sympy(a):
 def test_int_mat_mul_matches_sympy(a, m, data):
     b = data.draw(st.lists(st.lists(ints, min_size=m, max_size=m), min_size=len(a[0]), max_size=len(a[0])))
     assert sympy.Matrix(mat_mul(a, b)) == sympy.Matrix(a) * sympy.Matrix(b)
+
+
+def mat_mul_reference(A, B):
+    """The dense product that tests every triple (i, j, t), the reference for ``mat_mul``."""
+    zero = A[0][0] - A[0][0]
+    Bt = tuple(zip(*B))
+    ks = range(len(B))
+    out = []
+    for Ai in A:
+        row = []
+        for Bj in Bt:
+            s = zero
+            for t in ks:
+                if Ai[t] and Bj[t]:
+                    s = s + Ai[t] * Bj[t]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def seeded_matrix(rng, rows, cols, density, ring):
+    """A rows x cols matrix over ``ring`` (int or E): each entry is drawn from [-9, 9] (each part, for E)
+    with probability ``density``, and is zero otherwise."""
+    def entry():
+        if rng.random() >= density:
+            return ring(0)
+        return ring(rng.randint(-9, 9)) if ring is int else E(rng.randint(-9, 9), rng.randint(-9, 9))
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("ring", [int, E])
+def test_mat_mul_matches_the_dense_reference(ring):
+    rng = random.Random(7)
+    zero = ring(0)
+    shapes = [(1, 1, 1), (2, 3, 4), (3, 1, 5), (5, 4, 1), (4, 4, 4), (7, 3, 6), (10, 10, 10), (11, 11, 2)]
+    for r, k, c in shapes:
+        for density in (0.0, 0.15, 0.5, 1.0):
+            A = seeded_matrix(rng, r, k, density, ring)
+            B = seeded_matrix(rng, k, c, density, ring)
+            assert mat_mul(A, B) == mat_mul_reference(A, B)
+            # an all-zero row of A and an all-zero column of B give A's zero
+            i, j = rng.randrange(r), rng.randrange(c)
+            A = A[:i] + ((zero,) * k,) + A[i + 1 :]
+            B = tuple(row[:j] + (zero,) + row[j + 1 :] for row in B)
+            out = mat_mul(A, B)
+            assert out == mat_mul_reference(A, B)
+            assert all(type(x) is ring for row in out for x in row)
+            assert all(x == zero for x in out[i]) and all(row[j] == zero for row in out)
+    # identity plus rank one, like a reflection, against sparse and dense factors
+    for n in (3, 10, 11):
+        u = seeded_matrix(rng, n, 1, 0.3, ring)
+        v = seeded_matrix(rng, 1, n, 0.5, ring)
+        T = tuple(tuple((ring(1) if i == j else zero) + u[i][0] * v[0][j] for j in range(n)) for i in range(n))
+        for density in (0.2, 1.0):
+            M = seeded_matrix(rng, n, n, density, ring)
+            for A, B in ((T, M), (M, T), (T, T)):
+                assert mat_mul(A, B) == mat_mul_reference(A, B)
+
+
+def test_mat_mul_takes_the_zero_of_its_left_factor():
+    assert mat_mul(((E(0), E(0)),), ((0,), (5,))) == ((E(0),),)
+    assert type(mat_mul(((E(0), E(0)),), ((0,), (5,)))[0][0]) is EisensteinInt
+    assert type(mat_mul(((0, 0),), ((E(1),), (E(2),)))[0][0]) is int
+    assert mat_mul(((E(2), E(1)),), ((3,), (E(1, 1),))) == ((E(7, 1),),)
+
+
+def test_mat_mul_rejects_a_row_that_does_not_fit_the_right_factor():
+    for A in (((1, 2, 3),), ((1,),)):
+        with pytest.raises(ValueError):
+            mat_mul(A, ((1,), (2,)))
 
 
 @BOUNDED
