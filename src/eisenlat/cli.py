@@ -36,6 +36,13 @@ EXIT_INPUT = 3
 # f3 norm-enum scans 3^k vectors: k = 12 takes seconds and hundreds of MB, and
 # each further two coordinates cost about 9 times more
 NORM_ENUM_MAX_COORDINATES = 12
+# a word is expanded into one list entry per letter, and word-order multiplies
+# one matrix per letter
+MAX_WORD_LETTERS = 100_000
+# hodge report builds the residue series one weight at a time, each pass over
+# every grade up to the top one, (dim + 1) d - sum(w): that is weights times
+# grades steps, and 100,000 of them take about half a second
+HODGE_MAX_SERIES_STEPS = 100_000
 
 
 class InputError(Exception):
@@ -69,27 +76,31 @@ def parse_lattice(spec: str) -> HermGram:
     return G
 
 
-_WORD_TOKEN = re.compile(r"^a(\d+)(?:\^(\d+))?$")
-_WORD_RANGE = re.compile(r"^a(\d+)\.\.a(\d+)$")
+# numbers of at most 9 digits, so int() never meets one of the thousands it refuses
+_WORD_TOKEN = re.compile(r"^a(\d{1,9})(?:\^(\d{1,9}))?$")
+_WORD_RANGE = re.compile(r"^a(\d{1,9})\.\.a(\d{1,9})$")
 
 
 def parse_word(text: str):
-    """Expand "a1..a10 a11^2 a10..a1" into a list of generator indices (1-based)."""
+    """Expand "a1..a10 a11^2 a10..a1" into a list of generator indices (1-based).
+
+    Each token's letters are counted before they are expanded, so a word of
+    more than MAX_WORD_LETTERS letters is rejected without being built.
+    """
     out = []
     for tok in text.split():
-        m = _WORD_RANGE.match(tok)
-        if m:
+        if m := _WORD_RANGE.match(tok):
             lo, hi = int(m.group(1)), int(m.group(2))
             step = 1 if hi >= lo else -1
-            out.extend(range(lo, hi + step, step))
-            continue
-        m = _WORD_TOKEN.match(tok)
-        if m:
-            idx = int(m.group(1))
-            rep = int(m.group(2) or 1)
-            out.extend([idx] * rep)
-            continue
-        raise InputError(f"bad word token {tok!r}")
+            letters, count = range(lo, hi + step, step), abs(hi - lo) + 1
+        elif m := _WORD_TOKEN.match(tok):
+            count = int(m.group(2) or 1)
+            letters = itertools.repeat(int(m.group(1)), count)
+        else:
+            raise InputError(f"bad word token {tok!r}")
+        if len(out) + count > MAX_WORD_LETTERS:
+            raise InputError(f"word has more than {MAX_WORD_LETTERS} letters")
+        out.extend(letters)
     return out
 
 
@@ -220,7 +231,7 @@ def cmd_monodromy(args):
                 except ValueError as exc:
                     raise InputError(f"no triflection a{idx} on {args.lattice}: {exc}") from None
             factors.append(gens[idx])
-        w = mono.word_eval(factors)
+        w = mono.word_eval(factors) if factors else mono.identity(G)  # the empty product
         if args.projective:
             val = mono.projective_order(w, modulo_radical=args.mod_radical, cap=args.cap)
         else:
@@ -366,6 +377,12 @@ def cmd_hodge(args):
             raise InputError(f"unknown mode {args.mode!r}")
     except ValueError as exc:
         raise InputError(f"bad hypersurface: {exc}") from None
+    top = H.grade(H.dim)
+    if len(weights) * (top + 1) > HODGE_MAX_SERIES_STEPS:
+        raise InputError(
+            f"the residue series of {len(weights)} weights would run to grade {top}; "
+            f"hodge report takes at most {HODGE_MAX_SERIES_STEPS} weight-grade steps"
+        )
     rows = residues.full_report(H)
     hodge = residues.hodge_vector(H)
     payload = {

@@ -190,68 +190,49 @@ def word_eval(factors) -> GroupElt:
 DEFAULT_ORDER_CAP = 10000
 
 
-def order(M: GroupElt, cap: int = DEFAULT_ORDER_CAP):
-    """Smallest k <= cap with M^k = I; Infinite for nontrivial unipotents."""
+def _first_power(M: GroupElt, cap: int, hit):
+    """The smallest k <= cap for which hit holds on the matrix M^k, or Unknown(cap)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n = len(M.m)
-    I = linalg.identity(n, ONE)
-    if M.m == I:
-        return 1
-    # unipotent shortcut: (M - I) nilpotent and M != I means infinite order
-    K = tuple(
-        tuple(M.m[i][j] - I[i][j] for j in range(n)) for i in range(n)
-    )
-    P = K
-    for _ in range(n):
-        P = mat_mul(P, K)
-    if all(not x for row in P for x in row):
-        return INFINITE
-    acc = M
+    acc = M.m
     for k in range(1, cap + 1):
-        if acc.m == I:
+        if hit(acc):
             return k
-        acc = acc * M
+        acc = mat_mul(acc, M.m)
     return Unknown(cap)
 
 
-def _scalar_of(m):
-    """The unit u with m = u*I, or None."""
-    n = len(m)
-    u = m[0][0]
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != (u if i == j else ZERO):
-                return None
-    return u if u.is_unit() else None
+def _unit_scalars(n: int):
+    """The six unit multiples u I of the n x n identity, each mapped to its u."""
+    return {tuple(tuple(u if i == j else ZERO for j in range(n)) for i in range(n)): u for u in UNITS}
+
+
+def order(M: GroupElt, cap: int = DEFAULT_ORDER_CAP):
+    """Smallest k <= cap with M^k = I; Infinite for nontrivial unipotents."""
+    n = len(M.m)
+    I = linalg.identity(n, ONE)
+    if cap >= 1 and M.m != I:  # a cap below 1 raises in _first_power, before any answer
+        # unipotent shortcut: (M - I) nilpotent and M != I means infinite order
+        K = tuple(tuple(M.m[i][j] - I[i][j] for j in range(n)) for i in range(n))
+        P = K
+        for _ in range(n):
+            P = mat_mul(P, K)
+        if all(not x for row in P for x in row):
+            return INFINITE
+    return _first_power(M, cap, I.__eq__)
 
 
 def projective_order(M: GroupElt, modulo_radical: bool = False, cap: int = DEFAULT_ORDER_CAP):
     """Smallest k with M^k a unit scalar, optionally modulo the form's radical.
 
-    Modulo the radical, M^k = u I is tested as G (M^k - u I) = 0, which says
-    the columns of M^k - u I lie in the kernel of the form.
+    Modulo the radical, M^k = u I is tested as G M^k = u G, which says the
+    columns of M^k - u I lie in the kernel of the form.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     G = M.ambient
-    n = G.n
-    acc = M
-    for k in range(1, cap + 1):
-        if modulo_radical:
-            for u in UNITS:
-                diffcols = tuple(
-                    tuple(acc.m[i][j] - (u if i == j else ZERO) for j in range(n))
-                    for i in range(n)
-                )
-                prod = mat_mul(G.g, diffcols)
-                if all(not x for row in prod for x in row):
-                    return k
-        else:
-            if _scalar_of(acc.m) is not None:
-                return k
-        acc = acc * M
-    return Unknown(cap)
+    if modulo_radical:
+        multiples = {tuple(tuple(u * x for x in row) for row in G.g) for u in UNITS}
+        return _first_power(M, cap, lambda m: mat_mul(G.g, m) in multiples)
+    return _first_power(M, cap, _unit_scalars(G.n).__contains__)
 
 
 NOT_SCALAR = "NotScalar"
@@ -264,10 +245,8 @@ def central_word_scalar(n: int):
     G = chain(n)
     if not det_e(G):
         raise ValueError(f"chain({n}) is degenerate; the scalar is not defined")
-    gens = chain_triflections(n)
-    w = word_eval(gens) ** (n + 1)
-    u = _scalar_of(w.m)
-    return u if u is not None else NOT_SCALAR
+    w = word_eval(chain_triflections(n)) ** (n + 1)
+    return _unit_scalars(n).get(w.m, NOT_SCALAR)
 
 
 BRAID = "Braid"
@@ -603,16 +582,15 @@ def _power_sums(g, bound: int, top: int):
     raise ValueError("not a finite group: some element's powers never reach I")
 
 
-def _inverse_maps(table):
-    """(back, inv) as index arrays: back[j][x] is g_j^-1 x, inv[x] is x^-1.
+def _conjugations(table):
+    """The conjugations x -> g x g^-1 by the generators g, as index arrays.
 
     A breadth-first search of the left table from the identity, element 0, gives each x a parent p
-    and a letter j with x = g_j p; walking x's word g_j1 ... g_jd back to the identity, left
-    multiplying by each letter's inverse, gives x^-1 = g_jd^-1 ... g_j1^-1.
+    and a letter a with x = g_a p.  Left and right multiplication commute, so x g^-1 = g_a (p g^-1):
+    right[x] = x g^-1 fills in level by level from right[0] = g^-1, the element g's column sends
+    to 0.  Conjugation is then g's column read at right.
     """
     order, k = table.shape
-    back = np.empty((k, order), np.intp)
-    back[np.arange(k)[:, None], table.T] = np.arange(order)  # each column of the table is a permutation
     parent, letter, slot = np.full(order, -1), np.zeros(order, np.intp), np.empty(order, np.intp)
     parent[0] = 0
     layers = [np.zeros(1, np.intp)]
@@ -626,30 +604,25 @@ def _inverse_maps(table):
         layers.append(x)
     if (parent < 0).any():
         raise ValueError("the generators do not generate the group")
-    # deepest first, so the elements still walking after t steps, those deeper than t, are a prefix
-    nodes = np.concatenate(layers[::-1])
-    acc, node = np.zeros(order, np.intp), nodes.copy()
-    for live in np.cumsum([len(x) for x in layers[::-1]])[-2::-1]:
-        acc[:live] = back[letter[node[:live]], acc[:live]]
-        node[:live] = parent[node[:live]]
-    inv = np.empty(order, np.intp)
-    inv[nodes] = acc
-    return back, inv
+    maps = []
+    for col in table.T:
+        right = np.empty(order, np.intp)
+        right[0] = np.flatnonzero(col == 0)[0]
+        for x in layers[1:]:
+            right[x] = table[right[parent[x]], letter[x]]
+        maps.append(col[right])
+    return maps
 
 
 def conjugacy_classes(handle: GroupHandle):
     """(representatives, sizes) of the conjugacy classes, representatives ascending.
 
-    The classes are the orbits of the conjugations x -> g x g^-1 by the
-    generators, composed from the left Cayley table and the inverse map, and
-    labelled by their least index.
+    The classes are the orbits of the conjugations by the generators, read
+    off the left Cayley table, and labelled by their least index.
     """
-    table = handle.table
-    _, inv = _inverse_maps(table)
-    # g x g^-1 = g (g x^-1)^-1
-    maps = [col[inv[col[inv]]] for col in table.T]
+    maps = _conjugations(handle.table)
     # min-label propagation with pointer jumping; each label stays in its orbit
-    labels = np.arange(len(inv))
+    labels = np.arange(handle.order)
     while True:
         new = labels
         for image in maps:

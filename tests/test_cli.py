@@ -183,6 +183,19 @@ def test_monodromy_word_order(capsys):
     assert json.loads(out)["order"] == "6"
 
 
+@pytest.mark.parametrize("flags", [[], ["--projective"], ["--projective", "--mod-radical"]])
+def test_monodromy_empty_word_is_the_identity(flags, capsys):
+    argv = ["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1^0", "--json"]
+    code, out, err = run_main(argv + flags, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"] == "1"
+
+
+def test_longest_word_is_accepted():
+    assert cli.parse_word(f"a1^{cli.MAX_WORD_LETTERS - 2} a2 a3") == [1] * (cli.MAX_WORD_LETTERS - 2) + [2, 3]
+    assert cli.parse_word("a3..a1 a2^0") == [3, 2, 1]
+
+
 def test_monodromy_closure(capsys):
     code, out, _ = run_main(
         [
@@ -366,6 +379,13 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         (["f3", "orbit", "--lattice", JsonFile('{"g": 5}')], {}, 3, GRAM_SHAPE),
         (["f3", "orbit", "--lattice", JsonFile('{"g": [[[1]]]}')], {}, 3, "pair [a, b] for a + b w, got [1]"),
         (["f3", "orbit", "--lattice", JsonFile('{"g": [[1]]}')], {}, 3, "pair [a, b] for a + b w, got 1"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1^10000000"], {}, 3, "more than 100000 letters"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1..a5000000"], {}, 3, "more than 100000 letters"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1^3000000"], {}, 3, "more than 100000 letters"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1^99999 a2 a3"], {}, 3, "more than 100000 letters"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1^" + "9" * 5000], {}, 3, "bad word token"),
+        (["hodge", "report", "--weights", "1,1,1", "--degree", "200000"], {}, 3, "would run to grade 399997"),
+        (["hodge", "report", "--weights", ",".join(["1"] * 1000), "--degree", "11"], {}, 3, "1000 weights would run to grade 9989"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys, tmp_path):
