@@ -10,17 +10,14 @@ are built by the named constructors:
     hyp()       ((0, theta), (thetabar, 0)), underlying Z-lattice II_{2,2}
     chain(n)    3 on the diagonal, theta above it, thetabar below it
 
-The integral real form pairs the basis (e1, w e1, e2, w e2, ...) by
-2 Re <alpha, beta>; it is defined for every Gram, and one symmetric
-elimination of it gives both the determinant over E and the signature.  The
-Z-realization alpha.beta = (2/3) Re <alpha, beta> is this form divided by 3,
-which is integral exactly when every inner product lies in theta*E.
+The determinant over E and the signature both come from one Hermitian
+elimination of the Gram over E, ``linalg.herm_eliminate``.  The integral
+real form pairs the basis (e1, w e1, e2, w e2, ...) by 2 Re <alpha, beta>;
+the Z-realization alpha.beta = (2/3) Re <alpha, beta> is this form divided
+by 3, which is integral exactly when every inner product lies in theta*E.
 """
 
 from __future__ import annotations
-
-import functools
-import math
 
 from .eisenstein import (
     ONE,
@@ -31,7 +28,7 @@ from .eisenstein import (
     is_associate,
     reduce_mod_theta,
 )
-from .linalg import mat_mul
+from .linalg import herm_eliminate, mat_mul
 from .zlattice import ZGram, invariants
 
 
@@ -227,24 +224,24 @@ def omega_matrix(n: int):
     return tuple(tuple(row) for row in m)
 
 
-@functools.lru_cache(maxsize=1)
-def det_signature(G: HermGram):
-    """(det_e(G), signature(G)) from one symmetric elimination of the real form.
+_last = (None, None)  # the last Gram passed to det_signature, and its result
 
-    The real form has inertia (2p, 2r, 2m) for the signature (p, r, m), and
-    determinant 3^n det(G)^2, where det(G) is a rational integer because G
-    is Hermitian; its sign is (-1)^m, and it is 0 when r > 0.  The last
-    result is kept, so det_e and signature of one Gram share the elimination.
+
+def det_signature(G: HermGram):
+    """(det_e(G), signature(G)) from one Hermitian elimination of G over E.
+
+    The pivot minors of ``herm_eliminate`` are rational integers; the
+    signature counts their sign changes and det_e is the last of them at
+    full rank, as ``zlattice.invariants`` reads them.  The result for the
+    last Gram object is kept, so det_e and signature of one Gram share the
+    elimination; the key is the object itself, since a HermGram does not
+    change, so a call costs no hashing of its entries.
     """
-    (p, r, m), d = invariants(_real_form(G))
-    sig = (p // 2, r // 2, m // 2)
-    if r:
-        return ZERO, sig
-    q, rem = divmod(d, 3**G.n)
-    root = math.isqrt(max(q, 0))
-    if rem or root * root != q:
-        raise ArithmeticError(f"real-form determinant {d} is not 3^{G.n} times a square")
-    return EisensteinInt(-root if sig[2] % 2 else root), sig
+    global _last
+    if _last[0] is not G:
+        sig, d = invariants(G.n, herm_eliminate(G.g))
+        _last = G, (EisensteinInt(d), sig)
+    return _last[1]
 
 
 def det_e(G: HermGram) -> EisensteinInt:
@@ -262,16 +259,19 @@ def in_theta_dual(G: HermGram) -> bool:
     return all(reduce_mod_theta(x) == 0 for row in G.g for x in row)
 
 
-def theta_self_dual(G: HermGram, d=None) -> bool:
+def theta_self_dual(G: HermGram, d=None, dual=None) -> bool:
     """True iff theta L* = L: inner products in theta*E and |det|^2 = 3^n.
 
-    ``d`` is det_e(G) when the caller has it already.
+    ``d`` is det_e(G) and ``dual`` is in_theta_dual(G) when the caller has
+    them already.
     """
     if d is None:
         d = det_e(G)
     if not d:
         raise ValueError("theta-self-duality is undefined for singular forms")
-    return in_theta_dual(G) and d.norm() == 3**G.n
+    if dual is None:
+        dual = in_theta_dual(G)
+    return dual and d.norm() == 3**G.n
 
 
 NODAL = "Nodal"

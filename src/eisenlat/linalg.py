@@ -5,11 +5,12 @@ elimination (Bareiss 1968) over an integral domain, given the ring's exact
 division; ``adjugate`` its Gauss-Jordan form over Z, which solves integer
 systems without fractions; ``sym_eliminate`` the same elimination as a
 congruence of a symmetric form, updating only the upper half of the still
-live symmetric block and the trailing columns.  E-matrices are solved
-through ``pack``, the ring map a + b w -> [[a, -b], [b, a - b]] into integer
-2 x 2 blocks: ``adjugate_e`` is ``adjugate`` of the packing.  A rational
-vector travels as a pair (d, x) of a positive int d and an integer vector
-x, meaning x / d.
+live symmetric block and the trailing columns; ``herm_eliminate`` the same
+half-block elimination of a Hermitian form over Z[w], on int pairs.
+E-matrices are solved through ``pack``, the ring map a + b w ->
+[[a, -b], [b, a - b]] into integer 2 x 2 blocks: ``adjugate_e`` is
+``adjugate`` of the packing.  A rational vector travels as a pair (d, x)
+of a positive int d and an integer vector x, meaning x / d.
 ``f3_rref`` is Gauss-Jordan elimination on integer rows modulo 3.
 """
 
@@ -207,6 +208,71 @@ def sym_eliminate(rows, div):
         minors.append(d)
         prev = d
     return order + live, minors, a
+
+
+def _e_mul(a, b, c, d):
+    """(a + b w)(c + d w) as a pair, since w^2 = -1 - w."""
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def herm_eliminate(rows):
+    """Pivot minors D_1..D_r of a Hermitian form over E, r its rank.
+
+    The half-block elimination of ``sym_eliminate`` run on the E-entries
+    themselves, each kept as an int pair (a, b) for a + b w: the step on the
+    pivot p updates a_tu <- (d a_tu - a_tp a_pu) / prev for t <= u in the
+    live block and mirrors it by conjugation, conj(a + b w) = (a - b) - b w.
+    The pivot d and prev are minors of a Hermitian form, so rational
+    integers, and each division is two exact floor divisions.
+
+    A pivot is the first live nonzero diagonal entry; it must be real, and
+    an ArithmeticError reports one that is not, which only a form that is
+    not Hermitian can give.  When every live diagonal entry is zero but
+    some a_pj (p < j) is not, conj(u) times row j is added to row p and u
+    times column j to column p, the congruence e_p -> e_p + conj(u) e_j,
+    which makes a_pp = 2 Re(u a_pj): with u = 1 that is 2a - b, and when it
+    is 0, a_pj = a theta and u = w gives a_pp = -3a instead.
+    """
+    A = [[x.a for x in row] for row in rows]
+    B = [[x.b for x in row] for row in rows]
+    live = list(range(len(A)))
+    minors = []
+    prev = 1
+    while live:
+        p = next((i for i in live if A[i][i] or B[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if j > i and (A[i][j] or B[i][j])), None)
+            if pair is None:
+                break
+            p, j = pair
+            ua, ub = (1, 0) if 2 * A[p][j] - B[p][j] else (0, 1)
+            Ap, Bp, Aj, Bj = A[p], B[p], A[j], B[j]
+            for t in live:
+                x, y = _e_mul(ua - ub, -ub, Aj[t], Bj[t])  # conj(u) a_jt
+                Ap[t] += x
+                Bp[t] += y
+            for t in live:
+                x, y = _e_mul(ua, ub, A[t][j], B[t][j])  # u a_tj
+                A[t][p] += x
+                B[t][p] += y
+        live.remove(p)
+        Ap, Bp = A[p], B[p]
+        d = Ap[p]
+        if Bp[p]:
+            raise ArithmeticError(f"pivot {d} + {Bp[p]}w of a Hermitian elimination is not real")
+        for s, t in enumerate(live):
+            At, Bt = A[t], B[t]
+            c, e = At[p], Bt[p]
+            for u in live[s:]:
+                x, y = Ap[u], Bp[u]
+                ey = e * y
+                At[u] = a = (d * At[u] - c * x + ey) // prev
+                Bt[u] = b = (d * Bt[u] - c * y - e * x + ey) // prev
+                A[u][t] = a - b
+                B[u][t] = -b
+        minors.append(d)
+        prev = d
+    return minors
 
 
 def f3_rref(rows):

@@ -121,21 +121,25 @@ def reflection(G: HermGram, r, zeta) -> GroupElt:
     rr = norm_of(G, r)
     if not rr:
         raise ValueError("reflection root must have nonzero norm")
-    n = G.n
     one_minus = ONE - zeta
-    cols = []
-    for j in range(n):
-        e = basis_vector(n, j)
-        c = one_minus * ip(G, e, r)
+    support = [(k, x) for k, x in enumerate(r) if x]
+    coeffs = []
+    for j, row in enumerate(G.g):
+        c = one_minus * sum((row[k] * x.conj() for k, x in support), ZERO)  # (1 - zeta)<e_j, r>
         try:
-            coeff = c.exact_div(rr)
+            coeffs.append(c.exact_div(rr))
         except ValueError:
             raise ValueError(
                 "reflection does not preserve the lattice: "
                 f"(1 - zeta)<e_{j}, r>/<r, r> is not in E"
             ) from None
-        cols.append(tuple(e[i] - coeff * r[i] for i in range(n)))
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    # entry (i, j) is delta_ij - coeff_j r_i, so only rows in r's support and columns with coeff_j != 0 move
+    m = [list(row) for row in linalg.identity(G.n, ONE)]
+    moved = [(j, c) for j, c in enumerate(coeffs) if c]
+    for i, x in support:
+        mi = m[i]
+        for j, c in moved:
+            mi[j] = mi[j] - c * x
     return GroupElt(m, G)
 
 

@@ -60,15 +60,17 @@ def pivot_minors(rows):
     return sym_eliminate(rows, operator.floordiv)[1]
 
 
-def invariants(rows):
-    """((positive, radical, negative), determinant) of a symmetric int form.
+def invariants(n, minors):
+    """((positive, radical, negative), determinant) of an n x n form from its pivot minors.
 
-    The k-th pivot is D_k / D_(k-1), whose sign is that of D_k D_(k-1).
-    Every congruence of the elimination is unimodular, so the determinant is
-    D_n at full rank, 0 below it, and 1 for n = 0.
+    The minors are those of ``sym_eliminate`` on a symmetric int form or of
+    ``herm_eliminate`` on a Hermitian form over E.  The k-th pivot is
+    D_k / D_(k-1), whose sign is that of D_k D_(k-1).  Every congruence of
+    either elimination is by a unimodular matrix P and scales the
+    determinant by det(P) conj(det(P)) = 1, so the determinant is D_n at
+    full rank, 0 below it, and 1 for n = 0.
     """
-    minors = pivot_minors(rows)
-    n, r = len(rows), len(minors)
+    r = len(minors)
     pos = sum(prev * d > 0 for prev, d in zip([1] + minors, minors))
     det = 0 if r < n else minors[-1] if minors else 1
     return (pos, n - r, r - pos), det
@@ -76,12 +78,12 @@ def invariants(rows):
 
 def inertia(G: ZGram):
     """Exact inertia (positive, radical, negative) of the rational form."""
-    return invariants(G.g)[0]
+    return invariants(G.n, pivot_minors(G.g))[0]
 
 
 def determinant(G: ZGram):
     """Exact determinant, the last pivot minor of the symmetric elimination."""
-    return invariants(G.g)[1]
+    return invariants(G.n, pivot_minors(G.g))[1]
 
 
 def is_even(G: ZGram):

@@ -96,14 +96,15 @@ def test_no_source_call_passes_indent_to_json_dumps():
 
 
 def test_parse_word_expansion():
-    letters = cli.parse_word("a1..a10 a11^2 a10..a1")
+    letters = cli.parse_word("a1..a10 a11^2 a10..a1", 11)
     assert len(letters) == 22
     assert letters[:3] == [1, 2, 3]
     assert letters[9:12] == [10, 11, 11]
     assert letters[-1] == 1
-    assert cli.parse_word("a3..a1") == [3, 2, 1]
+    assert cli.parse_word("a3..a1", 3) == [3, 2, 1]
     with pytest.raises(cli.InputError):
-        cli.parse_word("b2")
+        cli.parse_word("b2", 3)
+    assert cli.parse_word("a1..a10 a11^2 a10..a1") == letters  # no rank, no index check
 
 
 def test_parse_lattice_names(tmp_path):
@@ -192,8 +193,8 @@ def test_monodromy_empty_word_is_the_identity(flags, capsys):
 
 
 def test_longest_word_is_accepted():
-    assert cli.parse_word(f"a1^{cli.MAX_WORD_LETTERS - 2} a2 a3") == [1] * (cli.MAX_WORD_LETTERS - 2) + [2, 3]
-    assert cli.parse_word("a3..a1 a2^0") == [3, 2, 1]
+    assert cli.parse_word(f"a1^{cli.MAX_WORD_LETTERS - 2} a2 a3", 3) == [1] * (cli.MAX_WORD_LETTERS - 2) + [2, 3]
+    assert cli.parse_word("a3..a1 a2^0", 3) == [3, 2, 1]
 
 
 def test_monodromy_closure(capsys):
@@ -386,6 +387,9 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1^" + "9" * 5000], {}, 3, "bad word token"),
         (["hodge", "report", "--weights", "1,1,1", "--degree", "200000"], {}, 3, "would run to grade 399997"),
         (["hodge", "report", "--weights", ",".join(["1"] * 1000), "--degree", "11"], {}, 3, "1000 weights would run to grade 9989"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a9^0"], {}, 3, "generator a9 out of range for rank 3"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a0^0"], {}, 3, "generator a0 out of range for rank 3"),
+        (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1 a3..a4"], {}, 3, "generator a4 out of range for rank 3"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlat import hermitian
-from eisenlat.eisenstein import E, ONE, OMEGA, THETA, EisensteinInt, QOmega
+from eisenlat.eisenstein import E, ONE, OMEGA, THETA, ZERO, EisensteinInt, QOmega
 from eisenlat.hermitian import (
     CHORDAL,
     NODAL,
@@ -28,9 +29,8 @@ from eisenlat.hermitian import (
     theta_self_dual,
     z_realization,
 )
-from eisenlat.linalg import det
-from eisenlat.zlattice import inertia
-from eisenlat.zlattice import ZGram, determinant, inertia, is_even
+from eisenlat.linalg import det, herm_eliminate
+from eisenlat.zlattice import ZGram, determinant, inertia, invariants, is_even, pivot_minors
 from test_linalg import kernel
 
 
@@ -195,13 +195,110 @@ def test_det_e_and_signature_of_rank_0_and_unimodular_grams():
     assert (det_e(diag([1, -1])), signature(diag([1, -1]))) == (E(-1), (1, 0, 1))
 
 
-@pytest.mark.parametrize("real_form_invariants", [((2, 0, 0), 6), ((2, 0, 0), 3 * 8), ((0, 0, 2), -3)])
-def test_det_signature_refuses_a_determinant_that_is_not_3_to_the_n_times_a_square(real_form_invariants, monkeypatch):
-    monkeypatch.setattr(hermitian, "invariants", lambda rows: real_form_invariants)
-    hermitian.det_signature.cache_clear()
-    with pytest.raises(ArithmeticError, match="not 3\\^1 times a square"):
-        hermitian.det_signature(diag([5]))
-    hermitian.det_signature.cache_clear()
+def det_signature_reference(G):
+    """(det_e, signature) from the 2n x 2n integral real form, the route before the Hermitian elimination.
+
+    The real form has inertia (2p, 2r, 2m) for the signature (p, r, m), and
+    determinant 3^n det(G)^2, whose sign is (-1)^m.
+    """
+    rows = hermitian._real_form(G)
+    (p, r, m), d = invariants(len(rows), pivot_minors(rows))
+    sig = (p // 2, r // 2, m // 2)
+    if r:
+        return ZERO, sig
+    q, rem = divmod(d, 3**G.n)
+    root = math.isqrt(q)
+    assert not rem and root * root == q
+    return E(-root if sig[2] % 2 else root), sig
+
+
+small = st.integers(-2, 2)
+elimination_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda a, b: THETA * E(a, b), small, small),
+    st.builds(E, small, small),
+)
+
+
+@st.composite
+def elimination_grams(draw, max_n=7):
+    """A Hermitian Gram of rank <= 7 for every branch of the elimination: its
+    diagonal is sometimes all zero, its entries lie in theta E or outside it,
+    and, if asked, one index is doubled (a repeated row) or zeroed (a radical)."""
+    n = draw(st.integers(1, max_n))
+    zero_diagonal = draw(st.booleans())
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = ZERO if zero_diagonal else E(draw(st.integers(-3, 3)))
+        for j in range(i):
+            v = draw(elimination_entries)
+            rows[i][j], rows[j][i] = v.conj(), v
+    change = draw(st.sampled_from(["none", "repeat", "zero"]))
+    if change == "repeat" and n < max_n:
+        s = list(range(n)) + [draw(st.integers(0, n - 1))]
+        rows = [[rows[i][j] for j in s] for i in s]
+    elif change == "zero":
+        k = draw(st.integers(0, n - 1))
+        rows = [[ZERO if k in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return HermGram(rows)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(elimination_grams())
+@example(direct_sum(hyp(), chain(3)))
+@example(lambda_())
+@example(lambda10())
+def test_det_signature_matches_the_real_form(G):
+    assert hermitian.det_signature(G) == det_signature_reference(G)
+
+
+@pytest.mark.parametrize(
+    "rows, minors, invariants_",
+    [
+        # every diagonal entry is 0 and 2a - b = 0 for a_01 = theta: u = w makes a_00 = -3
+        (hyp().g, [-3, -3], (E(-3), (1, 0, 1))),
+        # a_01 = 1, so 2a - b = 2 and u = 1 makes a_00 = 2
+        (((0, 1), (1, 0)), [2, -1], (E(-1), (1, 0, 1))),
+        ((), [], (ONE, (0, 0, 0))),
+        (((1,),), [1], (ONE, (1, 0, 0))),
+        # index 0 is radical and comes before the one pivot
+        (((0, 0), (0, 1)), [1], (ZERO, (1, 1, 0))),
+    ],
+)
+def test_hermitian_elimination_examples(rows, minors, invariants_):
+    G = HermGram(rows)
+    assert herm_eliminate(G.g) == minors
+    assert hermitian.det_signature(G) == invariants_ == det_signature_reference(G)
+
+
+def _unchecked_gram(rows):
+    """A HermGram that skips the validation, so it need not be Hermitian."""
+    G = object.__new__(HermGram)
+    G.g = tuple(tuple(E(*x) if isinstance(x, tuple) else E(x) for x in row) for row in rows)
+    G.n = len(G.g)
+    return G
+
+
+def test_det_signature_refuses_a_pivot_that_is_not_real():
+    for rows in [
+        [[(0, 1)]],  # the first pivot is w
+        [[1, 1], [(0, 1), 1]],  # the second is 1 - w
+        [[0, 1], [(0, 1), 0]],  # the zero-diagonal step makes a_00 = 1 + w
+    ]:
+        with pytest.raises(ArithmeticError, match="is not real"):
+            hermitian.det_signature(_unchecked_gram(rows))
+
+
+def test_det_signature_keys_its_cache_on_the_gram_object(monkeypatch):
+    def no_hash(self):
+        raise AssertionError("det_signature hashed a Gram")
+
+    monkeypatch.setattr(HermGram, "__hash__", no_hash)
+    A, B = lambda10(), lambda10()  # equal, but not the same object
+    lambda10_invariants, hyp_invariants = (E(-243), (9, 0, 1)), (E(-3), (1, 0, 1))
+    for G, expected in [(A, lambda10_invariants), (B, lambda10_invariants), (hyp(), hyp_invariants), (A, lambda10_invariants)]:
+        assert (det_e(G), signature(G)) == expected
+        assert hermitian.det_signature(G) == expected
 
 
 def z_realization_reference(G):

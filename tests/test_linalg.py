@@ -239,9 +239,10 @@ def test_only_eisenstein_imports_fractions_or_names_qomega():
     assert offenders == []
 
 
-def test_only_three_modules_import_the_eliminations():
-    """``det`` and ``sym_eliminate`` are imported from linalg only by discpoly,
-    zlattice and gluing, so a second copy of a form's elimination shows here."""
+def test_only_four_modules_import_the_eliminations():
+    """``det``, ``sym_eliminate`` and ``herm_eliminate`` are imported from
+    linalg only by discpoly, zlattice, gluing and hermitian, so a second copy
+    of a form's elimination shows here."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
     importers = set()
     for path in sorted(src.glob("*.py")):
@@ -249,10 +250,10 @@ def test_only_three_modules_import_the_eliminations():
             if (
                 isinstance(node, ast.ImportFrom)
                 and node.module == "linalg"
-                and any(alias.name in ("det", "sym_eliminate") for alias in node.names)
+                and any(alias.name in ("det", "sym_eliminate", "herm_eliminate") for alias in node.names)
             ):
                 importers.add(path.stem)
-    assert importers == {"discpoly", "zlattice", "gluing"}
+    assert importers == {"discpoly", "zlattice", "gluing", "hermitian"}
 
 
 @BOUNDED

@@ -67,6 +67,63 @@ def test_reflection_requires_nonzero_norm():
         mono.reflection(L, xi, OMEGA)
 
 
+def reflection_reference(G, r, zeta):
+    """The dense builder before the sparse one: column j is e_j - coeff_j r, for every j and every entry."""
+    rr = norm_of(G, r)
+    n = G.n
+    cols = []
+    for j in range(n):
+        e = basis_vector(n, j)
+        c = (ONE - zeta) * ip(G, e, r)
+        try:
+            coeff = c.exact_div(rr)
+        except ValueError:
+            raise ValueError(
+                "reflection does not preserve the lattice: "
+                f"(1 - zeta)<e_{j}, r>/<r, r> is not in E"
+            ) from None
+        cols.append(tuple(e[i] - coeff * r[i] for i in range(n)))
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def compare_reflection(G, r, zeta):
+    """Assert that ``reflection`` agrees with the dense builder: True when both
+    build the same matrix, False when both refuse with the same message."""
+    try:
+        expected = reflection_reference(G, r, zeta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            mono.reflection(G, r, zeta)
+        assert str(got.value) == str(exc)
+        return False
+    assert mono.reflection(G, r, zeta).m == expected
+    return True
+
+
+def test_sparse_reflection_matches_the_dense_builder():
+    L10, L = lambda10(), lambda_()
+    for r in sp_generating_roots():
+        assert compare_reflection(L10, r, OMEGA)
+        # these roots are nodal and (1 - zeta) theta / 3 = -w theta / 3 is not in E, so both refuse the hexaflection
+        assert not compare_reflection(L10, r, -OMEGA_BAR)
+    assert compare_reflection(L, basis_vector(11, 0), -OMEGA_BAR)  # a chordal root
+    assert not compare_reflection(L, NODAL_ROOT, E(-1))
+    rng = random.Random(239)
+    built = refused = 0
+    for _ in range(300):
+        G = rng.choice([lambda10(), lambda_(), chain(5), diag([1, -2, 3])])
+        r = [E(0)] * G.n
+        for i in rng.sample(range(G.n), rng.randint(1, min(3, G.n))):
+            r[i] = E(rng.randint(-2, 2), rng.randint(-2, 2))
+        r = tuple(r)
+        if norm_of(G, r):
+            if compare_reflection(G, r, rng.choice([u for u in UNITS if u != ONE])):
+                built += 1
+            else:
+                refused += 1
+    assert built and refused
+
+
 def test_reflection_determinant_is_zeta():
     G = chain(3)
     for i in range(3):
