@@ -47,7 +47,6 @@ from .zlattice import (
     hermitian_from_z,
     inertia,
     is_even,
-    tensor_gram,
 )
 
 __version__ = "0.1.0"
@@ -88,5 +87,4 @@ __all__ = [
     "hermitian_from_z",
     "inertia",
     "is_even",
-    "tensor_gram",
 ]

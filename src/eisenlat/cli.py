@@ -43,6 +43,8 @@ MAX_WORD_LETTERS = 100_000
 # every grade up to the top one, (dim + 1) d - sum(w): that is weights times
 # grades steps, and 100,000 of them take about half a second
 HODGE_MAX_SERIES_STEPS = 100_000
+# the comma-separated names that monodromy closure --report takes
+CLOSURE_REPORTS = ("order", "reflections", "free-action")
 
 
 class InputError(Exception):
@@ -227,6 +229,8 @@ def cmd_monodromy(args):
         _require(args, "word")
         if args.cap < 1:
             raise UsageError(f"--cap must be >= 1, got {args.cap}")
+        if args.mod_radical and not args.projective:
+            raise UsageError("--mod-radical requires --projective")
         letters = parse_word(args.word, G.n)
         gens = {}
         factors = []
@@ -251,7 +255,10 @@ def cmd_monodromy(args):
             gens = [mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
         except ValueError as exc:
             raise InputError(f"no triflections on {args.lattice}: {exc}") from None
-        reports = (args.report or "").split(",") if args.report else []
+        reports = args.report.split(",") if args.report else []
+        unknown = [r for r in reports if r not in CLOSURE_REPORTS]
+        if unknown:
+            raise InputError(f"unknown report {unknown[0]!r}; choose from {', '.join(CLOSURE_REPORTS)}")
         try:
             handle = mono.group_closure(gens, cap=cap)
             ok = mono.free_action_check(handle) if "free-action" in reports else None
@@ -467,7 +474,7 @@ def build_parser():
     pm.add_argument("--projective", action="store_true")
     pm.add_argument("--mod-radical", action="store_true")
     pm.add_argument("--cap", type=int, default=10000)
-    pm.add_argument("--report", help="comma list: reflections,free-action")
+    pm.add_argument("--report", help="comma list: order,reflections,free-action")
     pm.add_argument("--json", action="store_true")
     pm.set_defaults(fn=cmd_monodromy)
 

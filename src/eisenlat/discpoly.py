@@ -23,7 +23,6 @@ import numpy as np
 
 from .linalg import det
 
-WEIGHTS = {i: i for i in range(2, 13)}
 TOTAL_WEIGHT = 132
 
 

@@ -6,7 +6,8 @@ quotient theta N*/N is an F_3-vector space carrying the symmetric form
 theta N* along isotropic lines undo index-3 sublattice passages; the group
 generated by reduced triflections acts on the hyperplanes of L/theta L,
 whose count (3^10 - 1)/2 = 29524 for L of rank 10 is reproduced by orbit
-enumeration.
+enumeration.  One Gaussian congruence mod 3 diagonalizes the F_3 form and
+carries the inverse transpose of its change of basis for ``coords``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .eisenstein import (
 )
 from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, ip, vector
 from .hnf import hnf_columns_e, snf_e
-from .linalg import adjugate_e, f3_rref, identity, mat_mul, mat_vec, sym_eliminate
+from .linalg import adjugate_e, identity, mat_mul, mat_vec
 
 
 class F3QuadSpace:
@@ -126,46 +127,57 @@ def disc_group(N: HermGram) -> F3QuadSpace:
             row.append(reduce_mod_theta(val))
         form.append(row)
     # canonicalize: diagonalize the form over F_3 and sort diagonal (+1s, -1s, 0s)
-    change, newform = _f3_diagonalize(form)
+    change, newform, inv_t = _f3_diagonalize(form)
     space = F3QuadSpace(
         N,
         k,
         tuple(tuple(r) for r in newform),
         (d, [_combine(change[i], lifts, n) for i in range(k)]),
-        ([row for i, row in enumerate(mat_mul(L, gbar)) if i in positions], _f3_inverse_transpose(change)),
+        ([row for i, row in enumerate(mat_mul(L, gbar)) if i in positions], inv_t),
     )
     return space
 
 
-def _f3_inverse_transpose(C):
-    """Inverse of C^T over F_3 (C square, invertible)."""
-    k = len(C)
-    a = [[C[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(k)] for i in range(k)]
-    if f3_rref(a) != list(range(k)):
-        raise ValueError("singular matrix over F_3")
-    return [row[k:] for row in a]
-
-
 def _f3_diagonalize(form):
-    """Congruence diagonalization over F_3; returns (change, diag form).
+    """Congruence diagonalization over F_3: (change, diagonal form, inverse of change^T).
 
-    change rows express the new basis in the old one; the diagonal is sorted
-    with +1 entries first, then -1 (=2), then 0.  The k-th eliminated row of
-    [form | I] is D_(k-1) times the k-th basis vector (D_r for the radical),
-    whose norm is D_k / D_(k-1); mod 3 these are D_(k-1) and D_k D_(k-1), as
-    1 and 2 are their own inverses.
+    Gaussian steps on [form | I] mod 3: each pivots on the first live p with
+    a_pp != 0, its own inverse, and subtracts a_tp a_pp e_p from every live
+    e_t; with a zero live diagonal, e_p += e_j first makes a_pp = 2 a_pj for
+    the first a_pj != 0 (p < j).  e_i += c e_j on the change is
+    row_j -= c row_i on its inverse transpose, which is carried along.  The
+    change rows are the new basis, sorted +1, -1 (=2), 0, each stably in the
+    elimination order.
     """
     k = len(form)
-    rows = [[x % 3 for x in row] + list(e) for row, e in zip(form, identity(k, 1))]
-    order, minors, a = sym_eliminate(rows, lambda x, y: x * y % 3)
-    r = len(minors)
-    D = [1] + minors
-    diagonal = [D[s] * D[s + 1] % 3 for s in range(r)] + [0] * (k - r)
-    basis = [[D[min(s, r)] * x % 3 for x in a[i][k:]] for s, i in enumerate(order)]
-    ranks = sorted(range(k), key=lambda s: (diagonal[s] - 1) % 3)  # 1, 2, 0
-    change = [basis[s] for s in ranks]
-    newform = [[diagonal[s] if s == t else 0 for t in ranks] for s in ranks]
-    return change, newform
+    a = [[x % 3 for x in row] + list(e) for row, e in zip(form, identity(k, 1))]
+    inv_t = [list(e) for e in identity(k, 1)]
+
+    def add(i, j, c):
+        a[i] = [(x + c * y) % 3 for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = (row[i] + c * row[j]) % 3
+        inv_t[j] = [(x - c * y) % 3 for x, y in zip(inv_t[j], inv_t[i])]
+
+    live = list(range(k))
+    order = []
+    while live:
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if j > i and a[i][j]), None)
+            if pair is None:
+                break
+            p = pair[0]
+            add(p, pair[1], 1)
+        live.remove(p)
+        for t in live:
+            if a[t][p]:
+                add(t, p, -a[t][p] * a[p][p])
+        order.append(p)
+    ranks = sorted(order + live, key=lambda i: (a[i][i] - 1) % 3)  # 1, 2, 0
+    change = [a[i][k:] for i in ranks]
+    newform = [[a[i][i] if i == j else 0 for j in ranks] for i in ranks]
+    return change, newform, [inv_t[i] for i in ranks]
 
 
 _SCAN_DIGITS = 9  # coordinates scanned per block: 3^9 rows of int8 digits

@@ -3,10 +3,10 @@
 Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
 elimination (Bareiss 1968) over an integral domain, given the ring's exact
 division; ``adjugate`` its Gauss-Jordan form over Z, which solves integer
-systems without fractions; ``sym_eliminate`` the same elimination as a
-congruence of a symmetric form, updating only the upper half of the still
-live symmetric block and the trailing columns; ``herm_eliminate`` the same
-half-block elimination of a Hermitian form over Z[w], on int pairs.
+systems without fractions; ``herm_eliminate`` the same elimination as a
+congruence of a Hermitian form over Z[w], on int pairs, updating only the
+upper half of the still live block; a symmetric integer form is the
+Hermitian form whose entries are all rational.
 E-matrices are solved through ``pack``, the ring map a + b w ->
 [[a, -b], [b, a - b]] into integer 2 x 2 blocks: ``adjugate_e`` is
 ``adjugate`` of the packing.  A rational vector travels as a pair (d, x)
@@ -152,64 +152,6 @@ def adjugate_e(a):
     )
 
 
-def sym_eliminate(rows, div):
-    """Fraction-free congruence elimination of a symmetric form.
-
-    The form is the leading n x n block of ``rows``, n = len(rows); further
-    columns follow the row operations.  Each step pivots on the first live
-    index with a nonzero diagonal entry.  When every live diagonal entry is
-    zero but some a_ij (i < j) is not, row and column j are first added to
-    row and column i: a unimodular congruence that makes a_ii = 2 a_ij.  The
-    update is Bareiss' (p a_ij - a_ip a_pj) / prev, with ``div`` the ring's
-    exact division as in ``det``.
-
-    The block of the live indices stays symmetric, so a step computes its
-    upper half, mirrors it, and updates the trailing columns; nothing else
-    is read again.  In the returned rows, the columns of the eliminated
-    indices hold stale values: only the trailing columns are reduced.
-
-    Returns (order, minors, a): the pivot indices in turn followed by the
-    radical ones; the pivot minors D_1..D_r, D_k the k-th leading principal
-    minor of the form in the pivot basis; and the rows.  The trailing part
-    of the row of the k-th index in ``order`` is D_(k-1) times its Gaussian
-    counterpart (D_0 = 1, and D_r for the radical), so the form is diagonal
-    in the basis the Gaussian rows define, with entries D_k / D_(k-1) and
-    then zeros.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    live = list(range(n))
-    order, minors = [], []
-    prev = 1
-    while live:
-        p = next((i for i in live if a[i][i]), None)
-        if p is None:
-            pair = next(((i, j) for i in live for j in live if j > i and a[i][j]), None)
-            if pair is None:
-                break
-            p, j = pair
-            ap, aj = a[p], a[j]
-            for t in [*live, *range(n, len(ap))]:
-                ap[t] += aj[t]
-            for t in live:
-                a[t][p] += a[t][j]
-        live.remove(p)
-        ap = a[p]
-        d = ap[p]
-        tail = ap[n:]
-        for s, t in enumerate(live):
-            at = a[t]
-            c = at[p]
-            for u in live[s:]:
-                at[u] = a[u][t] = div(d * at[u] - c * ap[u], prev)
-            if tail:
-                at[n:] = [div(d * x - c * y, prev) for x, y in zip(at[n:], tail)]
-        order.append(p)
-        minors.append(d)
-        prev = d
-    return order + live, minors, a
-
-
 def _e_mul(a, b, c, d):
     """(a + b w)(c + d w) as a pair, since w^2 = -1 - w."""
     return a * c - b * d, a * d + b * c - b * d
@@ -218,12 +160,15 @@ def _e_mul(a, b, c, d):
 def herm_eliminate(rows):
     """Pivot minors D_1..D_r of a Hermitian form over E, r its rank.
 
-    The half-block elimination of ``sym_eliminate`` run on the E-entries
-    themselves, each kept as an int pair (a, b) for a + b w: the step on the
-    pivot p updates a_tu <- (d a_tu - a_tp a_pu) / prev for t <= u in the
-    live block and mirrors it by conjugation, conj(a + b w) = (a - b) - b w.
-    The pivot d and prev are minors of a Hermitian form, so rational
-    integers, and each division is two exact floor divisions.
+    Bareiss' elimination of ``det`` run as a congruence, on the E-entries
+    themselves, each kept as an int pair (a, b) for a + b w.  The block of
+    the live indices stays Hermitian, so the step on the pivot p updates
+    only its upper half, a_tu <- (d a_tu - a_tp a_pu) / prev for t <= u,
+    and mirrors it by conjugation, conj(a + b w) = (a - b) - b w; nothing
+    else is read again.  The pivot d and prev are minors of a Hermitian
+    form, so rational integers, and each division is two exact floor
+    divisions.  D_k is the k-th leading principal minor of the form in the
+    pivot basis, so the k-th pivot of the diagonalized form is D_k / D_(k-1).
 
     A pivot is the first live nonzero diagonal entry; it must be real, and
     an ArithmeticError reports one that is not, which only a form that is
@@ -231,7 +176,8 @@ def herm_eliminate(rows):
     some a_pj (p < j) is not, conj(u) times row j is added to row p and u
     times column j to column p, the congruence e_p -> e_p + conj(u) e_j,
     which makes a_pp = 2 Re(u a_pj): with u = 1 that is 2a - b, and when it
-    is 0, a_pj = a theta and u = w gives a_pp = -3a instead.
+    is 0, a_pj = a theta and u = w gives a_pp = -3a instead.  A symmetric
+    int form is the case b = 0: every entry stays rational, and u = 1.
     """
     A = [[x.a for x in row] for row in rows]
     B = [[x.b for x in row] for row in rows]

@@ -29,7 +29,6 @@ from .hermitian import (
     HermGram,
     basis_vector,
     in_theta_dual,
-    ip,
     is_isometry,
     mat_mul,
     norm_of,
@@ -109,6 +108,30 @@ def identity(G: HermGram) -> GroupElt:
     return GroupElt(linalg.identity(G.n, ONE), G, check=False)
 
 
+def _rank_one(G: HermGram, v, scale, den, message):
+    """The element x -> x - (scale <x, v> / den) v of G's group, built sparsely.
+
+    Entry (i, j) is delta_ij - coeff_j v_i, coeff_j = scale <e_j, v> / den, so
+    only rows in v's support and columns with coeff_j != 0 move.  The first
+    coeff_j not in E raises a ValueError with ``message.format(j)``.
+    """
+    support = [(k, x) for k, x in enumerate(v) if x]
+    coeffs = []
+    for j, row in enumerate(G.g):
+        c = scale * sum((row[k] * x.conj() for k, x in support), ZERO)  # scale <e_j, v>
+        try:
+            coeffs.append(c.exact_div(den))
+        except ValueError:
+            raise ValueError(message.format(j)) from None
+    m = [list(row) for row in linalg.identity(G.n, ONE)]
+    moved = [(j, c) for j, c in enumerate(coeffs) if c]
+    for i, x in support:
+        mi = m[i]
+        for j, c in moved:
+            mi[j] = mi[j] - c * x
+    return GroupElt(m, G)
+
+
 def reflection(G: HermGram, r, zeta) -> GroupElt:
     """The zeta-reflection x -> x - (1 - zeta) (<x, r> / <r, r>) r.
 
@@ -121,26 +144,8 @@ def reflection(G: HermGram, r, zeta) -> GroupElt:
     rr = norm_of(G, r)
     if not rr:
         raise ValueError("reflection root must have nonzero norm")
-    one_minus = ONE - zeta
-    support = [(k, x) for k, x in enumerate(r) if x]
-    coeffs = []
-    for j, row in enumerate(G.g):
-        c = one_minus * sum((row[k] * x.conj() for k, x in support), ZERO)  # (1 - zeta)<e_j, r>
-        try:
-            coeffs.append(c.exact_div(rr))
-        except ValueError:
-            raise ValueError(
-                "reflection does not preserve the lattice: "
-                f"(1 - zeta)<e_{j}, r>/<r, r> is not in E"
-            ) from None
-    # entry (i, j) is delta_ij - coeff_j r_i, so only rows in r's support and columns with coeff_j != 0 move
-    m = [list(row) for row in linalg.identity(G.n, ONE)]
-    moved = [(j, c) for j, c in enumerate(coeffs) if c]
-    for i, x in support:
-        mi = m[i]
-        for j, c in moved:
-            mi[j] = mi[j] - c * x
-    return GroupElt(m, G)
+    message = "reflection does not preserve the lattice: (1 - zeta)<e_{}, r>/<r, r> is not in E"
+    return _rank_one(G, r, ONE - zeta, rr, message)
 
 
 def triflection(G: HermGram, r) -> GroupElt:
@@ -156,20 +161,8 @@ def transvection(G: HermGram, xi) -> GroupElt:
     xi = vector(xi)
     if norm_of(G, xi):
         raise ValueError("transvection vector must be isotropic")
-    n = G.n
-    cols = []
-    for j in range(n):
-        e = basis_vector(n, j)
-        c = ip(G, e, xi)
-        try:
-            coeff = c.exact_div(THETA)
-        except ValueError:
-            raise ValueError(
-                f"transvection does not preserve the lattice: <e_{j}, xi>/theta not in E"
-            ) from None
-        cols.append(tuple(e[i] - coeff * xi[i] for i in range(n)))
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return GroupElt(m, G)
+    message = "transvection does not preserve the lattice: <e_{}, xi>/theta not in E"
+    return _rank_one(G, xi, ONE, THETA, message)
 
 
 def chain_triflections(n: int):

@@ -1,18 +1,17 @@
 """Integer lattices given by symmetric Gram matrices.
 
 Everything is exact and fraction-free: the inertia, determinant and rank of
-a form are read from the pivot minors of one symmetric elimination,
-``linalg.sym_eliminate``.  Also holds the constructors for the A_n vanishing
-lattices of cuspidal fourfold degenerations and the recovery of a Hermitian
-E-structure from a Z-lattice with a fixed-point-free isometry of order 3.
+a form are read from the pivot minors of the elimination of Hermitian forms,
+``linalg.herm_eliminate``, run on the integer entries.  Also holds the
+constructors for the A_n vanishing lattices of cuspidal fourfold
+degenerations and the recovery of a Hermitian E-structure from a Z-lattice
+with a fixed-point-free isometry of order 3.
 """
 
 from __future__ import annotations
 
-import operator
-
 from .eisenstein import EisensteinInt
-from .linalg import adjugate, identity, mat_mul, mat_vec, sym_eliminate
+from .linalg import adjugate, herm_eliminate, identity, mat_mul, mat_vec
 
 
 class ZGram:
@@ -56,19 +55,20 @@ class ZGram:
 
 
 def pivot_minors(rows):
-    """The pivot minors D_1..D_r of a symmetric int form, r its rank."""
-    return sym_eliminate(rows, operator.floordiv)[1]
+    """The pivot minors D_1..D_r of a symmetric int form, r its rank: those of
+    ``herm_eliminate`` on the same entries read as rational elements of E."""
+    return herm_eliminate([[EisensteinInt(x) for x in row] for row in rows])
 
 
 def invariants(n, minors):
     """((positive, radical, negative), determinant) of an n x n form from its pivot minors.
 
-    The minors are those of ``sym_eliminate`` on a symmetric int form or of
-    ``herm_eliminate`` on a Hermitian form over E.  The k-th pivot is
-    D_k / D_(k-1), whose sign is that of D_k D_(k-1).  Every congruence of
-    either elimination is by a unimodular matrix P and scales the
-    determinant by det(P) conj(det(P)) = 1, so the determinant is D_n at
-    full rank, 0 below it, and 1 for n = 0.
+    The minors are those of ``herm_eliminate`` on a Hermitian form over E,
+    a symmetric int form among them.  The k-th pivot is D_k / D_(k-1),
+    whose sign is that of D_k D_(k-1).  Every congruence of the
+    elimination is by a unimodular matrix P and scales the determinant by
+    det(P) conj(det(P)) = 1, so the determinant is D_n at full rank, 0
+    below it, and 1 for n = 0.
     """
     r = len(minors)
     pos = sum(prev * d > 0 for prev, d in zip([1] + minors, minors))
@@ -82,7 +82,7 @@ def inertia(G: ZGram):
 
 
 def determinant(G: ZGram):
-    """Exact determinant, the last pivot minor of the symmetric elimination."""
+    """Exact determinant, the last pivot minor of the elimination."""
     return invariants(G.n, pivot_minors(G.g))[1]
 
 
@@ -115,17 +115,6 @@ def an_vanishing_gram(n: int) -> ZGram:
         if i >= 1:
             put(i, n + i - 1, 1)
     return ZGram(g)
-
-
-def tensor_gram(G: ZGram, H: ZGram) -> ZGram:
-    """Kronecker-product Gram (basis ordered G-major)."""
-    n, m = G.n, H.n
-    rows = [
-        [G.g[i][k] * H.g[j][l] for k in range(n) for l in range(m)]
-        for i in range(n)
-        for j in range(m)
-    ]
-    return ZGram(rows)
 
 
 def e8_gram() -> ZGram:

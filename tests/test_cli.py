@@ -390,6 +390,14 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a9^0"], {}, 3, "generator a9 out of range for rank 3"),
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a0^0"], {}, 3, "generator a0 out of range for rank 3"),
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1 a3..a4"], {}, 3, "generator a4 out of range for rank 3"),
+        (
+            ["monodromy", "closure", "--lattice", "chain:2", "--report", "free_action"],
+            {},
+            3,
+            "unknown report 'free_action'; choose from order, reflections, free-action",
+        ),
+        (["monodromy", "closure", "--lattice", "chain:2", "--report", "order,reflectons"], {}, 3, "unknown report 'reflectons'"),
+        (["monodromy", "word-order", "--lattice", "chain:4", "--word", "a1..a4", "--mod-radical"], {}, 2, "--mod-radical requires --projective"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys, tmp_path):

@@ -22,7 +22,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
-from eisenlat.linalg import adjugate, adjugate_e, det, f3_rref, identity, mat_mul, pack, sym_eliminate
+from eisenlat.linalg import adjugate, adjugate_e, det, f3_rref, herm_eliminate, identity, mat_mul, pack
 from eisenlat.zlattice import ZGram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -239,10 +239,10 @@ def test_only_eisenstein_imports_fractions_or_names_qomega():
     assert offenders == []
 
 
-def test_only_four_modules_import_the_eliminations():
-    """``det``, ``sym_eliminate`` and ``herm_eliminate`` are imported from
-    linalg only by discpoly, zlattice, gluing and hermitian, so a second copy
-    of a form's elimination shows here."""
+def test_only_three_modules_import_the_eliminations():
+    """``det`` and ``herm_eliminate`` are imported from linalg only by
+    discpoly, zlattice and hermitian, so a second copy of a form's
+    elimination shows here."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
     importers = set()
     for path in sorted(src.glob("*.py")):
@@ -250,10 +250,10 @@ def test_only_four_modules_import_the_eliminations():
             if (
                 isinstance(node, ast.ImportFrom)
                 and node.module == "linalg"
-                and any(alias.name in ("det", "sym_eliminate", "herm_eliminate") for alias in node.names)
+                and any(alias.name in ("det", "herm_eliminate") for alias in node.names)
             ):
                 importers.add(path.stem)
-    assert importers == {"discpoly", "zlattice", "gluing", "hermitian"}
+    assert importers == {"discpoly", "zlattice", "hermitian"}
 
 
 @BOUNDED
@@ -391,15 +391,21 @@ def test_canonical_unit_of_zero_is_undefined():
         E(0).canonical_unit()
 
 
-# The full-row symmetric elimination, the reference for ``linalg.sym_eliminate``.
+# The full-row symmetric elimination, the reference for ``linalg.herm_eliminate`` on int forms.
 
 
 def sym_eliminate_reference(rows, div):
-    """The same elimination, each step rewriting every column of every live row.
+    """Bareiss' congruence elimination of the symmetric form in the leading
+    n x n block of ``rows``, each step rewriting every column of every live row.
 
-    The columns of eliminated indices end at zero; ``sym_eliminate`` leaves
-    them stale, so only the order, the minors and the trailing columns are
-    compared.
+    Each step pivots on the first live index with a nonzero diagonal entry;
+    when there is none but some a_ij (i < j) is nonzero, row and column j
+    are first added to row and column i.  Further columns follow the row
+    operations.  Returns (order, minors, rows): the pivot indices followed by
+    the radical ones, the pivot minors D_1..D_r, and the eliminated rows,
+    in which the columns of eliminated indices end at zero and the trailing
+    part of the k-th row in ``order`` is D_(k-1) times its Gaussian
+    counterpart (D_r for the radical).
     """
     a = [list(row) for row in rows]
     live = list(range(len(a)))
@@ -427,7 +433,7 @@ def sym_eliminate_reference(rows, div):
     return order + live, minors, a
 
 
-# References for the two callers of sym_eliminate, written without it.
+# References for ``zlattice.inertia`` and ``gluing._f3_diagonalize``, written without an elimination kernel.
 
 
 def inertia_reference(G):
@@ -575,14 +581,29 @@ def test_inertia_matches_rational_reference(a):
 @MANY
 @given(symmetric_forms(st.integers(0, 2)))
 def test_f3_diagonalization_matches_reference(form):
-    assert _f3_diagonalize(form) == f3_diagonalize_reference(form)
+    assert _f3_diagonalize(form)[:2] == f3_diagonalize_reference(form)
+
+
+@MANY
+@given(symmetric_forms(st.integers(-3, 3)))
+def test_f3_diagonalization_carries_the_inverse_transpose_of_its_change(form):
+    change, _, inv_t = _f3_diagonalize(form)
+    k = len(form)
+    assert all(x in (0, 1, 2) for row in inv_t for x in row)
+    assert [[x % 3 for x in row] for row in mat_mul(inv_t, tuple(zip(*change)))] == [list(r) for r in identity(k, 1)]
+
+
+def as_e(rows):
+    """An int form as a form over E with every entry rational."""
+    return [[E(x) for x in row] for row in rows]
 
 
 @MANY
 @given(symmetric_forms(st.integers(-3, 3)))
 def test_pivot_minors_are_the_leading_minors_in_the_pivot_basis(a):
     n = len(a)
-    order, minors, rows = sym_eliminate([row + list(e) for row, e in zip(a, identity(n, 1))], operator.floordiv)
+    order, minors, rows = sym_eliminate_reference([row + list(e) for row, e in zip(a, identity(n, 1))], operator.floordiv)
+    assert herm_eliminate(as_e(a)) == minors
     r = len(minors)
     D = [1] + minors
     assert sorted(order) == list(range(n))
@@ -596,30 +617,9 @@ def test_pivot_minors_are_the_leading_minors_in_the_pivot_basis(a):
         assert det([row[:k] for row in T[:k]], operator.truediv) == D[k]
 
 
-def f3_div(x, y):
-    """The exact division of ``gluing._f3_diagonalize``: 1 and 2 are their own inverses mod 3."""
-    return x * y % 3
-
-
-@st.composite
-def forms_with_tails(draw, entries):
-    """A symmetric form followed by 0..3 further columns of the same entries."""
-    a = draw(symmetric_forms(entries))
-    width = draw(st.integers(0, 3))
-    return [row + draw(st.lists(entries, min_size=width, max_size=width)) for row in a]
-
-
 @MANY
-@given(st.one_of(
-    st.tuples(forms_with_tails(st.integers(-3, 3)), st.just(operator.floordiv)),
-    st.tuples(forms_with_tails(st.integers(0, 2)), st.just(f3_div)),
-))
-@example(([[0, 1, 5], [1, 0, 7]], operator.floordiv))  # a hyperbolic pair
-@example(([[0, 2, 0, 1], [2, 0, 0, 2], [0, 0, 0, 1]], f3_div))  # a pair, then a radical
-def test_live_block_elimination_matches_the_full_row_reference(case):
-    rows, div = case
-    n = len(rows)
-    order, minors, a = sym_eliminate(rows, div)
-    ref_order, ref_minors, ref = sym_eliminate_reference(rows, div)
-    assert (order, minors) == (ref_order, ref_minors)
-    assert [row[n:] for row in a] == [row[n:] for row in ref]
+@given(symmetric_forms(st.integers(-3, 3)))
+@example([[0, 1], [1, 0]])  # a hyperbolic pair
+@example([[0, 2, 0], [2, 0, 0], [0, 0, 0]])  # a pair, then a radical
+def test_live_block_elimination_matches_the_full_row_reference(a):
+    assert herm_eliminate(as_e(a)) == sym_eliminate_reference(a, operator.floordiv)[1]

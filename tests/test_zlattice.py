@@ -201,21 +201,6 @@ def test_an_vanishing_bad_input():
         an_vanishing_gram(0)
 
 
-def test_tensor_gram():
-    two = ZGram([[2]])
-    assert zl.tensor_gram(two, two) == ZGram([[4]])
-    H = zl.a2_gram()
-    assert zl.tensor_gram(ZGram([[1]]), H) == H
-    # V(2)^4 tensor V(3) with V(2) = (2), V(3) = A2: 16 * A2
-    T = H
-    for _ in range(4):
-        T = zl.tensor_gram(two, T)
-    assert T == ZGram([[32, -16], [-16, 32]])
-    assert all(T.g[i][j] % 16 == 0 for i in range(2) for j in range(2))
-    scaled = ZGram([[T.g[i][j] // 16 for j in range(2)] for i in range(2)])
-    assert scaled == zl.a2_gram()  # norm-2 root lattice of rank 2
-
-
 def test_tensor_of_cycle_isometries_matches_vanishing_count():
     # V(k) as A_{k-1} with its order-k rotation: sanity on ranks
     G3 = zl.a2_gram()  # A_2 with its order-3 Coxeter rotation
