@@ -33,7 +33,8 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
-# f3 norm-enum scans 3^k vectors: k = 12 takes seconds and hundreds of MB, and
+# f3 norm-enum scans 3^k vectors: k = 12 writes about 177,000 of them, 16 MB
+# of JSON, in about 0.4 s with a 92 MB peak resident size (2-vCPU Xeon), and
 # each further two coordinates cost about 9 times more
 NORM_ENUM_MAX_COORDINATES = 12
 # a word is expanded into one list entry per letter, and word-order multiplies
@@ -144,11 +145,10 @@ def _dumps(obj, level=0):
     """What ``json.dumps(obj, indent=2, sort_keys=True)`` writes, built faster.
 
     The ``json`` module encodes indented output in pure Python, one token at
-    a time.  Here a list of plain ints is joined once, and a list of
-    equal-length plain-int rows (``f3 norm-enum``'s vectors) fills one
-    ``%d`` row template repeated per row; testing ``type(x) is int`` keeps
-    True as true.  Dicts and other lists recurse, and every scalar or string
-    goes through the C-backed ``json.dumps``.
+    a time.  Here a list of plain ints is joined once (testing ``type(x) is
+    int`` keeps True as true), and a numpy array goes to ``_dumps_array``.
+    Dicts and other lists recurse, and every scalar or string goes through
+    the C-backed ``json.dumps``.
     """
     inner = "\n" + "  " * (level + 1)
     close = inner[:-2]
@@ -160,26 +160,46 @@ def _dumps(obj, level=0):
             for k, v in sorted(obj.items())
         )
         return "{" + inner + ("," + inner).join(items) + close + "}"
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np is not None and isinstance(obj, np.ndarray):
+        return _dumps_array(obj, level)
     if not isinstance(obj, (list, tuple)):
         return json.dumps(obj)
     if not obj:
         return "[]"
-    sep = "," + inner
-    kinds = set(map(type, obj))
-    if kinds == {int}:
-        body = sep.join(map(str, obj))
-    elif (
-        kinds <= {list, tuple}
-        and obj[0]
-        and set(map(len, obj)) == {len(obj[0])}
-        and set(map(type, itertools.chain.from_iterable(obj))) == {int}
-    ):
-        row_inner = inner + "  "
-        row = "[" + row_inner + ("," + row_inner).join(["%d"] * len(obj[0])) + inner + "]"
-        body = sep.join([row] * len(obj)) % tuple(itertools.chain.from_iterable(obj))
+    if set(map(type, obj)) == {int}:
+        body = ("," + inner).join(map(str, obj))
     else:
-        body = sep.join([_dumps(x, level + 1) for x in obj])
+        body = ("," + inner).join([_dumps(x, level + 1) for x in obj])
     return "[" + inner + body + close + "]"
+
+
+def _dumps_array(a, level):
+    """``_dumps(a.tolist(), level)``, with a fast path for rows of digits.
+
+    A nonempty 2-D integer array whose entries are all 0..9 (``f3
+    norm-enum``'s vectors) is written into one byte buffer: each row is a
+    copy of the template ``,<indent>[<indent>0,...<indent>0<indent>]``,
+    whose '0's sit at a fixed stride and are raised by the row's digits.
+    The first row's comma becomes the opening bracket, and the buffer is
+    decoded once.
+    """
+    np = sys.modules["numpy"]
+    if a.ndim != 2 or a.dtype.kind not in "iu" or not a.size or a.min() < 0 or a.max() > 9:
+        return _dumps(a.tolist(), level)
+    inner = "\n" + "  " * (level + 1)
+    row_inner = inner + "  "
+    row = "[" + row_inner + ("0," + row_inner) * (a.shape[1] - 1) + "0" + inner + "]"
+    unit = np.frombuffer(("," + inner + row).encode(), np.uint8)
+    first = len(inner) + 2 + len(row_inner)  # where the first digit sits in the unit
+    size = a.shape[0] * len(unit)
+    buf = np.empty(size + len(inner) - 1, np.uint8)
+    rows = buf[:size].reshape(a.shape[0], len(unit))
+    rows[:] = unit
+    rows[:, first :: 2 + len(row_inner)] += a.astype(np.uint8, copy=False)
+    buf[0] = ord("[")
+    buf[size:] = np.frombuffer((inner[:-2] + "]").encode(), np.uint8)
+    return str(buf, "ascii")
 
 
 def _emit(args, payload, text_lines):
@@ -311,7 +331,8 @@ def cmd_f3(args):
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
         payload = {"count": len(vecs), "vectors": vecs}
-        _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], map(str, vecs)))
+        rows = () if args.json else (tuple(row.tolist()) for row in vecs)  # row by row, no list of all
+        _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], map(str, rows)))
         return EXIT_OK
     if args.action == "orbit":
         G = parse_lattice(args.lattice)
@@ -397,7 +418,9 @@ def cmd_hodge(args):
             f"hodge report takes at most {HODGE_MAX_SERIES_STEPS} weight-grade steps"
         )
     rows = residues.full_report(H)
-    hodge = residues.hodge_vector(H)
+    hodge = [0] * (H.dim + 1)  # h^(dim - q, q) sums the report's dims over the eigenvalues
+    for _, q, _, dim in rows:
+        hodge[q] += dim
     payload = {
         "weights": weights,
         "degree": args.degree,
@@ -410,10 +433,10 @@ def cmd_hodge(args):
             }
             for p, q, lam, dim in rows
         ],
-        "hodge_numbers": list(hodge),
+        "hodge_numbers": hodge,
     }
     lines = [f"h^({p},{q})[{residues.exp_unit(lam)}] = {dim}" for p, q, lam, dim in rows]
-    lines.append(f"hodge numbers: {hodge}")
+    lines.append(f"hodge numbers: {tuple(hodge)}")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -180,27 +180,34 @@ def _f3_diagonalize(form):
     return change, newform, [inv_t[i] for i in ranks]
 
 
-_SCAN_DIGITS = 9  # coordinates scanned per block: 3^9 rows of int8 digits
+def _digit_rows(k):
+    """All 3^k int8 rows of F_3^k in base-3 order, coordinate 0 least significant."""
+    return np.indices((3,) * k, dtype=np.int8).reshape(k, 3**k)[::-1].T
 
 
 def enumerate_norm(S: F3QuadSpace, c):
-    """All vectors of the space with norm c (exhaustive scan of 3^k).
+    """All vectors of the space with norm c, as one (m, k) int8 array.
 
-    The vectors come in base-3 order with coordinate 0 least significant.
+    The rows come in base-3 order with coordinate 0 least significant.  The
+    scan splits the coordinates into a low half l (0..a-1) and a high half
+    h and reads Q(l + h) = Q(l) + Q(h) + B(l, h) + B(h, l) off three exact
+    integer tables: the norms of the 3^a low rows, those of the 3^b high
+    rows, and the 3^b x 3^a cross table.  That grid, read row-major, is the
+    base-3 order, so its hits index the two digit tables directly.
     """
-    c = c % 3
     k = S.k
-    form = np.array(S.form, dtype=np.int16).reshape(k, k) % 3
-    low = min(k, _SCAN_DIGITS)
-    # all digit rows of the low coordinates, coordinate 0 varying fastest
-    rows = np.indices((3,) * low, dtype=np.int8).reshape(low, 3**low)[::-1].T
-    rows = np.concatenate([rows, np.zeros((len(rows), k - low), np.int8)], axis=1)
-    out = []
-    for high in range(3 ** (k - low)):
-        rows[:, low:] = [high // 3**j % 3 for j in range(k - low)]
-        norms = ((rows @ form) % 3 * rows).sum(axis=1) % 3
-        out.extend(map(tuple, rows[norms == c].tolist()))
-    return out
+    a = k // 2
+    form = (np.array(S.form, dtype=np.int64).reshape(k, k) % 3).astype(np.int8)
+    low, high = _digit_rows(a), _digit_rows(k - a)
+    # each table is reduced mod 3 before its last sum, so every entry of the
+    # int8 grid is at most 4a + 4 (3^a rows fill any memory long before a = 31)
+    q_low = ((low @ form[:a, :a] % 3) * low).sum(axis=1, dtype=np.int8) % 3
+    q_high = ((high @ form[a:, a:] % 3) * high).sum(axis=1, dtype=np.int8) % 3
+    # B(l, h) + B(h, l) = h (F_hl + F_lh^T) l^T
+    cross = (high @ ((form[a:, :a] + form[:a, a:].T) % 3) % 3) @ low.T
+    norms = (cross + q_high[:, None] + q_low) % 3
+    h, l = np.nonzero(norms == c % 3)
+    return np.concatenate([np.take(low, l, axis=0), np.take(high, h, axis=0)], axis=1)
 
 
 def _places(k):
@@ -239,11 +246,11 @@ def isotropic_lines(S: F3QuadSpace, orth_to=None, not_orth_to=None):
     """1-dimensional isotropic subspaces, optionally constrained.
 
     Lines are returned as their canonical generators (first nonzero entry 1),
-    in the order their first vector comes in ``enumerate_norm``.
+    in the order their first vector comes in ``enumerate_norm``.  The int8
+    array of isotropic vectors from its split-half scan is coded as it comes.
     """
     k = S.k
     vecs = enumerate_norm(S, 0)
-    vecs = np.array(vecs, dtype=np.int64).reshape(len(vecs), k)
     codes = line_codes(vecs[vecs.any(axis=1)])
     _, first = np.unique(codes, return_index=True)
     lines = line_digits(codes[np.sort(first)], k)

@@ -459,7 +459,7 @@ def _(ctx):
 @check("disc-norm1-count", "the discriminant group has exactly 12 norm-1 vectors")
 def _(ctx):
     N, S, abar, bbar, rbar = _disc_setup(ctx)
-    vecs = set(gluing.enumerate_norm(S, 1))
+    vecs = set(map(tuple, gluing.enumerate_norm(S, 1).tolist()))
     expected = set()
     for sa in (1, 2):
         expected.add(tuple((sa * x) % 3 for x in abar))

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from eisenlat import cli
 from eisenlat.hermitian import chain, lambda_
@@ -55,6 +58,77 @@ payloads = st.recursive(
 @given(payloads)
 def test_json_writer_matches_the_stock_encoder(obj):
     assert cli._dumps(obj) == stock_dumps(obj)
+
+
+def plain(obj):
+    """obj with every numpy array replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(x) for x in obj]
+    return obj
+
+
+digit_arrays = arrays(np.int8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=st.integers(0, 9))
+# arrays off the digit path: entries just outside 0..9, other dtypes and ranks
+near_digit_arrays = arrays(
+    st.sampled_from([np.int8, np.int64]), array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4), elements=st.integers(-2, 11)
+)
+other_arrays = arrays(
+    st.sampled_from([np.int8, np.int64, np.uint8, np.bool_]), array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+)
+array_payloads = st.recursive(
+    st.one_of(digit_arrays, near_digit_arrays, other_arrays, scalars),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(array_payloads)
+def test_json_writer_matches_the_stock_encoder_on_arrays(obj):
+    assert cli._dumps(obj) == stock_dumps(plain(obj))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[9, 10]]),
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[1, 2], [3, 4]], dtype=np.uint64)[:, ::-1],
+        np.array([[True, False]]),
+        np.zeros((2, 0), np.int8),
+        np.zeros((0, 3), np.int8),
+    ],
+)
+def test_json_writer_keeps_the_digit_path_to_digits(a):
+    assert cli._dumps({"a": [a]}) == stock_dumps({"a": [a.tolist()]})
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_f3_norm_enum_writes_what_the_stock_encoder_and_str_write(k, capsys):
+    form = [1 if i % 3 else -1 for i in range(k)]
+    for c in range(3):
+        # every vector of norm c by brute force, coordinate 0 varying fastest
+        expected = [
+            v[::-1] for v in itertools.product(range(3), repeat=k) if sum(f * x * x for f, x in zip(form, v[::-1])) % 3 == c
+        ]
+        argv = ["f3", "norm-enum", "--form=" + ",".join(map(str, form)), "--norm", str(c)]
+        code, out, _ = run_main(argv + ["--json"], capsys)
+        assert code == 0
+        assert out == stock_dumps({"count": len(expected), "vectors": [list(v) for v in expected]}) + "\n"
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert out.splitlines() == [f"count: {len(expected)}"] + [str(v) for v in expected]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys\nimport eisenlat.cli\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize(

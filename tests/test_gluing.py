@@ -7,6 +7,7 @@ import pytest
 
 from eisenlat.eisenstein import E, OMEGA, THETA, e_gcd, is_associate
 from eisenlat.hermitian import (
+    HermGram,
     basis_vector,
     det_e,
     diag,
@@ -81,14 +82,25 @@ def test_coords_rejects_a_vector_outside_theta_dual():
         S.coords((3, basis_vector(11, 0)))
 
 
+@pytest.mark.parametrize("rows", [((0, 3), (3, 0)), ((0, 3, 0), (3, 0, 0), (0, 0, 3))])
+def test_coords_inverts_lift(rows):
+    # the raw form of the hyperbolic plane is ((0, 1), (1, 0)): with no
+    # nonzero diagonal entry, _f3_diagonalize first adds one basis vector to
+    # the other, and coords must undo that step through the inverse transpose
+    S = gluing.disc_group(HermGram([[E(x) for x in row] for row in rows]))
+    assert S.k == len(rows)
+    for v in itertools.product(range(3), repeat=S.k):
+        assert S.coords(S.lift(v)) == v
+
+
 def test_enumerate_norm_counts():
     S = gluing.disc_group(big_n())
     assert len(gluing.enumerate_norm(S, 1)) == 12
-    zero = gluing.enumerate_norm(S, 0)
+    zero = vectors(gluing.enumerate_norm(S, 0))
     assert (0, 0, 0) in zero
     # definite rank-1 space: no vectors of norm -1 (squares are 0, 1)
     S1 = gluing.disc_group(diag([3]))
-    assert gluing.enumerate_norm(S1, 2) == []
+    assert vectors(gluing.enumerate_norm(S1, 2)) == []
 
 
 def test_norm1_set_matches_closed_form():
@@ -110,7 +122,7 @@ def test_norm1_set_matches_closed_form():
                         for x, y, z in zip(abar, bbar, rbar)
                     )
                 )
-    assert set(gluing.enumerate_norm(S, 1)) == expected
+    assert set(vectors(gluing.enumerate_norm(S, 1))) == expected
 
 
 def test_isotropic_lines():
@@ -261,8 +273,6 @@ def test_disc_group_rejects_non_elementary_quotient():
 
 
 def test_disc_group_invariant_under_unimodular_congruence():
-    from eisenlat.hermitian import HermGram
-
     rng = random.Random(137)
     N = big_n()
     n = N.n
@@ -352,6 +362,11 @@ def reference_enumerate_norm(S, c):
         if S.norm(vec) == c % 3:
             out.append(tuple(vec))
     return out
+
+
+def vectors(a):
+    """The rows of an int8 array from ``enumerate_norm`` as a list of int tuples."""
+    return list(map(tuple, a.tolist()))
 
 
 def f3_space(form):
@@ -545,19 +560,53 @@ def test_enumerate_norm_matches_reference_on_diagonal_forms(k):
     for _ in range(4):
         S = f3_space([[rng.randrange(3) if i == j else 0 for j in range(k)] for i in range(k)])
         for c in range(3):
-            assert gluing.enumerate_norm(S, c) == reference_enumerate_norm(S, c)
+            assert vectors(gluing.enumerate_norm(S, c)) == reference_enumerate_norm(S, c)
 
 
 def test_enumerate_norm_matches_reference_on_a_full_form():
     S = f3_space([[1, 2, 0, 1], [2, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 1]])
     for c in range(3):
-        assert gluing.enumerate_norm(S, c) == reference_enumerate_norm(S, c)
+        assert vectors(gluing.enumerate_norm(S, c)) == reference_enumerate_norm(S, c)
+
+
+def random_form(k, seed, symmetric=True):
+    rng = random.Random(seed)
+    form = [[rng.randrange(3) for _ in range(k)] for _ in range(k)]
+    if symmetric:
+        form = [[form[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    return form
+
+
+@pytest.mark.parametrize("k, symmetric", [(0, True), (1, True), (1, False), (2, False), (5, True), (5, False), (9, True)])
+def test_enumerate_norm_matches_reference_across_the_split(k, symmetric):
+    # k = 0 and 1 leave the low half empty, and an odd k makes the high half
+    # the larger; a non-symmetric form reads both off-diagonal blocks
+    S = f3_space(random_form(k, k, symmetric))
+    for c in range(3):
+        got = gluing.enumerate_norm(S, c)
+        assert got.dtype == np.int8 and got.shape == (got.shape[0], k)
+        assert vectors(got) == reference_enumerate_norm(S, c)
+
+
+def test_enumerate_norm_matches_reference_on_a_full_form_of_ten_coordinates():
+    S = f3_space(random_form(10, 10))
+    assert vectors(gluing.enumerate_norm(S, 1)) == reference_enumerate_norm(S, 1)
+    assert sum(len(gluing.enumerate_norm(S, c)) for c in range(3)) == 3**10
+
+
+def test_enumerate_norm_without_a_vector_of_the_norm_is_empty():
+    # the zero form gives every vector norm 0, so no vector has norm 1 or 2
+    for k in (0, 1, 4, 7):
+        for c in (1, 2):
+            got = gluing.enumerate_norm(f3_space([[0] * k for _ in range(k)]), c)
+            assert got.dtype == np.int8 and got.shape == (0, k)
 
 
 def test_enumerate_norm_scans_past_one_block():
-    # k = 11 scans 3^2 blocks of 3^9 rows; compare the counts and the order
+    # k = 11 splits into 5 low and 6 high coordinates, a 3^6 x 3^5 grid that
+    # is read row by row; compare the counts and the order
     S = f3_space([[1 if i == j else 0 for j in range(11)] for i in range(11)])
-    vecs = gluing.enumerate_norm(S, 1)
+    vecs = vectors(gluing.enumerate_norm(S, 1))
     codes = [sum(x * 3**i for i, x in enumerate(v)) for v in vecs]
     assert codes == sorted(codes)
     assert all(sum(x * x for x in v) % 3 == 1 for v in vecs)
@@ -568,7 +617,7 @@ def test_enumerate_norm_matches_reference_on_disc_groups():
     for N in (diag([3]), e8e(), big_n(), diag([3, -3, 3, 3])):
         S = gluing.disc_group(N)
         for c in range(3):
-            assert gluing.enumerate_norm(S, c) == reference_enumerate_norm(S, c)
+            assert vectors(gluing.enumerate_norm(S, c)) == reference_enumerate_norm(S, c)
 
 
 def test_isotropic_lines_match_reference_order():
