@@ -2,13 +2,16 @@
 
 delta(u2, ..., u12) is the discriminant of the monic degree-12 polynomial with
 zero root sum; it is quasihomogeneous of weight 132 for wt(u_i) = i.  Exact
-evaluation goes through the Sylvester resultant of (f, f') with fraction-free
-elimination.  Specific coefficients are recovered by multimodular
-interpolation after setting all other variables to zero (Collins 1971): for
-each of four primes below 2^31, delta is the determinant of multiplication by
-f' on Z[s]/(f), a 12 x 12 int64 elimination batched over all sample points,
-and the monomial system is solved mod p by batched Gauss-Jordan.  The CRT of
-the residues is exact because every coefficient of delta is bounded by the
+evaluation reads the determinant of the Bezout matrix of (f, f') off the pivot
+minors of the one Hermitian elimination (``zlattice.determinant``).  Specific
+coefficients are recovered by multimodular interpolation after setting all
+other variables to zero (Collins 1971): for each of four primes below 2^31,
+delta is sampled at the points u_v = alpha_v^j of fixed prime bases alpha_v,
+each value the determinant of multiplication by f' on Z[s]/(f), a 12 x 12
+int64 elimination batched over all sample points, and the monomial values are
+the powers of distinct integer nodes, so the system is a transposed
+Vandermonde system solved in O(k^2) per prime (Zippel 1990).  The CRT of the
+residues is exact because every coefficient of delta is bounded by the
 permanent of the Sylvester matrix's coefficients, 12^11 67^12 < 2^113.
 """
 
@@ -16,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 
 import numpy as np
 
-from .linalg import det
+from .zlattice import ZGram, determinant
 
 TOTAL_WEIGHT = 132
 
@@ -41,47 +43,31 @@ def poly_derivative(c):
     return [i * c[i] for i in range(1, len(c))]
 
 
-def sylvester_matrix(f, g):
-    """The (deg f + deg g)-square Sylvester matrix of trimmed f and g: deg g
-    shifted rows of f's coefficients, then deg f shifted rows of g's."""
-    n, m = poly_deg(f), poly_deg(g)
-    size = n + m
-    mat = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j, a in enumerate(reversed(f)):
-            mat[i][i + j] = a
-    for i in range(n):
-        for j, a in enumerate(reversed(g)):
-            mat[m + i][i + j] = a
-    return mat
-
-
-def sylvester_resultant(f, g):
-    """Resultant of integer polynomials via Bareiss on the Sylvester matrix."""
-    f, g = poly_trim(f), poly_trim(g)
-    if not f or not g:
-        return 0
-    n, m = poly_deg(f), poly_deg(g)
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    return det(sylvester_matrix(f, g), operator.floordiv)
-
-
 def discriminant(f):
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), exact."""
+    """disc(f) = det B / lc(f)^2, exact, with B the n x n Bezout matrix of f and f'.
+
+    B holds the coefficients of (f(x) f'(y) - f(y) f'(x)) / (x - y), Hermite's
+    Bezoutian (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
+    2006): with g = f' and c(a, b) = f[a] g[b] - f[b] g[a], B[i][j] is the sum
+    of c(i + j + 1 - k, k) over k <= min(i, j), so row by row
+    B[i][j] = B[i - 1][j + 1] + c(j + 1, i), with B[-1] and B[i][n] zero.  It
+    is a symmetric integer form whose determinant is lc(f)^2 disc(f).
+    """
     f = poly_trim(f)
     n = poly_deg(f)
     if n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    res = sylvester_resultant(f, poly_derivative(f))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    val = sign * res
-    lc = f[-1]
-    if val % lc:
-        raise AssertionError("resultant not divisible by leading coefficient")
-    return val // lc
+    g = poly_derivative(f) + [0]
+    bezout = []
+    prev = [0] * (n + 1)
+    for i in range(n):
+        fi, gi = f[i], g[i]
+        prev = [prev[j + 1] + f[j + 1] * gi - fi * g[j + 1] for j in range(n)] + [0]
+        bezout.append(prev[:n])
+    d, r = divmod(determinant(ZGram(bezout)), f[n] ** 2)
+    if r:
+        raise AssertionError("Bezout determinant not divisible by lc(f)^2")
+    return d
 
 
 def a11_poly(u):
@@ -205,6 +191,7 @@ def a11_coeff(m: WeightedMonomial):
 # Every Sylvester entry of (f, f') is one monomial c u_i, so a coefficient of
 # delta is at most the permanent of the |c|, at most the product of the row
 # sums: 11 rows of f with sum 12 and 12 rows of f' with sum 12 + 55 = 67.
+# The bound is on delta itself, so it holds whatever route computes it.
 COEFF_BOUND = 12**11 * 67**12
 # The four largest primes below 2^31: residues and their products stay below
 # 2^62, and the product of the primes (about 2^124) exceeds 2 * COEFF_BOUND.
@@ -213,24 +200,26 @@ _P = np.array(PRIMES, dtype=np.int64)
 _MODULUS = math.prod(PRIMES)
 _CRT_WEIGHTS = tuple(_MODULUS // p * pow(_MODULUS // p, -1, p) for p in PRIMES)
 # Every set of at most 4 variables fits (the largest has 410 unknowns); the
-# 11-variable u2 u3 ... u11^6 u12 has 2,633,495, which no k x k system holds.
+# 11-variable u2 u3 ... u11^6 u12 has 2,633,495, which no O(k^2) solve finishes.
 MAX_UNKNOWNS = 500
-# det V is a nonzero polynomial of degree <= 22 k in the sample coordinates, so
-# a draw is singular mod some prime with probability <= 4 * 22 k / p < 10^-4.
-_MAX_DRAWS = 4
+# The base alpha_v of the sample points u_v = alpha_v^j, one prime per variable
+# of a set in increasing order, so distinct exponent tuples have distinct nodes.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def _restricted_coefficients(variables):
     """{exponents: coefficient} of delta restricted to ``variables``, exactly.
 
-    The k unknown coefficients solve V c = delta at k sample points, with V the
-    monomial values.  For each prime p of ``PRIMES``, k + 1 points are drawn
-    uniformly mod p; delta is evaluated at all of them at once
-    (``_delta_mod_p``) and V c = delta is solved mod p at the first k.  A
-    system singular mod p for any prime is redrawn, at most ``_MAX_DRAWS``
-    times.  The interpolant must reproduce delta at point k + 1 for every
-    prime, or the exponent set is incomplete.  The residues combine by CRT to
-    symmetric residues, exact because |c| <= COEFF_BOUND.
+    The k unknown coefficients c_l solve sum_l c_l m_l^j = delta at the points
+    u_v = alpha_v^j, j < k, where m_l = prod_v alpha_v^(e_lv) is the node of
+    the l-th exponent tuple e_l and alpha_v is taken from ``_BASES``.  The
+    nodes are distinct integers by unique factorisation; nodes that coincide
+    mod a prime of ``PRIMES`` are refused before delta is evaluated.  For
+    each prime, delta is evaluated at j = 0..k at once (``_delta_mod_p``) and
+    the transposed Vandermonde system is solved mod p at j < k.  The
+    interpolant must reproduce delta at j = k for every prime, or the
+    exponent set is incomplete.  The residues combine by CRT to symmetric
+    residues, exact because |c| <= COEFF_BOUND.
     """
     if variables in _coeff_cache:
         return _coeff_cache[variables]
@@ -240,19 +229,18 @@ def _restricted_coefficients(variables):
         raise ValueError(
             f"delta restricted to {_names(variables)} has more than {MAX_UNKNOWNS} unknown coefficients"
         )
-    powers = np.array(exps, dtype=np.int64).reshape(k, len(variables))
-    rng = random.Random(0xA11)
-    for _ in range(_MAX_DRAWS):
-        points = _draw_points(rng, k + 1, len(variables))
-        monomials = _monomial_values(points, powers)
-        values = _delta_mod_p(variables, points)
-        residues = _solve_mod_p(monomials[:, :k], values[:, :k])
-        if residues is not None:
-            break
-    else:
-        raise RuntimeError(f"{_MAX_DRAWS} sample draws for {_names(variables)} were all singular mod p")
-    check = (residues * monomials[:, k]) % _P[:, None]
-    if np.any(check.sum(axis=1) % _P != values[:, k]):
+    q = _P[:, None]
+    bases = np.array(_BASES[: len(variables)], dtype=np.int64) % q
+    nodes = _monomial_values(bases[:, None], np.array(exps, dtype=np.int64).reshape(k, len(variables)))[:, 0]
+    if np.any(np.diff(np.sort(nodes), axis=1) == 0):
+        raise ArithmeticError(f"two interpolation nodes of {_names(variables)} coincide mod a prime")
+    points = [np.ones_like(bases)]
+    for _ in range(k):
+        points.append(points[-1] * bases % q)
+    values = _delta_mod_p(variables, np.stack(points, axis=1))
+    residues = _vandermonde_solve(nodes, values[:, :k])
+    top = np.array([[pow(m, k, p) for m in row] for row, p in zip(nodes.tolist(), PRIMES)], dtype=np.int64)
+    if np.any((residues * top % q).sum(axis=1) % _P != values[:, k]):
         raise ArithmeticError(
             f"the interpolant of delta on {_names(variables)} misses a sample point: "
             "the exponent set is incomplete"
@@ -275,11 +263,32 @@ def _names(variables):
     return " ".join(f"u{v}" for v in variables)
 
 
-def _draw_points(rng, count, nvars):
-    """(len(PRIMES), count, nvars) coordinates, uniform mod each prime."""
-    return np.array(
-        [[[rng.randrange(p) for _ in range(nvars)] for _ in range(count)] for p in PRIMES], dtype=np.int64
-    ).reshape(len(PRIMES), count, nvars)
+def _vandermonde_solve(nodes, values):
+    """c with sum_l c[i, l] nodes[i, l]^j = values[i, j] mod PRIMES[i] for j < k,
+    the nodes of each row distinct mod its prime (Zippel 1990).
+
+    With M = prod_l (z - m_l) and q_l = M / (z - m_l), q_l(m_t) is 0 for
+    t != l, so c_l = sum_j q_l[j] y_j / q_l(m_l).  One pass from the top
+    produces the coefficients of every q_l by synthetic division,
+    q_l[j - 1] = M[j] + m_l q_l[j], and accumulates both the sum and the
+    Horner value q_l(m_l): O(k^2) operations and O(k) memory per prime.
+    Every residue is below 2^31, so every product of two stays below 2^62.
+    """
+    q = _P[:, None]
+    k = nodes.shape[1]
+    master = np.zeros((len(PRIMES), k + 1), dtype=np.int64)  # M[k], M[k - 1], ..., M[0]
+    master[:, 0] = 1
+    for m in nodes.T:  # times (z - m)
+        master[:, 1:] = (master[:, 1:] - m[:, None] * master[:, :-1]) % q
+    quotient = np.ones_like(nodes)
+    total = np.zeros_like(nodes)
+    horner = np.zeros_like(nodes)
+    for j in range(k - 1, -1, -1):
+        total = (total + quotient * values[:, j, None]) % q
+        horner = (horner * nodes + quotient) % q
+        quotient = (master[:, k - j, None] + nodes * quotient) % q
+    inverse = [[pow(h, -1, p) for h in row] for row, p in zip(horner.tolist(), PRIMES)]
+    return total * np.array(inverse, dtype=np.int64) % q
 
 
 def _monomial_values(points, powers):
@@ -356,28 +365,6 @@ def _det_mod_p(a, p):
     diag = diag * a[:, n - 1, n - 1] % p
     inverse = [pow(s, -1, m) for s, m in zip(scale.tolist(), p.tolist())]
     return diag * np.array(inverse, dtype=np.int64) % p
-
-
-def _solve_mod_p(a, y):
-    """x with a[i] x = y[i] mod PRIMES[i] for each i, by Gauss-Jordan
-    elimination on the (P, k, k) residues ``a``; None if some a[i] is singular
-    mod its prime.  Row updates a_j - a_jc (a_c / a_cc) keep products below 2^62."""
-    P, k = y.shape
-    aug = np.concatenate([a, y[:, :, None]], axis=2)
-    q = _P[:, None]
-    for c in range(k):
-        first = (aug[:, c:, c] != 0).argmax(axis=1) + c
-        if not aug[np.arange(P), first, c].all():
-            return None
-        for i in np.flatnonzero(first != c):
-            aug[i, [c, first[i]]] = aug[i, [first[i], c]]
-        inverse = [pow(v, -1, m) for v, m in zip(aug[:, c, c].tolist(), PRIMES)]
-        row = aug[:, c, c:] * np.array(inverse, dtype=np.int64)[:, None] % q
-        factor = aug[:, :, c].copy()
-        factor[:, c] = 0
-        aug[:, :, c:] = (aug[:, :, c:] - factor[:, :, None] * row[:, None, :]) % q[:, None]
-        aug[:, c, c:] = row
-    return aug[:, :, k]
 
 
 def _monomial_eval(exps, point):

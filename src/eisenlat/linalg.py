@@ -1,11 +1,10 @@
 """Exact linear algebra over Z, Z[w] and F_3, written once and fraction-free.
 
-Matrices are sequences of rows.  ``det`` is Bareiss' fraction-free
-elimination (Bareiss 1968) over an integral domain, given the ring's exact
-division; ``adjugate`` its Gauss-Jordan form over Z, which solves integer
-systems without fractions; ``herm_eliminate`` the same elimination as a
-congruence of a Hermitian form over Z[w], on int pairs, updating only the
-upper half of the still live block; a symmetric integer form is the
+Matrices are sequences of rows.  ``adjugate`` is Bareiss' fraction-free
+elimination (Bareiss 1968) in its Gauss-Jordan form over Z, which solves
+integer systems without fractions; ``herm_eliminate`` the same elimination
+as a congruence of a Hermitian form over Z[w], on int pairs, updating only
+the upper half of the still live block; a symmetric integer form is the
 Hermitian form whose entries are all rational.
 E-matrices are solved through ``pack``, the ring map a + b w ->
 [[a, -b], [b, a - b]] into integer 2 x 2 blocks: ``adjugate_e`` is
@@ -53,40 +52,6 @@ def mat_vec(A, x):
     """A*x for a column vector x, as a tuple; the zero is taken from x."""
     zero = x[0] - x[0]
     return tuple(sum((a * y for a, y in zip(row, x) if y), zero) for row in A)
-
-
-def det(a, div):
-    """Determinant by Bareiss' fraction-free elimination.
-
-    ``div(x, y)`` is the ring's exact division: ``operator.floordiv`` for int,
-    ``EisensteinInt.exact_div`` for E.  Every quotient taken is exact, so the
-    entries stay in the ring.
-    """
-    a = [list(row) for row in a]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        ak = a[k]
-        if not ak[k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return ak[k]
-            a[k], a[piv] = a[piv], ak
-            ak = a[k]
-            sign = -sign
-        p = ak[k]
-        if prev is None:
-            prev = div(p, p)  # the ring's one
-        for ai in a[k + 1 :]:
-            c = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = div(ai[j] * p - c * ak[j], prev)
-        prev = p
-    d = a[-1][-1]
-    return -d if sign < 0 else d
 
 
 def adjugate(a):
@@ -160,7 +125,7 @@ def _e_mul(a, b, c, d):
 def herm_eliminate(rows):
     """Pivot minors D_1..D_r of a Hermitian form over E, r its rank.
 
-    Bareiss' elimination of ``det`` run as a congruence, on the E-entries
+    Bareiss' elimination run as a congruence, on the E-entries
     themselves, each kept as an int pair (a, b) for a + b w.  The block of
     the live indices stays Hermitian, so the step on the pivot p updates
     only its upper half, a_tu <- (d a_tu - a_tp a_pu) / prev for t <= u,

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from eisenlat import discpoly as dp
 from eisenlat.linalg import adjugate
-from test_linalg import solve
+from test_linalg import det, solve
 
 BOUNDED = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 S = sympy.Symbol("s")
@@ -51,6 +52,34 @@ def _poly_mod(f, g):
         if not f:
             break
     return f
+
+
+def sylvester_matrix(f, g):
+    """The (deg f + deg g)-square Sylvester matrix of trimmed f and g: deg g
+    shifted rows of f's coefficients, then deg f shifted rows of g's."""
+    n, m = dp.poly_deg(f), dp.poly_deg(g)
+    size = n + m
+    mat = [[0] * size for _ in range(size)]
+    for i in range(m):
+        for j, a in enumerate(reversed(f)):
+            mat[i][i + j] = a
+    for i in range(n):
+        for j, a in enumerate(reversed(g)):
+            mat[m + i][i + j] = a
+    return mat
+
+
+def sylvester_resultant(f, g):
+    """Resultant of integer polynomials via Bareiss on the Sylvester matrix."""
+    f, g = dp.poly_trim(f), dp.poly_trim(g)
+    if not f or not g:
+        return 0
+    n, m = dp.poly_deg(f), dp.poly_deg(g)
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    return det(sylvester_matrix(f, g), operator.floordiv)
 
 
 def restricted_coefficients_reference(variables):
@@ -246,13 +275,18 @@ def test_quasihomogeneity_random_batch():
 @example([2, -3, 0, 1], [-4])
 @example([-1, 1], [-1, -2, -1, 1])  # odd degrees, the smaller first
 def test_sylvester_resultant_matches_sympy(f, g):
-    assert dp.sylvester_resultant(f, g) == sympy_resultant(f, g)
+    assert sylvester_resultant(f, g) == sympy_resultant(f, g)
 
 
 @BOUNDED
 @given(polys.filter(lambda c: len(c) >= 3))
 @example([0, 0, -3])
 @example([0, 4, 0, 2])
+@example([1, 0, -1])  # the leading coefficients -1, 2, 3 and -7
+@example([3, -1, 0, 2])
+@example([1, 2, -5, 0, 3])
+@example([-2, 5, 1, -7])
+@example([6, -9, 0, 3])  # 3 (s - 1)^2 (s + 2): a repeated root, lc 3
 def test_discriminant_matches_sympy(f):
     assert dp.discriminant(f) == sympy.discriminant(to_sympy(f))
 
@@ -304,7 +338,7 @@ def test_permanent_bound_from_the_sylvester_row_sums():
     # every entry of Sylvester(f, f') is one monomial c u_i; with every u_i = 1 the
     # entries are the c, and the permanent of |c| is at most the product of row sums
     f = dp.a11_poly({i: 1 for i in range(2, 13)})
-    rows = dp.sylvester_matrix(f, dp.poly_derivative(f))
+    rows = sylvester_matrix(f, dp.poly_derivative(f))
     sums = [sum(abs(x) for x in row) for row in rows]
     assert sorted(sums) == [12] * 11 + [67] * 12
     assert math.prod(sums) == dp.COEFF_BOUND < 2**113
@@ -364,33 +398,10 @@ def test_inconsistent_system_raises_without_redrawing(monkeypatch):
     assert calls == [(len(dp.PRIMES), len(dp._weight_132_exponents(vs)) + 1, len(vs))]
 
 
-def _duplicating_draws(monkeypatch, singular_draws):
-    """Make the first ``singular_draws`` draws repeat their first point, which makes
-    the monomial system singular mod every prime."""
-    draws = []
-    draw = dp._draw_points
-
-    def duplicated(rng, count, nvars):
-        points = draw(rng, count, nvars)
-        if len(draws) < singular_draws:
-            points[:, 1] = points[:, 0]
-        draws.append(points)
-        return points
-
-    monkeypatch.setattr(dp, "_coeff_cache", {})
-    monkeypatch.setattr(dp, "_draw_points", duplicated)
-    return draws
-
-
-def test_singular_draw_is_redrawn_once(monkeypatch):
-    draws = _duplicating_draws(monkeypatch, 1)
-    vs = (5, 11, 12)
-    assert dp._restricted_coefficients(vs) == restricted_coefficients_adjugate_reference(vs)
-    assert len(draws) == 2
-
-
-def test_singular_draws_are_bounded(monkeypatch):
-    draws = _duplicating_draws(monkeypatch, 10**6)
-    with pytest.raises(RuntimeError, match="u5 u11 u12"):
-        dp._restricted_coefficients((5, 11, 12))
-    assert len(draws) == dp._MAX_DRAWS
+def test_coinciding_nodes_are_refused_before_delta_is_evaluated(monkeypatch):
+    # with the bases 2 and 4, the node of u6^a u12^b is 2^(a + 2b) = 2^22, as 6a + 12b = 132
+    calls = _counting_evaluator(monkeypatch, dp._delta_mod_p)
+    monkeypatch.setattr(dp, "_BASES", (2, 4))
+    with pytest.raises(ArithmeticError, match="u6 u12"):
+        dp._restricted_coefficients((6, 12))
+    assert calls == []

@@ -30,9 +30,9 @@ from eisenlat.hermitian import (
     theta_self_dual,
     z_realization,
 )
-from eisenlat.linalg import det, herm_eliminate
+from eisenlat.linalg import herm_eliminate
 from eisenlat.zlattice import ZGram, determinant, inertia, invariants, is_even
-from test_linalg import kernel, sym_eliminate_reference
+from test_linalg import det, kernel, sym_eliminate_reference
 
 
 def random_vec(rng, n, bound=3):

@@ -3,7 +3,10 @@
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same cases.  The field Gauss-Jordan routines ``rref``, ``kernel``,
 ``solve`` and ``inverse`` over Fraction and QOmega live here as references;
-``eisenlat`` solves through integer adjugates instead.
+``eisenlat`` solves through integer adjugates instead.  ``det``, Bareiss'
+fraction-free determinant over any integral domain, lives here too, as the
+reference for the determinants that ``eisenlat`` reads off the Hermitian
+elimination.
 """
 
 import ast
@@ -22,7 +25,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
-from eisenlat.linalg import adjugate, adjugate_e, det, f3_rref, herm_eliminate, identity, mat_mul, pack
+from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, pack
 from eisenlat.zlattice import ZGram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -153,6 +156,40 @@ def inverse(a):
     return [r[n:] for r in rows]
 
 
+def det(a, div):
+    """Determinant by Bareiss' fraction-free elimination.
+
+    ``div(x, y)`` is the ring's exact division: ``operator.floordiv`` for int,
+    ``EisensteinInt.exact_div`` for E.  Every quotient taken is exact, so the
+    entries stay in the ring.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        ak = a[k]
+        if not ak[k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return ak[k]
+            a[k], a[piv] = a[piv], ak
+            ak = a[k]
+            sign = -sign
+        p = ak[k]
+        if prev is None:
+            prev = div(p, p)  # the ring's one
+        for ai in a[k + 1 :]:
+            c = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = div(ai[j] * p - c * ak[j], prev)
+        prev = p
+    d = a[-1][-1]
+    return -d if sign < 0 else d
+
+
 @BOUNDED
 @given(square(ints, max_n=6))
 def test_int_det_matches_sympy(a):
@@ -211,10 +248,7 @@ def test_pack_is_a_ring_map(n, data):
 
 
 def test_only_eisenstein_imports_fractions_or_names_qomega():
-    """The library has one fraction-free kernel: Fraction and QOmega stay in eisenstein.py.
-
-    ``__init__.py`` may re-export QOmega from it, and names nothing else of the kind.
-    """
+    """The library has one fraction-free kernel: Fraction and QOmega stay in eisenstein.py."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
     offenders = []
     for path in sorted(src.glob("*.py")):
@@ -224,10 +258,7 @@ def test_only_eisenstein_imports_fractions_or_names_qomega():
             if isinstance(node, ast.Import):
                 bad = any(alias.name.split(".")[0] == "fractions" for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                bad = node.module == "fractions" or (
-                    any(alias.name == "QOmega" for alias in node.names)
-                    and not (path.name == "__init__.py" and node.module == "eisenstein" and node.level == 1)
-                )
+                bad = node.module == "fractions" or any(alias.name == "QOmega" for alias in node.names)
             elif isinstance(node, ast.Name):
                 bad = node.id == "QOmega"
             elif isinstance(node, ast.Attribute):
@@ -239,21 +270,25 @@ def test_only_eisenstein_imports_fractions_or_names_qomega():
     assert offenders == []
 
 
-def test_only_three_modules_import_the_eliminations():
-    """``det`` and ``herm_eliminate`` are imported from linalg only by
-    discpoly, zlattice and hermitian, so a second copy of a form's
-    elimination shows here."""
+def test_only_zlattice_and_hermitian_import_the_elimination():
+    """``herm_eliminate`` is imported from linalg only by zlattice and
+    hermitian, and the library defines no generic ``det``, so a second copy
+    of a form's elimination shows here; discriminants go through zlattice."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
     importers = set()
+    defined = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif (
                 isinstance(node, ast.ImportFrom)
                 and node.module == "linalg"
-                and any(alias.name in ("det", "herm_eliminate") for alias in node.names)
+                and any(alias.name == "herm_eliminate" for alias in node.names)
             ):
                 importers.add(path.stem)
-    assert importers == {"discpoly", "zlattice", "hermitian"}
+    assert importers == {"zlattice", "hermitian"}
+    assert "det" not in defined
 
 
 @BOUNDED

@@ -23,8 +23,8 @@ from eisenlat.hermitian import (
 )
 from eisenlat import monodromy as mono
 from eisenlat.gluing import sp_generating_roots
-from eisenlat.linalg import det, mat_vec
-from test_linalg import kernel
+from eisenlat.linalg import mat_vec
+from test_linalg import det, kernel
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
 
