@@ -184,22 +184,38 @@ def _dumps_array(a, level):
     The first row's comma becomes the opening bracket, and the buffer is
     decoded once.
     """
-    np = sys.modules["numpy"]
     if a.ndim != 2 or a.dtype.kind not in "iu" or not a.size or a.min() < 0 or a.max() > 9:
         return _dumps(a.tolist(), level)
     inner = "\n" + "  " * (level + 1)
     row_inner = inner + "  "
     row = "[" + row_inner + ("0," + row_inner) * (a.shape[1] - 1) + "0" + inner + "]"
-    unit = np.frombuffer(("," + inner + row).encode(), np.uint8)
     first = len(inner) + 2 + len(row_inner)  # where the first digit sits in the unit
+    buf = _digit_rows(a, "," + inner + row, first, 2 + len(row_inner), inner[:-2] + "]")
+    buf[0] = ord("[")
+    return str(buf, "ascii")
+
+
+def _tuple_lines(a):
+    """``"\n".join(str(tuple(row)) for row in a.tolist())`` for a nonempty 2-D
+    array of digits 0..9, from the template ``(0, ..., 0)`` (``(0,)`` for one
+    column) as in ``_dumps_array``."""
+    zeros = ", ".join("0" * a.shape[1]) + ("," if a.shape[1] == 1 else "")
+    return str(_digit_rows(a, "(" + zeros + ")\n", 1, 3)[:-1], "ascii")
+
+
+def _digit_rows(a, unit, first, stride, tail=""):
+    """One uint8 buffer: a copy of the ASCII template ``unit`` per row of the
+    digit array ``a``, whose '0's at first, first + stride, ... are raised by
+    the row's digits, followed by ``tail``."""
+    np = sys.modules["numpy"]
+    unit = np.frombuffer(unit.encode(), np.uint8)
     size = a.shape[0] * len(unit)
-    buf = np.empty(size + len(inner) - 1, np.uint8)
+    buf = np.empty(size + len(tail), np.uint8)
     rows = buf[:size].reshape(a.shape[0], len(unit))
     rows[:] = unit
-    rows[:, first :: 2 + len(row_inner)] += a.astype(np.uint8, copy=False)
-    buf[0] = ord("[")
-    buf[size:] = np.frombuffer((inner[:-2] + "]").encode(), np.uint8)
-    return str(buf, "ascii")
+    rows[:, first : first + stride * a.shape[1] : stride] += a.astype(np.uint8, copy=False)
+    buf[size:] = np.frombuffer(tail.encode(), np.uint8)
+    return buf
 
 
 def _emit(args, payload, text_lines):
@@ -331,8 +347,10 @@ def cmd_f3(args):
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
         payload = {"count": len(vecs), "vectors": vecs}
-        rows = () if args.json else (tuple(row.tolist()) for row in vecs)  # row by row, no list of all
-        _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], map(str, rows)))
+        lines = [f"count: {len(vecs)}"]
+        if len(vecs) and not args.json:
+            lines.append(_tuple_lines(vecs))  # every row in one string, printed at once
+        _emit(args, payload, lines)
         return EXIT_OK
     if args.action == "orbit":
         G = parse_lattice(args.lattice)

@@ -13,6 +13,8 @@ the powers of distinct integer nodes, so the system is a transposed
 Vandermonde system solved in O(k^2) per prime (Zippel 1990).  The CRT of the
 residues is exact because every coefficient of delta is bounded by the
 permanent of the Sylvester matrix's coefficients, 12^11 67^12 < 2^113.
+A set of variables without u11 and u12 is not sampled at all: its restriction
+f = s^2 h(s) has 0 as a double root, so delta restricts to 0 there.
 """
 
 from __future__ import annotations
@@ -220,6 +222,11 @@ def _restricted_coefficients(variables):
     interpolant must reproduce delta at j = k for every prime, or the
     exponent set is incomplete.  The residues combine by CRT to symmetric
     residues, exact because |c| <= COEFF_BOUND.
+
+    Without u11 and u12 the table is empty and nothing is sampled: then
+    f = s^12 + ... + u10 s^2 = s^2 h(s), so 0 is a double root and delta is
+    identically 0.  The rule comes after the cap, so a set over the cap is
+    still refused.
     """
     if variables in _coeff_cache:
         return _coeff_cache[variables]
@@ -229,6 +236,9 @@ def _restricted_coefficients(variables):
         raise ValueError(
             f"delta restricted to {_names(variables)} has more than {MAX_UNKNOWNS} unknown coefficients"
         )
+    if max(variables, default=0) < 11:
+        _coeff_cache[variables] = {}
+        return _coeff_cache[variables]
     q = _P[:, None]
     bases = np.array(_BASES[: len(variables)], dtype=np.int64) % q
     nodes = _monomial_values(bases[:, None], np.array(exps, dtype=np.int64).reshape(k, len(variables)))[:, 0]

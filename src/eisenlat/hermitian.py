@@ -51,11 +51,12 @@ class HermGram:
         for row in g:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            if not g[i][i].is_real():
+        for i, row in enumerate(g):  # on the coordinates: conj(a + b w) = (a - b) - b w
+            if row[i].b != 0:
                 raise ValueError(f"diagonal entry {i} is not real")
-            for j in range(i + 1):
-                if g[j][i] != g[i][j].conj():
+            for j in range(i):
+                x, y = row[j], g[j][i]
+                if y.a != x.a - x.b or y.b != -x.b:
                     raise ValueError(f"not conjugate-symmetric at ({i},{j})")
         self.n = n
         self.g = g

@@ -121,7 +121,7 @@ def test_f3_norm_enum_writes_what_the_stock_encoder_and_str_write(k, capsys):
         assert out == stock_dumps({"count": len(expected), "vectors": [list(v) for v in expected]}) + "\n"
         code, out, _ = run_main(argv, capsys)
         assert code == 0
-        assert out.splitlines() == [f"count: {len(expected)}"] + [str(v) for v in expected]
+        assert out == "\n".join([f"count: {len(expected)}"] + [str(v) for v in expected]) + "\n"
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

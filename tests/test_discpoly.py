@@ -405,3 +405,17 @@ def test_coinciding_nodes_are_refused_before_delta_is_evaluated(monkeypatch):
     with pytest.raises(ArithmeticError, match="u6 u12"):
         dp._restricted_coefficients((6, 12))
     assert calls == []
+
+
+def test_a_set_without_u11_and_u12_is_not_sampled(monkeypatch):
+    # u11 = u12 = 0 makes f = s^12 + ... + u10 s^2 = s^2 h(s): 0 is a double root
+    calls = _counting_evaluator(monkeypatch, dp._delta_mod_p)
+    assert dp._restricted_coefficients((2, 5, 10)) == {}
+    assert calls == []
+
+
+def test_delta_vanishes_when_u11_and_u12_do():
+    rng = random.Random(67)
+    for _ in range(50):
+        u = {i: rng.choice((-1, 1)) * rng.randint(1, 40) for i in range(2, 11)}
+        assert dp.a11_delta({**u, 11: 0, 12: 0}) == 0

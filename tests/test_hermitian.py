@@ -59,6 +59,16 @@ def test_gram_validation():
         HermGram([[E(3), THETA], [THETA, E(3)]])  # not conjugate-symmetric
 
 
+def test_gram_validation_names_the_first_bad_entry():
+    x = E(2, 1)  # conj(x) = 1 - w
+    for y in (E(1, 1), E(2, -1), E(1, 0)):  # conj(x) wrong in b, in a, in both
+        with pytest.raises(ValueError, match=r"not conjugate-symmetric at \(2,1\)"):
+            HermGram([[E(3), ZERO, ZERO], [ZERO, E(3), y], [ZERO, x, E(3)]])
+    assert HermGram([[E(3), ZERO, ZERO], [ZERO, E(3), x.conj()], [ZERO, x, E(3)]]).n == 3
+    with pytest.raises(ValueError, match="diagonal entry 1 is not real"):
+        HermGram([[E(3), E(1, 1)], [E(1, 1), E(3, 1)]])  # the diagonal is checked first
+
+
 def test_constructors():
     assert lambda_().n == 11
     assert lambda10().n == 10
