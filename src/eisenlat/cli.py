@@ -37,6 +37,7 @@ EXIT_INPUT = 3
 # of JSON, in about 0.4 s with a 92 MB peak resident size (2-vCPU Xeon), and
 # each further two coordinates cost about 9 times more
 NORM_ENUM_MAX_COORDINATES = 12
+_TEXT_ROWS = 4096  # rows of norm-enum text per printed block
 # a word is expanded into one list entry per letter, and word-order multiplies
 # one matrix per letter
 MAX_WORD_LETTERS = 100_000
@@ -196,11 +197,12 @@ def _dumps_array(a, level):
 
 
 def _tuple_lines(a):
-    """``"\n".join(str(tuple(row)) for row in a.tolist())`` for a nonempty 2-D
-    array of digits 0..9, from the template ``(0, ..., 0)`` (``(0,)`` for one
-    column) as in ``_dumps_array``."""
+    """``str(tuple(row))`` for the rows of a 2-D digit array, newline-joined in blocks of
+    ``_TEXT_ROWS`` rows (so one block's text exists at a time), from the template ``(0, ..., 0)``
+    (``(0,)`` for one column) as in ``_dumps_array``."""
     zeros = ", ".join("0" * a.shape[1]) + ("," if a.shape[1] == 1 else "")
-    return str(_digit_rows(a, "(" + zeros + ")\n", 1, 3)[:-1], "ascii")
+    for start in range(0, len(a), _TEXT_ROWS):
+        yield str(_digit_rows(a[start : start + _TEXT_ROWS], "(" + zeros + ")\n", 1, 3)[:-1], "ascii")
 
 
 def _digit_rows(a, unit, first, stride, tail=""):
@@ -347,10 +349,7 @@ def cmd_f3(args):
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
         payload = {"count": len(vecs), "vectors": vecs}
-        lines = [f"count: {len(vecs)}"]
-        if len(vecs) and not args.json:
-            lines.append(_tuple_lines(vecs))  # every row in one string, printed at once
-        _emit(args, payload, lines)
+        _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], _tuple_lines(vecs)))
         return EXIT_OK
     if args.action == "orbit":
         G = parse_lattice(args.lattice)

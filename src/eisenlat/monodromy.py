@@ -208,7 +208,8 @@ def order(M: GroupElt, cap: int = DEFAULT_ORDER_CAP):
     """Smallest k <= cap with M^k = I; Infinite for nontrivial unipotents."""
     n = len(M.m)
     I = linalg.identity(n, ONE)
-    if cap >= 1 and M.m != I:  # a cap below 1 raises in _first_power, before any answer
+    # a cap below 1 raises in _first_power; a unipotent has trace n, a finite-order M != I does not
+    if cap >= 1 and M.m != I and sum((M.m[i][i] for i in range(n)), ZERO) == n:
         # unipotent shortcut: (M - I) nilpotent and M != I means infinite order
         K = tuple(tuple(M.m[i][j] - I[i][j] for j in range(n)) for i in range(n))
         P = K
@@ -500,28 +501,41 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
 def reflections_in(handle: GroupHandle):
     """All complex reflections in the group: (root, rotation unit) pairs, by ascending element index.
 
-    M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1
-    and K^2 = (zeta - 1) K, for K / (zeta - 1) is then an idempotent of trace 1,
-    so K has rank one.  The traces of all elements come from one integer product;
-    only the elements with one of the five traces are formed for the second test.
-    The root is a primitive generator of the image of K, the unit its eigenvalue.
+    The traces of all elements come from one integer product; only the elements with a reflection's
+    trace are formed for ``_reflections``.  The root spans M - I's image, the unit is M's eigenvalue.
     """
     n = handle.ambient.n
-    ident = np.eye(2 * n, dtype=np.int64)
     # element i |H| + j is T[i] H[j], T the first transversal and H the elements of its stabilizer
-    T = handle.orbits[0].trans if handle.orbits else ident[None]
+    T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
     H = handle.matrices(np.arange(handle.order // len(T)))
     # the trace a + b w sums the diagonal 2 x 2 blocks: a from the even rows of T H, b from the odd ones
     cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1).T
-    tr_a = _product(T[:, ::2].reshape(len(T), -1), cols).ravel()
-    tr_b = _product(T[:, 1::2].reshape(len(T), -1), cols).ravel()
-    idx = np.flatnonzero(np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE]))
-    K = handle.matrices(idx) - ident
+    traces = (_product(T[:, r::2].reshape(len(T), -1), cols).ravel() for r in (0, 1))
+    z = handle.matrices(np.flatnonzero(_reflection_trace(*traces, n)))  # the traces are freed first
+    return [_reflection_data(_companion_unpack(m, n)) for m in z[_reflections(z)]]
+
+
+def _reflection_trace(tr_a, tr_b, n):
+    """Where the trace tr_a + tr_b w of an n x n matrix is n - 1 + zeta for a unit zeta != 1."""
+    return np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE])
+
+
+def _reflections(z):
+    """The positions of the complex reflections among the packings z.
+
+    M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1
+    and K^2 = (zeta - 1) K, for K / (zeta - 1) is then an idempotent of trace 1,
+    so K has rank one.  Only the matrices with such a trace are squared.
+    """
+    n = z.shape[-1] // 2
+    ident = np.eye(2 * n, dtype=np.int64)
+    tr_a, tr_b = (np.einsum("kii->k", z[:, r::2, ::2]) for r in (0, 1))
+    at = np.flatnonzero(_reflection_trace(tr_a, tr_b, n))
+    K = z[at] - ident
     # zeta - 1 = a + b w times I, packed: a I + b (the packing of w I)
-    a, b = (t[idx, None, None] for t in (tr_a - n, tr_b))
+    a, b = (t[at, None, None] for t in (tr_a - n, tr_b))
     scalar = a * ident + b * np.kron(np.eye(n, dtype=np.int64), [[0, -1], [1, -1]])
-    rank_one = (_product(K, K) == _product(scalar, K)).all(axis=(1, 2))
-    return [_reflection_data(_companion_unpack(k + ident, n)) for k in K[rank_one]]
+    return at[(_product(K, K) == _product(scalar, K)).all(axis=(1, 2))]
 
 
 def _reflection_data(m):
@@ -579,45 +593,37 @@ def _power_sums(g, bound: int, top: int):
     raise ValueError("not a finite group: some element's powers never reach I")
 
 
-def _conjugations(table):
+def _conjugations(handle: GroupHandle):
     """The conjugations x -> g x g^-1 by the generators g, as index arrays.
 
-    A breadth-first search of the left table from the identity, element 0, gives each x a parent p
-    and a letter a with x = g_a p.  Left and right multiplication commute, so x g^-1 = g_a (p g^-1):
-    right[x] = x g^-1 fills in level by level from right[0] = g^-1, the element g's column sends
-    to 0.  Conjugation is then g's column read at right.
+    Element i |G_1| + j is T[i] h_j, T the first orbit's transversal and h_j in G_1.  For i > 0,
+    T[i] = g_a T[p], a and p the letter and parent of point i in the orbit's Schreier tree (whose
+    generators must be the handle's), so x = g_a y, y = p |G_1| + j, and x g^-1 = g_a (y g^-1) is
+    the left table's entry [y g^-1, a].  Row by row of |G_1|, x g^-1 fills in one tree depth at a
+    time from the root row h_j g^-1, located by sifting.  Conjugation is g's column read there.
     """
-    order, k = table.shape
-    parent, letter, slot = np.full(order, -1), np.zeros(order, np.intp), np.empty(order, np.intp)
-    parent[0] = 0
-    layers = [np.zeros(1, np.intp)]
-    while len(layers[-1]):
-        image = table[layers[-1]].ravel()
-        reached = image[fresh := np.flatnonzero(parent[image] < 0)]
-        slot[reached] = fresh
-        x = reached[slot[reached] == fresh]  # each new element once, at the table position whose write held
-        at, letter[x] = np.divmod(slot[x], k)
-        parent[x] = layers[-1][at]
-        layers.append(x)
-    if (parent < 0).any():
-        raise ValueError("the generators do not generate the group")
-    maps = []
-    for col in table.T:
-        right = np.empty(order, np.intp)
-        right[0] = np.flatnonzero(col == 0)[0]
-        for x in layers[1:]:
-            right[x] = table[right[parent[x]], letter[x]]
-        maps.append(col[right])
+    if not handle.orbits:
+        return []  # the trivial group
+    o, gens = handle.orbits[0], handle.generators
+    if len(o.gens) != len(gens) or not np.array_equal(np.stack(o.gens), gens):
+        raise ValueError("the generators do not generate the group through its first orbit's Schreier tree")
+    parent, letter, depth = np.array(o.parent), np.array(o.letter), [0]
+    for p in o.parent[1:]:  # parents come first
+        depth.append(depth[p] + 1)
+    layers = [np.flatnonzero(np.equal(depth, d)) for d in range(1, max(depth) + 1)]
+    H, table, maps = handle.matrices(np.arange(handle.sizes[1])), handle.table, []
+    for inv, col in zip(o.invs, table.T):
+        right = np.empty((len(parent), len(H)), np.intp)
+        right[0] = handle.index(_product(H, inv))
+        for x in layers:
+            right[x] = table[right[parent[x]], letter[x, None]]
+        maps.append(col[right.ravel()])
     return maps
 
 
-def conjugacy_classes(handle: GroupHandle):
-    """(representatives, sizes) of the conjugacy classes, representatives ascending.
-
-    The classes are the orbits of the conjugations by the generators, read
-    off the left Cayley table, and labelled by their least index.
-    """
-    maps = _conjugations(handle.table)
+def _class_labels(handle: GroupHandle):
+    """Each element's class label, the least index in its orbit under the generators' conjugations."""
+    maps = _conjugations(handle)
     # min-label propagation with pointer jumping; each label stays in its orbit
     labels = np.arange(handle.order)
     while True:
@@ -626,8 +632,23 @@ def conjugacy_classes(handle: GroupHandle):
             new = np.minimum(new, new[image])
         new = new[new]
         if np.array_equal(new, labels):
-            return np.unique(labels, return_counts=True)
+            return labels
         labels = new
+
+
+def conjugacy_classes(handle: GroupHandle):
+    """(representatives, sizes) of the conjugacy classes, each class represented by its least index."""
+    return np.unique(_class_labels(handle), return_counts=True)
+
+
+def _class_reflections(handle: GroupHandle, labels):
+    """``reflections_in``'s list from the class labels: trace and rank are class invariants, so
+    the reflections are the members of the classes whose representative (label = index) is one."""
+    reps, n = np.flatnonzero(labels == np.arange(len(labels))), handle.ambient.n
+    blocks = np.split(reps, range(_BLOCK, len(reps), _BLOCK))
+    refl = np.concatenate([b[_reflections(handle.matrices(b))] for b in blocks])
+    members = handle.matrices(np.flatnonzero(np.isin(labels, refl)))
+    return [_reflection_data(_companion_unpack(m, n)) for m in members]
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -639,21 +660,21 @@ def free_action_check(handle: GroupHandle) -> bool:
     lies in the mirror of r iff the row (<e_i, r>)_i times P_g vanishes.
     The zero fixed space (P_g = 0) is vacuously contained.  Conjugation moves
     fixed spaces and mirrors together, so one element per class is tested,
-    and only those elements' matrices are formed.
+    and only those elements' matrices are formed; the mirrors come from them too.
     """
     G, n = handle.ambient, handle.ambient.n
-    mirrors = dict.fromkeys(root for root, _ in reflections_in(handle))
+    top = _entry_bound(handle)
+    labels = _class_labels(handle)
+    mirrors = dict.fromkeys(root for root, _ in _class_reflections(handle, labels))
     # each mirror as the first packed row of (<e_i, r>)_i = G rbar; it vanishes iff the E-row does
     rows = np.array(
         [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
     ).reshape(-1, 2 * n)
     # _power_sums keeps each power within top; P_g sums at most |group| powers, rows @ P_g 2n terms
-    top = _entry_bound(handle)
     row_top = int(np.abs(rows).max(initial=0))
     if handle.order * top * max(1, 2 * n * row_top) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
-    reps, _ = conjugacy_classes(handle)
-    ident = np.eye(2 * n, dtype=np.int64)
+    reps, ident = np.flatnonzero(labels == np.arange(handle.order)), np.eye(2 * n, dtype=np.int64)
     for start in range(0, len(reps), _BLOCK):
         g = handle.matrices(reps[start : start + _BLOCK])
         P = _power_sums(g[(g != ident).any(axis=(1, 2))], handle.order, top)

@@ -124,6 +124,16 @@ def test_f3_norm_enum_writes_what_the_stock_encoder_and_str_write(k, capsys):
         assert out == "\n".join([f"count: {len(expected)}"] + [str(v) for v in expected]) + "\n"
 
 
+@pytest.mark.parametrize("rows", [1, 4, 5, 12])
+def test_f3_norm_enum_text_is_the_same_in_any_block_size(rows, capsys, monkeypatch):
+    # 12 rows of norm 1 on (1, -1, 1): blocks that divide them exactly, and ones that leave a tail
+    argv = ["f3", "norm-enum", "--form", "1,-1,1", "--norm", "1"]
+    _, expected, _ = run_main(argv, capsys)
+    monkeypatch.setattr(cli, "_TEXT_ROWS", rows)
+    assert run_main(argv, capsys) == (0, expected, "")
+    assert expected.count("\n") == 13
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = "import sys\nimport eisenlat.cli\nprint('numpy' in sys.modules)"

@@ -509,15 +509,69 @@ def test_closure_table_is_the_right_cayley_table(closures, n):
 def test_conjugations_are_g_x_g_inverse(closures, n):
     h = closures(n)
     idx = sample(h)
-    maps = mono._conjugations(h.table)
+    maps = mono._conjugations(h)
     assert len(maps) == len(h.generators)
     z = h.matrices(idx)
     for image, g in zip(maps, h.generators):
         assert np.array_equal(h.matrices(image[idx]), g @ z @ mono._inverse(g))
 
 
+def chain_subset(n, letters):
+    """The triflections a_i, i in letters, on chain(n)."""
+    gens = mono.chain_triflections(n)
+    return [gens[i - 1] for i in letters]
+
+
+# (chain rank, letters, base of the first moved orbit): a3 and a4 fix e_0 on chain(4), so their
+# first moved base is e_1; on chain(5), a4 and a5 fix e_0 and e_1
+CHAIN_SUBSETS = [(4, (1, 2), 0), (4, (3, 4), 1), (4, (2, 3, 4), 0), (5, (1, 3, 5), 0), (5, (3, 4, 5), 1), (5, (4, 5), 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closure_first_orbit_has_exactly_the_generators(closures, n):
+    h = closures(n)
+    assert h.orbits[0].base == 0
+    assert np.array_equal(np.stack(h.orbits[0].gens), h.generators)
+
+
+@pytest.mark.parametrize("n, letters, base", CHAIN_SUBSETS)
+def test_chain_subsets_first_orbit_and_conjugations(n, letters, base):
+    # every generator starts at the first moved level, and no Schreier residue ever joins it
+    h = mono.group_closure(chain_subset(n, letters))
+    assert h.orbits[0].base == base
+    assert np.array_equal(np.stack(h.orbits[0].gens), h.generators)
+    z = h.matrices(np.arange(h.order))
+    for image, g in zip(mono._conjugations(h), h.generators):
+        assert np.array_equal(h.matrices(image), g @ z @ mono._inverse(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_reflections_are_reflections_in(closures, n):
+    # the same roots and units in the same order, read off the classes instead of every trace
+    h = closures(n)
+    assert mono._class_reflections(h, mono._class_labels(h)) == mono.reflections_in(h)
+
+
+def test_conjugations_refuse_generators_out_of_the_tree_order(closures):
+    # the same generators reversed: the first orbit's Schreier tree spells its points in other letters
+    h = closures(3)
+    by_hand = mono.GroupHandle(h.ambient, h.orbits, h.generators[::-1])
+    with pytest.raises(ValueError, match="do not generate the group"):
+        mono.conjugacy_classes(by_hand)
+    with pytest.raises(ValueError, match="do not generate the group"):
+        mono.free_action_check(by_hand)
+
+
+def test_trivial_group_is_one_class_and_acts_freely():
+    h = mono.group_closure([mono.identity(chain(2))])
+    assert h.order == 1 and h.orbits == []
+    reps, sizes = mono.conjugacy_classes(h)
+    assert list(reps) == [0] and list(sizes) == [1]
+    assert mono.free_action_check(h) is True
+
+
 def test_conjugacy_classes_of_r4_stay_small(closures):
-    # the breadth-first tree and one right-multiplication map at a time, no inverse map
+    # one right-multiplication map at a time, filled along the first orbit's Schreier tree, no inverse map
     h = closures(4)
     h.table  # built outside the measured region
     tracemalloc.start()
