@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: lattice, monodromy, f3, disc, hodge, verify.  Every subcommand
-accepts --json for machine-readable output.  Exit codes: 0 success, 1 check
-failure, 2 usage error, 3 input-format error.
+accepts --json for machine-readable output, written by the stock
+``json.dumps(payload, indent=2, sort_keys=True)``; f3 norm-enum's rows, in
+either mode, are written block by block from one ASCII template.  Exit codes:
+0 success, 1 check failure, 2 usage error, 3 input-format error.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 # f3 norm-enum scans 3^k vectors: k = 12 writes about 177,000 of them, 16 MB
-# of JSON, in about 0.4 s with a 92 MB peak resident size (2-vCPU Xeon), and
+# of JSON, in about 0.2 s with a 38 MB peak resident size (2-vCPU Xeon), and
 # each further two coordinates cost about 9 times more
 NORM_ENUM_MAX_COORDINATES = 12
-_TEXT_ROWS = 4096  # rows of norm-enum text per printed block
+_TEXT_ROWS = 4096  # rows of norm-enum output per printed block, in text and JSON
 # a word is expanded into one list entry per letter, and word-order multiplies
 # one matrix per letter
 MAX_WORD_LETTERS = 100_000
@@ -142,87 +144,23 @@ def _require(args, option):
         raise UsageError(f"{args.action} requires --{option}")
 
 
-def _dumps(obj, level=0):
-    """What ``json.dumps(obj, indent=2, sort_keys=True)`` writes, built faster.
-
-    The ``json`` module encodes indented output in pure Python, one token at
-    a time.  Here a list of plain ints is joined once (testing ``type(x) is
-    int`` keeps True as true), and a numpy array goes to ``_dumps_array``.
-    Dicts and other lists recurse, and every scalar or string goes through
-    the C-backed ``json.dumps``.
-    """
-    inner = "\n" + "  " * (level + 1)
-    close = inner[:-2]
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (
-            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_dumps(v, level + 1)}"
-            for k, v in sorted(obj.items())
-        )
-        return "{" + inner + ("," + inner).join(items) + close + "}"
-    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
-    if np is not None and isinstance(obj, np.ndarray):
-        return _dumps_array(obj, level)
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]"
-    if set(map(type, obj)) == {int}:
-        body = ("," + inner).join(map(str, obj))
-    else:
-        body = ("," + inner).join([_dumps(x, level + 1) for x in obj])
-    return "[" + inner + body + close + "]"
-
-
-def _dumps_array(a, level):
-    """``_dumps(a.tolist(), level)``, with a fast path for rows of digits.
-
-    A nonempty 2-D integer array whose entries are all 0..9 (``f3
-    norm-enum``'s vectors) is written into one byte buffer: each row is a
-    copy of the template ``,<indent>[<indent>0,...<indent>0<indent>]``,
-    whose '0's sit at a fixed stride and are raised by the row's digits.
-    The first row's comma becomes the opening bracket, and the buffer is
-    decoded once.
-    """
-    if a.ndim != 2 or a.dtype.kind not in "iu" or not a.size or a.min() < 0 or a.max() > 9:
-        return _dumps(a.tolist(), level)
-    inner = "\n" + "  " * (level + 1)
-    row_inner = inner + "  "
-    row = "[" + row_inner + ("0," + row_inner) * (a.shape[1] - 1) + "0" + inner + "]"
-    first = len(inner) + 2 + len(row_inner)  # where the first digit sits in the unit
-    buf = _digit_rows(a, "," + inner + row, first, 2 + len(row_inner), inner[:-2] + "]")
-    buf[0] = ord("[")
-    return str(buf, "ascii")
-
-
-def _tuple_lines(a):
-    """``str(tuple(row))`` for the rows of a 2-D digit array, newline-joined in blocks of
-    ``_TEXT_ROWS`` rows (so one block's text exists at a time), from the template ``(0, ..., 0)``
-    (``(0,)`` for one column) as in ``_dumps_array``."""
-    zeros = ", ".join("0" * a.shape[1]) + ("," if a.shape[1] == 1 else "")
-    for start in range(0, len(a), _TEXT_ROWS):
-        yield str(_digit_rows(a[start : start + _TEXT_ROWS], "(" + zeros + ")\n", 1, 3)[:-1], "ascii")
-
-
-def _digit_rows(a, unit, first, stride, tail=""):
-    """One uint8 buffer: a copy of the ASCII template ``unit`` per row of the
-    digit array ``a``, whose '0's at first, first + stride, ... are raised by
-    the row's digits, followed by ``tail``."""
+def _digit_blocks(a, unit, first, stride):
+    """The rows of the digit array ``a`` as ASCII text, ``_TEXT_ROWS`` rows per string, so that one
+    block's buffer and text exist at a time.  Each row is a copy of the template ``unit``, whose '0's
+    at first, first + stride, ... are raised by the row's digits.  The template opens with the
+    separator between rows, and each string leaves out its first row's."""
     np = sys.modules["numpy"]
     unit = np.frombuffer(unit.encode(), np.uint8)
-    size = a.shape[0] * len(unit)
-    buf = np.empty(size + len(tail), np.uint8)
-    rows = buf[:size].reshape(a.shape[0], len(unit))
-    rows[:] = unit
-    rows[:, first : first + stride * a.shape[1] : stride] += a.astype(np.uint8, copy=False)
-    buf[size:] = np.frombuffer(tail.encode(), np.uint8)
-    return buf
+    for start in range(0, len(a), _TEXT_ROWS):
+        digits = a[start : start + _TEXT_ROWS]
+        rows = np.tile(unit, (len(digits), 1))
+        rows[:, first : first + stride * a.shape[1] : stride] += digits.astype(np.uint8, copy=False)
+        yield str(rows.reshape(-1)[1:], "ascii")
 
 
 def _emit(args, payload, text_lines):
     if args.json:
-        print(_dumps(payload))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -348,8 +286,18 @@ def cmd_f3(args):
             )
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
-        payload = {"count": len(vecs), "vectors": vecs}
-        _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], _tuple_lines(vecs)))
+        k, payload = len(diag_entries), {"count": len(vecs), "vectors": []}
+        if not (args.json and len(vecs)):
+            zeros = ", ".join("0" * k) + ("," if k == 1 else "")  # str() of a tuple of k digits
+            _emit(args, payload, itertools.chain([f"count: {len(vecs)}"], _digit_blocks(vecs, f"\n({zeros})", 2, 3)))
+            return EXIT_OK
+        # the row blocks are written where the stock encoder writes the payload's empty list
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split("[]")
+        row = ",\n    [" + ",".join(["\n      0"] * k) + "\n    ]"
+        print(head, end="[")
+        for i, block in enumerate(_digit_blocks(vecs, row, 14, 9)):
+            print("," if i else "", block, sep="", end="")
+        print("\n  ]" + tail)
         return EXIT_OK
     if args.action == "orbit":
         G = parse_lattice(args.lattice)
@@ -477,18 +425,16 @@ def cmd_verify(args):
         for name, seconds in timings.items():
             print(f"{seconds:9.3f} s  {name}", file=sys.stderr)
         print(f"{time.perf_counter() - start:9.3f} s  total", file=sys.stderr)
-    if args.json:
-        print(_dumps(report))
-    else:
-        for row in report["checks"]:
-            mark = "PASS" if row["pass"] else "FAIL"
-            print(f"[{mark}] {row['name']}")
-            print(f"       claim:    {row['anchor']}")
-            print(f"       expected: {row['expected']}")
-            if not row["pass"]:
-                print(f"       computed: {row['computed']}")
-        s = report["summary"]
-        print(f"{s['passed']}/{s['total']} checks passed")
+    lines = []
+    for row in report["checks"]:
+        lines.append(f"[{'PASS' if row['pass'] else 'FAIL'}] {row['name']}")
+        lines.append(f"       claim:    {row['anchor']}")
+        lines.append(f"       expected: {row['expected']}")
+        if not row["pass"]:
+            lines.append(f"       computed: {row['computed']}")
+    s = report["summary"]
+    lines.append(f"{s['passed']}/{s['total']} checks passed")
+    _emit(args, report, lines)
     return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_CHECK_FAILURE
 
 

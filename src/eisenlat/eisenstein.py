@@ -99,9 +99,6 @@ class EisensteinInt:
     def is_unit(self):
         return self.norm() == 1
 
-    def is_real(self):
-        return self.b == 0
-
     def unit_inverse(self):
         if not self.is_unit():
             raise ZeroDivisionError(f"{self} is not a unit of E")

@@ -641,14 +641,22 @@ def conjugacy_classes(handle: GroupHandle):
     return np.unique(_class_labels(handle), return_counts=True)
 
 
-def _class_reflections(handle: GroupHandle, labels):
-    """``reflections_in``'s list from the class labels: trace and rank are class invariants, so
-    the reflections are the members of the classes whose representative (label = index) is one."""
+def _mirror_rows(handle: GroupHandle, labels):
+    """One int64 row per reflection M of the group: the first packed row of (<e_i, c>)_i = G cbar, c the
+    first nonzero E-column of K = M - I.  c spans K's image, M's root line, so it is an E-multiple of
+    ``reflections_in``'s root for M.
+
+    Trace and rank are class invariants, so the reflections are the members of the classes whose
+    representative (label = index) is one.
+    """
     reps, n = np.flatnonzero(labels == np.arange(len(labels))), handle.ambient.n
     blocks = np.split(reps, range(_BLOCK, len(reps), _BLOCK))
     refl = np.concatenate([b[_reflections(handle.matrices(b))] for b in blocks])
-    members = handle.matrices(np.flatnonzero(np.isin(labels, refl)))
-    return [_reflection_data(_companion_unpack(m, n)) for m in members]
+    K = handle.matrices(np.flatnonzero(np.isin(labels, refl))) - np.eye(2 * n, dtype=np.int64)
+    c = K[np.arange(len(K)), :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)]  # entries a + b w as (a, b)
+    a, b = c[:, ::2], c[:, 1::2]
+    cbar = np.stack([a - b, -b], axis=2).reshape(len(c), 2 * n)
+    return _product(cbar, _companion_pack(handle.ambient.g, n).T) * np.tile([1, -1], n)
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -662,14 +670,11 @@ def free_action_check(handle: GroupHandle) -> bool:
     fixed spaces and mirrors together, so one element per class is tested,
     and only those elements' matrices are formed; the mirrors come from them too.
     """
-    G, n = handle.ambient, handle.ambient.n
+    n = handle.ambient.n
     top = _entry_bound(handle)
     labels = _class_labels(handle)
-    mirrors = dict.fromkeys(root for root, _ in _class_reflections(handle, labels))
-    # each mirror as the first packed row of (<e_i, r>)_i = G rbar; it vanishes iff the E-row does
-    rows = np.array(
-        [[x for c in mat_vec(G.g, [y.conj() for y in r]) for x in (c.a, -c.b)] for r in mirrors], np.int64
-    ).reshape(-1, 2 * n)
+    # a packed row vanishes on P_g iff its E-row does, a nonzero E-multiple of the root's row
+    rows = _mirror_rows(handle, labels)
     # _power_sums keeps each power within top; P_g sums at most |group| powers, rows @ P_g 2n terms
     row_top = int(np.abs(rows).max(initial=0))
     if handle.order * top * max(1, 2 * n * row_top) >= 2**63:

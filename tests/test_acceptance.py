@@ -232,7 +232,7 @@ def test_criterion_12_root_taxonomy():
             E(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(10)
         )
         nv = norm_of(L10, v)
-        assert nv.is_real() and nv.a % 3 == 0
+        assert nv.b == 0 and nv.a % 3 == 0
     # hence theta*v has norm 3*norm(v): no norm-3 vector is theta-divisible,
     # since norm 1 is impossible in 3Z
     assert theta_self_dual(L10)

@@ -1,4 +1,3 @@
-import ast
 import itertools
 import json
 import os
@@ -7,11 +6,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from eisenlat import cli
 from eisenlat.hermitian import chain, lambda_
@@ -25,86 +20,6 @@ def run_main(argv, capsys):
 
 def stock_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def int_rows():
-    """Lists of int rows of one width, each a list or a tuple."""
-    return st.integers(0, 4).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(), min_size=m, max_size=m).flatmap(lambda r: st.sampled_from([r, tuple(r)])),
-            max_size=6,
-        )
-    )
-
-
-scalars = st.one_of(
-    st.integers(), st.booleans(), st.none(), st.floats(), st.text(), st.text(alphabet="\"\\/\b\f\n\r\t\x00\x1féλ€😀")
-)
-int_lists = st.lists(st.one_of(st.integers(), st.booleans()))  # True must stay true among ints
-payloads = st.recursive(
-    st.one_of(scalars, int_lists, int_rows(), st.lists(st.lists(st.integers(), max_size=3))),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=4), inner, max_size=4),
-        # json writes these keys as strings; one key type per dict, as keys of mixed types do not sort
-        *(st.dictionaries(k, inner, max_size=3) for k in (st.integers(), st.booleans(), st.floats(allow_nan=False), st.none())),
-    ),
-    max_leaves=12,
-)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(payloads)
-def test_json_writer_matches_the_stock_encoder(obj):
-    assert cli._dumps(obj) == stock_dumps(obj)
-
-
-def plain(obj):
-    """obj with every numpy array replaced by its ``tolist()``."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(x) for x in obj]
-    return obj
-
-
-digit_arrays = arrays(np.int8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=st.integers(0, 9))
-# arrays off the digit path: entries just outside 0..9, other dtypes and ranks
-near_digit_arrays = arrays(
-    st.sampled_from([np.int8, np.int64]), array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4), elements=st.integers(-2, 11)
-)
-other_arrays = arrays(
-    st.sampled_from([np.int8, np.int64, np.uint8, np.bool_]), array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
-)
-array_payloads = st.recursive(
-    st.one_of(digit_arrays, near_digit_arrays, other_arrays, scalars),
-    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
-    max_leaves=6,
-)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(array_payloads)
-def test_json_writer_matches_the_stock_encoder_on_arrays(obj):
-    assert cli._dumps(obj) == stock_dumps(plain(obj))
-
-
-@pytest.mark.parametrize(
-    "a",
-    [
-        np.array([[9, 10]]),
-        np.array([[0, -1]], dtype=np.int8),
-        np.array([[1, 2], [3, 4]], dtype=np.uint64)[:, ::-1],
-        np.array([[True, False]]),
-        np.zeros((2, 0), np.int8),
-        np.zeros((0, 3), np.int8),
-    ],
-)
-def test_json_writer_keeps_the_digit_path_to_digits(a):
-    assert cli._dumps({"a": [a]}) == stock_dumps({"a": [a.tolist()]})
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -126,12 +41,16 @@ def test_f3_norm_enum_writes_what_the_stock_encoder_and_str_write(k, capsys):
 
 @pytest.mark.parametrize("rows", [1, 4, 5, 12])
 def test_f3_norm_enum_text_is_the_same_in_any_block_size(rows, capsys, monkeypatch):
-    # 12 rows of norm 1 on (1, -1, 1): blocks that divide them exactly, and ones that leave a tail
-    argv = ["f3", "norm-enum", "--form", "1,-1,1", "--norm", "1"]
-    _, expected, _ = run_main(argv, capsys)
-    monkeypatch.setattr(cli, "_TEXT_ROWS", rows)
-    assert run_main(argv, capsys) == (0, expected, "")
-    assert expected.count("\n") == 13
+    # 12 rows of norm 1 on (1, -1, 1), in text and JSON: blocks that divide them exactly, and ones that
+    # leave a tail
+    default = cli._TEXT_ROWS
+    for flags in ([], ["--json"]):
+        argv = ["f3", "norm-enum", "--form", "1,-1,1", "--norm", "1", *flags]
+        monkeypatch.setattr(cli, "_TEXT_ROWS", default)
+        _, expected, _ = run_main(argv, capsys)
+        monkeypatch.setattr(cli, "_TEXT_ROWS", rows)
+        assert run_main(argv, capsys) == (0, expected, "")
+        assert expected.count("\n") == (65 if flags else 13)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -161,22 +80,6 @@ def test_json_output_is_what_the_stock_encoder_writes(argv, capsys):
     code, out, _ = run_main(argv + ["--json"], capsys)
     assert code == 0
     assert stock_dumps(json.loads(out)) + "\n" == out
-
-
-def test_no_source_call_passes_indent_to_json_dumps():
-    """Indented output goes through ``cli._dumps``; ``json.dumps(..., indent=...)`` is the slow encoder."""
-    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
-    offenders = []
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, (ast.Attribute, ast.Name))
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
-                and any(kw.arg == "indent" for kw in node.keywords)
-            ):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
 
 
 def test_parse_word_expansion():
@@ -556,15 +459,17 @@ def test_norm_enum_refuses_a_long_form_before_scanning(capsys):
     assert "30 coordinates" in err and "at most 12" in err
 
 
-def test_closure_cap_bounds_the_memory_of_an_infinite_group():
-    # chain(5)'s triflections generate an infinite group; at the default cap the closure must stop on
-    # its orbit sizes, long before millions of elements exist; the child reports its own peak in KiB.
-    # On Linux a child's ru_maxrss keeps the high-water mark of the address space it replaced at exec,
-    # which after vfork is this test process's; VmHWM counts the child's own address space only.
+def run_child_peak(argv, env):
+    """Run ``cli.main(argv)`` in a fresh interpreter, stdout to /dev/null: (exit code, stderr lines, peak KiB).
+
+    The child reports its own peak last on stderr.  On Linux a child's ru_maxrss keeps the high-water
+    mark of the address space it replaced at exec, which after vfork is this test process's; VmHWM
+    counts the child's own address space only.
+    """
     code = (
         "import resource, sys\n"
         "from eisenlat.cli import main\n"
-        "code = main(['monodromy', 'closure', '--lattice', 'chain:5', '--json'])\n"
+        f"code = main({argv!r})\n"
         "try:\n"
         "    peak = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "except OSError:\n"
@@ -572,13 +477,29 @@ def test_closure_cap_bounds_the_memory_of_an_infinite_group():
         "print(peak, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
+    env = dict(env, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+    )
+    *lines, peak_kib = proc.stderr.splitlines()
+    return proc.returncode, lines, int(peak_kib)
+
+
+def test_closure_cap_bounds_the_memory_of_an_infinite_group():
+    # chain(5)'s triflections generate an infinite group; at the default cap the closure must stop on
+    # its orbit sizes, long before millions of elements exist
     env = {k: v for k, v in os.environ.items() if k != "EISENLAT_CLOSURE_CAP"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    error, peak_kib = proc.stderr.splitlines()
-    assert proc.returncode == 3
-    assert error == "error: no closure of chain:5: closure exceeded cap 2000000"
-    assert int(peak_kib) < 200 * 1024
+    code, lines, peak_kib = run_child_peak(["monodromy", "closure", "--lattice", "chain:5", "--json"], env)
+    assert code == 3
+    assert lines == ["error: no closure of chain:5: closure exceeded cap 2000000"]
+    assert peak_kib < 200 * 1024
+
+
+def test_norm_enum_json_holds_one_block_of_rows_at_a_time():
+    # 12 coordinates write about 177,000 rows, 16 MB of JSON; the whole payload as one string peaked at 91 MB
+    code, lines, peak_kib = run_child_peak(["f3", "norm-enum", "--form", ",".join(["1"] * 12), "--json"], os.environ)
+    assert (code, lines) == (0, [])
+    assert peak_kib < 60 * 1024
 
 
 def test_usage_error_exit_code():

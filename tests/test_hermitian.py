@@ -395,7 +395,7 @@ def test_norms_in_3z_when_theta_dual():
         for _ in range(100):
             v = random_vec(rng, G.n, 2)
             nv = norm_of(G, v)
-            assert nv.is_real() and nv.a % 3 == 0
+            assert nv.b == 0 and nv.a % 3 == 0
 
 
 def test_root_classify():

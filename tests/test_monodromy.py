@@ -545,11 +545,27 @@ def test_chain_subsets_first_orbit_and_conjugations(n, letters, base):
         assert np.array_equal(h.matrices(image), g @ z @ mono._inverse(g))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_class_reflections_are_reflections_in(closures, n):
-    # the same roots and units in the same order, read off the classes instead of every trace
-    h = closures(n)
-    assert mono._class_reflections(h, mono._class_labels(h)) == mono.reflections_in(h)
+def is_e_multiple(u, v):
+    """u = lam v for some lam in E, v nonzero."""
+    k = next(i for i, x in enumerate(v) if x)
+    q, r = u[k].divmod(v[k])
+    return not r and all(x == q * y for x, y in zip(u, v))
+
+
+@pytest.mark.parametrize(
+    "group", [1, 2, 3, 4, *(d for d, _ in SMALL_GROUPS)], ids=["R1", "R2", "R3", "R4", "small0", "small1", "small2", "small3"]
+)
+def test_mirror_rows_are_e_multiples_of_the_roots_of_reflections_in(closures, group):
+    # row i belongs to reflection i of reflections_in (both by ascending element index), so every row is
+    # a nonzero E-multiple of a root's row (<e_j, r>)_j = G rbar and every root is hit
+    h = closures(group) if isinstance(group, int) else mono.group_closure(diagonal_gens(diag([3, 3, 3]), *group))
+    G, n = h.ambient, h.ambient.n
+    roots = [mat_vec(G.g, [y.conj() for y in r]) for r, _ in mono.reflections_in(h)]
+    rows = mono._mirror_rows(h, mono._class_labels(h))
+    assert rows.shape == (len(roots), 2 * n)
+    for row, root in zip(rows, roots):
+        u = [EisensteinInt(int(row[2 * j]), -int(row[2 * j + 1])) for j in range(n)]  # (a, -b) is a + b w
+        assert any(u) and is_e_multiple(u, root)
 
 
 def test_conjugations_refuse_generators_out_of_the_tree_order(closures):

@@ -117,7 +117,7 @@ def test_theta_dual_norms_1000():
     for _ in range(1000):
         v = random_vec(rng, 11, 2)
         nv = norm_of(L, v)
-        assert nv.is_real() and nv.a % 3 == 0
+        assert nv.b == 0 and nv.a % 3 == 0
 
 
 def test_reduce_mod_theta_kernel_1000():
