@@ -184,14 +184,18 @@ ZETA6 = -OMEGA_BAR
 SIXTH_ROOTS = tuple(ZETA6 ** k for k in range(6))
 
 
-def e_gcd(x, y):
-    """Generator of the ideal (x, y), as a canonical associate."""
-    x, y = _coerce(x), _coerce(y)
-    if not x and not y:
-        raise ValueError("gcd(0, 0) is undefined")
-    while y:
-        x, y = y, x % y
-    return x.canonical_associate()
+def e_gcd(*xs):
+    """Generator of the ideal (x_1, ..., x_k), as a canonical associate; zero entries are skipped."""
+    g = ZERO
+    for x in xs:
+        y = _coerce(x)
+        if y is None:
+            raise TypeError(f"expected an Eisenstein integer, got {x!r}")
+        while y:
+            g, y = y, g % y
+    if not g:
+        raise ValueError("the gcd of zeros is undefined")
+    return g.canonical_associate()
 
 
 def is_associate(x, y):

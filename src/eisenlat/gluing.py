@@ -7,7 +7,10 @@ theta N* along isotropic lines undo index-3 sublattice passages; the group
 generated by reduced triflections acts on the hyperplanes of L/theta L,
 whose count (3^10 - 1)/2 = 29524 for L of rank 10 is reproduced by orbit
 enumeration.  One Gaussian congruence mod 3 diagonalizes the F_3 form and
-carries the inverse transpose of its change of basis for ``coords``.
+carries the inverse transpose of its change of basis for ``coords``; each
+pair of -1 entries is then turned into +1, +1, so the diagonal is
+1, ..., 1[, -1], 0, ..., 0 in every basis of N.  Grams of lifts and of new
+bases come from ``hermitian.gram``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .eisenstein import (
     EisensteinInt,
     reduce_mod_theta,
 )
-from .hermitian import HermGram, basis_vector, det_e, in_theta_dual, ip, vector
+from .hermitian import HermGram, basis_vector, det_e, gram, in_theta_dual, vector
 from .hnf import hnf_columns_e, snf_e
 from .linalg import adjugate_e, identity, mat_mul, mat_vec
 
@@ -117,25 +120,26 @@ def disc_group(N: HermGram) -> F3QuadSpace:
     d, B = adjugate_e(gbar)
     lifts = [mat_vec(B, [THETA * Linv[i][pos] for i in range(n)]) for pos in positions]
     dd = EisensteinInt(d * d)
-    form = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            val, r = ip(N, lifts[i], lifts[j]).divmod(dd)
-            if r:
-                raise AssertionError("inner product of lifts not in E")
-            row.append(reduce_mod_theta(val))
-        form.append(row)
-    # canonicalize: diagonalize the form over F_3 and sort diagonal (+1s, -1s, 0s)
+    rows = [[x.divmod(dd) for x in row] for row in gram(N, lifts)]
+    if any(r for row in rows for _, r in row):
+        raise AssertionError("inner product of lifts not in E")
+    form = [[reduce_mod_theta(val) for val, _ in row] for row in rows]
     change, newform, inv_t = _f3_diagonalize(form)
-    space = F3QuadSpace(
+    # canonicalize: -x^2 - y^2 = u^2 + v^2 with u = x + y, v = x - y, so each pair of -1s
+    # becomes +1, +1 and the diagonal reads 1, ..., 1[, -1], 0, ..., fixed by rank and discriminant
+    minus = [i for i in range(k) if newform[i][i] == 2]
+    for p, q in zip(minus[::2], minus[1::2]):
+        newform[p][p] = newform[q][q] = 1
+        c, t = list(zip(change[p], change[q])), list(zip(inv_t[p], inv_t[q]))
+        change[p], change[q] = [(x + y) % 3 for x, y in c], [(x - y) % 3 for x, y in c]
+        inv_t[p], inv_t[q] = [2 * (x + y) % 3 for x, y in t], [(2 * x + y) % 3 for x, y in t]
+    return F3QuadSpace(
         N,
         k,
         tuple(tuple(r) for r in newform),
         (d, [_combine(change[i], lifts, n) for i in range(k)]),
         ([row for i, row in enumerate(mat_mul(L, gbar)) if i in positions], inv_t),
     )
-    return space
 
 
 def _f3_diagonalize(form):
@@ -290,22 +294,19 @@ def _span_with(N: HermGram, extra) -> GluedLattice:
     if len(H) != n:
         raise AssertionError("enlargement lost rank")
     dd = EisensteinInt(den * den)
-    rows = []
-    for u in H:
-        row = []
-        for v in H:
-            val, r = ip(N, u, v).divmod(dd)
-            if r:
-                raise ValueError("enlargement is not integral over E")
-            row.append(val)
-        rows.append(row)
-    return GluedLattice(HermGram(rows), (den, H))
+    rows = [[x.divmod(dd) for x in row] for row in gram(N, H)]
+    if any(r for row in rows for _, r in row):
+        raise ValueError("enlargement is not integral over E")
+    return GluedLattice(HermGram([[val for val, _ in row] for row in rows]), (den, H))
 
 
 def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     """Index-3 sublattice of G: preimage of the kernel of a functional on L/theta L.
 
     ``functional`` is a nonzero F_3 covector in the coordinates of L/theta L.
+    With p its first nonzero coordinate and c_j = phi_j / phi_p, x lies in the
+    kernel iff x_p + sum c_j x_j lies in theta E, so theta e_p and the
+    e_j - c_j e_p (j != p), in the order of j, are a basis of it.
     """
     if not in_theta_dual(G):
         raise ValueError("inner products must lie in theta*E")
@@ -315,27 +316,16 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     n = G.n
     piv = next(i for i in range(n) if phi[i])
     inv = pow(phi[piv], -1, 3)
-    cols = []
+    H = []
     for j in range(n):
         col = [ZERO] * n
         if j == piv:
             col[piv] = THETA
-        elif phi[j]:
-            # e_j - c e_piv with c = phi_j / phi_piv lies in the kernel
-            c = (phi[j] * inv) % 3
-            col[j] = ONE
-            col[piv] = EisensteinInt(-c)
         else:
             col[j] = ONE
-        cols.append(col)
-    for j in range(n):
-        col = [ZERO] * n
-        col[j] = THETA
-        cols.append(col)
-    H = hnf_columns_e(cols)
-    if len(H) != n:
-        raise AssertionError("sublattice lost rank")
-    return GluedLattice(HermGram([[ip(G, u, v) for v in H] for u in H]), (1, H))
+            col[piv] = EisensteinInt(-(phi[j] * inv % 3))
+        H.append(tuple(col))
+    return GluedLattice(HermGram(gram(G, H)), (1, H))
 
 
 def reduce_vector(v):

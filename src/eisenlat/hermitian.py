@@ -1,8 +1,10 @@
 """Hermitian E-lattices: Gram matrices over Z[w], inner products, invariants.
 
 Vectors are columns and group elements act on the left, so a matrix M is an
-isometry of the Gram G exactly when M^T G conj(M) = G.  The central examples
-are built by the named constructors:
+isometry of the Gram G exactly when M^T G conj(M) = G, the Gram of M's
+columns.  ``gram`` is the one Gram of a list of vectors, V G conj(V)^T
+through ``linalg.mat_mul``.  The central examples are built by the named
+constructors:
 
     lambda_()   rank 11, (3) + E8E + E8E + hyp, signature (10,1), det -3^6
     lambda10()  rank 10, E8E + E8E + hyp, the span of the braid roots
@@ -115,6 +117,13 @@ def norm_of(G: HermGram, x):
     return ip(G, x, x)
 
 
+def gram(G: HermGram, vectors):
+    """The Gram (<v_i, v_j>) of a list of E-vectors: V G conj(V)^T for V with rows v_i."""
+    if not vectors:
+        return ()
+    return mat_mul(mat_mul(vectors, G.g), tuple(zip(*([x.conj() for x in v] for v in vectors))))
+
+
 def diag(entries) -> HermGram:
     n = len(entries)
     return HermGram(
@@ -214,17 +223,6 @@ def z_realization(G: HermGram) -> ZGram:
     return ZGram([[x // 3 for x in row] for row in _real_form(G)])
 
 
-def omega_matrix(n: int):
-    """Matrix of multiplication by w on the Z-realization basis (columns)."""
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        # w * e_i = (w e_i);  w * (w e_i) = -e_i - (w e_i)
-        m[2 * i + 1][2 * i] = 1
-        m[2 * i][2 * i + 1] = -1
-        m[2 * i + 1][2 * i + 1] = -1
-    return tuple(tuple(row) for row in m)
-
-
 _last = (None, None)  # the last Gram passed to det_signature, and its result
 
 
@@ -287,11 +285,7 @@ def root_classify(G: HermGram, r) -> str:
     r = vector(r)
     if norm_of(G, r) != EisensteinInt(3):
         raise ValueError("not a root: norm is not 3")
-    gen = ZERO
-    for i in range(G.n):
-        v = ip(G, basis_vector(G.n, i), r)
-        if v:
-            gen = v if not gen else e_gcd(gen, v)
+    gen = e_gcd(*(ip(G, basis_vector(G.n, i), r) for i in range(G.n)))
     if is_associate(gen, THETA):
         return NODAL
     if is_associate(gen, EisensteinInt(3)):
@@ -301,20 +295,9 @@ def root_classify(G: HermGram, r) -> str:
     )
 
 
-def mat_conj(A):
-    return tuple(tuple(x.conj() for x in row) for row in A)
-
-
-def mat_transpose(A):
-    n = len(A)
-    m = len(A[0])
-    return tuple(tuple(A[i][j] for i in range(n)) for j in range(m))
-
-
 def is_isometry(G: HermGram, M) -> bool:
-    """True iff M^T G conj(M) = G."""
+    """True iff M^T G conj(M) = G, the Gram of M's columns."""
     m = tuple(tuple(_to_e(x) for x in row) for row in M)
     if len(m) != G.n or any(len(r) != G.n for r in m):
         return False
-    lhs = mat_mul(mat_mul(mat_transpose(m), G.g), mat_conj(m))
-    return lhs == G.g
+    return gram(G, tuple(zip(*m))) == G.g

@@ -7,9 +7,11 @@ as a congruence of a Hermitian form over Z[w], on int pairs, updating only
 the upper half of the still live block; a symmetric integer form is the
 Hermitian form whose entries are all rational.
 E-matrices are solved through ``pack``, the ring map a + b w ->
-[[a, -b], [b, a - b]] into integer 2 x 2 blocks: ``adjugate_e`` is
-``adjugate`` of the packing.  A rational vector travels as a pair (d, x)
-of a positive int d and an integer vector x, meaning x / d.
+[[a, -b], [b, a - b]] into integer 2 x 2 blocks, and read back by
+``unpack``, the one reader of that packing: ``adjugate_e`` is ``adjugate``
+of the packing, and the int64 group elements of ``monodromy`` are packings
+too.  A rational vector travels as a pair (d, x) of a positive int d and an
+integer vector x, meaning x / d.
 ``f3_rref`` is Gauss-Jordan elimination on integer rows modulo 3.
 """
 
@@ -96,6 +98,17 @@ def pack(a):
     return tuple(out)
 
 
+def unpack(z):
+    """The E-matrix of a packing z, rows of ints or an int array: the inverse of ``pack``.
+
+    Block (i, j) is [[a, -b], [b, a - b]], so its first column reads a + b w.
+    """
+    return tuple(
+        tuple(EisensteinInt(int(a), int(b)) for a, b in zip(z[i][::2], z[i + 1][::2]))
+        for i in range(0, len(z), 2)
+    )
+
+
 def adjugate_e(a):
     """(d, b) with b * a = d * I, d > 0 an int and b an E-matrix, for a nonsingular a.
 
@@ -110,11 +123,7 @@ def adjugate_e(a):
     g = math.gcd(d, *(x for row in adj[::2] for x in row))  # even rows hold a and -b
     if d < 0:
         g = -g
-    n = len(a)
-    return d // g, tuple(
-        tuple(EisensteinInt(adj[2 * i][2 * j] // g, adj[2 * i + 1][2 * j] // g) for j in range(n))
-        for i in range(n)
-    )
+    return d // g, unpack([[x // g for x in row] for row in adj])
 
 
 def _e_mul(a, b, c, d):

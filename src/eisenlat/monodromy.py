@@ -4,7 +4,7 @@ Group elements are matrices over E acting on the left of column vectors in a
 fixed ambient Hermitian lattice; every constructor checks that the lattice is
 preserved exactly.  The finite groups R_1..R_4 generated by triflections in
 chain roots are held as stabilizer chains (Schreier-Sims), with the matrices
-packed into an integer companion embedding so numpy can batch the products.
+packed by ``linalg.pack`` into int64 arrays so numpy can batch the products.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .eisenstein import (
 from .hermitian import (
     HermGram,
     basis_vector,
+    chain,
+    det_e,
     in_theta_dual,
     is_isometry,
     mat_mul,
@@ -167,8 +169,6 @@ def transvection(G: HermGram, xi) -> GroupElt:
 
 def chain_triflections(n: int):
     """The standard braid-generator triflections a_1..a_n on chain(n)."""
-    from .hermitian import chain
-
     G = chain(n)
     return [triflection(G, basis_vector(n, i)) for i in range(n)]
 
@@ -201,7 +201,7 @@ def _first_power(M: GroupElt, cap: int, hit):
 
 def _unit_scalars(n: int):
     """The six unit multiples u I of the n x n identity, each mapped to its u."""
-    return {tuple(tuple(u if i == j else ZERO for j in range(n)) for i in range(n)): u for u in UNITS}
+    return {linalg.identity(n, u): u for u in UNITS}
 
 
 def order(M: GroupElt, cap: int = DEFAULT_ORDER_CAP):
@@ -238,8 +238,6 @@ NOT_SCALAR = "NotScalar"
 
 def central_word_scalar(n: int):
     """Evaluate (a_1 ... a_n)^(n+1) on chain(n); the unit u if it is u*I."""
-    from .hermitian import chain, det_e
-
     G = chain(n)
     if not det_e(G):
         raise ValueError(f"chain({n}) is degenerate; the scalar is not defined")
@@ -264,18 +262,6 @@ def braid_check(A: GroupElt, B: GroupElt) -> str:
 
 class CapExceeded(Exception):
     pass
-
-
-def _companion_pack(m, n):
-    """The 2n x 2n int64 ``linalg.pack`` of an n x n E-matrix."""
-    return np.array(linalg.pack(m), dtype=np.int64).reshape(2 * n, 2 * n)
-
-
-def _companion_unpack(z, n):
-    return tuple(
-        tuple(EisensteinInt(int(z[2 * i, 2 * j]), int(z[2 * i + 1, 2 * j])) for j in range(n))
-        for i in range(n)
-    )
 
 
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -487,7 +473,7 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     G = gens[0].ambient
     if any(g.ambient != G for g in gens):
         raise ValueError("generators have different ambients")
-    gen_z = np.stack([_companion_pack(g.m, G.n) for g in gens])
+    gen_z = np.stack([np.array(linalg.pack(g.m), np.int64) for g in gens])
     levels = [Orbit(G.n, b) for b in range(G.n)]
     for z in gen_z:
         for level in levels:
@@ -512,7 +498,7 @@ def reflections_in(handle: GroupHandle):
     cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1).T
     traces = (_product(T[:, r::2].reshape(len(T), -1), cols).ravel() for r in (0, 1))
     z = handle.matrices(np.flatnonzero(_reflection_trace(*traces, n)))  # the traces are freed first
-    return [_reflection_data(_companion_unpack(m, n)) for m in z[_reflections(z)]]
+    return [_reflection_data(linalg.unpack(m)) for m in z[_reflections(z)]]
 
 
 def _reflection_trace(tr_a, tr_b, n):
@@ -534,7 +520,7 @@ def _reflections(z):
     K = z[at] - ident
     # zeta - 1 = a + b w times I, packed: a I + b (the packing of w I)
     a, b = (t[at, None, None] for t in (tr_a - n, tr_b))
-    scalar = a * ident + b * np.kron(np.eye(n, dtype=np.int64), [[0, -1], [1, -1]])
+    scalar = a * ident + b * np.array(linalg.pack(linalg.identity(n, OMEGA)), np.int64)
     return at[(_product(K, K) == _product(scalar, K)).all(axis=(1, 2))]
 
 
@@ -551,10 +537,7 @@ def _reflection_data(m):
 
 
 def _primitive_vector(v):
-    g = None
-    for x in v:
-        if x:
-            g = x if g is None else e_gcd(g, x)
+    g = e_gcd(*v)
     out = tuple(x.exact_div(g) for x in v)
     # deterministic orientation: first nonzero coordinate canonical
     u = next(x for x in out if x).canonical_unit()
@@ -656,7 +639,7 @@ def _mirror_rows(handle: GroupHandle, labels):
     c = K[np.arange(len(K)), :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)]  # entries a + b w as (a, b)
     a, b = c[:, ::2], c[:, 1::2]
     cbar = np.stack([a - b, -b], axis=2).reshape(len(c), 2 * n)
-    return _product(cbar, _companion_pack(handle.ambient.g, n).T) * np.tile([1, -1], n)
+    return _product(cbar, np.array(linalg.pack(handle.ambient.g), np.int64).T) * np.tile([1, -1], n)
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -690,15 +673,11 @@ def free_action_check(handle: GroupHandle) -> bool:
 
 
 def chain_signed(eps):
-    """chain(5)-like Gram with <r_i, r_{i+1}> = eps_i * theta, eps_i = +-1."""
-    n = len(eps) + 1
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = EisensteinInt(3)
-        if i + 1 < n:
-            t = THETA if eps[i] == 1 else -THETA
-            rows[i][i + 1] = t
-            rows[i + 1][i] = t.conj()
+    """chain(5)-like Gram with <r_i, r_{i+1}> = eps_i * theta, eps_i = +-1: chain's signs flipped."""
+    rows = [list(row) for row in chain(len(eps) + 1).g]
+    for i, e in enumerate(eps):
+        if e != 1:
+            rows[i][i + 1], rows[i + 1][i] = -rows[i][i + 1], -rows[i + 1][i]
     return HermGram(rows)
 
 

@@ -33,7 +33,7 @@ from .hermitian import (
     theta_self_dual,
     z_realization,
 )
-from .linalg import adjugate, adjugate_e, mat_mul, mat_vec
+from .linalg import adjugate, adjugate_e, identity, mat_mul, mat_vec, pack
 from . import zlattice
 from . import monodromy as mono
 from . import gluing
@@ -70,12 +70,9 @@ class Context:
         self.closure_cap = mono.env_closure_cap() if closure_cap is None else closure_cap
 
     def closure(self, n):
-        key = ("closure", n)
-        if key not in self._cache:
-            self._cache[key] = mono.group_closure(
-                mono.chain_triflections(n), cap=self.closure_cap
-            )
-        return self._cache[key]
+        return self.get(
+            ("closure", n), lambda: mono.group_closure(mono.chain_triflections(n), cap=self.closure_cap)
+        )
 
     def get(self, key, builder):
         if key not in self._cache:
@@ -263,9 +260,7 @@ def _(ctx):
 
 def _herm_from_ii22():
     # transport the omega action of hyp's Z-realization to the literal II_2,2
-    from .hermitian import omega_matrix
-
-    S0 = omega_matrix(2)
+    S0 = pack(identity(2, OMEGA))
     # basis change P: z_real(hyp) basis (e1, we1, e2, we2) -> hyperbolic pairs
     # u1 = e1, u2 = we2, u3 = we1, u4 = -e2
     P = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1), (0, 1, 0, 0))
@@ -503,11 +498,7 @@ def _(ctx):
         M = GL.gram
         r_old = basis_vector(11, 10)
         d, cols = GL.basis
-        vals = [ip(N, col, r_old).exact_div(d) for col in cols]
-        g = None
-        for v in vals:
-            if v:
-                g = v if g is None else e_gcd(g, v)
+        g = e_gcd(*(ip(N, col, r_old).exact_div(d) for col in cols))
         out.append(
             (
                 det_e(M),

@@ -26,7 +26,6 @@ from eisenlat.hermitian import (
     lambda10,
     lambda_,
     norm_of,
-    omega_matrix,
     root_classify,
     signature,
     theta_self_dual,
@@ -37,6 +36,7 @@ from eisenlat import monodromy as mono
 from eisenlat import zlattice as zl
 from eisenlat import discpoly as dp
 from eisenlat import residues as rs
+from eisenlat.linalg import identity, pack
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
 
@@ -78,7 +78,7 @@ def test_criterion_03_hermitian_roundtrip():
         chain(n) for n in range(1, 12)
     ]
     for L in cases:
-        back = zl.hermitian_from_z(z_realization(L), omega_matrix(L.n))
+        back = zl.hermitian_from_z(z_realization(L), pack(identity(L.n, OMEGA)))
         assert back == L
     assert time.time() - t0 < 1.0
     report(3, "hermitian_from_z(z_realization(L), w) = L for all 16 named lattices")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlat.eisenstein import (
@@ -90,6 +90,11 @@ def test_gcd_examples():
 def test_gcd_zero_zero():
     with pytest.raises(ValueError):
         e_gcd(E(0), E(0))
+
+
+def test_gcd_rejects_an_entry_that_is_not_an_eisenstein_integer():
+    with pytest.raises(TypeError, match="expected an Eisenstein integer"):
+        e_gcd(1.5, E(3))
 
 
 def test_gcd_divides_both():
@@ -216,6 +221,24 @@ def test_exact_div_inverts_mul(x, y):
             x.exact_div(y)
     else:
         assert x.exact_div(y) * y == x
+
+
+@BOUNDED
+@given(st.lists(st.one_of(small, elements), min_size=1, max_size=5))
+@example([ZERO, ZERO, ZERO])
+@example([ZERO, E(6), ZERO, E(0, 3)])
+def test_gcd_of_many_is_the_pairwise_fold(xs):
+    if not any(xs):
+        with pytest.raises(ValueError):
+            e_gcd(*xs)
+        return
+    g = e_gcd(*xs)
+    fold = None
+    for x in xs:
+        if x:
+            fold = x.canonical_associate() if fold is None else e_gcd(fold, x)
+    assert g == fold == g.canonical_associate()
+    assert all(not x % g for x in xs)
 
 
 @BOUNDED

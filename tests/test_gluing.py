@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eisenlat.eisenstein import E, OMEGA, THETA, e_gcd, is_associate
+from eisenlat.eisenstein import E, OMEGA, THETA, e_gcd, is_associate, reduce_mod_theta
 from eisenlat.hermitian import (
     HermGram,
     basis_vector,
@@ -181,11 +181,7 @@ def test_glued_lattice_contains_theta_pairing_vector():
     r_old = basis_vector(11, 10)
     for ln in gluing.isotropic_lines(S, not_orth_to=rbar):
         d, cols = gluing.glue(N, S, ln).basis
-        vals = [ip(N, col, r_old).exact_div(d) for col in cols]
-        g = None
-        for v in vals:
-            if v:
-                g = v if g is None else e_gcd(g, v)
+        g = e_gcd(*(ip(N, col, r_old).exact_div(d) for col in cols))
         assert is_associate(g, THETA)
 
 
@@ -272,35 +268,58 @@ def test_disc_group_rejects_non_elementary_quotient():
         gluing.disc_group(diag([9]))
 
 
+def unimodular_congruent(N, rng):
+    """The Gram T^T N conj(T) of a random unimodular T over E, built by elementary column operations."""
+    n = N.n
+    T = [[E(1) if i == j else E(0) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = E(rng.randint(-1, 1), rng.randint(-1, 1))
+        for k in range(n):
+            T[k][i] = T[k][i] + c * T[k][j]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = E(0)
+            for p in range(n):
+                for q in range(n):
+                    s = s + T[p][i] * N.g[p][q] * T[q][j].conj()
+            row.append(s)
+        rows.append(row)
+    return HermGram(rows)
+
+
 def test_disc_group_invariant_under_unimodular_congruence():
     rng = random.Random(137)
     N = big_n()
-    n = N.n
     for _ in range(5):
-        # random unimodular T over E via elementary column operations
-        T = [[E(1) if i == j else E(0) for j in range(n)] for i in range(n)]
-        for _ in range(2 * n):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            c = E(rng.randint(-1, 1), rng.randint(-1, 1))
-            for k in range(n):
-                T[k][i] = T[k][i] + c * T[k][j]
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = E(0)
-                for p in range(n):
-                    for q in range(n):
-                        s = s + T[p][i] * N.g[p][q] * T[q][j].conj()
-                row.append(s)
-            rows.append(row)
-        M = HermGram(rows)
+        M = unimodular_congruent(N, rng)
         S2 = gluing.disc_group(M)
         assert S2.k == 3
         assert S2.diagonal() == gluing.disc_group(N).diagonal()
         assert len(gluing.enumerate_norm(S2, 1)) == 12
+
+
+@pytest.mark.parametrize(
+    "entries, diagonal",
+    [([3, 3], (1, 1)), ([3, 3, 3], (1, 1, 1)), ([-3, -3, -3, 3], (1, 1, 1, 2)), ([-3] * 5, (1, 1, 1, 1, 2))],
+)
+def test_disc_group_form_is_the_same_in_every_basis(entries, diagonal):
+    # over F_3, -x^2 - y^2 = u^2 + v^2 (u = x + y, v = x - y): the diagonal has at most one -1
+    rng = random.Random(5)
+    for M in [diag(entries)] + [unimodular_congruent(diag(entries), rng) for _ in range(30)]:
+        S = gluing.disc_group(M)
+        assert S.diagonal() == diagonal
+        assert S.form == tuple(tuple(x if i == j else 0 for j, x in enumerate(diagonal)) for i in range(S.k))
+        for v in itertools.product(range(3), repeat=S.k):
+            assert S.coords(S.lift(v)) == v
+        d, lifts = S.lifts
+        for i, x in enumerate(lifts):
+            for j, y in enumerate(lifts):
+                assert reduce_mod_theta(ip(M, x, y).exact_div(E(d * d))) == S.form[i][j]
 
 
 # ---------------------------------------------------------------- references

@@ -18,6 +18,7 @@ from eisenlat.hermitian import (
     diag,
     direct_sum,
     e8e,
+    gram,
     hyp,
     in_theta_dual,
     ip,
@@ -32,7 +33,7 @@ from eisenlat.hermitian import (
 )
 from eisenlat.linalg import herm_eliminate
 from eisenlat.zlattice import ZGram, determinant, inertia, invariants, is_even
-from test_linalg import det, kernel, sym_eliminate_reference
+from test_linalg import BOUNDED, det, kernel, sym_eliminate_reference
 
 
 def random_vec(rng, n, bound=3):
@@ -354,6 +355,17 @@ def theta_grams(draw, max_n=6):
 
 
 some_grams = st.one_of(theta_grams(), hermitian_grams(max_n=6))
+
+
+@BOUNDED
+@given(hermitian_grams(max_n=4), st.data())
+def test_gram_is_the_table_of_inner_products(G, data):
+    entry = st.builds(E, st.integers(-5, 5), st.integers(-5, 5))
+    vs = data.draw(st.lists(st.tuples(*[entry] * G.n), max_size=4))
+    out = gram(G, vs)
+    assert len(out) == len(vs)
+    for i, u in enumerate(vs):
+        assert out[i] == tuple(ip(G, u, v) for v in vs)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -16,6 +16,7 @@ import random
 from pathlib import Path
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
-from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, pack
+from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, pack, unpack
 from eisenlat.zlattice import ZGram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -247,6 +248,17 @@ def test_pack_is_a_ring_map(n, data):
     assert pack(identity(len(a), E(1))) == identity(2 * len(a), 1)
 
 
+@BOUNDED
+@given(matrices(e_ints))
+def test_unpack_inverts_pack_on_tuples_and_int64_arrays(a):
+    a = tuple(map(tuple, a))
+    z = pack(a)
+    assert unpack(z) == a
+    back = unpack(np.array(z, np.int64))
+    assert back == a
+    assert all(type(x.a) is int and type(x.b) is int for row in back for x in row)
+
+
 def test_only_eisenstein_imports_fractions_or_names_qomega():
     """The library has one fraction-free kernel: Fraction and QOmega stay in eisenstein.py."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
@@ -289,6 +301,25 @@ def test_only_zlattice_and_hermitian_import_the_elimination():
                 importers.add(path.stem)
     assert importers == {"zlattice", "hermitian"}
     assert "det" not in defined
+
+
+def test_packing_and_gram_are_written_once():
+    """Only linalg defines a function named like ``pack``, only hermitian
+    defines ``gram``, and no module calls ``np.kron``, so a second copy of
+    the packing, its inverse or the Gram of a list of vectors shows here."""
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    packers, grams, krons = set(), set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and "pack" in node.name:
+                packers.add(path.stem)
+            elif isinstance(node, ast.FunctionDef) and node.name == "gram":
+                grams.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "kron":
+                krons.append(f"{path.name}:{node.lineno}")
+    assert packers == {"linalg"}
+    assert grams == {"hermitian"}
+    assert krons == []
 
 
 @BOUNDED

@@ -23,7 +23,7 @@ from eisenlat.hermitian import (
 )
 from eisenlat import monodromy as mono
 from eisenlat.gluing import sp_generating_roots
-from eisenlat.linalg import mat_vec
+from eisenlat.linalg import mat_vec, pack, unpack
 from test_linalg import det, kernel
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
@@ -329,8 +329,8 @@ def test_free_action_fixed_point_free_rotation():
 def reference_closure(gens):
     """The per-row BFS that group_closure replaced: einsum products, whole packings as keys."""
     n = gens[0].ambient.n
-    gen_z = np.stack([mono._companion_pack(g.m, n) for g in gens])
-    frontier = mono._companion_pack(mono.identity(gens[0].ambient).m, n)[None]
+    gen_z = np.stack([np.array(pack(g.m), np.int64) for g in gens])
+    frontier = np.array(pack(mono.identity(gens[0].ambient).m), np.int64)[None]
     seen = {frontier[0].tobytes()}
     levels = [frontier]
     while frontier.shape[0]:
@@ -359,7 +359,7 @@ def reference_reflections(G, z):
     rank one (its nonzero columns are proportional) and M r = zeta r on its root, zeta != 1."""
     n, out = G.n, []
     for w in z:
-        m = mono._companion_unpack(w, n)
+        m = unpack(w)
         cols = [c for c in zip(*[[m[i][j] - (ONE if i == j else E(0)) for j in range(n)] for i in range(n)]) if any(c)]
         pairs = itertools.combinations(range(n), 2)
         if cols and all(a[i] * b[j] == a[j] * b[i] for i, j in pairs for a, b in itertools.combinations(cols, 2)):
@@ -380,7 +380,7 @@ def reference_free_action(G, z):
     n = G.n
     mirrors = {root for root, _ in reference_reflections(G, z)}
     for w in z:
-        m = mono._companion_unpack(w, n)
+        m = unpack(w)
         a = [[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
         if not any(x for row in a for x in row):
             continue
@@ -468,10 +468,10 @@ def test_conjugacy_classes_reject_a_set_that_is_not_a_group(closures):
     h = closures(2)
     # 2 e_0 is no point of e_0's orbit
     with pytest.raises(ValueError, match="not an element of the group"):
-        h.index(mono._companion_pack(((E(2), E(0)), (E(0), ONE)), 2)[None])
+        h.index(np.array(pack(((E(2), E(0)), (E(0), ONE))), np.int64)[None])
     # w I is central of order 3, and the centre of G4 has order 2: its sift ends at a scalar
     with pytest.raises(ValueError, match="does not end at I"):
-        h.index(mono._companion_pack(((OMEGA, E(0)), (E(0), OMEGA)), 2)[None])
+        h.index(np.array(pack(((OMEGA, E(0)), (E(0), OMEGA))), np.int64)[None])
     # a1 alone generates a subgroup of order 3, so its table reaches three of the chain's elements
     a1_only = mono.GroupHandle(h.ambient, h.orbits, h.generators[:1])
     with pytest.raises(ValueError, match="do not generate the group"):
@@ -645,7 +645,7 @@ def test_conjugacy_classes_and_solomon_identity(closures, n, degrees, count):
     # Solomon: sum over g of t^(dim Fix g) = prod (t + d_i - 1), over the classes weighted by size
     lhs = [0] * (n + 1)
     for z, size in zip(h.matrices(reps), sizes):
-        m = mono._companion_unpack(z, n)
+        m = unpack(z)
         dim = len(kernel([[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]))
         lhs[dim] += int(size)
     rhs = [1]
@@ -722,12 +722,12 @@ def test_free_action_rejects_infinite_order():
         mono.free_action_check(mono.group_closure([t], cap=1000))
     # and the projector sums stop a power that never returns to I
     with pytest.raises(ValueError, match="never reach I"):
-        mono._power_sums(mono._companion_pack(t.m, 6)[None], 50, 10**6)
+        mono._power_sums(np.array(pack(t.m), np.int64)[None], 50, 10**6)
 
 
 def test_free_action_stops_a_power_that_leaves_the_entry_bound():
     # 2^20 has infinite order; within 4 steps its power 2^80 would wrap in int64
-    g = mono._companion_pack(((E(2**20),),), 1)
+    g = np.array(pack(((E(2**20),),)), np.int64)
     with pytest.raises(ValueError, match="power is not in it"):
         mono._power_sums(g[None], 4, 2**20)
 

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisenlat import zlattice as zl
+from eisenlat.eisenstein import OMEGA
 from eisenlat.hermitian import diag, e8e, z_realization
+from eisenlat.linalg import identity, pack
 from eisenlat.zlattice import ZGram, an_vanishing_gram, determinant, inertia, is_even
 from test_linalg import det
 
@@ -226,18 +228,14 @@ def test_hermitian_from_z_odd_rank():
 
 
 def test_roundtrip_e8():
-    from eisenlat.hermitian import omega_matrix
-
     Z = z_realization(e8e())
-    H = zl.hermitian_from_z(Z, omega_matrix(4))
+    H = zl.hermitian_from_z(Z, pack(identity(4, OMEGA)))
     assert H == e8e()
 
 
 def test_roundtrip_diag3():
-    from eisenlat.hermitian import omega_matrix
-
     Z = z_realization(diag([3]))
-    assert zl.hermitian_from_z(Z, omega_matrix(1)) == diag([3])
+    assert zl.hermitian_from_z(Z, pack(identity(1, OMEGA))) == diag([3])
 
 
 def test_e8_recovery_in_scrambled_coordinates():
@@ -247,7 +245,6 @@ def test_e8_recovery_in_scrambled_coordinates():
     from eisenlat.hermitian import (
         det_e,
         in_theta_dual,
-        omega_matrix,
         signature,
         theta_self_dual,
     )
@@ -255,7 +252,7 @@ def test_e8_recovery_in_scrambled_coordinates():
 
     rng = random.Random(131)
     Z8 = z_realization(e8e())
-    S0 = omega_matrix(4)
+    S0 = pack(identity(4, OMEGA))
     for _ in range(10):
         U = random_unimodular(rng, 8)
         G2 = congruent(Z8, U)
