@@ -166,6 +166,14 @@ def _coerce(x):
     return None
 
 
+def to_e(x):
+    """x as an EisensteinInt; an int is taken as x + 0 w, and anything else raises TypeError."""
+    y = _coerce(x)
+    if y is None:
+        raise TypeError(f"expected an Eisenstein integer, got {x!r}")
+    return y
+
+
 def _round_div(p, q):
     """Nearest integer to p/q (q > 0), ties toward +infinity."""
     return (2 * p + q) // (2 * q)
@@ -188,9 +196,7 @@ def e_gcd(*xs):
     """Generator of the ideal (x_1, ..., x_k), as a canonical associate; zero entries are skipped."""
     g = ZERO
     for x in xs:
-        y = _coerce(x)
-        if y is None:
-            raise TypeError(f"expected an Eisenstein integer, got {x!r}")
+        y = to_e(x)
         while y:
             g, y = y, g % y
     if not g:
@@ -199,7 +205,7 @@ def e_gcd(*xs):
 
 
 def is_associate(x, y):
-    x, y = _coerce(x), _coerce(y)
+    x, y = to_e(x), to_e(y)
     if not x or not y:
         return (not x) and (not y)
     return x.canonical_associate() == y.canonical_associate()
@@ -207,7 +213,7 @@ def is_associate(x, y):
 
 def reduce_mod_theta(x):
     """The residue map E -> E/(theta) = F_3, a ring homomorphism; w |-> 1."""
-    x = _coerce(x)
+    x = to_e(x)
     return (x.a + x.b) % 3
 
 

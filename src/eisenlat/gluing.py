@@ -1,16 +1,19 @@
-"""Discriminant groups theta N*/N, index-3 gluing, and hyperplane orbits.
+"""Reductions mod theta, discriminant groups theta N*/N, index-3 gluing, and hyperplane orbits.
 
-For a nondegenerate E-lattice N with all inner products in theta*E, the
-quotient theta N*/N is an F_3-vector space carrying the symmetric form
-"inner product of lifts, reduced mod theta".  Enlargements of N inside
-theta N* along isotropic lines undo index-3 sublattice passages; the group
-generated by reduced triflections acts on the hyperplanes of L/theta L,
-whose count (3^10 - 1)/2 = 29524 for L of rank 10 is reproduced by orbit
-enumeration.  One Gaussian congruence mod 3 diagonalizes the F_3 form and
-carries the inverse transpose of its change of basis for ``coords``; each
-pair of -1 entries is then turned into +1, +1, so the diagonal is
-1, ..., 1[, -1], 0, ..., 0 in every basis of N.  Grams of lifts and of new
-bases come from ``hermitian.gram``.
+Every reduction modulo theta lives here: of vectors, of group elements, and
+of the pairing <v, w>/theta on L/theta L.  For a nondegenerate E-lattice N
+with all inner products in theta*E, theta z / 3 lies in theta N* exactly
+when z mod theta is in the F_3 kernel of that pairing, which is all of
+theta N*/N exactly when N(det) = 3^(n+k); the quotient is then an F_3-space
+with the form "inner product of lifts, reduced mod theta".  Enlargements of
+N inside theta N* along isotropic lines undo index-3 sublattice passages;
+the group generated by reduced triflections acts on the hyperplanes of
+L/theta L, whose count (3^10 - 1)/2 = 29524 for L of rank 10 is reproduced
+by orbit enumeration.  One Gaussian congruence mod 3 diagonalizes the F_3
+form and carries the inverse transpose of its change of basis for
+``coords``; each pair of -1 entries is then turned into +1, +1, so the
+diagonal is 1, ..., 1[, -1], 0, ..., 0 in every basis of N.  Grams of lifts
+and of new bases come from ``hermitian.gram``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,29 @@ from .eisenstein import (
     reduce_mod_theta,
 )
 from .hermitian import HermGram, basis_vector, det_e, gram, in_theta_dual, vector
-from .hnf import hnf_columns_e, snf_e
-from .linalg import adjugate_e, identity, mat_mul, mat_vec
+from .hnf import hnf_columns_e
+from .linalg import f3_rref, identity
+
+
+def reduce_vector(v):
+    """Coordinatewise reduction of an E-vector modulo theta."""
+    return tuple(reduce_mod_theta(x) for x in v)
+
+
+def f3_reduce(M):
+    """Entrywise reduction of a group element's matrix modulo theta, as an F_3 matrix."""
+    return tuple(map(reduce_vector, M.m))
+
+
+def symplectic_gram(G: HermGram):
+    """The F_3 pairing on L/theta L: (v, w) = reduction of <v, w>/theta mod theta."""
+    if not in_theta_dual(G):
+        raise ValueError("symplectic reduction needs all inner products in theta*E")
+    return tuple(reduce_vector(x.exact_div(THETA) for x in row) for row in G.g)
+
+
+def f3_rank(mat) -> int:
+    return len(f3_rref([list(r) for r in mat]))
 
 
 class F3QuadSpace:
@@ -43,7 +67,7 @@ class F3QuadSpace:
         self.k = k
         self.form = form  # k x k tuple of ints mod 3
         self.lifts = lifts  # (d, [x_1..x_k]): the k lifts x_i / d in N-coordinates
-        self._solve = solve_data  # (rows, inv_t) for coords(): rows L Gbar at the SNF positions, inv_t (change^T)^-1
+        self._solve = solve_data  # (rows, free, inv_t) for coords(): the kernel's rref rows and free columns, (change^T)^-1
 
     def norm(self, v):
         s = 0
@@ -55,17 +79,14 @@ class F3QuadSpace:
     def coords(self, v):
         """F_3 coordinates of a vector (d, x) of theta N*, x / d in N's basis."""
         d, x = v
-        rows, inv_t = self._solve
-        # coordinates of x / d w.r.t. the P U basis are L (Gbar x) / (theta d)
-        td = THETA * d
-        raw = []
-        for y in mat_vec(rows, x):
-            c, r = y.divmod(td)
-            if r:
-                raise ValueError("vector is not in theta N*")
-            raw.append(reduce_mod_theta(c))
-        # raw coords are w.r.t. the SNF basis; new = (change^T)^{-1} raw
-        return tuple(sum(a * b for a, b in zip(row, raw)) % 3 for row in inv_t)
+        rows, free, inv_t = self._solve
+        # x / d = theta z / 3 for z = conj(theta) x / d, which must be an E-vector reducing into the kernel
+        qr = [(THETA.conj() * y).divmod(EisensteinInt(d)) for y in x]
+        z = [reduce_mod_theta(c) for c, _ in qr]
+        if any(r for _, r in qr) or any(sum(a * b for a, b in zip(row, z)) % 3 for row in rows):
+            raise ValueError("vector is not in theta N*")
+        # raw coords are z at the free columns, w.r.t. the kernel basis; new = (change^T)^{-1} raw
+        return tuple(sum(a * z[f] for a, f in zip(row, free)) % 3 for row in inv_t)
 
     def lift(self, v):
         """A lift (d, x) to theta N*, x / d in N's basis, of the F_3 vector v."""
@@ -94,36 +115,31 @@ def disc_group(N: HermGram) -> F3QuadSpace:
     """
     if not in_theta_dual(N):
         raise ValueError("inner products must lie in theta*E")
-    if not det_e(N):
+    det = det_e(N)
+    if not det:
         raise ValueError("lattice is degenerate")
     n = N.n
-    # B = E^n inside A = theta N* has coordinate matrix C = Gbar / theta
-    C = [
-        [N.g[i][j].conj().exact_div(THETA) for j in range(n)]
-        for i in range(n)
-    ]
-    diag, L, Linv = snf_e(C)
-    positions = []
-    for i, d in enumerate(diag):
-        if d.is_unit():
-            continue
-        if d.norm() == 3:
-            positions.append(i)
-        else:
-            raise ValueError(
-                f"theta N*/N has a cyclic factor E/({d}); not an F_3 space"
-            )
-    k = len(positions)
-    # ambient lifts: columns of P @ Linv = theta Gbar^{-1} Linv at the positions,
-    # with Gbar^{-1} = B / d
-    gbar = [[x.conj() for x in row] for row in N.g]
-    d, B = adjugate_e(gbar)
-    lifts = [mat_vec(B, [THETA * Linv[i][pos] for i in range(n)]) for pos in positions]
-    dd = EisensteinInt(d * d)
-    rows = [[x.divmod(dd) for x in row] for row in gram(N, lifts)]
-    if any(r for row in rows for _, r in row):
-        raise AssertionError("inner product of lifts not in E")
-    form = [[reduce_mod_theta(val) for val, _ in row] for row in rows]
+    # G = theta H, and theta z / 3 lies in theta N* iff z H = 0 mod theta, i.e. iff z mod theta
+    # is in the kernel of symplectic_gram(N) (alternating, so left and right kernels agree)
+    rows = [list(r) for r in symplectic_gram(N)]
+    pivots = f3_rref(rows)
+    rows = rows[: len(pivots)]
+    free = [j for j in range(n) if j not in pivots]
+    k = len(free)
+    # the kernel has 3^k elements and theta N*/N has N(det H) = N(det) / 3^n
+    if det.norm() != 3 ** (n + k):
+        raise ValueError(
+            f"theta N*/N has order {det.norm() // 3**n}, not the 3^{k} of its theta-torsion; not an F_3 space"
+        )
+    zs = []
+    for f in free:
+        z = [ZERO] * n
+        z[f] = ONE
+        for row, p in zip(rows, pivots):
+            z[p] = EisensteinInt(-row[f] % 3)
+        zs.append(z)
+    # <theta z_i / 3, theta z_j / 3> = <z_i, z_j> / 3
+    form = [[reduce_mod_theta(x.exact_div(EisensteinInt(3))) for x in row] for row in gram(N, zs)]
     change, newform, inv_t = _f3_diagonalize(form)
     # canonicalize: -x^2 - y^2 = u^2 + v^2 with u = x + y, v = x - y, so each pair of -1s
     # becomes +1, +1 and the diagonal reads 1, ..., 1[, -1], 0, ..., fixed by rank and discriminant
@@ -133,12 +149,13 @@ def disc_group(N: HermGram) -> F3QuadSpace:
         c, t = list(zip(change[p], change[q])), list(zip(inv_t[p], inv_t[q]))
         change[p], change[q] = [(x + y) % 3 for x, y in c], [(x - y) % 3 for x, y in c]
         inv_t[p], inv_t[q] = [2 * (x + y) % 3 for x, y in t], [(2 * x + y) % 3 for x, y in t]
+    lifts = [[THETA * x for x in z] for z in zs]
     return F3QuadSpace(
         N,
         k,
         tuple(tuple(r) for r in newform),
-        (d, [_combine(change[i], lifts, n) for i in range(k)]),
-        ([row for i, row in enumerate(mat_mul(L, gbar)) if i in positions], inv_t),
+        (3, [_combine(change[i], lifts, n) for i in range(k)]),
+        (rows, free, inv_t),
     )
 
 
@@ -328,11 +345,6 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     return GluedLattice(HermGram(gram(G, H)), (1, H))
 
 
-def reduce_vector(v):
-    """Coordinatewise reduction of an E-vector modulo theta."""
-    return tuple(reduce_mod_theta(x) for x in v)
-
-
 _CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
 _BLOCK = 2048  # frontier lines per batch of images: the (m, block) temporaries stay in cache
 
@@ -443,7 +455,7 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     has integer or Eisenstein coordinates.  Returns (orbit size, generator
     count).
     """
-    from .monodromy import f3_rank, f3_reduce, symplectic_gram, triflection
+    from .monodromy import triflection
 
     n = G.n
     sg = symplectic_gram(G)

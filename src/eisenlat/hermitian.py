@@ -29,17 +29,10 @@ from .eisenstein import (
     e_gcd,
     is_associate,
     reduce_mod_theta,
+    to_e,
 )
 from .linalg import herm_eliminate, mat_mul
 from .zlattice import ZGram, invariants
-
-
-def _to_e(x):
-    if isinstance(x, EisensteinInt):
-        return x
-    if isinstance(x, int):
-        return EisensteinInt(x)
-    raise TypeError(f"expected an Eisenstein integer, got {x!r}")
 
 
 class HermGram:
@@ -48,7 +41,7 @@ class HermGram:
     __slots__ = ("n", "g")
 
     def __init__(self, rows):
-        g = tuple(tuple(_to_e(x) for x in row) for row in rows)
+        g = tuple(tuple(to_e(x) for x in row) for row in rows)
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -87,7 +80,7 @@ class HermGram:
 
 
 def vector(coords):
-    return tuple(_to_e(x) for x in coords)
+    return tuple(to_e(x) for x in coords)
 
 
 def basis_vector(n, i):
@@ -127,7 +120,7 @@ def gram(G: HermGram, vectors):
 def diag(entries) -> HermGram:
     n = len(entries)
     return HermGram(
-        [[_to_e(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
+        [[to_e(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
     )
 
 
@@ -297,7 +290,7 @@ def root_classify(G: HermGram, r) -> str:
 
 def is_isometry(G: HermGram, M) -> bool:
     """True iff M^T G conj(M) = G, the Gram of M's columns."""
-    m = tuple(tuple(_to_e(x) for x in row) for row in M)
+    m = tuple(tuple(to_e(x) for x in row) for row in M)
     if len(m) != G.n or any(len(r) != G.n for r in m):
         return False
     return gram(G, tuple(zip(*m))) == G.g

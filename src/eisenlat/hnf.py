@@ -3,7 +3,8 @@
 Column-style HNF: generators are column vectors; the output is the canonical
 echelon basis of the module they span.  Pivots are canonical associates and
 off-pivot entries are reduced with the nearest-point Euclidean remainder, so
-two generating sets of the same module produce identical output.
+two generating sets of the same module produce identical output.  The SNF
+has no caller in the package; it is the tests' reference for theta N*/N.
 """
 
 from __future__ import annotations

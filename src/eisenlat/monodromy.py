@@ -23,21 +23,19 @@ from .eisenstein import (
     ZERO,
     EisensteinInt,
     e_gcd,
-    reduce_mod_theta,
 )
 from .hermitian import (
     HermGram,
     basis_vector,
     chain,
     det_e,
-    in_theta_dual,
     is_isometry,
     mat_mul,
     norm_of,
     vector,
 )
 from . import linalg
-from .linalg import f3_rref, mat_vec
+from .linalg import mat_vec
 
 INFINITE = "Infinite"
 
@@ -747,23 +745,3 @@ def braid_loop_word(n: int = 11):
     gens = chain_triflections(n)
     seq = gens[: n - 1] + [gens[n - 1], gens[n - 1]] + list(reversed(gens[: n - 1]))
     return word_eval(seq)
-
-
-def f3_reduce(M: GroupElt):
-    """Entrywise reduction of the matrix modulo theta, as an F_3 matrix."""
-    return tuple(tuple(reduce_mod_theta(x) for x in row) for row in M.m)
-
-
-def symplectic_gram(G: HermGram):
-    """The F_3 pairing on L/theta L: (v, w) = reduction of <v, w>/theta mod theta."""
-    if not in_theta_dual(G):
-        raise ValueError("symplectic reduction needs all inner products in theta*E")
-    n = G.n
-    return tuple(
-        tuple(reduce_mod_theta(G.g[i][j].exact_div(THETA)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def f3_rank(mat) -> int:
-    return len(f3_rref([list(r) for r in mat]))

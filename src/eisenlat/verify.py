@@ -400,12 +400,12 @@ def _(ctx):
 
 @check("sympl-lambda10", "the F_3 pairing on the rank-10 lattice mod theta is nondegenerate")
 def _(ctx):
-    return 10, mono.f3_rank(mono.symplectic_gram(lambda10()))
+    return 10, gluing.f3_rank(gluing.symplectic_gram(lambda10()))
 
 
 @check("sympl-lambda", "the F_3 pairing on the rank-11 lattice mod theta has a 1-dimensional kernel")
 def _(ctx):
-    return 10, mono.f3_rank(mono.symplectic_gram(lambda_()))
+    return 10, gluing.f3_rank(gluing.symplectic_gram(lambda_()))
 
 
 @check("f3-transvection", "triflections reduce mod theta to symplectic transvections")
@@ -413,8 +413,8 @@ def _(ctx):
     L10 = lambda10()
     v = basis_vector(10, 2)
     t = mono.triflection(L10, v)
-    red = mono.f3_reduce(t)
-    sg = mono.symplectic_gram(L10)
+    red = gluing.f3_reduce(t)
+    sg = gluing.symplectic_gram(L10)
     vbar = gluing.reduce_vector(v)
     n = 10
     expected = []
@@ -521,7 +521,7 @@ def _lambda_roundtrip(ctx):
 
     L = lambda_()
     rbar = gluing.reduce_vector(NODAL_ROOT)
-    sg = mono.symplectic_gram(L)
+    sg = gluing.symplectic_gram(L)
     phi = tuple(sum(sg[i][j] * rbar[j] for j in range(11)) % 3 for i in range(11))
     NL = gluing.hyperplane_preimage(L, phi)
     S2 = gluing.disc_group(NL.gram)

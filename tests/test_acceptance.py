@@ -168,8 +168,8 @@ def test_criterion_09_a11_discriminant():
 
 def test_criterion_10_f3_machinery():
     t0 = time.time()
-    assert mono.f3_rank(mono.symplectic_gram(lambda10())) == 10
-    assert mono.f3_rank(mono.symplectic_gram(lambda_())) == 10  # radical 1 of 11
+    assert gluing.f3_rank(gluing.symplectic_gram(lambda10())) == 10
+    assert gluing.f3_rank(gluing.symplectic_gram(lambda_())) == 10  # radical 1 of 11
     N = direct_sum(diag([3]), e8e(), e8e(), diag([-3]), diag([3]))
     S = gluing.disc_group(N)
     assert S.k == 3 and sorted(S.diagonal()) == [1, 1, 2]
@@ -238,7 +238,7 @@ def test_criterion_12_root_taxonomy():
     assert theta_self_dual(L10)
     # (ii) the symplectic pairing is nondegenerate, so any primitive vector
     # pairs to exactly theta with some lattice vector: no pairing lands in 3E
-    assert mono.f3_rank(mono.symplectic_gram(L10)) == 10
+    assert gluing.f3_rank(gluing.symplectic_gram(L10)) == 10
     # spot-check the conclusion on explicit norm-3 vectors
     for r in gluing.sp_generating_roots():
         assert root_classify(L10, r) == NODAL

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from eisenlat.eisenstein import (
     is_associate,
     reduce_mod_theta,
 )
+from eisenlat.hermitian import HermGram, diag, is_isometry, vector
 
 
 def test_omega_relation():
@@ -95,6 +97,25 @@ def test_gcd_zero_zero():
 def test_gcd_rejects_an_entry_that_is_not_an_eisenstein_integer():
     with pytest.raises(TypeError, match="expected an Eisenstein integer"):
         e_gcd(1.5, E(3))
+
+
+@pytest.mark.parametrize("x", [np.int64(3), 1.5, None, "3"])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: is_associate(x, E(0)),
+        lambda x: is_associate(E(3), x),
+        reduce_mod_theta,
+        lambda x: HermGram([[x]]),
+        lambda x: vector([E(1), x]),
+        lambda x: diag([x]),
+        lambda x: is_isometry(diag([3]), [[x]]),
+    ],
+)
+def test_entry_functions_reject_a_value_that_is_not_an_eisenstein_integer(fn, x):
+    # is_associate read such a value as 0, so is_associate(np.int64(3), E(0)) was True
+    with pytest.raises(TypeError, match="expected an Eisenstein integer"):
+        fn(x)
 
 
 def test_gcd_divides_both():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eisenlat.eisenstein import E, OMEGA, THETA, e_gcd, is_associate, reduce_mod_theta
 from eisenlat.hermitian import (
@@ -23,6 +25,7 @@ from eisenlat.hermitian import (
 )
 from eisenlat import gluing
 from eisenlat import monodromy as mono
+from eisenlat.hnf import snf_e
 
 
 def over_theta(n, i):
@@ -220,7 +223,7 @@ def test_glue_undoes_hyperplane_preimage_on_lambda():
     # check the sublattice invariants feeding it
     L = lambda_()
     rbar = gluing.reduce_vector(tuple([E(0)] * 9 + [E(1), OMEGA]))
-    sg = mono.symplectic_gram(L)
+    sg = gluing.symplectic_gram(L)
     phi = tuple(sum(sg[i][j] * rbar[j] for j in range(11)) % 3 for i in range(11))
     N = gluing.hyperplane_preimage(L, phi).gram
     assert det_e(N) == E(-3**7)
@@ -322,6 +325,64 @@ def test_disc_group_form_is_the_same_in_every_basis(entries, diagonal):
                 assert reduce_mod_theta(ip(M, x, y).exact_div(E(d * d))) == S.form[i][j]
 
 
+def random_theta_dual(case):
+    """The Gram with diagonal 3 a_i and entries theta e_ij above it."""
+    diagonal, above = case
+    n = len(diagonal)
+    g = [[E(0)] * n for _ in range(n)]
+    pairs = iter(above)
+    for i in range(n):
+        g[i][i] = E(3 * diagonal[i])
+        for j in range(i + 1, n):
+            g[i][j] = THETA * E(*next(pairs))
+            g[j][i] = g[i][j].conj()
+    return HermGram(g)
+
+
+theta_dual_grams = st.one_of(
+    st.integers(1, 6)
+    .flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            st.lists(
+                st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                min_size=n * (n - 1) // 2,
+                max_size=n * (n - 1) // 2,
+            ),
+        )
+    )
+    .map(random_theta_dual),
+    st.builds(
+        lambda blocks, seed: unimodular_congruent(direct_sum(*blocks), random.Random(seed)),
+        st.lists(st.sampled_from([diag([3]), diag([-3]), diag([9]), hyp()]), min_size=1, max_size=3),
+        st.integers(0, 2**16),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(theta_dual_grams)
+@example(diag([9]))
+@example(direct_sum(diag([3]), diag([-9])))
+def test_disc_group_matches_the_smith_normal_form(G):
+    # theta N*/N is the cokernel of Gbar / theta: F_3^k for the k SNF entries of norm 3,
+    # and not an F_3 space when an entry has larger norm
+    assume(det_e(G))
+    norms = [x.norm() for x in snf_e([[x.conj().exact_div(THETA) for x in row] for row in G.g])[0]]
+    if max(norms) > 3:
+        with pytest.raises(ValueError, match="not an F_3 space"):
+            gluing.disc_group(G)
+        return
+    S = gluing.disc_group(G)
+    assert S.k == norms.count(3)
+    for v in itertools.product(range(3), repeat=S.k):
+        assert S.coords(S.lift(v)) == v
+    d, lifts = S.lifts
+    for i, x in enumerate(lifts):
+        for j, y in enumerate(lifts):
+            assert reduce_mod_theta(ip(G, x, y).exact_div(E(d * d))) == S.form[i][j]
+
+
 # ---------------------------------------------------------------- references
 # The per-row loops that the batched F_3 layers replaced, kept as references.
 
@@ -338,7 +399,7 @@ def reference_canon(arr):
 
 def reference_orbit(roots, G, start=None, cap=200000):
     """Orbit size by one set lookup per image row."""
-    gens = [np.array(mono.f3_reduce(mono.triflection(G, r)), dtype=np.int64) for r in roots]
+    gens = [np.array(gluing.f3_reduce(mono.triflection(G, r)), dtype=np.int64) for r in roots]
     if start is None:
         start = gluing.reduce_vector(roots[0])
     return reference_line_orbit(gens, start, cap), len(gens)
@@ -488,7 +549,7 @@ def test_orbit_rejects_a_start_that_is_not_integral(bad):
 def random_invertible_f3(rng, n):
     while True:
         g = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
-        if mono.f3_rank(g) == n:
+        if gluing.f3_rank(g) == n:
             return np.array(g, dtype=np.int64)
 
 

@@ -322,6 +322,27 @@ def test_packing_and_gram_are_written_once():
     assert krons == []
 
 
+def test_reductions_mod_theta_live_in_gluing():
+    """Only gluing defines the F_3 reductions of Grams and matrices, only
+    gluing and hermitian import ``reduce_mod_theta``, and no module imports
+    ``snf_e``, so theta N*/N comes from the F_3 kernel alone."""
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    definers, reducers, snf = set(), set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("symplectic_gram", "f3_reduce", "f3_rank"):
+                definers.add(path.stem)
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if "reduce_mod_theta" in names:
+                    reducers.add(path.stem)
+                if "snf_e" in names:
+                    snf.add(path.stem)
+    assert definers == {"gluing"}
+    assert reducers == {"gluing", "hermitian"}
+    assert snf == set()
+
+
 @BOUNDED
 @given(square(e_ints, max_n=4))
 def test_e_det_matches_sympy(a):

@@ -21,6 +21,7 @@ from eisenlat.hermitian import (
     lambda_,
     norm_of,
 )
+from eisenlat import gluing
 from eisenlat import monodromy as mono
 from eisenlat.gluing import sp_generating_roots
 from eisenlat.linalg import mat_vec, pack, unpack
@@ -230,11 +231,11 @@ def test_projective_order_identity():
 def test_f3_reductions_preserve_symplectic_form():
     rng = random.Random(47)
     G = chain(4)
-    sg = mono.symplectic_gram(G)
+    sg = gluing.symplectic_gram(G)
     gens = mono.chain_triflections(4)
     for _ in range(50):
         w = mono.word_eval([gens[rng.randrange(4)] for _ in range(4)])
-        r = mono.f3_reduce(w)
+        r = gluing.f3_reduce(w)
         n = 4
         lhs = tuple(
             tuple(
@@ -749,8 +750,8 @@ def test_f3_reduce_homomorphism():
     for _ in range(100):
         w1 = mono.word_eval([gens[rng.randrange(4)] for _ in range(3)])
         w2 = mono.word_eval([gens[rng.randrange(4)] for _ in range(3)])
-        lhs = mono.f3_reduce(w1 * w2)
-        r1, r2 = mono.f3_reduce(w1), mono.f3_reduce(w2)
+        lhs = gluing.f3_reduce(w1 * w2)
+        r1, r2 = gluing.f3_reduce(w1), gluing.f3_reduce(w2)
         prod = tuple(
             tuple(sum(r1[i][k] * r2[k][j] for k in range(4)) % 3 for j in range(4))
             for i in range(4)
@@ -759,27 +760,27 @@ def test_f3_reduce_homomorphism():
 
 
 def test_symplectic_gram_shapes():
-    sg10 = mono.symplectic_gram(lambda10())
-    assert mono.f3_rank(sg10) == 10
+    sg10 = gluing.symplectic_gram(lambda10())
+    assert gluing.f3_rank(sg10) == 10
     # antisymmetry with zero diagonal
     for i in range(10):
         assert sg10[i][i] == 0
         for j in range(10):
             assert (sg10[i][j] + sg10[j][i]) % 3 == 0
-    sg11 = mono.symplectic_gram(lambda_())
-    assert mono.f3_rank(sg11) == 10
+    sg11 = gluing.symplectic_gram(lambda_())
+    assert gluing.f3_rank(sg11) == 10
 
 
 def test_symplectic_gram_requires_theta_dual():
     with pytest.raises(ValueError):
-        mono.symplectic_gram(diag([1]))
+        gluing.symplectic_gram(diag([1]))
 
 
 def test_f3_reduce_of_triflection_is_transvection():
     L10 = lambda10()
-    sg = mono.symplectic_gram(L10)
+    sg = gluing.symplectic_gram(L10)
     v = basis_vector(10, 4)
-    red = mono.f3_reduce(mono.triflection(L10, v))
+    red = gluing.f3_reduce(mono.triflection(L10, v))
     vbar = tuple(1 if i == 4 else 0 for i in range(10))
     for j in range(10):
         col = tuple(red[i][j] for i in range(10))

@@ -15,6 +15,7 @@ from eisenlat.hermitian import (
     norm_of,
 )
 from eisenlat import discpoly as dp
+from eisenlat import gluing
 from eisenlat import monodromy as mono
 from test_discpoly import int_poly_gcd_nonconstant
 
@@ -71,14 +72,14 @@ def test_f3_reduce_homomorphism_1000():
     words = [
         mono.word_eval([gens[rng.randrange(4)] for _ in range(3)]) for _ in range(60)
     ]
-    sg = mono.symplectic_gram(G)
+    sg = gluing.symplectic_gram(G)
     n = 4
     count = 0
     while count < 1000:
         w1 = words[rng.randrange(len(words))]
         w2 = words[rng.randrange(len(words))]
-        lhs = mono.f3_reduce(w1 * w2)
-        r1, r2 = mono.f3_reduce(w1), mono.f3_reduce(w2)
+        lhs = gluing.f3_reduce(w1 * w2)
+        r1, r2 = gluing.f3_reduce(w1), gluing.f3_reduce(w2)
         rhs = tuple(
             tuple(sum(r1[i][k] * r2[k][j] for k in range(n)) % 3 for j in range(n))
             for i in range(n)
