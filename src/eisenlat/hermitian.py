@@ -88,10 +88,10 @@ def basis_vector(n, i):
 
 
 def ip(G: HermGram, x, y):
-    """<x, y> = sum g_ij x_i conj(y_j) for E-vectors: E-linear in x, antilinear in y.
+    """<x, y> = sum g_ij x_i conj(y_j): E-linear in x, antilinear in y.
 
-    For rational vectors given as pairs (d, x) and (e, y), meaning x / d and
-    y / e, the value is <x, y> / (d e).
+    The entries of x and y may be in any ring that multiplies with E and
+    has ``conj``, such as E itself or Q(w).
     """
     if len(x) != G.n or len(y) != G.n:
         raise ValueError("vector lengths do not match the Gram rank")

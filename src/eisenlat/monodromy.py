@@ -23,6 +23,7 @@ from .eisenstein import (
     ZERO,
     EisensteinInt,
     e_gcd,
+    to_e,
 )
 from .hermitian import (
     HermGram,
@@ -59,7 +60,7 @@ class GroupElt:
     __slots__ = ("m", "ambient")
 
     def __init__(self, m, ambient: HermGram, check=True):
-        m = tuple(tuple(x if isinstance(x, EisensteinInt) else EisensteinInt(x) for x in row) for row in m)
+        m = tuple(tuple(map(to_e, row)) for row in m)
         if check and not is_isometry(ambient, m):
             raise ValueError("matrix does not preserve the Hermitian form")
         self.m = m
@@ -615,11 +616,6 @@ def _class_labels(handle: GroupHandle):
         if np.array_equal(new, labels):
             return labels
         labels = new
-
-
-def conjugacy_classes(handle: GroupHandle):
-    """(representatives, sizes) of the conjugacy classes, each class represented by its least index."""
-    return np.unique(_class_labels(handle), return_counts=True)
 
 
 def _mirror_rows(handle: GroupHandle, labels):

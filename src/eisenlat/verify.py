@@ -33,7 +33,7 @@ from .hermitian import (
     theta_self_dual,
     z_realization,
 )
-from .linalg import adjugate, adjugate_e, identity, mat_mul, mat_vec, pack
+from .linalg import adjugate_e, identity, mat_mul, mat_vec, pack
 from . import zlattice
 from . import monodromy as mono
 from . import gluing
@@ -264,11 +264,9 @@ def _herm_from_ii22():
     # basis change P: z_real(hyp) basis (e1, we1, e2, we2) -> hyperbolic pairs
     # u1 = e1, u2 = we2, u3 = we1, u4 = -e2
     P = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1), (0, 1, 0, 0))
-    # columns of P are u_i in old coordinates; adj P = d I
-    d, adj = adjugate(P)
-    S = mat_mul(mat_mul(adj, S0), P)
-    assert all(x % d == 0 for row in S for x in row)
-    return zlattice.hermitian_from_z(zlattice.ii22_gram(), [[x // d for x in row] for row in S])
+    # columns of P are u_i in old coordinates; P is a signed permutation, so P^-1 = P^T
+    S = mat_mul(mat_mul(tuple(zip(*P)), S0), P)
+    return zlattice.hermitian_from_z(zlattice.ii22_gram(), S)
 
 
 @check("root-chordal", "(1, 0, ..., 0) is a chordal root")

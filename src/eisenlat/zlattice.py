@@ -5,13 +5,17 @@ a form are read from the pivot minors of the elimination of Hermitian forms,
 ``linalg.herm_eliminate``, run on the integer entries.  Also holds the
 constructors for the A_n vanishing lattices of cuspidal fourfold
 degenerations and the recovery of a Hermitian E-structure from a Z-lattice
-with a fixed-point-free isometry of order 3.
+with a fixed-point-free isometry S of order 3.  That recovery reads its
+E-basis off one Hermite normal form over E: F(v) = v - w Sv maps Z^n into
+E^n, E-linearly since F(Sv) = w F(v) follows from S^2 = -S - I, and
+injectively since the a-part of F(v) is v.
 """
 
 from __future__ import annotations
 
 from .eisenstein import EisensteinInt
-from .linalg import adjugate, herm_eliminate, identity, mat_mul, mat_vec
+from .hnf import hnf_columns_e
+from .linalg import herm_eliminate, identity, mat_mul
 
 
 class ZGram:
@@ -43,15 +47,6 @@ class ZGram:
 
     def to_json(self):
         return {"n": self.n, "g": [list(r) for r in self.g]}
-
-    @staticmethod
-    def from_json(data):
-        g = data["g"]
-        if len(g) != data.get("n", len(g)):
-            raise ValueError("rank field does not match matrix size")
-        if any(type(x) is not int for row in g for x in row):
-            raise ValueError("Gram entries must be integers")
-        return ZGram(g)
 
 
 def pivot_minors(rows):
@@ -147,18 +142,24 @@ def hermitian_from_z(G: ZGram, S):
 
     S must be an isometry of G with S^3 = I fixing no nonzero vector; then
     h(x, y) = (1/2) [3 x.y - theta x.(S^-1 y - S y)] is an E-valued Hermitian
-    form whose Z-realization returns G.  The E-basis is extracted from the
-    standard basis vectors through a Hermite normal form over E.
+    form whose Z-realization returns G.  The E-basis comes from the map
+    F(v) = v - w Sv of Z^n into E^n: F(Sv) = w F(v) because S^2 = -S - I, so
+    F is E-linear, and the a-part of F(v) is v, so F is injective.  The
+    Hermite normal form over E of the columns F(e_j) is then an E-basis of
+    F(Z^n), and the a-parts of its columns are an E-basis of Z^n.  For the
+    standard action ``pack(w I)`` that is the standard basis e_0, e_2, ...
     """
     from .hermitian import HermGram
 
     n = G.n
+    if n == 0:
+        raise ValueError("rank must be positive to carry an E-structure")
     if n % 2 != 0:
         raise ValueError("rank must be even to carry an E-structure")
     S = tuple(tuple(int(x) for x in row) for row in S)
     if len(S) != n or any(len(r) != n for r in S):
         raise ValueError("isometry has wrong shape")
-    St = tuple(tuple(S[i][j] for i in range(n)) for j in range(n))
+    St = tuple(zip(*S))
     if mat_mul(St, mat_mul(G.g, S)) != G.g:
         raise ValueError("S is not an isometry of G")
     S2 = mat_mul(S, S)
@@ -171,72 +172,18 @@ def hermitian_from_z(G: ZGram, S):
             if S2[i][j] + S[i][j] + I[i][j] != 0:
                 raise ValueError("S has a nonzero fixed vector")
 
-    basis = _complete_e_basis(I, S, n)
-
-    def dot(x, y):
-        return sum(x[i] * G.g[i][j] * y[j] for i in range(n) for j in range(n))
-
+    F = [[EisensteinInt(I[i][j], -S[i][j]) for i in range(n)] for j in range(n)]
+    B = tuple(tuple(x.a for x in col) for col in hnf_columns_e(F))
+    # P = (x.y) and K = (x.(S^-1 y - S y)) on the basis, with S^-1 = S^2;
+    # h = (1/2)(3P - theta K) with theta = 1 + 2w
+    D = tuple(tuple(x - y for x, y in zip(r2, r)) for r2, r in zip(S2, S))
+    BG = mat_mul(B, G.g)
+    Bt = tuple(zip(*B))
+    P = mat_mul(BG, Bt)
+    K = mat_mul(mat_mul(BG, D), Bt)
     rows = []
-    for u in basis:
-        row = []
-        for v in basis:
-            sv = mat_vec(S, v)
-            s2v = mat_vec(S2, v)  # S^-1 = S^2
-            re3 = 3 * dot(u, v)
-            im = dot(u, tuple(s2v[i] - sv[i] for i in range(n)))
-            # h = (1/2)(re3 - theta*im) with theta = 1 + 2w
-            a2, b2 = re3 - im, -2 * im
-            if a2 % 2 or b2 % 2:
-                raise ValueError("form is not E-valued on the extracted basis")
-            row.append(EisensteinInt(a2 // 2, b2 // 2))
-        rows.append(row)
+    for Pi, Ki in zip(P, K):
+        if any((3 * p - k) % 2 for p, k in zip(Pi, Ki)):
+            raise ValueError("form is not E-valued on the extracted basis")
+        rows.append([EisensteinInt((3 * p - k) // 2, -k) for p, k in zip(Pi, Ki)])
     return HermGram(rows)
-
-
-def _complete_e_basis(picks, S, n):
-    """E-basis of Z^n from a generating set of E-vector picks.
-
-    A maximal Q(w)-independent subset of the picks (with their S-images)
-    coordinatizes Q^n; every pick is written in those coordinates and a
-    Hermite normal form over E reduces the generator list to a basis.
-    """
-    from .hnf import hnf_columns_e
-
-    m = n // 2
-
-    # select m picks whose pairs (v, Sv) are Q-independent: rows R are
-    # independent exactly when their Gram R R^T has full rank
-    chosen = []
-    rows = []
-    for v in picks:
-        cand = rows + [tuple(v), mat_vec(S, v)]
-        if len(pivot_minors(mat_mul(cand, tuple(zip(*cand))))) == len(cand):
-            chosen.append(v)
-            rows = cand
-        if len(chosen) == m:
-            break
-    if len(chosen) < m:
-        raise ValueError("E-basis extraction failed: picks do not span")
-    # the columns of B are the chosen vectors and their S-images, and
-    # adj B = d I, so the Q(w)-coordinates of a pick v are (adj v) / d; the
-    # sign of d flips every basis vector, which leaves the Gram unchanged
-    d, adj = adjugate(tuple(zip(*rows)))
-    gens = []
-    for v in picks:
-        w = mat_vec(adj, v)
-        gens.append([EisensteinInt(w[2 * i], w[2 * i + 1]) for i in range(m)])
-    H = hnf_columns_e(gens)
-    if len(H) != m:
-        raise ValueError("E-basis extraction failed: generators not full rank")
-    out = []
-    for col in H:
-        zvec = [0] * n
-        for i in range(m):
-            a, b = col[i].a, col[i].b
-            v, sv = rows[2 * i], rows[2 * i + 1]
-            for r in range(n):
-                zvec[r] += a * v[r] + b * sv[r]
-        if any(x % d for x in zvec):
-            raise ValueError("E-basis extraction failed: non-integral basis")
-        out.append(tuple(x // d for x in zvec))
-    return out

@@ -20,6 +20,7 @@ from eisenlat.eisenstein import (
     reduce_mod_theta,
 )
 from eisenlat.hermitian import HermGram, diag, is_isometry, vector
+from eisenlat.monodromy import GroupElt
 
 
 def test_omega_relation():
@@ -99,7 +100,7 @@ def test_gcd_rejects_an_entry_that_is_not_an_eisenstein_integer():
         e_gcd(1.5, E(3))
 
 
-@pytest.mark.parametrize("x", [np.int64(3), 1.5, None, "3"])
+@pytest.mark.parametrize("x", [np.int64(3), 1.5, 1.0, None, "3"])
 @pytest.mark.parametrize(
     "fn",
     [
@@ -110,6 +111,7 @@ def test_gcd_rejects_an_entry_that_is_not_an_eisenstein_integer():
         lambda x: vector([E(1), x]),
         lambda x: diag([x]),
         lambda x: is_isometry(diag([3]), [[x]]),
+        lambda x: GroupElt([[x]], diag([3])),
     ],
 )
 def test_entry_functions_reject_a_value_that_is_not_an_eisenstein_integer(fn, x):

@@ -710,3 +710,24 @@ def test_pivot_minors_are_the_leading_minors_in_the_pivot_basis(a):
 @example([[0, 2, 0], [2, 0, 0], [0, 0, 0]])  # a pair, then a radical
 def test_live_block_elimination_matches_the_full_row_reference(a):
     assert herm_eliminate(as_e(a)) == sym_eliminate_reference(a, operator.floordiv)[1]
+
+
+def test_only_linalg_and_monodromy_reach_the_integer_adjugate():
+    """``adjugate`` is named only in linalg and in monodromy's inverse of a
+    packed generator, and no module defines ``_complete_e_basis``: the
+    E-structure of a Z-lattice comes from one Hermite normal form over E,
+    with no solve over Q(w)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    users, completers = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_complete_e_basis":
+                completers.add(path.stem)
+            elif (
+                (isinstance(node, ast.Name) and node.id == "adjugate")
+                or (isinstance(node, ast.Attribute) and node.attr == "adjugate")
+                or (isinstance(node, ast.ImportFrom) and any(alias.name == "adjugate" for alias in node.names))
+            ):
+                users.add(path.stem)
+    assert users == {"linalg", "monodromy"}
+    assert completers == set()

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from eisenlat import zlattice as zl
 from eisenlat.eisenstein import OMEGA
-from eisenlat.hermitian import diag, e8e, z_realization
+from eisenlat.hermitian import (
+    chain,
+    det_e,
+    diag,
+    e8e,
+    hyp,
+    in_theta_dual,
+    lambda10,
+    signature,
+    z_realization,
+)
 from eisenlat.linalg import identity, pack
 from eisenlat.zlattice import ZGram, an_vanishing_gram, determinant, inertia, is_even
 from test_linalg import det
@@ -164,13 +174,6 @@ def test_determinant_matches_bareiss(G):
     assert determinant(G) == det(G.g, operator.floordiv)
 
 
-def test_from_json_takes_only_int_entries():
-    assert ZGram.from_json({"n": 2, "g": [[2, -1], [-1, 2]]}) == zl.a2_gram()
-    for bad in (2.5, 2.0, True, "2", None):
-        with pytest.raises(ValueError, match="must be integers"):
-            ZGram.from_json({"g": [[bad]]})
-
-
 def test_is_even():
     assert is_even(zl.e8_gram())
     assert not is_even(ZGram([[3]]))
@@ -238,32 +241,37 @@ def test_roundtrip_diag3():
     assert zl.hermitian_from_z(Z, pack(identity(1, OMEGA))) == diag([3])
 
 
-def test_e8_recovery_in_scrambled_coordinates():
-    # conjugate the interleaved omega-action on E8^Z by random unimodular
-    # integer matrices: the recovered rank-4 Hermitian lattice must keep the
-    # invariants det 9, signature (4,0,0), theta-self-duality
-    from eisenlat.hermitian import (
-        det_e,
-        in_theta_dual,
-        signature,
-        theta_self_dual,
-    )
-    from eisenlat.eisenstein import E as EI
-
+@pytest.mark.parametrize(
+    "source",
+    [e8e, hyp, lambda: chain(5), lambda: diag([3, -3]), lambda10],
+    ids=["e8e", "hyp", "chain5", "diag3-3", "lambda10"],
+)
+def test_recovery_in_scrambled_coordinates(source):
+    # conjugate the interleaved omega-action on the Z-realization by random
+    # unimodular integer matrices: the recovered Hermitian lattice keeps the
+    # source's invariants, and its own Z-realization gives it back exactly
+    L = source()
     rng = random.Random(131)
-    Z8 = z_realization(e8e())
-    S0 = pack(identity(4, OMEGA))
+    Z = z_realization(L)
+    S0 = pack(identity(L.n, OMEGA))
     for _ in range(10):
-        U = random_unimodular(rng, 8)
-        G2 = congruent(Z8, U)
+        U = random_unimodular(rng, Z.n)
+        G2 = congruent(Z, U)
         # S in the new coordinates: U^-1 S0 U
         Uinv = _int_inverse(U)
         S = _int_mul(_int_mul(Uinv, [list(r) for r in S0]), U)
         H = zl.hermitian_from_z(G2, S)
-        assert H.n == 4
-        assert det_e(H) == EI(9)
-        assert signature(H) == (4, 0, 0)
-        assert theta_self_dual(H)
+        assert H.n == L.n
+        assert det_e(H) == det_e(L)
+        assert signature(H) == signature(L)
+        assert in_theta_dual(H) == in_theta_dual(L)
+        assert zl.hermitian_from_z(z_realization(H), S0) == H
+
+
+def test_recovery_needs_a_positive_rank():
+    # the rank-0 lattice has no E-basis to recover and no isometry to check
+    with pytest.raises(ValueError, match="rank must be positive"):
+        zl.hermitian_from_z(ZGram([]), ())
 
 
 def _int_mul(A, B):
