@@ -55,14 +55,19 @@ class Unknown:
 
 
 class GroupElt:
-    """Matrix over E together with its ambient Hermitian Gram."""
+    """Matrix over E together with its ambient Hermitian Gram.
+
+    The checked path converts the entries with ``to_e`` and tests the isometry; check=False takes m
+    as it is, a tuple of row tuples of EisensteinInt, which ``mat_mul`` and ``linalg.identity`` give.
+    """
 
     __slots__ = ("m", "ambient")
 
     def __init__(self, m, ambient: HermGram, check=True):
-        m = tuple(tuple(map(to_e, row)) for row in m)
-        if check and not is_isometry(ambient, m):
-            raise ValueError("matrix does not preserve the Hermitian form")
+        if check:
+            m = tuple(tuple(map(to_e, row)) for row in m)
+            if not is_isometry(ambient, m):
+                raise ValueError("matrix does not preserve the Hermitian form")
         self.m = m
         self.ambient = ambient
 
@@ -285,12 +290,15 @@ _BLOCK = 4096  # elements per batch of int64 products
 
 def _top(a) -> int:
     """The largest |entry| of an int64 array, 0 for an empty one."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    return max(int(np.maximum.reduce(a, None, initial=0)), -int(np.minimum.reduce(a, None, initial=0)))
 
 
-def _product(a, b):
-    """a @ b for int64 packings, vectors or batches of them; OverflowError before an entry could leave int64."""
-    ta, tb = _top(a), _top(b)
+def _product(a, b, tb=None):
+    """a @ b for int64 packings, vectors or batches of them; OverflowError before an entry could leave int64.
+
+    tb is _top(b), for a caller that multiplies many a by one b.
+    """
+    ta, tb = _top(a), _top(b) if tb is None else tb
     if a.shape[-1] * ta * tb >= 2**63:
         raise OverflowError(f"closure products of entries up to {ta} and {tb} could overflow int64")
     return a @ b
@@ -304,19 +312,36 @@ def _inverse(z):
     return np.array([[x // d for x in row] for row in adj], np.int64)
 
 
+def _room(a, rows):
+    """a, or a copy of it with room for at least rows rows; the room doubles, so a row costs O(1) amortized."""
+    if rows <= len(a):
+        return a
+    out = np.empty((max(rows, 2 * len(a)), *a.shape[1:]), a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 class Orbit:
     """The orbit of e_base under one level's generators in a stabilizer chain, with its Schreier tree.
 
-    Points are packed vectors, compared exactly through their bytes.  Point p is gens[letter[p]]
-    applied to point parent[p], and act[p][s] is the point gens[s] maps p to.  trans[p], which
-    maps e_base to point p, is that letter times the parent's; trans_inv[p] is its inverse.
+    Points are packed vectors, compared exactly through their bytes in ``where``.  Point p is
+    gens[letter[p]] applied to point parent[p], and act[p, s] is the point gens[s] maps p to.
+    trans[p], which maps e_base to point p, is that letter times the parent's; trans_inv[p] is its
+    inverse.  sifted[p, s] is set once the Schreier generator of p and s has sifted to I; it stays
+    set, for the points and transversal elements it rests on never change.
+
+    The orbit grows one breadth-first level at a time, and a fresh point takes the next number in
+    the order it first occurs in the (point, generator) scan: the numbering of a point-by-point
+    search, so every index is the same whichever way the orbit is grown.  points, parent, letter
+    and act are the filled rows of int64 buffers whose room doubles, so no level copies the orbit.
     """
 
     def __init__(self, n, base):
         e = np.eye(2 * n, dtype=np.int64)[2 * base]
-        self.base, self.gens, self.invs = base, [], []
-        self.points, self.where = [e], {e.tobytes(): 0}
-        self.parent, self.letter, self.act = [0], [0], [[]]
+        self.base, self.gens, self.invs, self.where = base, [], [], {e.tobytes(): 0}
+        self.points, self.parent, self.letter = e[None], np.zeros(1, np.int64), np.zeros(1, np.int64)
+        self.act, self.sifted = np.zeros((1, 0), np.int64), np.zeros((1, 0), bool)
+        self._buffers = self.points, self.parent, self.letter, self.act
         self.trans = self.trans_inv = np.eye(2 * n, dtype=np.int64)[None]
 
     def find(self, v):
@@ -326,38 +351,72 @@ class Orbit:
         return np.array(idx, np.intp).reshape(v.shape[:-1])
 
     def grow(self, cap, others):
-        """Apply every generator to every point, then extend the transversal to the new points.
+        """Apply the generators new since the last call to the old points, then all of them to each
+        new level, and extend the transversal one level per product.
 
-        CapExceeded once others times the orbit size passes cap.
+        Each block of _BLOCK points of a level is one product.  CapExceeded once others times the
+        orbit size passes cap, checked as each point arrives.
         """
-        for p, row in enumerate(self.act):  # act grows with the orbit, so new points are visited too
-            if len(row) == len(self.gens):
-                continue
-            for img in _product(np.stack(self.gens[len(row) :]), self.points[p]):
-                key = img.tobytes()
-                if key not in self.where:
-                    if (len(self.points) + 1) * others > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-                    self.where[key] = len(self.points)
-                    self.points.append(img)
-                    self.parent.append(p)
-                    self.letter.append(len(row))
-                    self.act.append([])
-                row.append(self.where[key])
+        k, known, old = len(self.gens), self.act.shape[1], len(self.points)
+        if k == known:
+            return
+        gens = np.stack(self.gens)
+        w, where = gens.shape[-1], self.where
+        key = np.dtype((np.void, 8 * w))
+        images = gens.reshape(-1, w).T  # a row v times it lists gens[s] v for each s in turn
+        # the first level meets the generators from known on, every later one all of them
+        meets = {f: (images[:, f * w :], _top(images[:, f * w :])) for f in (known, 0)}
+        points, parent, letter, _ = self._buffers
+        act = np.empty((len(points), k), np.int64)
+        act[:old, :known] = self.act
+        bounds, first = [0, old], known  # the levels are [bounds[i], bounds[i + 1])
+        while bounds[-2] < bounds[-1]:
+            m, (level, top) = k - first, meets[first]
+            for start in range(bounds[-2], bounds[-1], _BLOCK):
+                stop = min(start + _BLOCK, bounds[-1])
+                img = _product(points[start:stop], level, top)
+                row, fresh = [], []
+                for j, b in enumerate(img.view(key).ravel().tolist()):
+                    q = where.get(b)
+                    if q is None:
+                        if (len(where) + 1) * others > cap:
+                            raise CapExceeded(f"closure exceeded cap {cap}")
+                        q = where[b] = len(where)
+                        fresh.append(j)
+                    row.append(q)
+                act[start:stop, first:].flat = row
+                if fresh:
+                    end = len(where)
+                    if end > len(points):
+                        points, parent, letter, act = (_room(a, end) for a in (points, parent, letter, act))
+                    new = slice(end - len(fresh), end)
+                    img.reshape(-1, w).take(fresh, 0, points[new])
+                    parent[new] = [start + j // m for j in fresh]
+                    letter[new] = [first + j % m for j in fresh]
+            bounds.append(len(where))
+            first = 0
+        size = len(where)
+        self._buffers = points, parent, letter, act
+        self.points, self.parent, self.letter, self.act = (a[:size] for a in self._buffers)
+        sifted = np.zeros((size, k), bool)
+        sifted[:old, :known] = self.sifted
+        self.sifted = sifted
         self.invs += [_inverse(g) for g in self.gens[len(self.invs) :]]
-        trans, trans_inv = list(self.trans), list(self.trans_inv)
-        for p in range(len(trans), len(self.points)):  # parents come first
-            s, q = self.letter[p], self.parent[p]
-            trans.append(_product(self.gens[s], trans[q]))
-            trans_inv.append(_product(trans_inv[q], self.invs[s]))
-        self.trans, self.trans_inv = np.stack(trans), np.stack(trans_inv)
+        invs = np.stack(self.invs)
+        trans, trans_inv = np.empty((2, size, w, w), np.int64)
+        trans[:old], trans_inv[:old] = self.trans, self.trans_inv
+        for lo, hi in zip(bounds[1:], bounds[2:]):  # parents come a level earlier
+            s, q = self.letter[lo:hi], self.parent[lo:hi]
+            trans[lo:hi] = _product(gens[s], trans[q])
+            trans_inv[lo:hi] = _product(trans_inv[q], invs[s])
+        self.trans, self.trans_inv = trans, trans_inv
 
     def schreier(self):
-        """The Schreier generators trans_inv[act[p][s]] gens[s] trans[p], for every point p and generator s."""
-        if not self.gens:
-            return self.trans[:0]
-        p, s = np.divmod(np.arange(len(self.points) * len(self.gens)), len(self.gens))
-        return _product(self.trans_inv[np.ravel(self.act)], _product(np.stack(self.gens)[s], self.trans[p]))
+        """The Schreier generators trans_inv[act[p, s]] gens[s] trans[p] that have not sifted yet, with p and s."""
+        p, s = np.nonzero(~self.sifted)
+        if not len(p):
+            return p, s, self.trans[:0]
+        return p, s, _product(self.trans_inv[self.act[p, s]], _product(np.stack(self.gens)[s], self.trans[p]))
 
 
 def _sift(orbits, y):
@@ -382,15 +441,19 @@ def _schreier_sims(levels, cap):
     A level is complete when each of its Schreier generators sifts through the levels below it.
     One that does not leaves a residue, which joins every level down to the one whose orbit it
     extends; the work resumes there.  The orbits only grow, so the product of their sizes, a
-    lower bound on the group order, is checked against cap as each point arrives.
+    lower bound on the group order, is checked against cap as each point arrives.  A Schreier
+    generator that sifted once is not sifted again: the levels below only gain points, and an old
+    point keeps its index and its transversal element, so its sift takes the same steps to I.
     """
     i = len(levels) - 1
     while i >= 0:
         level = levels[i]
         level.grow(cap, math.prod(len(lv.points) for lv in levels) // len(level.points))
-        y = level.schreier()
+        p, s, y = level.schreier()
         _, stop = _sift(levels[i + 1 :], y)
-        bad = np.flatnonzero(stop < len(levels) - i - 1)
+        passed = stop == len(levels) - i - 1
+        level.sifted[p[passed], s[passed]] = True
+        bad = np.flatnonzero(~passed)
         if len(bad):
             j = i + 1 + int(stop[bad[0]])
             for lv in levels[i + 1 : j + 1]:

@@ -687,6 +687,88 @@ def test_chain_order_is_the_bfs_order(gens):
     assert h.order == math.prod(len(o.trans) for o in h.orbits) == len(reference_closure(gens))
 
 
+def per_point_orbit(base, gens, calls):
+    """The orbit's points as a point-by-point search numbers them: the k-th call applies each of the
+    first calls[k] generators not yet applied to a point to each point in turn, those found on the way too."""
+    e = np.eye(gens.shape[-1], dtype=np.int64)[2 * base]
+    points, seen, applied = [e], {e.tobytes()}, [0]
+    for k in calls:
+        p = 0
+        while p < len(points):
+            for s in range(applied[p], k):
+                image = gens[s] @ points[p]
+                if image.tobytes() not in seen:
+                    seen.add(image.tobytes())
+                    points.append(image)
+                    applied.append(0)
+            applied[p] = k
+            p += 1
+    return np.array(points)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [mono.chain_triflections(n) for n in (1, 2, 3, 4)] + [diagonal_gens(diag([3, 3, 3]), *d) for d, _ in SMALL_GROUPS],
+    ids=["R1", "R2", "R3", "R4", "small0", "small1", "small2", "small3"],
+)
+def test_orbits_are_schreier_trees_numbered_as_a_point_by_point_search(gens, monkeypatch):
+    calls, grow = {}, mono.Orbit.grow
+
+    def recording_grow(self, cap, others):
+        calls.setdefault(id(self), []).append(len(self.gens))
+        return grow(self, cap, others)
+
+    monkeypatch.setattr(mono.Orbit, "grow", recording_grow)
+    h = mono.group_closure(gens)
+    for o in h.orbits:
+        g, n = np.stack(o.gens), len(o.points)
+        at = {v.tobytes(): i for i, v in enumerate(o.points)}
+        assert len(at) == n
+        assert (o.parent[1:] < np.arange(1, n)).all()
+        for p in range(1, n):
+            assert np.array_equal(o.points[p], g[o.letter[p]] @ o.points[o.parent[p]])
+        assert o.act.shape == (n, len(g))
+        for p, s in itertools.product(range(n), range(len(g))):
+            assert o.act[p, s] == at[(g[s] @ o.points[p]).tobytes()]
+        assert np.array_equal(o.trans[:, :, 2 * o.base], o.points)
+        assert (o.trans_inv @ o.trans == np.eye(g.shape[-1], dtype=np.int64)).all()
+        assert np.array_equal(o.points, per_point_orbit(o.base, g, calls[id(o)]))
+
+
+@pytest.mark.parametrize("n, order, most", [(3, 648, 279), (4, 155520, 1313)])
+def test_closure_sifts_each_schreier_generator_until_it_passes(n, order, most, monkeypatch):
+    # a Schreier generator that sifted once sifts again, so it is not sifted twice
+    rows, sift = [], mono._sift
+
+    def counting_sift(orbits, y):
+        rows.append(len(y))
+        return sift(orbits, y)
+
+    monkeypatch.setattr(mono, "_sift", counting_sift)
+    assert mono.group_closure(mono.chain_triflections(n)).order == order
+    assert sum(rows) <= most
+
+
+def test_closure_cap_bounds_the_memory_of_each_orbit_point():
+    # the A5 transvection on chain(6) has infinite order, so its one orbit fills the cap alone
+    t = mono.transvection(chain(6), tuple(list(mono.A5_XI) + [E(0)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(mono.CapExceeded, match="cap 20000"):
+            mono.group_closure([t], cap=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2**20
+
+
+def test_checked_group_elt_converts_its_entries():
+    g = mono.GroupElt([[1, 0], [0, 1]], diag([3, 3]))
+    assert g.m == ((E(1), E(0)), (E(0), E(1))) and all(isinstance(x, EisensteinInt) for row in g.m for x in row)
+    with pytest.raises(TypeError, match="expected an Eisenstein integer"):
+        mono.GroupElt([[1, 0], [0, 1.0]], diag([3, 3]))
+
+
 def test_closure_cap_trips_before_the_elements_exist():
     # one short of |R4|: the orbits' product passes the cap as the last point arrives
     gens = mono.chain_triflections(4)
