@@ -321,6 +321,11 @@ def _room(a, rows):
     return out
 
 
+def _keys(a, w):
+    """The dict keys of the points in a, an int64 array of whole points of width w: their bytes, in order."""
+    return np.ascontiguousarray(a).reshape(-1, w).view(np.dtype((np.void, 8 * w))).ravel().tolist()
+
+
 class Orbit:
     """The orbit of e_base under one level's generators in a stabilizer chain, with its Schreier tree.
 
@@ -338,7 +343,7 @@ class Orbit:
 
     def __init__(self, n, base):
         e = np.eye(2 * n, dtype=np.int64)[2 * base]
-        self.base, self.gens, self.invs, self.where = base, [], [], {e.tobytes(): 0}
+        self.base, self.gens, self.invs, self.where = base, [], [], {_keys(e, 2 * n)[0]: 0}
         self.points, self.parent, self.letter = e[None], np.zeros(1, np.int64), np.zeros(1, np.int64)
         self.act, self.sifted = np.zeros((1, 0), np.int64), np.zeros((1, 0), bool)
         self._buffers = self.points, self.parent, self.letter, self.act
@@ -346,8 +351,7 @@ class Orbit:
 
     def find(self, v):
         """The index of each point in v, an (..., 2n) int64 array, or -1 where it is not in the orbit."""
-        v = np.ascontiguousarray(v)
-        idx = [self.where.get(p.tobytes(), -1) for p in v.reshape(-1, v.shape[-1])]
+        idx = [self.where.get(b, -1) for b in _keys(v, v.shape[-1])]
         return np.array(idx, np.intp).reshape(v.shape[:-1])
 
     def grow(self, cap, others):
@@ -362,7 +366,6 @@ class Orbit:
             return
         gens = np.stack(self.gens)
         w, where = gens.shape[-1], self.where
-        key = np.dtype((np.void, 8 * w))
         images = gens.reshape(-1, w).T  # a row v times it lists gens[s] v for each s in turn
         # the first level meets the generators from known on, every later one all of them
         meets = {f: (images[:, f * w :], _top(images[:, f * w :])) for f in (known, 0)}
@@ -376,7 +379,7 @@ class Orbit:
                 stop = min(start + _BLOCK, bounds[-1])
                 img = _product(points[start:stop], level, top)
                 row, fresh = [], []
-                for j, b in enumerate(img.view(key).ravel().tolist()):
+                for j, b in enumerate(_keys(img, w)):
                     q = where.get(b)
                     if q is None:
                         if (len(where) + 1) * others > cap:
@@ -500,25 +503,35 @@ class GroupHandle:
 
     @property
     def table(self):
-        """The (order, k) int32 left Cayley table: the index of g_j x at [x, j]; built on first use."""
+        """The (order, k) int32 left Cayley table: the index of g_j x at [x, j]; built on first use.
+
+        It is the transpose of the (k, order) rows of ``_left_rows``, so each generator's column is
+        contiguous and no copy is made.  An index is below the order, so the order must not pass
+        2^31, the int32 index space; OverflowError before any row is built when it does.
+        """
         if self._table is None:
-            self._table = self._left_rows(self.generators, 0).T.astype(np.int32)
+            if self.order > 2**31:
+                raise OverflowError(f"a group of order {self.order} has indices past int32")
+            self._table = self._left_rows(self.generators, 0).T
         return self._table
 
     def _left_rows(self, z, level):
-        """rows[q, x]: the index in G_level of z[q] x, for elements z[q] and x of G_level.
+        """rows[q, x]: the int32 index in G_level of z[q] x, for elements z[q] and x of G_level.
 
         z U_i h = U_z(i) s h with s in G_(level+1): sifting z U_i gives z(i) and s at once.  The row
-        of z is i -> z(i) scaled by |G_(level+1)|, plus the level-down row of each distinct s.
+        of z is i -> z(i) scaled by |G_(level+1)|, plus the level-down row of each distinct s: one
+        int32 gather of those rows, to which the scaled z(i) are added in place.
         """
         if level == len(self.orbits):
-            return np.zeros((len(z), 1), np.int64)
+            return np.zeros((len(z), 1), np.int32)
         trans, below = self.orbits[level].trans, self.sizes[level + 1]
         zu = _product(z[:, None], trans[None]).reshape(-1, *trans.shape[1:])
         moved, s = np.divmod(self.index(zu, level).reshape(len(z), len(trans)), below)
         distinct, at = np.unique(s, return_inverse=True)
         rows = self._left_rows(self.matrices(distinct, level + 1), level + 1)
-        return (moved[:, :, None] * below + rows[at.reshape(s.shape)]).reshape(len(z), -1)
+        out = np.take(rows, at.reshape(s.shape), axis=0)
+        out += (moved * below).astype(np.int32)[:, :, None]
+        return out.reshape(len(z), -1)
 
 
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
@@ -639,13 +652,14 @@ def _power_sums(g, bound: int, top: int):
 
 
 def _conjugations(handle: GroupHandle):
-    """The conjugations x -> g x g^-1 by the generators g, as index arrays.
+    """The conjugations x -> g x g^-1 by the generators g, as int32 index arrays.
 
     Element i |G_1| + j is T[i] h_j, T the first orbit's transversal and h_j in G_1.  For i > 0,
     T[i] = g_a T[p], a and p the letter and parent of point i in the orbit's Schreier tree (whose
     generators must be the handle's), so x = g_a y, y = p |G_1| + j, and x g^-1 = g_a (y g^-1) is
     the left table's entry [y g^-1, a].  Row by row of |G_1|, x g^-1 fills in one tree depth at a
     time from the root row h_j g^-1, located by sifting.  Conjugation is g's column read there.
+    Every root row is sifted before the first map is held, and x g^-1 and the maps are int32.
     """
     if not handle.orbits:
         return []  # the trivial group
@@ -657,9 +671,10 @@ def _conjugations(handle: GroupHandle):
         depth.append(depth[p] + 1)
     layers = [np.flatnonzero(np.equal(depth, d)) for d in range(1, max(depth) + 1)]
     H, table, maps = handle.matrices(np.arange(handle.sizes[1])), handle.table, []
-    for inv, col in zip(o.invs, table.T):
-        right = np.empty((len(parent), len(H)), np.intp)
-        right[0] = handle.index(_product(H, inv))
+    roots = [handle.index(_product(H, inv)) for inv in o.invs]
+    for root, col in zip(roots, table.T):
+        right = np.empty((len(parent), len(H)), np.int32)
+        right[0] = root
         for x in layers:
             right[x] = table[right[parent[x]], letter[x, None]]
         maps.append(col[right.ravel()])
@@ -667,18 +682,19 @@ def _conjugations(handle: GroupHandle):
 
 
 def _class_labels(handle: GroupHandle):
-    """Each element's class label, the least index in its orbit under the generators' conjugations."""
+    """Each element's int32 class label, the least index in its orbit under the generators' conjugations."""
     maps = _conjugations(handle)
-    # min-label propagation with pointer jumping; each label stays in its orbit
-    labels = np.arange(handle.order)
+    # min-label propagation with pointer jumping, in place; each label stays in its orbit and only
+    # falls, so a pass that leaves the sum of the labels as it was leaves every label as it was
+    labels, last = np.arange(handle.order, dtype=np.int32), -1
     while True:
-        new = labels
         for image in maps:
-            new = np.minimum(new, new[image])
-        new = new[new]
-        if np.array_equal(new, labels):
+            np.minimum(labels, labels[image], out=labels)
+        labels = labels[labels]
+        total = int(labels.sum())
+        if total == last:
             return labels
-        labels = new
+        last = total
 
 
 def _mirror_rows(handle: GroupHandle, labels):

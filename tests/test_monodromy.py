@@ -598,7 +598,82 @@ def test_conjugacy_classes_of_r4_stay_small(closures):
     finally:
         tracemalloc.stop()
     assert len(reps) == 102 and sizes.sum() == h.order
-    assert peak < 10 * 2**20
+    assert peak < 4 * 2**20
+
+
+def traced_peak(f):
+    """f() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_r4_table_is_built_in_int32_without_a_copy(closures):
+    # the kept table is 155520 x 4 int32, 2.37 MiB; no int64 rows and no transposed copy on top
+    h = closures(4)
+    table, peak = traced_peak(lambda: mono.GroupHandle(h.ambient, h.orbits, h.generators).table)
+    assert np.array_equal(table, h.table)
+    assert peak < 3.5 * 2**20
+
+
+def test_r4_free_action_check_from_a_fresh_handle_stays_small(closures):
+    # the table, then the four int32 conjugation maps and the labels
+    h = closures(4)
+    free, peak = traced_peak(lambda: mono.free_action_check(mono.GroupHandle(h.ambient, h.orbits, h.generators)))
+    assert free is True
+    assert peak < 7 * 2**20
+
+
+def test_table_refuses_an_order_past_the_int32_index_space(closures):
+    # an index is below the order, so past 2^31 one would wrap in int32; the refusal comes first
+    h = closures(2)
+    by_hand = mono.GroupHandle(h.ambient, h.orbits, h.generators)
+    by_hand.sizes[0] = by_hand.order = 2**31 + 1
+
+    def build():
+        with pytest.raises(OverflowError, match="order 2147483649 "):
+            by_hand.table
+
+    _, peak = traced_peak(build)
+    assert peak < 2**16 and by_hand._table is None
+
+
+def reference_conjugations(h):
+    """x -> g x g^-1 for each generator g, as int64 indices located by sifting the products, a block at a time."""
+    maps = np.empty((len(h.generators), h.order), np.int64)
+    for start in range(0, h.order, 4096):
+        z = h.matrices(np.arange(start, min(start + 4096, h.order)))
+        for image, g in zip(maps, h.generators):
+            image[start : start + len(z)] = h.index(g @ z @ mono._inverse(g))
+    return maps
+
+
+def reference_labels(maps, order):
+    """The least int64 index in each element's orbit under the maps, by Jacobi min-label propagation."""
+    labels = np.arange(order)
+    while True:
+        new = labels
+        for image in maps:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+@pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
+def test_conjugations_and_labels_are_int32_and_match_an_int64_reference(closures, group):
+    h = closures(group) if isinstance(group, int) else mono.group_closure(chain_subset(*group[:2]))
+    maps, expected = mono._conjugations(h), reference_conjugations(h)
+    assert len(maps) == len(expected)
+    for image, ref in zip(maps, expected):
+        assert image.dtype == np.int32 and np.array_equal(image, ref)
+    labels = mono._class_labels(h)
+    assert labels.dtype == np.int32 and np.array_equal(labels, reference_labels(expected, h.order))
 
 
 def test_handle_made_by_hand_gets_the_closure_table(closures):
