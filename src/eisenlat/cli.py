@@ -237,13 +237,13 @@ def cmd_monodromy(args):
             raise InputError(f"unknown report {unknown[0]!r}; choose from {', '.join(CLOSURE_REPORTS)}")
         try:
             handle = mono.group_closure(gens, cap=cap)
+            refl = mono.reflections_in(handle) if "reflections" in reports else None
             ok = mono.free_action_check(handle) if "free-action" in reports else None
         except (mono.CapExceeded, OverflowError) as exc:
             raise InputError(f"no closure of {args.lattice}: {exc}") from None
         payload = {"order": handle.order}
         lines = [f"order: {handle.order}"]
-        if "reflections" in reports:
-            refl = mono.reflections_in(handle)
+        if refl is not None:
             payload["reflections"] = len(refl)
             payload["reflection_units"] = sorted({str(u) for _, u in refl})
             lines.append(f"reflections: {len(refl)}")

@@ -562,18 +562,34 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
 def reflections_in(handle: GroupHandle):
     """All complex reflections in the group: (root, rotation unit) pairs, by ascending element index.
 
-    The traces of all elements come from one integer product; only the elements with a reflection's
-    trace are formed for ``_reflections``.  The root spans M - I's image, the unit is M's eigenvalue.
+    Element i |G_1| + j is T[i] h_j, T the first transversal and h_j in its stabilizer G_1.  The pairs
+    are walked in blocks of at most _BLOCK elements, the h_j formed one block of at most _BLOCK at a
+    time.  A block takes the a-parts of its traces a + b w from one product, and the b-parts only
+    where a is n - 2, n - 1 or n, for each unit zeta != 1 has its a in {-1, 0, 1}.  Only the elements
+    whose trace is n - 1 + zeta are formed, and ``_reflections`` certifies them.
     """
     n = handle.ambient.n
-    # element i |H| + j is T[i] H[j], T the first transversal and H the elements of its stabilizer
     T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
-    H = handle.matrices(np.arange(handle.order // len(T)))
-    # the trace a + b w sums the diagonal 2 x 2 blocks: a from the even rows of T H, b from the odd ones
-    cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1).T
-    traces = (_product(T[:, r::2].reshape(len(T), -1), cols).ravel() for r in (0, 1))
-    z = handle.matrices(np.flatnonzero(_reflection_trace(*traces, n)))  # the traces are freed first
-    return [_reflection_data(linalg.unpack(m)) for m in z[_reflections(z)]]
+    size = handle.order // len(T)
+    # the trace sums the diagonal 2 x 2 blocks: a from the even rows of T[i] h_j, b from the odd ones
+    even, odd = (T[:, r::2].reshape(len(T), -1) for r in (0, 1))
+    found = []
+    for lo in range(0, size, _BLOCK):
+        H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
+        cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1)  # row j: the even columns of h_j
+        top, step = _top(cols), _BLOCK // len(H)
+        for start in range(0, len(T), step):
+            a = _product(even[start : start + step], cols.T, top)
+            i, j = np.nonzero((a >= n - 2) & (a <= n))
+            if not len(i):
+                continue
+            a, i = a[i, j], i + start
+            b = _product(odd[i, None], cols[j, :, None], top).ravel()
+            hit = _reflection_trace(a, b, n)
+            i, j = i[hit], j[hit]
+            at = _reflections(_product(T[i], H[j]))
+            found += (i[at] * size + lo + j[at]).tolist()
+    return [_reflection_data(linalg.unpack(m)) for m in handle.matrices(sorted(found))]
 
 
 def _reflection_trace(tr_a, tr_b, n):
@@ -600,15 +616,15 @@ def _reflections(z):
 
 
 def _reflection_data(m):
-    """The root line and rotation unit of a reflection matrix m over E.
+    """The root line and rotation unit of a reflection matrix m over E, one that ``_reflections`` certified.
 
-    The root is a primitive generator of the image of K = m - I, the unit m's eigenvalue on it.
+    The root is a primitive generator of the image of K = m - I.  m is zeta on that line and 1 on
+    the mirror, so the unit zeta is read off the trace: tr m - (n - 1).
     """
     n = len(m)
     K = [[m[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
     root = _primitive_vector(next(c for c in zip(*K) if any(c)))
-    mr = mat_vec(m, root)
-    return root, next(u for u in UNITS if mr == tuple(u * x for x in root))
+    return root, sum((m[i][i] for i in range(n)), ZERO) - (n - 1)
 
 
 def _primitive_vector(v):

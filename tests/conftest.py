@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from eisenlat import monodromy as mono
@@ -14,3 +16,14 @@ def closures():
         return cache[n]
 
     return get
+
+
+def traced_peak(f):
+    """f() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = f()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

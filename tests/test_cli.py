@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import traced_peak
 from eisenlat import cli
+from eisenlat import monodromy as mono
 from eisenlat.hermitian import chain, lambda_
 
 
@@ -202,6 +204,25 @@ def test_monodromy_closure(capsys):
     assert data["order"] == 24
     assert data["reflections"] == 8
     assert data["free_action"] is True
+
+
+def test_closure_reflections_overflow_is_an_input_error(monkeypatch, capsys):
+    def overflow(handle):
+        raise OverflowError("entries could overflow int64")
+
+    monkeypatch.setattr(mono, "reflections_in", overflow)
+    code, out, err = run_main(["monodromy", "closure", "--lattice", "chain:2", "--report", "reflections"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: no closure of chain:2: entries could overflow int64\n"
+
+
+def test_r4_closure_with_reflections_stays_small(capsys):
+    # the closure of R4 and a block-by-block reflection search; all 155520 traces at once peaked at 5.36 MiB
+    argv = ["monodromy", "closure", "--lattice", "chain:4", "--report", "order,reflections", "--json"]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and (data["order"], data["reflections"]) == (155520, 80)
+    assert peak < 3.5 * 2**20
 
 
 def test_f3_norm_enum(capsys):

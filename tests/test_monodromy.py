@@ -25,6 +25,7 @@ from eisenlat import gluing
 from eisenlat import monodromy as mono
 from eisenlat.gluing import sp_generating_roots
 from eisenlat.linalg import mat_vec, pack, unpack
+from conftest import traced_peak
 from test_linalg import det, kernel
 
 NODAL_ROOT = tuple([E(0)] * 9 + [E(1), OMEGA])
@@ -553,13 +554,19 @@ def is_e_multiple(u, v):
     return not r and all(x == q * y for x, y in zip(u, v))
 
 
-@pytest.mark.parametrize(
-    "group", [1, 2, 3, 4, *(d for d, _ in SMALL_GROUPS)], ids=["R1", "R2", "R3", "R4", "small0", "small1", "small2", "small3"]
-)
+def group_handle(closures, group):
+    return closures(group) if isinstance(group, int) else mono.group_closure(diagonal_gens(diag([3, 3, 3]), *group))
+
+
+GROUPS = [1, 2, 3, 4, *(d for d, _ in SMALL_GROUPS)]
+GROUP_IDS = ["R1", "R2", "R3", "R4", "small0", "small1", "small2", "small3"]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_mirror_rows_are_e_multiples_of_the_roots_of_reflections_in(closures, group):
     # row i belongs to reflection i of reflections_in (both by ascending element index), so every row is
     # a nonzero E-multiple of a root's row (<e_j, r>)_j = G rbar and every root is hit
-    h = closures(group) if isinstance(group, int) else mono.group_closure(diagonal_gens(diag([3, 3, 3]), *group))
+    h = group_handle(closures, group)
     G, n = h.ambient, h.ambient.n
     roots = [mat_vec(G.g, [y.conj() for y in r]) for r, _ in mono.reflections_in(h)]
     rows = mono._mirror_rows(h, mono._class_labels(h))
@@ -567,6 +574,33 @@ def test_mirror_rows_are_e_multiples_of_the_roots_of_reflections_in(closures, gr
     for row, root in zip(rows, roots):
         u = [EisensteinInt(int(row[2 * j]), -int(row[2 * j + 1])) for j in range(n)]  # (a, -b) is a + b w
         assert any(u) and is_e_multiple(u, root)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+def test_reflections_in_come_by_strictly_ascending_element_index(closures, group):
+    # _mirror_rows pairs its rows with reflections_in by this order
+    h = group_handle(closures, group)
+    refl = [mono.reflection(h.ambient, root, unit) for root, unit in mono.reflections_in(h)]
+    idx = h.index(np.array([pack(r.m) for r in refl], np.int64).reshape(-1, 2 * h.ambient.n, 2 * h.ambient.n))
+    assert (np.diff(idx) > 0).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 647, 649])
+def test_reflections_in_is_the_same_in_any_block_size(closures, block, monkeypatch):
+    # |G_1| is 648 for R4: blocks below it split the stabilizer's matrices into column blocks
+    handles = [group_handle(closures, group) for group in GROUPS]
+    expected = [mono.reflections_in(h) for h in handles]
+    monkeypatch.setattr(mono, "_BLOCK", block)
+    assert [mono.reflections_in(h) for h in handles] == expected
+
+
+def test_r4_reflections_in_stays_small(closures):
+    # one block of a-parts at a time, and only the candidates' b-parts and matrices; all 155520 traces at once
+    # peaked at 4.48 MiB
+    h = closures(4)
+    refl, peak = traced_peak(lambda: mono.reflections_in(h))
+    assert len(refl) == 80
+    assert peak < 1.5 * 2**20
 
 
 def test_conjugations_refuse_generators_out_of_the_tree_order(closures):
@@ -599,17 +633,6 @@ def test_conjugacy_classes_of_r4_stay_small(closures):
         tracemalloc.stop()
     assert len(reps) == 102 and sizes.sum() == h.order
     assert peak < 4 * 2**20
-
-
-def traced_peak(f):
-    """f() and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        out = f()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def test_r4_table_is_built_in_int32_without_a_copy(closures):
