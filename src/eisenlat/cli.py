@@ -194,7 +194,6 @@ def cmd_lattice(args):
             raise InputError(f"no Z-realization of {args.name}: {exc}") from None
         _emit(args, Z.to_json(), [str(Z)])
         return EXIT_OK
-    raise InputError(f"unknown lattice action {args.action!r}")
 
 
 def cmd_monodromy(args):
@@ -252,7 +251,6 @@ def cmd_monodromy(args):
             lines.append(f"free action: {ok}")
         _emit(args, payload, lines)
         return EXIT_OK
-    raise InputError(f"unknown monodromy action {args.action!r}")
 
 
 def cmd_f3(args):
@@ -312,7 +310,6 @@ def cmd_f3(args):
             print(f"expected {args.expect}, got {size}", file=sys.stderr)
             return EXIT_CHECK_FAILURE
         return EXIT_OK
-    raise InputError(f"unknown f3 action {args.action!r}")
 
 
 def _diag_space(entries):
@@ -354,7 +351,6 @@ def cmd_disc(args):
         lines.append(f"all nonzero: {ok}")
         _emit(args, payload, lines)
         return EXIT_OK if ok else EXIT_CHECK_FAILURE
-    raise InputError(f"unknown disc action {args.action!r}")
 
 
 def cmd_hodge(args):

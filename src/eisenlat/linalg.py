@@ -7,11 +7,11 @@ as a congruence of a Hermitian form over Z[w], on int pairs, updating only
 the upper half of the still live block; a symmetric integer form is the
 Hermitian form whose entries are all rational.
 E-matrices are solved through ``pack``, the ring map a + b w ->
-[[a, -b], [b, a - b]] into integer 2 x 2 blocks, and read back by
-``unpack``, the one reader of that packing: ``adjugate_e`` is ``adjugate``
-of the packing, and the int64 group elements of ``monodromy`` are packings
-too.  A rational vector travels as a pair (d, x) of a positive int d and an
-integer vector x, meaning x / d.
+[[a, -b], [b, a - b]] into integer 2 x 2 blocks, and read back whole by
+``unpack``: ``adjugate_e`` is ``adjugate`` of the packing.  ``monodromy``'s
+int64 group elements are packings too; it reads their traces, roots and
+mirrors off the blocks' first columns and rows.  A rational vector travels
+as a pair (d, x) of a positive int d and an integer vector x, meaning x / d.
 ``f3_rref`` is Gauss-Jordan elimination on integer rows modulo 3.
 """
 

@@ -30,12 +30,15 @@ from .hermitian import (
     basis_vector,
     chain,
     det_e,
+    gram,
     is_isometry,
     mat_mul,
     norm_of,
+    signature,
     vector,
 )
 from . import linalg
+from .hnf import hnf_columns_e
 from .linalg import mat_vec
 
 INFINITE = "Infinite"
@@ -266,6 +269,10 @@ def braid_check(A: GroupElt, B: GroupElt) -> str:
 
 class CapExceeded(Exception):
     pass
+
+
+class InfiniteGroup(CapExceeded):
+    """Reflection generators of an infinite group, refused before any orbit grows."""
 
 
 DEFAULT_CLOSURE_CAP = 2_000_000
@@ -537,7 +544,8 @@ class GroupHandle:
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     """The generated group as a certified stabilizer chain; CapExceeded past cap elements.
 
-    Deterministic Schreier-Sims over the base e_0..e_(n-1): the order is the product of the orbit
+    Reflections that generate an infinite group raise InfiniteGroup before any orbit grows.  Otherwise
+    deterministic Schreier-Sims over the base e_0..e_(n-1): the order is the product of the orbit
     sizes once every Schreier generator sifts, and the cap is checked against that product as the
     orbits grow, before any per-element array exists.  A generator starts at every level whose
     earlier base vectors it fixes.  Raises OverflowError before a product could leave int64.
@@ -549,6 +557,7 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     if any(g.ambient != G for g in gens):
         raise ValueError("generators have different ambients")
     gen_z = np.stack([np.array(linalg.pack(g.m), np.int64) for g in gens])
+    _refuse_infinite(G, gen_z)
     levels = [Orbit(G.n, b) for b in range(G.n)]
     for z in gen_z:
         for level in levels:
@@ -559,6 +568,22 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     return GroupHandle(G, [lv for lv in levels if len(lv.points) > 1], gen_z)
 
 
+def _refuse_infinite(G: HermGram, gen_z):
+    """InfiniteGroup when the packings gen_z, isometries of G, are reflections in roots of nonzero norm that generate
+    an infinite group: the form is indefinite or degenerate on the span of some component of the roots, linked
+    where they have a nonzero inner product (Shephard and Todd 1954).  Generators of any other kind pass."""
+    roots = [[EisensteinInt(a, b) for a, b in c] for c in _root_and_mirror(gen_z)[0].tolist()]
+    h, k = gram(G, roots), len(roots)
+    if len(_reflections(gen_z)) < k or not all(h[i][i] for i in range(k)):
+        return
+    link = np.array([[bool(x) for x in row] for row in h])  # with its diagonal, so link^k joins each component
+    for idx in sorted({tuple(np.flatnonzero(row).tolist()) for row in np.linalg.matrix_power(link, k)}):
+        pos, _, neg = signature(HermGram([[h[i][j] for j in idx] for i in idx]))
+        if (pos and neg) or pos + neg < len(hnf_columns_e([roots[i] for i in idx])):
+            kind = "indefinite" if pos and neg else "degenerate"
+            raise InfiniteGroup(f"infinite reflection group: the form is {kind} on the roots of generators {idx}")
+
+
 def reflections_in(handle: GroupHandle):
     """All complex reflections in the group: (root, rotation unit) pairs, by ascending element index.
 
@@ -566,7 +591,8 @@ def reflections_in(handle: GroupHandle):
     are walked in blocks of at most _BLOCK elements, the h_j formed one block of at most _BLOCK at a
     time.  A block takes the a-parts of its traces a + b w from one product, and the b-parts only
     where a is n - 2, n - 1 or n, for each unit zeta != 1 has its a in {-1, 0, 1}.  Only the elements
-    whose trace is n - 1 + zeta are formed, and ``_reflections`` certifies them.
+    whose trace is n - 1 + zeta are formed, and ``_reflections`` certifies them; the root is the primitive
+    multiple of ``_root_and_mirror``'s column, and the unit is the trace's zeta.
     """
     n = handle.ambient.n
     T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
@@ -589,7 +615,10 @@ def reflections_in(handle: GroupHandle):
             i, j = i[hit], j[hit]
             at = _reflections(_product(T[i], H[j]))
             found += (i[at] * size + lo + j[at]).tolist()
-    return [_reflection_data(linalg.unpack(m)) for m in handle.matrices(sorted(found))]
+    z = handle.matrices(sorted(found))
+    tr_a, tr_b = (np.einsum("kii->k", z[:, r::2, ::2]).tolist() for r in (0, 1))  # tr M = n - 1 + zeta
+    roots = [_primitive_vector([EisensteinInt(a, b) for a, b in c]) for c in _root_and_mirror(z)[0].tolist()]
+    return [(r, EisensteinInt(a - n + 1, b)) for r, a, b in zip(roots, tr_a, tr_b)]
 
 
 def _reflection_trace(tr_a, tr_b, n):
@@ -615,16 +644,13 @@ def _reflections(z):
     return at[(_product(K, K) == _product(scalar, K)).all(axis=(1, 2))]
 
 
-def _reflection_data(m):
-    """The root line and rotation unit of a reflection matrix m over E, one that ``_reflections`` certified.
-
-    The root is a primitive generator of the image of K = m - I.  m is zeta on that line and 1 on
-    the mirror, so the unit zeta is read off the trace: tr m - (n - 1).
-    """
-    n = len(m)
-    K = [[m[i][j] - (ONE if i == j else ZERO) for j in range(n)] for i in range(n)]
-    root = _primitive_vector(next(c for c in zip(*K) if any(c)))
-    return root, sum((m[i][i] for i in range(n)), ZERO) - (n - 1)
+def _root_and_mirror(z):
+    """For packings z of reflections M that ``_reflections`` certified, and K = M - I: the first nonzero E-column
+    of K as (a, b) pairs, which spans M's root line im K, and the first packed row (a, -b, ...) of K's first
+    nonzero E-row, which vanishes exactly on M's mirror ker K, for K has rank one."""
+    K, at, n = z - np.eye(z.shape[-1], dtype=np.int64), np.arange(len(z)), z.shape[-1] // 2
+    col = K[at, :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)]
+    return col.reshape(len(z), n, 2), K[at, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
 
 
 def _primitive_vector(v):
@@ -714,21 +740,13 @@ def _class_labels(handle: GroupHandle):
 
 
 def _mirror_rows(handle: GroupHandle, labels):
-    """One int64 row per reflection M of the group: the first packed row of (<e_i, c>)_i = G cbar, c the
-    first nonzero E-column of K = M - I.  c spans K's image, M's root line, so it is an E-multiple of
-    ``reflections_in``'s root for M.
-
-    Trace and rank are class invariants, so the reflections are the members of the classes whose
-    representative (label = index) is one.
-    """
-    reps, n = np.flatnonzero(labels == np.arange(len(labels))), handle.ambient.n
+    """One int64 row per reflection of the group, by ascending element index: ``_root_and_mirror``'s row,
+    which cuts out its mirror.  Trace and rank are class invariants, so the reflections are the members of
+    the classes whose representative (label = index) is one."""
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
     blocks = np.split(reps, range(_BLOCK, len(reps), _BLOCK))
     refl = np.concatenate([b[_reflections(handle.matrices(b))] for b in blocks])
-    K = handle.matrices(np.flatnonzero(np.isin(labels, refl))) - np.eye(2 * n, dtype=np.int64)
-    c = K[np.arange(len(K)), :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)]  # entries a + b w as (a, b)
-    a, b = c[:, ::2], c[:, 1::2]
-    cbar = np.stack([a - b, -b], axis=2).reshape(len(c), 2 * n)
-    return _product(cbar, np.array(linalg.pack(handle.ambient.g), np.int64).T) * np.tile([1, -1], n)
+    return _root_and_mirror(handle.matrices(np.flatnonzero(np.isin(labels, refl))))[1]
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -737,7 +755,7 @@ def free_action_check(handle: GroupHandle) -> bool:
 
     The fixed space of g is the column span of P_g = I + g + ... + g^(k-1),
     k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
-    lies in the mirror of r iff the row (<e_i, r>)_i times P_g vanishes.
+    lies in the mirror of a reflection M iff a nonzero row of M - I times P_g vanishes.
     The zero fixed space (P_g = 0) is vacuously contained.  Conjugation moves
     fixed spaces and mirrors together, so one element per class is tested,
     and only those elements' matrices are formed; the mirrors come from them too.
@@ -745,7 +763,7 @@ def free_action_check(handle: GroupHandle) -> bool:
     n = handle.ambient.n
     top = _entry_bound(handle)
     labels = _class_labels(handle)
-    # a packed row vanishes on P_g iff its E-row does, a nonzero E-multiple of the root's row
+    # a packed row vanishes on P_g iff its E-row does, so each row tests one mirror
     rows = _mirror_rows(handle, labels)
     # _power_sums keeps each power within top; P_g sums at most |group| powers, rows @ P_g 2n terms
     row_top = int(np.abs(rows).max(initial=0))

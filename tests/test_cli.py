@@ -379,7 +379,7 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0"], {}, 2, "--cap"),
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0", "--projective"], {}, 2, "--cap"),
         (["disc", "a11-coeff", "--monomial", "u12^-1"], {}, 3, "negative exponent"),
-        (["monodromy", "closure", "--lattice", "chain:5", "--report", "order"], {"EISENLAT_CLOSURE_CAP": "1000"}, 3, "cap 1000"),
+        (["monodromy", "closure", "--lattice", "chain:4", "--report", "order"], {"EISENLAT_CLOSURE_CAP": "1000"}, 3, "cap 1000"),
         (["hodge", "report", "--weights", "0,1", "--degree", "3"], {}, 3, "weights must be positive"),
         (["hodge", "report", "--weights", "1,1,1", "--degree", "0"], {}, 3, "degree must be >= 1"),
         (["hodge", "report", "--weights", "1,1,1", "--degree", "-3"], {}, 3, "degree must be >= 1"),
@@ -507,13 +507,28 @@ def run_child_peak(argv, env):
 
 
 def test_closure_cap_bounds_the_memory_of_an_infinite_group():
-    # chain(5)'s triflections generate an infinite group; at the default cap the closure must stop on
-    # its orbit sizes, long before millions of elements exist
+    # chain(5)'s triflections generate an infinite group; at the default cap the closure must stop
+    # long before millions of elements exist, and it stops before any orbit grows: chain(5) is degenerate
     env = {k: v for k, v in os.environ.items() if k != "EISENLAT_CLOSURE_CAP"}
     code, lines, peak_kib = run_child_peak(["monodromy", "closure", "--lattice", "chain:5", "--json"], env)
     assert code == 3
-    assert lines == ["error: no closure of chain:5: closure exceeded cap 2000000"]
+    assert lines == [
+        "error: no closure of chain:5: infinite reflection group: the form is degenerate on the roots of generators "
+        "(0, 1, 2, 3, 4)"
+    ]
     assert peak_kib < 200 * 1024
+
+
+def test_closure_refuses_a_degenerate_two_by_two_gram_before_any_orbit_grows(tmp_path):
+    # a closure would take 1.7 s and 561 MB to reach the default cap; the reflection criterion refuses it first
+    env = {k: v for k, v in os.environ.items() if k != "EISENLAT_CLOSURE_CAP"}
+    path = gram_file(tmp_path, [[[3, 0], [3, 0]], [[3, 0], [3, 0]]])
+    code, lines, peak_kib = run_child_peak(["monodromy", "closure", "--lattice", path], env)
+    assert code == 3
+    assert lines == [
+        f"error: no closure of {path}: infinite reflection group: the form is degenerate on the roots of generators (0, 1)"
+    ]
+    assert peak_kib < 100 * 1024
 
 
 def test_norm_enum_json_holds_one_block_of_rows_at_a_time():

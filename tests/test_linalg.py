@@ -305,10 +305,12 @@ def test_only_zlattice_and_hermitian_import_the_elimination():
 
 def test_packing_and_gram_are_written_once():
     """Only linalg defines a function named like ``pack``, only hermitian
-    defines ``gram``, and no module calls ``np.kron``, so a second copy of
-    the packing, its inverse or the Gram of a list of vectors shows here."""
+    defines ``gram``, no module calls ``np.kron``, and no module packs an
+    attribute named ``g`` (a Gram), so a second copy of the packing, its
+    inverse or the Gram of a list of vectors, or a packed Hermitian form
+    beside the packed group elements, shows here."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
-    packers, grams, krons = set(), set(), []
+    packers, grams, krons, packed_grams = set(), set(), [], []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef) and "pack" in node.name:
@@ -317,9 +319,13 @@ def test_packing_and_gram_are_written_once():
                 grams.add(path.stem)
             elif isinstance(node, ast.Attribute) and node.attr == "kron":
                 krons.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pack":
+                if any(isinstance(arg, ast.Attribute) and arg.attr == "g" for arg in node.args):
+                    packed_grams.append(f"{path.name}:{node.lineno}")
     assert packers == {"linalg"}
     assert grams == {"hermitian"}
     assert krons == []
+    assert packed_grams == []
 
 
 def test_reductions_mod_theta_live_in_gluing():

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eisenlat.eisenstein import E, ONE, OMEGA, OMEGA_BAR, THETA, UNITS, EisensteinInt, QOmega
 from eisenlat.hermitian import (
@@ -447,9 +450,18 @@ def test_free_action_small_groups_against_reference(diagonals, free):
     assert mono.free_action_check(h) is free
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_reflections_and_free_action_match_reference(closures, n):
-    h, z = closures(n), reference_closure(mono.chain_triflections(n))
+@pytest.mark.parametrize(
+    "gens",
+    [
+        *(mono.chain_triflections(n) for n in (1, 2, 3)),
+        [mono.identity(chain(2))],
+        # order 18: a hexaflection's unit -wbar is read off the trace like a triflection's
+        [mono.hexaflection(diag([3, 3]), basis_vector(2, 0)), mono.triflection(diag([3, 3]), basis_vector(2, 1))],
+    ],
+    ids=["1", "2", "3", "trivial", "hexaflection"],
+)
+def test_reflections_and_free_action_match_reference(gens):
+    h, z = mono.group_closure(gens), reference_closure(gens)
     assert_same_reflections(h, z)
     assert mono.free_action_check(h) is reference_free_action(h.ambient, z) is True
     assert reference_projector_free_action(h, z) is True
@@ -547,13 +559,6 @@ def test_chain_subsets_first_orbit_and_conjugations(n, letters, base):
         assert np.array_equal(h.matrices(image), g @ z @ mono._inverse(g))
 
 
-def is_e_multiple(u, v):
-    """u = lam v for some lam in E, v nonzero."""
-    k = next(i for i, x in enumerate(v) if x)
-    q, r = u[k].divmod(v[k])
-    return not r and all(x == q * y for x, y in zip(u, v))
-
-
 def group_handle(closures, group):
     return closures(group) if isinstance(group, int) else mono.group_closure(diagonal_gens(diag([3, 3, 3]), *group))
 
@@ -563,17 +568,24 @@ GROUP_IDS = ["R1", "R2", "R3", "R4", "small0", "small1", "small2", "small3"]
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
-def test_mirror_rows_are_e_multiples_of_the_roots_of_reflections_in(closures, group):
-    # row i belongs to reflection i of reflections_in (both by ascending element index), so every row is
-    # a nonzero E-multiple of a root's row (<e_j, r>)_j = G rbar and every root is hit
+def test_mirror_rows_cut_out_the_mirrors_of_reflections_in(closures, group):
+    # row i belongs to reflection M_i of reflections_in (both by ascending element index): it is nonzero, a
+    # Q(w)-multiple of the root's row (<e_j, r_i>)_j = G rbar, and zero on ker(M_i - I).  A row of M - I need
+    # not be an E-multiple of the root's row: on small2 it is (0, w - 1, 0) against (0, 3, 0)
     h = group_handle(closures, group)
     G, n = h.ambient, h.ambient.n
-    roots = [mat_vec(G.g, [y.conj() for y in r]) for r, _ in mono.reflections_in(h)]
+    refl = mono.reflections_in(h)
     rows = mono._mirror_rows(h, mono._class_labels(h))
-    assert rows.shape == (len(roots), 2 * n)
-    for row, root in zip(rows, roots):
+    assert rows.shape == (len(refl), 2 * n)
+    for row, (root, unit) in zip(rows, refl):
         u = [EisensteinInt(int(row[2 * j]), -int(row[2 * j + 1])) for j in range(n)]  # (a, -b) is a + b w
-        assert any(u) and is_e_multiple(u, root)
+        v = mat_vec(G.g, [y.conj() for y in root])
+        assert any(u)
+        assert all(u[j] * v[k] == u[k] * v[j] for j, k in itertools.combinations(range(n), 2))
+        m = mono.reflection(G, root, unit).m
+        mirror = kernel([[QOmega.from_e(m[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)])
+        assert len(mirror) == n - 1
+        assert not any(sum((x * QOmega.from_e(y) for x, y in zip(w, u)), QOmega(0)) for w in mirror)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
@@ -878,6 +890,65 @@ def test_closure_cap_trips_before_the_elements_exist():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_closure_refuses_an_infinite_reflection_group_before_any_orbit_grows(monkeypatch):
+    t = THETA
+    monkeypatch.setattr(mono, "Orbit", None)  # a closure that got as far as its orbits would fail on this
+    cases = [
+        (chain(5), "degenerate on the roots of generators (0, 1, 2, 3, 4)"),  # signature (4, 1, 0)
+        (HermGram([[3, t], [t.conj(), -3]]), "indefinite on the roots of generators (0, 1)"),
+        (direct_sum(chain(2), HermGram([[3, 3], [3, 3]])), "degenerate on the roots of generators (2, 3)"),
+    ]
+    for G, message in cases:
+        with pytest.raises(mono.InfiniteGroup, match=re.escape(message)):
+            mono.group_closure([mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)])
+    assert issubclass(mono.InfiniteGroup, mono.CapExceeded)  # so the CLI's CapExceeded handler exits 3 on it
+
+
+def test_a_reflection_in_a_radical_root_is_closed_without_the_criterion():
+    # diag(1, w) fixes diag(3, 0) and is a reflection in e_1, whose norm is 0: the criterion does not apply
+    h = mono.group_closure([mono.GroupElt(((ONE, E(0)), (E(0), OMEGA)), diag([3, 0]))])
+    assert h.order == 3
+
+
+OFF_DIAGONAL = [E(0), E(3), E(-3), 3 * OMEGA, E(3) + 3 * OMEGA, *(u * THETA for u in UNITS[:5])]
+
+
+@st.composite
+def reflection_grams(draw):
+    """Grams of rank 2-4 with diagonal +-3 and entries in theta E, so each basis vector has a triflection."""
+    n = draw(st.integers(2, 4))
+    g = [[E(0)] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = E(draw(st.sampled_from([3, -3])))
+        for j in range(i + 1, n):
+            g[i][j] = draw(st.sampled_from(OFF_DIAGONAL))
+            g[j][i] = g[i][j].conj()
+    return HermGram(g)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(reflection_grams())
+@example(chain(3))
+@example(HermGram([[-3, THETA], [THETA.conj(), -3]]))
+@example(HermGram([[3, 3], [3, 3]]))
+def test_infinite_reflection_groups_are_refused_exactly_when_the_closure_has_no_end(G):
+    # the closure with the criterion bypassed: a group it lets through closes under cap 200,000, and one it
+    # refuses passes cap 2,000
+    gens = [mono.triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
+    try:
+        mono._refuse_infinite(G, np.array([pack(g.m) for g in gens], np.int64))
+        finite = True
+    except mono.InfiniteGroup:
+        finite = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mono, "_refuse_infinite", lambda G, gen_z: None)
+        if finite:
+            assert mono.group_closure(gens, cap=200_000).order <= 200_000
+        else:
+            with pytest.raises(mono.CapExceeded, match="cap 2000$"):
+                mono.group_closure(gens, cap=2000)
 
 
 def test_closure_overflow_guard():
