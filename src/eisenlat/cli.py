@@ -4,7 +4,8 @@ Subcommands: lattice, monodromy, f3, disc, hodge, verify.  Every subcommand
 accepts --json for machine-readable output, written by the stock
 ``json.dumps(payload, indent=2, sort_keys=True)``; f3 norm-enum's rows, in
 either mode, are written block by block from one ASCII template.  Exit codes:
-0 success, 1 check failure, 2 usage error, 3 input-format error.
+0 success, 1 check failure, 2 usage error, 3 input-format error; an error of
+either kind, argparse's own included, is one stderr line "error: ...".
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ class InputError(Exception):
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors, so they print one error line like any other."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def parse_lattice(spec: str) -> HermGram:
@@ -364,12 +372,8 @@ def cmd_hodge(args):
     try:
         if args.mode == "monomial":
             H = residues.WeightedHypersurface.diagonal(weights, args.degree, char=char)
-        elif args.mode == "generic-ci":
-            H = residues.WeightedHypersurface(
-                weights, args.degree, residues.GENERIC_CI, char=char
-            )
         else:
-            raise InputError(f"unknown mode {args.mode!r}")
+            H = residues.WeightedHypersurface(weights, args.degree, residues.GENERIC_CI, char=char)
     except ValueError as exc:
         raise InputError(f"bad hypersurface: {exc}") from None
     top = H.grade(H.dim)
@@ -437,7 +441,7 @@ def cmd_verify(args):
 @functools.cache
 def build_parser():
     """The argparse tree, built once per process; parsing leaves it unchanged."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="eisenlat",
         description="Exact Eisenstein-lattice, monodromy, discriminant and residue computations",
     )
@@ -479,7 +483,7 @@ def build_parser():
     ph.add_argument("action", choices=["report"])
     ph.add_argument("--weights", required=True, help="comma list, e.g. 3,3,3,2,1")
     ph.add_argument("--degree", type=int, required=True)
-    ph.add_argument("--mode", default="monomial", help="monomial|generic-ci")
+    ph.add_argument("--mode", default="monomial", choices=["monomial", "generic-ci"])
     ph.add_argument("--char", help="comma list, e.g. 1,1,1,w,1")
     ph.add_argument("--json", action="store_true")
     ph.set_defaults(fn=cmd_hodge)
@@ -494,9 +498,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -226,10 +226,6 @@ class QOmega:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
-    @staticmethod
-    def from_e(x):
-        return QOmega(x.a, x.b)
-
     def __repr__(self):
         return f"QOmega({self.a},{self.b})"
 

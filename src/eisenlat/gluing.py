@@ -10,10 +10,10 @@ N inside theta N* along isotropic lines undo index-3 sublattice passages;
 the group generated by reduced triflections acts on the hyperplanes of
 L/theta L, whose count (3^10 - 1)/2 = 29524 for L of rank 10 is reproduced
 by orbit enumeration.  One Gaussian congruence mod 3 diagonalizes the F_3
-form and carries the inverse transpose of its change of basis for
-``coords``; each pair of -1 entries is then turned into +1, +1, so the
-diagonal is 1, ..., 1[, -1], 0, ..., 0 in every basis of N.  Grams of lifts
-and of new bases come from ``hermitian.gram``.
+form; each pair of -1 entries is then turned into +1, +1, so the diagonal
+is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
+for coordinates in that basis with ``f3_rref``.  Grams of lifts and of new
+bases come from ``hermitian.gram``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class F3QuadSpace:
         self.k = k
         self.form = form  # k x k tuple of ints mod 3
         self.lifts = lifts  # (d, [x_1..x_k]): the k lifts x_i / d in N-coordinates
-        self._solve = solve_data  # (rows, free, inv_t) for coords(): the kernel's rref rows and free columns, (change^T)^-1
+        self._solve = solve_data  # (rows, free, change) for coords(): the kernel's rref and free columns, the new basis
 
     def norm(self, v):
         s = 0
@@ -79,14 +79,16 @@ class F3QuadSpace:
     def coords(self, v):
         """F_3 coordinates of a vector (d, x) of theta N*, x / d in N's basis."""
         d, x = v
-        rows, free, inv_t = self._solve
+        rows, free, change = self._solve
         # x / d = theta z / 3 for z = conj(theta) x / d, which must be an E-vector reducing into the kernel
         qr = [(THETA.conj() * y).divmod(EisensteinInt(d)) for y in x]
         z = [reduce_mod_theta(c) for c, _ in qr]
         if any(r for _, r in qr) or any(sum(a * b for a, b in zip(row, z)) % 3 for row in rows):
             raise ValueError("vector is not in theta N*")
-        # raw coords are z at the free columns, w.r.t. the kernel basis; new = (change^T)^{-1} raw
-        return tuple(sum(a * z[f] for a, f in zip(row, free)) % 3 for row in inv_t)
+        # raw coords are z at the free columns, w.r.t. the kernel basis, and raw = change^T new
+        system = [[row[j] for row in change] + [z[f]] for j, f in enumerate(free)]
+        f3_rref(system)
+        return tuple(row[-1] for row in system)
 
     def lift(self, v):
         """A lift (d, x) to theta N*, x / d in N's basis, of the F_3 vector v."""
@@ -140,45 +142,40 @@ def disc_group(N: HermGram) -> F3QuadSpace:
         zs.append(z)
     # <theta z_i / 3, theta z_j / 3> = <z_i, z_j> / 3
     form = [[reduce_mod_theta(x.exact_div(EisensteinInt(3))) for x in row] for row in gram(N, zs)]
-    change, newform, inv_t = _f3_diagonalize(form)
+    change, newform = _f3_diagonalize(form)
     # canonicalize: -x^2 - y^2 = u^2 + v^2 with u = x + y, v = x - y, so each pair of -1s
     # becomes +1, +1 and the diagonal reads 1, ..., 1[, -1], 0, ..., fixed by rank and discriminant
     minus = [i for i in range(k) if newform[i][i] == 2]
     for p, q in zip(minus[::2], minus[1::2]):
         newform[p][p] = newform[q][q] = 1
-        c, t = list(zip(change[p], change[q])), list(zip(inv_t[p], inv_t[q]))
+        c = list(zip(change[p], change[q]))
         change[p], change[q] = [(x + y) % 3 for x, y in c], [(x - y) % 3 for x, y in c]
-        inv_t[p], inv_t[q] = [2 * (x + y) % 3 for x, y in t], [(2 * x + y) % 3 for x, y in t]
     lifts = [[THETA * x for x in z] for z in zs]
     return F3QuadSpace(
         N,
         k,
         tuple(tuple(r) for r in newform),
         (3, [_combine(change[i], lifts, n) for i in range(k)]),
-        (rows, free, inv_t),
+        (rows, free, change),
     )
 
 
 def _f3_diagonalize(form):
-    """Congruence diagonalization over F_3: (change, diagonal form, inverse of change^T).
+    """Congruence diagonalization over F_3: (change, diagonal form).
 
     Gaussian steps on [form | I] mod 3: each pivots on the first live p with
     a_pp != 0, its own inverse, and subtracts a_tp a_pp e_p from every live
     e_t; with a zero live diagonal, e_p += e_j first makes a_pp = 2 a_pj for
-    the first a_pj != 0 (p < j).  e_i += c e_j on the change is
-    row_j -= c row_i on its inverse transpose, which is carried along.  The
-    change rows are the new basis, sorted +1, -1 (=2), 0, each stably in the
-    elimination order.
+    the first a_pj != 0 (p < j).  The change rows are the new basis, sorted
+    +1, -1 (=2), 0, each stably in the elimination order.
     """
     k = len(form)
     a = [[x % 3 for x in row] + list(e) for row, e in zip(form, identity(k, 1))]
-    inv_t = [list(e) for e in identity(k, 1)]
 
     def add(i, j, c):
         a[i] = [(x + c * y) % 3 for x, y in zip(a[i], a[j])]
         for row in a:
             row[i] = (row[i] + c * row[j]) % 3
-        inv_t[j] = [(x - c * y) % 3 for x, y in zip(inv_t[j], inv_t[i])]
 
     live = list(range(k))
     order = []
@@ -198,7 +195,7 @@ def _f3_diagonalize(form):
     ranks = sorted(order + live, key=lambda i: (a[i][i] - 1) % 3)  # 1, 2, 0
     change = [a[i][k:] for i in ranks]
     newform = [[a[i][i] if i == j else 0 for j in ranks] for i in ranks]
-    return change, newform, [inv_t[i] for i in ranks]
+    return change, newform
 
 
 def _digit_rows(k):

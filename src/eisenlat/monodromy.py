@@ -319,15 +319,6 @@ def _inverse(z):
     return np.array([[x // d for x in row] for row in adj], np.int64)
 
 
-def _room(a, rows):
-    """a, or a copy of it with room for at least rows rows; the room doubles, so a row costs O(1) amortized."""
-    if rows <= len(a):
-        return a
-    out = np.empty((max(rows, 2 * len(a)), *a.shape[1:]), a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 def _keys(a, w):
     """The dict keys of the points in a, an int64 array of whole points of width w: their bytes, in order."""
     return np.ascontiguousarray(a).reshape(-1, w).view(np.dtype((np.void, 8 * w))).ravel().tolist()
@@ -337,24 +328,27 @@ class Orbit:
     """The orbit of e_base under one level's generators in a stabilizer chain, with its Schreier tree.
 
     Points are packed vectors, compared exactly through their bytes in ``where``.  Point p is
-    gens[letter[p]] applied to point parent[p], and act[p, s] is the point gens[s] maps p to.
-    trans[p], which maps e_base to point p, is that letter times the parent's; trans_inv[p] is its
-    inverse.  sifted[p, s] is set once the Schreier generator of p and s has sifted to I; it stays
-    set, for the points and transversal elements it rests on never change.
+    gens[letter[p]] applied to point parent[p].  trans[p], which maps e_base to point p, is that
+    letter times the parent's, so point p is its base column; trans_inv[p] is its inverse.
+    sifted[p, s] is set once the Schreier generator of p and s has sifted to I; it stays set, for
+    the points and transversal elements it rests on never change.
 
     The orbit grows one breadth-first level at a time, and a fresh point takes the next number in
     the order it first occurs in the (point, generator) scan: the numbering of a point-by-point
-    search, so every index is the same whichever way the orbit is grown.  points, parent, letter
-    and act are the filled rows of int64 buffers whose room doubles, so no level copies the orbit.
+    search, so every index is the same whichever way the orbit is grown.  A point is kept once: as
+    its key in ``where`` (and a row of its level while that level is expanded), then as a base column.
     """
 
     def __init__(self, n, base):
         e = np.eye(2 * n, dtype=np.int64)[2 * base]
         self.base, self.gens, self.invs, self.where = base, [], [], {_keys(e, 2 * n)[0]: 0}
-        self.points, self.parent, self.letter = e[None], np.zeros(1, np.int64), np.zeros(1, np.int64)
-        self.act, self.sifted = np.zeros((1, 0), np.int64), np.zeros((1, 0), bool)
-        self._buffers = self.points, self.parent, self.letter, self.act
+        self.parent, self.letter, self.sifted = np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros((1, 0), bool)
         self.trans = self.trans_inv = np.eye(2 * n, dtype=np.int64)[None]
+
+    @property
+    def points(self):
+        """The (size, 2n) points, each the base column of its transversal element."""
+        return self.trans[:, :, 2 * self.base]
 
     def find(self, v):
         """The index of each point in v, an (..., 2n) int64 array, or -1 where it is not in the orbit."""
@@ -368,46 +362,35 @@ class Orbit:
         Each block of _BLOCK points of a level is one product.  CapExceeded once others times the
         orbit size passes cap, checked as each point arrives.
         """
-        k, known, old = len(self.gens), self.act.shape[1], len(self.points)
+        k, known, points = len(self.gens), self.sifted.shape[1], self.points
         if k == known:
             return
-        gens = np.stack(self.gens)
+        gens, old, parent, letter = np.stack(self.gens), len(points), [], []
         w, where = gens.shape[-1], self.where
         images = gens.reshape(-1, w).T  # a row v times it lists gens[s] v for each s in turn
         # the first level meets the generators from known on, every later one all of them
         meets = {f: (images[:, f * w :], _top(images[:, f * w :])) for f in (known, 0)}
-        points, parent, letter, _ = self._buffers
-        act = np.empty((len(points), k), np.int64)
-        act[:old, :known] = self.act
         bounds, first = [0, old], known  # the levels are [bounds[i], bounds[i + 1])
-        while bounds[-2] < bounds[-1]:
-            m, (level, top) = k - first, meets[first]
-            for start in range(bounds[-2], bounds[-1], _BLOCK):
-                stop = min(start + _BLOCK, bounds[-1])
-                img = _product(points[start:stop], level, top)
-                row, fresh = [], []
+        while len(points):
+            m, (level, top), found = k - first, meets[first], []
+            for start in range(0, len(points), _BLOCK):
+                img = _product(points[start : start + _BLOCK], level, top)
+                fresh = []
                 for j, b in enumerate(_keys(img, w)):
-                    q = where.get(b)
-                    if q is None:
+                    if b not in where:
                         if (len(where) + 1) * others > cap:
                             raise CapExceeded(f"closure exceeded cap {cap}")
-                        q = where[b] = len(where)
+                        where[b] = len(where)
                         fresh.append(j)
-                    row.append(q)
-                act[start:stop, first:].flat = row
-                if fresh:
-                    end = len(where)
-                    if end > len(points):
-                        points, parent, letter, act = (_room(a, end) for a in (points, parent, letter, act))
-                    new = slice(end - len(fresh), end)
-                    img.reshape(-1, w).take(fresh, 0, points[new])
-                    parent[new] = [start + j // m for j in fresh]
-                    letter[new] = [first + j % m for j in fresh]
+                found.append(img.reshape(-1, w)[fresh])
+                parent += [bounds[-2] + start + j // m for j in fresh]
+                letter += [first + j % m for j in fresh]
+            points = np.concatenate(found)
             bounds.append(len(where))
             first = 0
         size = len(where)
-        self._buffers = points, parent, letter, act
-        self.points, self.parent, self.letter, self.act = (a[:size] for a in self._buffers)
+        self.parent = np.concatenate([self.parent, np.array(parent, np.int64)])
+        self.letter = np.concatenate([self.letter, np.array(letter, np.int64)])
         sifted = np.zeros((size, k), bool)
         sifted[:old, :known] = self.sifted
         self.sifted = sifted
@@ -422,11 +405,11 @@ class Orbit:
         self.trans, self.trans_inv = trans, trans_inv
 
     def schreier(self):
-        """The Schreier generators trans_inv[act[p, s]] gens[s] trans[p] that have not sifted yet, with p and s."""
+        """Each gens[s] trans[p] not sifted yet, with p and s; stripped by this level it is their Schreier generator."""
         p, s = np.nonzero(~self.sifted)
         if not len(p):
             return p, s, self.trans[:0]
-        return p, s, _product(self.trans_inv[self.act[p, s]], _product(np.stack(self.gens)[s], self.trans[p]))
+        return p, s, _product(np.stack(self.gens)[s], self.trans[p])
 
 
 def _sift(orbits, y):
@@ -448,24 +431,25 @@ def _sift(orbits, y):
 def _schreier_sims(levels, cap):
     """Complete the levels, deepest first (Sims 1970; Holt, Eick and O'Brien 2005, 4.4.2).
 
-    A level is complete when each of its Schreier generators sifts through the levels below it.
-    One that does not leaves a residue, which joins every level down to the one whose orbit it
-    extends; the work resumes there.  The orbits only grow, so the product of their sizes, a
-    lower bound on the group order, is checked against cap as each point arrives.  A Schreier
-    generator that sifted once is not sifted again: the levels below only gain points, and an old
-    point keeps its index and its transversal element, so its sift takes the same steps to I.
+    A level is complete when each of its Schreier generators sifts through the levels below it:
+    gens[s] trans[p] sifts through its own level first, whose strip leaves the Schreier generator
+    of p and s.  One that does not pass leaves a residue, which joins every level below it down to
+    the one whose orbit it extends; the work resumes there.  The orbits only grow, so the product
+    of their sizes, a lower bound on the group order, is checked against cap as each point arrives.
+    A Schreier generator that sifted once is not sifted again: the levels below only gain points,
+    and an old point keeps its index and its transversal element, so its sift takes the same steps.
     """
     i = len(levels) - 1
     while i >= 0:
         level = levels[i]
         level.grow(cap, math.prod(len(lv.points) for lv in levels) // len(level.points))
         p, s, y = level.schreier()
-        _, stop = _sift(levels[i + 1 :], y)
-        passed = stop == len(levels) - i - 1
+        _, stop = _sift(levels[i:], y)
+        passed = stop == len(levels) - i
         level.sifted[p[passed], s[passed]] = True
         bad = np.flatnonzero(~passed)
         if len(bad):
-            j = i + 1 + int(stop[bad[0]])
+            j = i + int(stop[bad[0]])
             for lv in levels[i + 1 : j + 1]:
                 lv.gens.append(y[bad[0]])
         i = j if len(bad) else i - 1

@@ -145,6 +145,8 @@ def test_successive_main_calls_share_the_parser_but_not_their_flags(capsys):
     parser = cli.build_parser()
     code, out, _ = run_main(argv, capsys)
     assert code == 0 and cli.build_parser() is parser
+    # the parser must not import monodromy, so --cap repeats its default as a literal
+    assert parser.parse_args(["monodromy", "word-order", "--lattice", "hyp"]).cap == mono.DEFAULT_ORDER_CAP
     assert out.splitlines() == [
         "rank: 10",
         "det: -243",
@@ -406,6 +408,7 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         ),
         (["monodromy", "closure", "--lattice", "chain:2", "--report", "order,reflectons"], {}, 3, "unknown report 'reflectons'"),
         (["monodromy", "word-order", "--lattice", "chain:4", "--word", "a1..a4", "--mod-radical"], {}, 2, "--mod-radical requires --projective"),
+        (["hodge", "report", "--mode", "diagonal", "--weights", "1,1,1", "--degree", "3"], {}, 2, "argument --mode: invalid choice: 'diagonal'"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys, tmp_path):

@@ -178,10 +178,10 @@ def test_real_elements_of_theta_ideal_are_3z():
 
 
 def test_qomega_field_ops():
-    x = QOmega.from_e(THETA)
+    x = QOmega(THETA.a, THETA.b)
     assert x * x.inverse() == QOmega(1)
     assert (QOmega(1) / x) * x == QOmega(1)
-    assert QOmega(3, 0) / QOmega.from_e(THETA) == QOmega.from_e(-THETA)
+    assert QOmega(3, 0) / x == QOmega(-THETA.a, -THETA.b)
 
 
 def test_json_roundtrip():

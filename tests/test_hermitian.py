@@ -445,7 +445,7 @@ def test_matrix_rank():
     # reference kernel is Gauss-Jordan over Q(w)
     for G, rank in ((chain(11), 10), (chain(5), 4), (lambda_(), 11)):
         assert G.n - signature(G)[1] == rank
-        assert G.n - len(kernel([[QOmega.from_e(x) for x in row] for row in G.g])) == rank
+        assert G.n - len(kernel([[QOmega(x.a, x.b) for x in row] for row in G.g])) == rank
 
 
 def test_named_and_json():

@@ -234,10 +234,10 @@ def test_adjugate_e_inverts_up_to_a_positive_int(a):
     assert mat_mul(b, a) == identity(n, E(d))
     # d is the least common denominator of a^-1
     assert math.gcd(d, *(y for row in b for x in row for y in (x.a, x.b))) == 1
-    aq = [[QOmega.from_e(x) for x in row] for row in a]
+    aq = [[QOmega(x.a, x.b) for x in row] for row in a]
     for j in range(n):
         col = solve(aq, [QOmega(int(i == j)) for i in range(n)])
-        assert col == [QOmega.from_e(b[i][j]) / QOmega(d) for i in range(n)]
+        assert col == [QOmega(b[i][j].a, b[i][j].b) / QOmega(d) for i in range(n)]
 
 
 @BOUNDED
@@ -674,16 +674,7 @@ def test_inertia_matches_rational_reference(a):
 @MANY
 @given(symmetric_forms(st.integers(0, 2)))
 def test_f3_diagonalization_matches_reference(form):
-    assert _f3_diagonalize(form)[:2] == f3_diagonalize_reference(form)
-
-
-@MANY
-@given(symmetric_forms(st.integers(-3, 3)))
-def test_f3_diagonalization_carries_the_inverse_transpose_of_its_change(form):
-    change, _, inv_t = _f3_diagonalize(form)
-    k = len(form)
-    assert all(x in (0, 1, 2) for row in inv_t for x in row)
-    assert [[x % 3 for x in row] for row in mat_mul(inv_t, tuple(zip(*change)))] == [list(r) for r in identity(k, 1)]
+    assert _f3_diagonalize(form) == f3_diagonalize_reference(form)
 
 
 def as_e(rows):
