@@ -9,8 +9,12 @@ with the form "inner product of lifts, reduced mod theta".  Enlargements of
 N inside theta N* along isotropic lines undo index-3 sublattice passages;
 the group generated by reduced triflections acts on the hyperplanes of
 L/theta L, whose count (3^10 - 1)/2 = 29524 for L of rank 10 is reproduced
-by orbit enumeration.  One Gaussian congruence mod 3 diagonalizes the F_3
-form; each pair of -1 entries is then turned into +1, +1, so the diagonal
+by orbit enumeration.  Since 1 - w = w^2 theta and theta^2 = -3, the
+triflection in a norm-3 root r is x -> x + w^2 (<x, r>/theta) r, and
+w = 1 mod theta, so it reduces to the transvection T_r = I + rbar (S rbar)^T
+of the symplectic Gram S, built straight from S with no lattice matrix.
+One Gaussian congruence mod 3 diagonalizes the F_3 form; each pair of -1
+entries is then turned into +1, +1, so the diagonal
 is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
 for coordinates in that basis with ``f3_rref``.  Grams of lifts and of new
 bases come from ``hermitian.gram``.
@@ -29,7 +33,7 @@ from .eisenstein import (
     EisensteinInt,
     reduce_mod_theta,
 )
-from .hermitian import HermGram, basis_vector, det_e, gram, in_theta_dual, vector
+from .hermitian import HermGram, basis_vector, det_e, gram, in_theta_dual, norm_of, vector
 from .hnf import hnf_columns_e
 from .linalg import f3_rref, identity
 
@@ -443,21 +447,52 @@ def line_orbit(gens, start, cap: int = 200000):
     return len(seen)
 
 
+def _check_lengths(roots, n):
+    for i, r in enumerate(roots):
+        if len(r) != n:
+            raise ValueError(f"root {i} has {len(r)} coordinates, but the lattice has rank {n}")
+
+
+def reduced_triflections(G: HermGram, S, roots):
+    """The (m, n, n) int64 F_3 matrices of the triflections in the norm-3 ``roots``, reduced mod theta.
+
+    Since 1 - w = w^2 theta and theta^2 = -3, the triflection in a root r is
+    x -> x + w^2 (<x, r>/theta) r, and w = 1 mod theta, so its reduction is
+    the symplectic transvection T_r = I + rbar (S rbar)^T, with S the
+    ``symplectic_gram`` of G and rbar = ``reduce_vector(r)``.  Raises
+    ValueError naming the first root that does not have G.n coordinates or
+    norm 3.  Each T_r is certified against S: T_r^T S T_r = S mod 3.
+    """
+    n = G.n
+    _check_lengths(roots, n)
+    for i, r in enumerate(roots):
+        rr = norm_of(G, vector(r))
+        if rr != EisensteinInt(3):
+            raise ValueError(f"root {i} has norm {rr}, not 3")
+    rbar = np.array([reduce_vector(r) for r in roots], dtype=np.int64).reshape(-1, n)
+    S = np.array(S, dtype=np.int64)
+    T = (np.eye(n, dtype=np.int64) + rbar[:, :, None] * (rbar @ S.T)[:, None, :]) % 3
+    if np.any((T.transpose(0, 2, 1) @ S @ T - S) % 3):
+        raise AssertionError("a reduced triflection does not preserve the symplectic form")
+    return T
+
+
 def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     """Size of the orbit of a hyperplane under the reduced triflections.
 
     Hyperplanes of L/theta L are encoded by their symplectic normal vectors
-    up to sign; the generators are the transvection images of the
-    triflections in the given roots.  ``start`` (default: the first root)
-    has integer or Eisenstein coordinates.  Returns (orbit size, generator
-    count).
+    up to sign; the generators are the transvections T_r = I + rbar (S rbar)^T
+    of ``reduced_triflections``, the reductions of the triflections in the
+    given norm-3 roots (1 - w = w^2 theta makes the triflection
+    x -> x + w^2 (<x, r>/theta) r, and w = 1 mod theta).  ``start``
+    (default: the first root) has integer or Eisenstein coordinates.
+    Returns (orbit size, generator count).
     """
-    from .monodromy import triflection
-
     n = G.n
     sg = symplectic_gram(G)
     if f3_rank(sg) != n:
         raise ValueError("symplectic form must be nondegenerate")
+    _check_lengths(roots, n)
     if start is None:
         start = roots[0]
     try:
@@ -468,8 +503,8 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
         raise ValueError(f"start hyperplane normal must have {n} coordinates")
     if not any(start):
         raise ValueError("start hyperplane normal must be nonzero")
-    gens = [f3_reduce(triflection(G, vector(r))) for r in roots]
-    return line_orbit(np.reshape(gens, (-1, n, n)), start, cap), len(gens)
+    gens = reduced_triflections(G, sg, roots)
+    return line_orbit(gens, start, cap), len(gens)
 
 
 def sp_generating_roots():

@@ -450,6 +450,8 @@ def _schreier_sims(levels, cap):
         bad = np.flatnonzero(~passed)
         if len(bad):
             j = i + int(stop[bad[0]])
+            if not levels[i + 1 : j + 1]:
+                raise RuntimeError(f"Schreier-Sims made no progress: a residue at level {i} joins no level")
             for lv in levels[i + 1 : j + 1]:
                 lv.gens.append(y[bad[0]])
         i = j if len(bad) else i - 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eisenlat.eisenstein import E, OMEGA, THETA, e_gcd, is_associate, reduce_mod_theta
+from eisenlat.eisenstein import E, OMEGA, THETA, UNITS, e_gcd, is_associate, reduce_mod_theta
 from eisenlat.hermitian import (
     HermGram,
     basis_vector,
@@ -502,15 +502,58 @@ def test_orbit_rejects_bad_start():
 ])
 def test_orbit_checks_the_start_before_building_a_triflection(monkeypatch, start, message):
     calls = []
-    real = mono.triflection
-    monkeypatch.setattr(mono, "triflection", lambda *args: calls.append(args) or real(*args))
+    real = gluing.reduced_triflections
+    monkeypatch.setattr(gluing, "reduced_triflections", lambda *args: calls.append(args) or real(*args))
     roots = gluing.sp_generating_roots()[:3]
     with pytest.raises(ValueError, match=message):
         gluing.hyperplane_orbit(roots, lambda10(), start=start)
     assert calls == []
-    # the patched name is the one the orbit builds its generators with
+    # the patched name is the one the orbit builds its generators with, all three in one call
     assert gluing.hyperplane_orbit(roots, lambda10()) == (12, 3)
-    assert len(calls) == 3
+    assert len(calls) == 1 and list(calls[0][2]) == roots
+
+
+def seeded_roots(G, roots, seed, count):
+    """Norm-3 vectors of G: a unit times the image of one of ``roots`` under a random word in their triflections."""
+    rng = random.Random(seed)
+    tri = [mono.triflection(G, r) for r in roots]
+    out = []
+    for _ in range(count):
+        v = rng.choice(roots)
+        for _ in range(rng.randint(1, 6)):
+            v = rng.choice(tri)(v)
+        u = rng.choice(UNITS)
+        out.append(tuple(u * x for x in v))
+    return out
+
+
+@pytest.mark.parametrize("name", ["lambda10", "e8e"])
+def test_reduced_triflections_are_the_reduced_lattice_triflections(name):
+    if name == "lambda10":
+        G, roots = lambda10(), gluing.sp_generating_roots()
+    else:
+        G, roots = e8e(), [basis_vector(4, i) for i in range(4)]
+    vectors = roots + seeded_roots(G, roots, 33, 40)
+    assert all(norm_of(G, v) == E(3) for v in vectors)
+    got = gluing.reduced_triflections(G, gluing.symplectic_gram(G), vectors)
+    assert got.dtype == np.int64 and got.shape == (len(vectors), G.n, G.n)
+    assert np.array_equal(got, np.array([gluing.f3_reduce(mono.triflection(G, v)) for v in vectors]))
+
+
+def test_reduced_triflections_take_only_roots():
+    L10, r = lambda10(), gluing.sp_generating_roots()[0]
+    S = gluing.symplectic_gram(L10)
+    six = (E(1), E(0), E(1)) + (E(0),) * 7
+    minus_three = (E(0),) * 8 + (E(1), -OMEGA)  # its triflection is integral, but it is not a root
+    mono.triflection(L10, minus_three)
+    for bad, message in [
+        (tuple(2 * x for x in r), "root 1 has norm 12, not 3"),
+        (six, "root 1 has norm 6, not 3"),
+        (minus_three, "root 1 has norm -3, not 3"),
+        (r[:9], "root 1 has 9 coordinates, but the lattice has rank 10"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            gluing.reduced_triflections(L10, S, [r, bad])
 
 
 def test_orbit_peak_memory_is_bounded():

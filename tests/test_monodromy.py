@@ -858,6 +858,27 @@ def test_closure_sifts_each_schreier_generator_until_it_passes(n, order, most, m
     assert sum(rows) <= most
 
 
+def test_closure_refuses_a_residue_that_joins_no_level(monkeypatch):
+    # stop 0 would append the residue nowhere and run the same level again forever
+    class Looping(Exception):
+        pass
+
+    calls, sift = [], mono._sift
+
+    def stalled_sift(orbits, y):
+        calls.append(len(y))
+        if len(calls) > 50:
+            raise Looping
+        idx, stop = sift(orbits, y)
+        stop[:] = 0
+        return idx, stop
+
+    monkeypatch.setattr(mono, "_sift", stalled_sift)
+    with pytest.raises(RuntimeError, match="no progress: a residue at level 0 joins no level"):
+        mono.group_closure(mono.chain_triflections(2))
+    assert calls[-1] > 0
+
+
 def test_closure_cap_bounds_the_memory_of_each_orbit_point():
     # the A5 transvection on chain(6) has infinite order, so its one orbit fills the cap alone
     t = mono.transvection(chain(6), tuple(list(mono.A5_XI) + [E(0)]))
