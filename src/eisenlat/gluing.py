@@ -13,6 +13,9 @@ by orbit enumeration.  Since 1 - w = w^2 theta and theta^2 = -3, the
 triflection in a norm-3 root r is x -> x + w^2 (<x, r>/theta) r, and
 w = 1 mod theta, so it reduces to the transvection T_r = I + rbar (S rbar)^T
 of the symplectic Gram S, built straight from S with no lattice matrix.
+S takes no division: x = a + b w in theta E has x/theta = ((2b - a) +
+(b - 2a) w)/3, which reduces to (b - a) mod 3.  The orbit's tables of chunk
+pattern images come by base-3 expansion in bit-sliced F_3, with no matrix product.
 One Gaussian congruence mod 3 diagonalizes the F_3 form; each pair of -1
 entries is then turned into +1, +1, so the diagonal
 is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
@@ -49,10 +52,13 @@ def f3_reduce(M):
 
 
 def symplectic_gram(G: HermGram):
-    """The F_3 pairing on L/theta L: (v, w) = reduction of <v, w>/theta mod theta."""
+    """The F_3 pairing on L/theta L: (v, w) = reduction of <v, w>/theta mod theta.
+
+    x = a + b w in theta E has x/theta = ((2b - a) + (b - 2a) w)/3, so the reduction is (b - a) mod 3.
+    """
     if not in_theta_dual(G):
         raise ValueError("symplectic reduction needs all inner products in theta*E")
-    return tuple(reduce_vector(x.exact_div(THETA) for x in row) for row in G.g)
+    return tuple(tuple((x.b - x.a) % 3 for x in row) for row in G.g)
 
 
 def f3_rank(mat) -> int:
@@ -366,24 +372,40 @@ def _chunk_tables(gens):
     For a chunk [lo, hi) of width w the entry (lo, hi, ones, twos, value)
     has ``ones[p, g]`` and ``twos[p, g]``, the bit-sliced image under
     generator g of the vector whose digits on the chunk read p in base 3
-    (coordinate lo most significant) and are 0 elsewhere.  Coordinate j is
-    bit n - 1 - j of a mask, as it is place 3^(n-1-j) of a line code, so
-    ``value[o << w | t]`` is the line-code value of the chunk's bits o of
-    the digits 1 and t of the digits 2, taken down by n - hi places.  Masks
-    and values come in the dtypes of ``_dtypes(n)``.
+    (coordinate lo most significant) and are 0 elsewhere.  They come by
+    base-3 expansion: the image of pattern 3p + d is that of p plus d times
+    the generator's column of the next coordinate, added in bit-sliced F_3.
+    Coordinate j is bit n - 1 - j of a mask, as it is place 3^(n-1-j) of a
+    line code, so ``value[o << w | t]`` is the line-code value of the
+    chunk's bits o of the digits 1 and t of the digits 2, taken down by
+    n - hi places.  Masks and values come in the dtypes of ``_dtypes(n)``.
     """
-    n = gens.shape[-1]
+    m, n = len(gens), gens.shape[-1]
     mask, code = _dtypes(n)
     bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(mask)
+    # (m, n) masks of each generator's columns: digit d of column k at bit n - 1 - k
+    col1, col2 = (np.bitwise_or.reduce(np.where(gens == d, bits[:, None], 0).astype(mask), axis=1) for d in (1, 2))
+    zero = np.zeros(m, mask)
     tables = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
+        ones = twos = zero[None]
+        for k in range(lo, hi):
+            c1, c2 = col1[:, k], col2[:, k]
+            # patterns 3p, 3p + 1, 3p + 2 add 0, the column, or twice it: its digits 1 and 2 swapped
+            ones, twos = _f3_add(ones[:, None], twos[:, None], np.stack([zero, c1, c2]), np.stack([zero, c2, c1]))
+            ones, twos = ones.reshape(-1, m), twos.reshape(-1, m)
         w = hi - lo
-        images = (line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3).transpose(1, 0, 2)
-        place = 3 ** np.arange(w, dtype=np.int64)
-        value = (np.arange(4**w)[:, None] >> np.arange(2 * w) & 1) @ np.concatenate([2 * place, place])
-        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, (value * 3 ** (n - hi)).astype(code)))
+        place = ((np.arange(2**w)[:, None] >> np.arange(w) & 1) * 3 ** np.arange(w)).sum(axis=1)  # bits x as base-3 digits
+        value = (place[:, None] + 2 * place).ravel()
+        tables.append((lo, hi, ones, twos, (value * 3 ** (n - hi)).astype(code)))
     return tables
+
+
+def _f3_add(ones, twos, b1, b2):
+    """The bit-sliced F_3 sum of the masks (ones, twos) and (b1, b2) of the digits 1 and 2."""
+    t = (ones | b2) ^ (twos | b1)
+    return (twos | b2) ^ t, (ones | b1) ^ t
 
 
 def _line_images(tables, codes):
@@ -401,8 +423,7 @@ def _line_images(tables, codes):
         if ones is None:
             ones, twos = b1, b2
         else:
-            t = (ones | b2) ^ (twos | b1)
-            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+            ones, twos = _f3_add(ones, twos, b1, b2)
     swap = (ones ^ twos) * (twos > ones)
     ones ^= swap
     twos ^= swap

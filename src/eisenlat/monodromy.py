@@ -293,6 +293,7 @@ def env_closure_cap() -> int:
 
 
 _BLOCK = 4096  # elements per batch of int64 products
+_CERTIFY = 256  # trace-matching candidates per ``_reflections`` call in ``reflections_in``
 
 
 def _top(a) -> int:
@@ -577,8 +578,9 @@ def reflections_in(handle: GroupHandle):
     are walked in blocks of at most _BLOCK elements, the h_j formed one block of at most _BLOCK at a
     time.  A block takes the a-parts of its traces a + b w from one product, and the b-parts only
     where a is n - 2, n - 1 or n, for each unit zeta != 1 has its a in {-1, 0, 1}.  Only the elements
-    whose trace is n - 1 + zeta are formed, and ``_reflections`` certifies them; the root is the primitive
-    multiple of ``_root_and_mirror``'s column, and the unit is the trace's zeta.
+    whose trace is n - 1 + zeta are formed, and ``_reflections`` certifies them in batches: once
+    _CERTIFY of them are pending, and at the end of each block.  The root is the primitive multiple
+    of ``_root_and_mirror``'s column, found once per root line, and the unit is the trace's zeta.
     """
     n = handle.ambient.n
     T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
@@ -590,21 +592,28 @@ def reflections_in(handle: GroupHandle):
         H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
         cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1)  # row j: the even columns of h_j
         top, step = _top(cols), _BLOCK // len(H)
+        pending = []  # (i, j) of the candidates T[i] h_j not yet certified
         for start in range(0, len(T), step):
             a = _product(even[start : start + step], cols.T, top)
             i, j = np.nonzero((a >= n - 2) & (a <= n))
-            if not len(i):
-                continue
-            a, i = a[i, j], i + start
-            b = _product(odd[i, None], cols[j, :, None], top).ravel()
-            hit = _reflection_trace(a, b, n)
-            i, j = i[hit], j[hit]
-            at = _reflections(_product(T[i], H[j]))
-            found += (i[at] * size + lo + j[at]).tolist()
+            if len(i):
+                a, i = a[i, j], i + start
+                b = _product(odd[i, None], cols[j, :, None], top).ravel()
+                hit = _reflection_trace(a, b, n)
+                pending.append((i[hit], j[hit]))
+            if pending and (start + step >= len(T) or sum(len(i) for i, _ in pending) >= _CERTIFY):
+                i, j = (np.concatenate(x) for x in zip(*pending))
+                found += (i * size + lo + j)[_reflections(_product(T[i], H[j]))].tolist()
+                pending = []
     z = handle.matrices(sorted(found))
     tr_a, tr_b = (np.einsum("kii->k", z[:, r::2, ::2]).tolist() for r in (0, 1))  # tr M = n - 1 + zeta
-    roots = [_primitive_vector([EisensteinInt(a, b) for a, b in c]) for c in _root_and_mirror(z)[0].tolist()]
-    return [(r, EisensteinInt(a - n + 1, b)) for r, a, b in zip(roots, tr_a, tr_b)]
+    lines = []
+    for c in _root_and_mirror(z)[0].tolist():
+        v = [EisensteinInt(a, b) for a, b in c]
+        u = next(x for x in v if x).canonical_unit()
+        lines.append(tuple(u * x for x in v))  # the same for all unit multiples, as _primitive_vector's result is
+    root = {line: _primitive_vector(line) for line in set(lines)}
+    return [(root[line], EisensteinInt(a - n + 1, b)) for line, a, b in zip(lines, tr_a, tr_b)]
 
 
 def _reflection_trace(tr_a, tr_b, n):

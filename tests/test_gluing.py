@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eisenlat.eisenstein import E, OMEGA, THETA, UNITS, e_gcd, is_associate, reduce_mod_theta
 from eisenlat.hermitian import (
+    NAMED_LATTICES,
     HermGram,
     basis_vector,
     det_e,
@@ -20,6 +21,7 @@ from eisenlat.hermitian import (
     ip,
     lambda10,
     lambda_,
+    named_lattice,
     norm_of,
     signature,
 )
@@ -657,6 +659,60 @@ def test_line_orbit_across_the_dtype_switches(n, mask, code):
     assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start) == n
     with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
         gluing.line_orbit(gens, start, cap=n - 1)
+
+
+def reference_chunk_tables(gens):
+    """The chunk tables by matrix products: the digit rows of every chunk pattern times the generators' columns."""
+    n = gens.shape[-1]
+    mask, code = gluing._dtypes(n)
+    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(mask)
+    tables = []
+    for lo in range(0, n, gluing._CHUNK):
+        hi = min(lo + gluing._CHUNK, n)
+        w = hi - lo
+        images = (gluing.line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3).transpose(1, 0, 2)
+        place = 3 ** np.arange(w, dtype=np.int64)
+        value = (np.arange(4**w)[:, None] >> np.arange(2 * w) & 1) @ np.concatenate([2 * place, place])
+        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, (value * 3 ** (n - hi)).astype(code)))
+    return tables
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 15, 16, 31, 32, 33, 39])
+def test_chunk_tables_match_the_matrix_products(n):
+    # chunk remainders 1, 0 and 1, and both sides of each switch of the mask or code dtype
+    rng = np.random.default_rng(n)
+    gens = rng.integers(0, 3, size=(4, n, n))
+    got, want = gluing._chunk_tables(gens), reference_chunk_tables(gens)
+    assert [(lo, hi) for lo, hi, *_ in got] == [(lo, hi) for lo, hi, *_ in want]
+    for (_, _, *arrays), (_, _, *expected) in zip(got, want):
+        for x, y in zip(arrays, expected):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert np.array_equal(x, y)
+
+
+def reference_symplectic_gram(G):
+    """The definition: <v, w>/theta, reduced mod theta."""
+    return tuple(gluing.reduce_vector(x.exact_div(THETA) for x in row) for row in G.g)
+
+
+def random_theta_gram(rng, n):
+    """A Hermitian Gram of rank n with every entry in theta E: a diagonal in 3Z, theta y off it."""
+    rows = [[E(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = E(3 * rng.randint(-4, 4))
+        for j in range(i):
+            rows[i][j] = THETA * E(rng.randint(-5, 5), rng.randint(-5, 5))
+            rows[j][i] = rows[i][j].conj()
+    return HermGram(rows)
+
+
+def test_symplectic_gram_matches_its_definition():
+    rng = random.Random(34)
+    grams = [random_theta_gram(rng, 1 + i % 12) for i in range(200)]
+    grams += [named_lattice(name) for name in [*NAMED_LATTICES, *(f"chain:{n}" for n in range(1, 12))]] + [big_n()]
+    for G in grams:
+        assert in_theta_dual(G)
+        assert gluing.symplectic_gram(G) == reference_symplectic_gram(G)
 
 
 def test_line_codes_need_int64_room():

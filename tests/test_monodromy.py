@@ -606,6 +606,22 @@ def test_reflections_in_is_the_same_in_any_block_size(closures, block, monkeypat
     assert [mono.reflections_in(h) for h in handles] == expected
 
 
+@pytest.mark.parametrize("bound", [1, 7, 1000])
+def test_reflections_in_is_the_same_in_any_certification_batch(closures, bound, monkeypatch):
+    # R4 has 860 trace-matching candidates, all in its one block: a bound of 1000 certifies them in one call
+    handles = [group_handle(closures, group) for group in GROUPS]
+    expected = [mono.reflections_in(h) for h in handles]
+    monkeypatch.setattr(mono, "_CERTIFY", bound)
+    assert [mono.reflections_in(h) for h in handles] == expected
+    calls, certify = [], mono._reflections
+    monkeypatch.setattr(mono, "_reflections", lambda z: calls.append(len(z)) or certify(z))
+    assert mono.reflections_in(handles[3]) == expected[3]
+    assert sum(calls) == 860
+    assert all(c >= bound for c in calls[:-1])  # before the block ends, a batch is certified only once it is full
+    if bound > 860:
+        assert calls == [860]
+
+
 def test_r4_reflections_in_stays_small(closures):
     # one block of a-parts at a time, and only the candidates' b-parts and matrices; all 155520 traces at once
     # peaked at 4.48 MiB
