@@ -679,7 +679,7 @@ def reference_chunk_tables(gens):
 
 @pytest.mark.parametrize("n", [1, 5, 6, 15, 16, 31, 32, 33, 39])
 def test_chunk_tables_match_the_matrix_products(n):
-    # chunk remainders 1, 0 and 1, and both sides of each switch of the mask or code dtype
+    # every chunk remainder 0..4, and both sides of each switch of the mask or code dtype
     rng = np.random.default_rng(n)
     gens = rng.integers(0, 3, size=(4, n, n))
     got, want = gluing._chunk_tables(gens), reference_chunk_tables(gens)
