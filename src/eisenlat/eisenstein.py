@@ -105,7 +105,8 @@ class EisensteinInt:
         return self.conj()
 
     def divmod(self, other):
-        """Euclidean division: q, r with self = q*other + r, norm(r) < norm(other)."""
+        """Euclidean division: q, r with self = q*other + r, norm(r) < norm(other); other is an E or an int."""
+        other = to_e(other)
         if not other:
             raise ZeroDivisionError("division by zero in E")
         n = other.norm()
@@ -115,16 +116,13 @@ class EisensteinInt:
         return q, r
 
     def __floordiv__(self, other):
-        other = _coerce(other)
         return self.divmod(other)[0]
 
     def __mod__(self, other):
-        other = _coerce(other)
         return self.divmod(other)[1]
 
     def exact_div(self, other):
         """Quotient self/other, raising if other does not divide self."""
-        other = _coerce(other)
         q, r = self.divmod(other)
         if r:
             raise ValueError(f"{other} does not divide {self} in E")

@@ -178,11 +178,17 @@ NAMED_LATTICES = {
 }
 
 
+MAX_CHAIN_RANK = 1000  # the largest N of chain:N, whose Gram has N^2 entries: about 15 MiB at N = 1000
+
+
 def named_lattice(name: str) -> HermGram:
     if name in NAMED_LATTICES:
         return NAMED_LATTICES[name]()
     if name.startswith("chain:"):
-        return chain(int(name.split(":", 1)[1]))
+        n = int(name.split(":", 1)[1])
+        if n > MAX_CHAIN_RANK:
+            raise ValueError(f"rank {n} is above the bound {MAX_CHAIN_RANK} on chain:N")
+        return chain(n)
     raise ValueError(f"unknown lattice name {name!r}")
 
 

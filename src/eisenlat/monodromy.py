@@ -293,7 +293,7 @@ def env_closure_cap() -> int:
 
 
 _BLOCK = 4096  # elements per batch of int64 products
-_CERTIFY = 256  # trace-matching candidates per ``_reflections`` call in ``reflections_in``
+_CERTIFY = 256  # candidates (trace a-part in n - 2..n) per ``_reflections`` call in ``reflections_in``
 
 
 def _top(a) -> int:
@@ -559,7 +559,7 @@ def _refuse_infinite(G: HermGram, gen_z):
     """InfiniteGroup when the packings gen_z, isometries of G, are reflections in roots of nonzero norm that generate
     an infinite group: the form is indefinite or degenerate on the span of some component of the roots, linked
     where they have a nonzero inner product (Shephard and Todd 1954).  Generators of any other kind pass."""
-    roots = [[EisensteinInt(a, b) for a, b in c] for c in _root_and_mirror(gen_z)[0].tolist()]
+    roots = _root_and_mirror(gen_z)[0]
     h, k = gram(G, roots), len(roots)
     if len(_reflections(gen_z)) < k or not all(h[i][i] for i in range(k)):
         return
@@ -574,20 +574,18 @@ def _refuse_infinite(G: HermGram, gen_z):
 def reflections_in(handle: GroupHandle):
     """All complex reflections in the group: (root, rotation unit) pairs, by ascending element index.
 
-    Element i |G_1| + j is T[i] h_j, T the first transversal and h_j in its stabilizer G_1.  The pairs
-    are walked in blocks of at most _BLOCK elements, the h_j formed one block of at most _BLOCK at a
-    time.  A block takes the a-parts of its traces a + b w from one product, and the b-parts only
-    where a is n - 2, n - 1 or n, for each unit zeta != 1 has its a in {-1, 0, 1}.  Only the elements
-    whose trace is n - 1 + zeta are formed, and ``_reflections`` certifies them in batches: once
-    _CERTIFY of them are pending, and at the end of each block.  The root is the primitive multiple
-    of ``_root_and_mirror``'s column, found once per root line, and the unit is the trace's zeta.
+    Element i |G_1| + j is T[i] h_j, T the first transversal and h_j in its stabilizer G_1.  The pairs are walked
+    in blocks of at most _BLOCK elements, the h_j formed at most _BLOCK at a time.  A block takes the a-parts of its
+    traces a + b w from one product.  Each unit zeta != 1 has its a in {-1, 0, 1}, so only the elements whose a is
+    n - 2, n - 1 or n are formed, and ``_reflections`` certifies them in batches: once _CERTIFY are pending, and at
+    the end of each block.  The certified packings are kept with their indices and sorted once.  The root is the
+    primitive multiple of ``_root_and_mirror``'s root, found once per root line, and the unit is the trace's zeta.
     """
     n = handle.ambient.n
     T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
     size = handle.order // len(T)
-    # the trace sums the diagonal 2 x 2 blocks: a from the even rows of T[i] h_j, b from the odd ones
-    even, odd = (T[:, r::2].reshape(len(T), -1) for r in (0, 1))
-    found = []
+    even = T[:, ::2].reshape(len(T), -1)  # the a-part of a trace sums the even rows of T[i] h_j
+    found, kept = [], []  # the indices and packings of the certified reflections
     for lo in range(0, size, _BLOCK):
         H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
         cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1)  # row j: the even columns of h_j
@@ -597,28 +595,22 @@ def reflections_in(handle: GroupHandle):
             a = _product(even[start : start + step], cols.T, top)
             i, j = np.nonzero((a >= n - 2) & (a <= n))
             if len(i):
-                a, i = a[i, j], i + start
-                b = _product(odd[i, None], cols[j, :, None], top).ravel()
-                hit = _reflection_trace(a, b, n)
-                pending.append((i[hit], j[hit]))
+                pending.append((i + start, j))
             if pending and (start + step >= len(T) or sum(len(i) for i, _ in pending) >= _CERTIFY):
                 i, j = (np.concatenate(x) for x in zip(*pending))
-                found += (i * size + lo + j)[_reflections(_product(T[i], H[j]))].tolist()
+                z = _product(T[i], H[j])
+                at = _reflections(z)
+                found.append(i[at] * size + lo + j[at])
+                kept.append(z[at])
                 pending = []
-    z = handle.matrices(sorted(found))
+    z = np.concatenate(kept)[np.argsort(np.concatenate(found))]
     tr_a, tr_b = (np.einsum("kii->k", z[:, r::2, ::2]).tolist() for r in (0, 1))  # tr M = n - 1 + zeta
     lines = []
-    for c in _root_and_mirror(z)[0].tolist():
-        v = [EisensteinInt(a, b) for a, b in c]
+    for v in _root_and_mirror(z)[0]:
         u = next(x for x in v if x).canonical_unit()
         lines.append(tuple(u * x for x in v))  # the same for all unit multiples, as _primitive_vector's result is
     root = {line: _primitive_vector(line) for line in set(lines)}
     return [(root[line], EisensteinInt(a - n + 1, b)) for line, a, b in zip(lines, tr_a, tr_b)]
-
-
-def _reflection_trace(tr_a, tr_b, n):
-    """Where the trace tr_a + tr_b w of an n x n matrix is n - 1 + zeta for a unit zeta != 1."""
-    return np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE])
 
 
 def _reflections(z):
@@ -626,12 +618,12 @@ def _reflections(z):
 
     M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1
     and K^2 = (zeta - 1) K, for K / (zeta - 1) is then an idempotent of trace 1,
-    so K has rank one.  Only the matrices with such a trace are squared.
+    so K has rank one.  Only the matrices with such a trace, for some unit zeta != 1, are squared.
     """
     n = z.shape[-1] // 2
     ident = np.eye(2 * n, dtype=np.int64)
     tr_a, tr_b = (np.einsum("kii->k", z[:, r::2, ::2]) for r in (0, 1))
-    at = np.flatnonzero(_reflection_trace(tr_a, tr_b, n))
+    at = np.flatnonzero(np.logical_or.reduce([(tr_a == n - 1 + u.a) & (tr_b == u.b) for u in UNITS if u != ONE]))
     K = z[at] - ident
     # zeta - 1 = a + b w times I, packed: a I + b (the packing of w I)
     a, b = (t[at, None, None] for t in (tr_a - n, tr_b))
@@ -640,12 +632,12 @@ def _reflections(z):
 
 
 def _root_and_mirror(z):
-    """For packings z of reflections M that ``_reflections`` certified, and K = M - I: the first nonzero E-column
-    of K as (a, b) pairs, which spans M's root line im K, and the first packed row (a, -b, ...) of K's first
+    """For packings z of reflections M that ``_reflections`` certified, and K = M - I: the first nonzero column
+    of K as an E-vector, which spans M's root line im K, and the first packed row (a, -b, ...) of K's first
     nonzero E-row, which vanishes exactly on M's mirror ker K, for K has rank one."""
     K, at, n = z - np.eye(z.shape[-1], dtype=np.int64), np.arange(len(z)), z.shape[-1] // 2
-    col = K[at, :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)]
-    return col.reshape(len(z), n, 2), K[at, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
+    col = K[at, :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)].reshape(len(z), n, 2).tolist()
+    return [[EisensteinInt(a, b) for a, b in c] for c in col], K[at, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
 
 
 def _primitive_vector(v):

@@ -408,22 +408,10 @@ def _(ctx):
 
 @check("f3-transvection", "triflections reduce mod theta to symplectic transvections")
 def _(ctx):
-    L10 = lambda10()
-    v = basis_vector(10, 2)
-    t = mono.triflection(L10, v)
-    red = gluing.f3_reduce(t)
-    sg = gluing.symplectic_gram(L10)
-    vbar = gluing.reduce_vector(v)
-    n = 10
-    expected = []
-    for j in range(n):
-        col = [1 if i == j else 0 for i in range(n)]
-        pair = sum(sg[j][i] * vbar[i] for i in range(n)) % 3
-        expected.append(
-            tuple((col[i] + pair * vbar[i]) % 3 for i in range(n))
-        )
-    expected_m = tuple(zip(*expected))
-    return expected_m, red
+    L10, v = lambda10(), basis_vector(10, 2)
+    # the transvection I + vbar (S vbar)^T, as the hyperplane orbit forms it
+    expected = gluing.reduced_triflections(L10, gluing.symplectic_gram(L10), [v])[0].tolist()
+    return expected, gluing.f3_reduce(mono.triflection(L10, v))
 
 
 # ---------------------------------------------------------------- gluing

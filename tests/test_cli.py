@@ -410,6 +410,7 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         (["monodromy", "word-order", "--lattice", "chain:4", "--word", "a1..a4", "--mod-radical"], {}, 2, "--mod-radical requires --projective"),
         (["hodge", "report", "--mode", "diagonal", "--weights", "1,1,1", "--degree", "3"], {}, 2, "argument --mode: invalid choice: 'diagonal'"),
         (["f3", "orbit", "--lattice", "e8e"], {}, 3, "root 0 has 10 coordinates, but the lattice has rank 4"),
+        (["lattice", "z-realization", "--name", "chain:99999999999"], {}, 3, "rank 99999999999 is above the bound"),
     ],
 )
 def test_bad_input_gets_one_error_line_and_its_exit_code(argv, env, code, message, monkeypatch, capsys, tmp_path):

@@ -120,6 +120,17 @@ def test_entry_functions_reject_a_value_that_is_not_an_eisenstein_integer(fn, x)
         fn(x)
 
 
+@pytest.mark.parametrize("op", [E.divmod, E.__floordiv__, E.__mod__, E.exact_div])
+def test_division_takes_an_int_divisor_and_refuses_any_other(op):
+    # divmod read an int divisor as E, and the others read a value of any other type as a zero divisor
+    assert op(E(3), 3) == op(E(3), E(3))
+    for x in (np.int64(3), 1.5, None):
+        with pytest.raises(TypeError, match="expected an Eisenstein integer"):
+            op(E(3), x)
+    with pytest.raises(ZeroDivisionError):
+        op(E(3), 0)
+
+
 def test_gcd_divides_both():
     rng = random.Random(13)
     for _ in range(200):

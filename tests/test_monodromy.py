@@ -606,9 +606,10 @@ def test_reflections_in_is_the_same_in_any_block_size(closures, block, monkeypat
     assert [mono.reflections_in(h) for h in handles] == expected
 
 
-@pytest.mark.parametrize("bound", [1, 7, 1000])
+@pytest.mark.parametrize("bound", [1, 7, 4000])
 def test_reflections_in_is_the_same_in_any_certification_batch(closures, bound, monkeypatch):
-    # R4 has 860 trace-matching candidates, all in its one block: a bound of 1000 certifies them in one call
+    # R4 has 3882 candidates whose trace has its a-part in n - 2..n, all in its one block: a bound of 4000
+    # certifies them in one call
     handles = [group_handle(closures, group) for group in GROUPS]
     expected = [mono.reflections_in(h) for h in handles]
     monkeypatch.setattr(mono, "_CERTIFY", bound)
@@ -616,10 +617,24 @@ def test_reflections_in_is_the_same_in_any_certification_batch(closures, bound, 
     calls, certify = [], mono._reflections
     monkeypatch.setattr(mono, "_reflections", lambda z: calls.append(len(z)) or certify(z))
     assert mono.reflections_in(handles[3]) == expected[3]
-    assert sum(calls) == 860
+    assert sum(calls) == 3882
     assert all(c >= bound for c in calls[:-1])  # before the block ends, a batch is certified only once it is full
-    if bound > 860:
-        assert calls == [860]
+    if bound > 3882:
+        assert calls == [3882]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
+def test_reflections_in_forms_no_element_of_the_whole_group(closures, group, monkeypatch):
+    # the certified packings are kept and sorted, so no reflection is formed a second time from its index
+    h, levels, form = group_handle(closures, group), [], mono.GroupHandle.matrices
+
+    def spy(self, idx, level=0):
+        levels.append(level)
+        return form(self, idx, level)
+
+    monkeypatch.setattr(mono.GroupHandle, "matrices", spy)
+    mono.reflections_in(h)
+    assert levels and 0 not in levels
 
 
 def test_r4_reflections_in_stays_small(closures):
