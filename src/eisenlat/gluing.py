@@ -16,6 +16,11 @@ of the symplectic Gram S, built straight from S with no lattice matrix.
 S takes no division: x = a + b w in theta E has x/theta = ((2b - a) +
 (b - 2a) w)/3, which reduces to (b - a) mod 3.  The orbit's tables of chunk
 pattern images come by base-3 expansion in bit-sliced F_3, with no matrix product.
+Every line code of rank n is below 2 * 3^(n-1), so while two boolean tables of
+that length fit in 8 bytes per line the cap admits and in 2 MiB (up to rank 12,
+which holds the rank-10 orbit), the orbit keeps its lines in a table indexed
+by the code, with no sort, search or merge; above that, up to rank 39, it keeps
+sorted codes, whose memory grows with the orbit and not with 3^n.
 One Gaussian congruence mod 3 diagonalizes the F_3 form; each pair of -1
 entries is then turned into +1, +1, so the diagonal
 is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
@@ -354,6 +359,7 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
 
 _CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
 _BLOCK = 2048  # frontier lines per batch of images: the (m, block) temporaries stay in cache
+_DENSE_BYTES = 2**21  # the most the two boolean tables of ``_dense_orbit`` may take, whatever the cap
 
 
 def _dtypes(n):
@@ -438,17 +444,58 @@ def _line_images(tables, codes):
 def line_orbit(gens, start, cap: int = 200000):
     """Number of lines of F_3^n in the orbit of the line of ``start`` under (m, n, n) F_3 matrices.
 
-    The lines reached are kept as sorted ``line_codes``; raises ValueError
-    once the orbit outgrows ``cap``.  A level's images are formed in blocks
-    of ``_BLOCK`` frontier lines, sorted once and deduplicated by adjacent
+    Raises ValueError once the orbit outgrows ``cap``; a whole level is
+    counted first.  A level's images are formed in blocks of ``_BLOCK``
+    frontier lines.  Every ``line_codes`` value is below 2 * 3^(n-1), so the
+    lines can be kept in two boolean tables of that length: the lines
+    reached and those of one level (``_dense_orbit``).  That path runs when
+    the tables take at most 8 bytes per line that ``cap`` admits (what
+    ``cap`` int64 codes would take) and at most ``_DENSE_BYTES``:
+    4 * 3^(n-1) <= min(8 cap, 2^21), which holds up to rank 12.  The tables
+    are allocated whole before the first image, so the second bound keeps
+    a cap far above the orbit from making them large.  Otherwise, up to
+    rank 39, the lines are kept as sorted codes (``_sorted_orbit``), whose
+    memory grows with the orbit and not with 3^n.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    n = gens.shape[-1]
+    first = line_codes([start]).astype(_dtypes(n)[1])
+    orbit = _dense_orbit if 4 * 3 ** (n - 1) <= min(8 * cap, _DENSE_BYTES) else _sorted_orbit
+    return orbit(_chunk_tables(gens), first, cap)
+
+
+def _dense_orbit(tables, first, cap):
+    """``line_orbit`` on boolean tables indexed by the line code.
+
+    Each level scatters its images into a fresh table, drops the lines seen
+    before, and reads the next frontier back in code order: no sort, no
+    search and no merge.
+    """
+    seen = np.zeros(2 * 3 ** (tables[-1][1] - 1), bool)
+    seen[first] = True
+    count, frontier = 1, first
+    while len(frontier):
+        level = np.zeros_like(seen)
+        for i in range(0, len(frontier), _BLOCK):
+            level[_line_images(tables, frontier[i : i + _BLOCK])] = True
+        level &= ~seen
+        frontier = np.flatnonzero(level).astype(first.dtype)
+        count += len(frontier)
+        if count > cap:
+            raise ValueError(f"orbit exceeded cap {cap}")
+        seen |= level
+    return count
+
+
+def _sorted_orbit(tables, first, cap):
+    """``line_orbit`` on sorted codes, for ranks whose boolean tables would outgrow the cap or 2 MiB.
+
+    A level's images are sorted once and deduplicated by adjacent
     difference; membership in ``seen`` is a binary search, and ``seen`` takes
     the fresh codes by a stable sort of two sorted runs, a linear merge.
     """
-    gens = np.asarray(gens, dtype=np.int64)
-    seen = line_codes([start]).astype(_dtypes(gens.shape[-1])[1])
-    tables = _chunk_tables(gens)
-    m = len(gens)
-    frontier = seen
+    m = tables[0][2].shape[1]
+    seen = frontier = first
     while len(frontier):
         images = np.empty((len(frontier), m), seen.dtype)
         for i in range(0, len(frontier), _BLOCK):
@@ -509,6 +556,8 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     (default: the first root) has integer or Eisenstein coordinates.
     Returns (orbit size, generator count).
     """
+    if not len(roots):
+        raise ValueError("need at least one root")
     n = G.n
     sg = symplectic_gram(G)
     if f3_rank(sg) != n:

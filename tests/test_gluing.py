@@ -489,6 +489,20 @@ def test_orbit_cap():
             run(roots, L10, cap=39)
 
 
+def test_full_orbit_cap_edge_on_the_dense_path():
+    # 4 * 3^9 bytes of tables fit in 8 bytes per line of either cap
+    L10, roots = lambda10(), gluing.sp_generating_roots()
+    assert gluing.hyperplane_orbit(roots, L10, cap=29524) == (29524, 12)
+    with pytest.raises(ValueError, match="orbit exceeded cap 29523"):
+        gluing.hyperplane_orbit(roots, L10, cap=29523)
+
+
+@pytest.mark.parametrize("start", [None, (1,) + (0,) * 9])
+def test_orbit_refuses_an_empty_root_list(start):
+    with pytest.raises(ValueError, match="need at least one root"):
+        gluing.hyperplane_orbit([], lambda10(), start=start)
+
+
 def test_orbit_rejects_bad_start():
     roots = gluing.sp_generating_roots()
     with pytest.raises(ValueError, match="nonzero"):
@@ -559,7 +573,8 @@ def test_reduced_triflections_take_only_roots():
 
 
 def test_orbit_peak_memory_is_bounded():
-    # a level's images come in blocks of narrow codes; whole levels of int64 codes peaked at 6.2 MiB
+    # a level's images come in blocks of narrow codes and land in 39366-byte tables of the line codes: 0.80 MiB
+    # traced; sorted codes peaked at 1.15 MiB, and whole levels of int64 codes at 6.2 MiB
     L10, roots = lambda10(), gluing.sp_generating_roots()
     gluing.hyperplane_orbit(roots, L10)
     tracemalloc.start()
@@ -617,6 +632,41 @@ def test_line_orbit_of_random_matrices_matches_reference(n):
     gens = [random_invertible_f3(rng, n) for _ in range(2)]
     for start in seeded_starts(n, 3, n):
         assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_line_orbit_cap_edge_matches_reference_on_both_paths(n):
+    # the whole space's lines: caps size - 1 and size // 2 take the dense path, cap 1 the sorted one
+    rng = random.Random(200 + n)
+    gens = [random_invertible_f3(rng, n) for _ in range(2)]
+    start = seeded_starts(n, 1, n)[0]
+    size = reference_line_orbit(gens, start)
+    assert gluing.line_orbit(gens, start, cap=size) == size
+    for cap in {c for c in (size - 1, size // 2, 1) if 0 < c < size}:
+        for run in (gluing.line_orbit, reference_line_orbit):
+            with pytest.raises(ValueError, match=f"orbit exceeded cap {cap}"):
+                run(gens, start, cap=cap)
+
+
+@pytest.mark.parametrize("n, cap, path", [
+    (1, 1, "_dense_orbit"),
+    (10, 9842, "_dense_orbit"),  # 4 * 3^9 = 78732 <= 8 * 9842
+    (10, 9841, "_sorted_orbit"),
+    (10, 29523, "_dense_orbit"),  # test_full_orbit_cap_edge_on_the_dense_path
+    (10, 39, "_sorted_orbit"),  # test_orbit_cap
+    (12, 200000, "_dense_orbit"),  # 4 * 3^11 = 708588 <= 2^21
+    (13, 200000, "_sorted_orbit"),
+    *((n, 200000, "_sorted_orbit") for n in (15, 16, 19, 20, 31, 32, 39)),  # the dtype and rank-39 tests
+    (12, 10**18, "_dense_orbit"),
+    (13, 10**18, "_sorted_orbit"),  # 4 * 3^12 > 2^21: no cap makes the tables larger
+    (39, 10**18, "_sorted_orbit"),
+])
+def test_line_orbit_picks_its_path_by_rank_and_cap(monkeypatch, n, cap, path):
+    calls = []
+    for name in ("_dense_orbit", "_sorted_orbit"):
+        monkeypatch.setattr(gluing, name, lambda tables, first, cap, name=name: calls.append(name) or 0)
+    gluing.line_orbit(np.eye(n, dtype=np.int64)[None], [1] * n, cap)
+    assert calls == [path]
 
 
 def test_line_orbit_reaches_the_top_codes_of_rank_39():

@@ -638,8 +638,8 @@ def test_reflections_in_forms_no_element_of_the_whole_group(closures, group, mon
 
 
 def test_r4_reflections_in_stays_small(closures):
-    # one block of a-parts at a time, and only the candidates' b-parts and matrices; all 155520 traces at once
-    # peaked at 4.48 MiB
+    # one block of trace a-parts at a time, and only the a-filtered candidates formed, _CERTIFY per batch; all
+    # 155520 traces at once peaked at 4.48 MiB
     h = closures(4)
     refl, peak = traced_peak(lambda: mono.reflections_in(h))
     assert len(refl) == 80
