@@ -465,11 +465,10 @@ def line_orbit(gens, start, cap: int = 200000):
 
 
 def _dense_orbit(tables, first, cap):
-    """``line_orbit`` on boolean tables indexed by the line code.
+    """``line_orbit`` on boolean tables indexed by the line code: no sort, search or merge.
 
     Each level scatters its images into a fresh table, drops the lines seen
-    before, and reads the next frontier back in code order: no sort, no
-    search and no merge.
+    before, and reads the next frontier back in code order.
     """
     seen = np.zeros(2 * 3 ** (tables[-1][1] - 1), bool)
     seen[first] = True
