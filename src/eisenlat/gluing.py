@@ -458,6 +458,8 @@ def line_orbit(gens, start, cap: int = 200000):
     memory grows with the orbit and not with 3^n.
     """
     gens = np.asarray(gens, dtype=np.int64)
+    if not len(gens):
+        raise ValueError("no generator was given")
     n = gens.shape[-1]
     first = line_codes([start]).astype(_dtypes(n)[1])
     orbit = _dense_orbit if 4 * 3 ** (n - 1) <= min(8 * cap, _DENSE_BYTES) else _sorted_orbit

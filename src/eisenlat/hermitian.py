@@ -28,7 +28,6 @@ from .eisenstein import (
     EisensteinInt,
     e_gcd,
     is_associate,
-    reduce_mod_theta,
     to_e,
 )
 from .linalg import herm_eliminate, mat_mul
@@ -41,7 +40,7 @@ class HermGram:
     __slots__ = ("n", "g")
 
     def __init__(self, rows):
-        g = tuple(tuple(to_e(x) for x in row) for row in rows)
+        g = tuple(tuple([x if type(x) is EisensteinInt else to_e(x) for x in row]) for row in rows)
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -73,7 +72,16 @@ class HermGram:
         rows = data.get("g") if isinstance(data, dict) else None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('expected {"g": [[[a, b], ...], ...]}, a list of rows of entries a + b w')
-        g = [[EisensteinInt.from_json(x) for x in row] for row in rows]
+        # a well-formed entry [a, b] is built here; any other goes through from_json, which names it
+        g = [
+            [
+                EisensteinInt(*x)
+                if type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+                else EisensteinInt.from_json(x)
+                for x in row
+            ]
+            for row in rows
+        ]
         if len(g) != data.get("n", len(g)):
             raise ValueError("rank field does not match matrix size")
         return HermGram(g)
@@ -178,7 +186,9 @@ NAMED_LATTICES = {
 }
 
 
-MAX_CHAIN_RANK = 1000  # the largest N of chain:N, whose Gram has N^2 entries: about 15 MiB at N = 1000
+# the largest N of chain:N, whose Gram has N^2 entries: about 15 MiB at N = 1000; each elimination
+# step rewrites only the one row next to its pivot, so its invariants take about 0.3 s there
+MAX_CHAIN_RANK = 1000
 
 
 def named_lattice(name: str) -> HermGram:
@@ -254,7 +264,7 @@ def signature(G: HermGram):
 
 def in_theta_dual(G: HermGram) -> bool:
     """True iff every inner product lies in theta*E, i.e. L is contained in theta L*."""
-    return all(reduce_mod_theta(x) == 0 for row in G.g for x in row)
+    return not any((x.a + x.b) % 3 for row in G.g for x in row)  # a + b w = a + b mod theta
 
 
 def theta_self_dual(G: HermGram, d=None, dual=None) -> bool:

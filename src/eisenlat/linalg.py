@@ -3,9 +3,10 @@
 Matrices are sequences of rows.  ``adjugate`` is Bareiss' fraction-free
 elimination (Bareiss 1968) in its Gauss-Jordan form over Z, which solves
 integer systems without fractions; ``herm_eliminate`` the same elimination
-as a congruence of a Hermitian form over Z[w], on int pairs, updating only
-the upper half of the still live block; a symmetric integer form is the
-Hermitian form whose entries are all rational.
+as a congruence of a Hermitian form over Z[w], on int pairs, reading and
+writing only the upper half of the still live block and leaving alone the
+rows a step would only scale; a symmetric integer form is the Hermitian
+form whose entries are all rational.
 E-matrices are solved through ``pack``, the ring map a + b w ->
 [[a, -b], [b, a - b]] into integer 2 x 2 blocks, and read back whole by
 ``unpack``: ``adjugate_e`` is ``adjugate`` of the packing.  ``monodromy``'s
@@ -134,28 +135,37 @@ def _e_mul(a, b, c, d):
 def herm_eliminate(rows):
     """Pivot minors D_1..D_r of a Hermitian form over E, r its rank.
 
-    Bareiss' elimination run as a congruence, on the E-entries
-    themselves, each kept as an int pair (a, b) for a + b w.  The block of
-    the live indices stays Hermitian, so the step on the pivot p updates
-    only its upper half, a_tu <- (d a_tu - a_tp a_pu) / prev for t <= u,
-    and mirrors it by conjugation, conj(a + b w) = (a - b) - b w; nothing
-    else is read again.  The pivot d and prev are minors of a Hermitian
-    form, so rational integers, and each division is two exact floor
-    divisions.  D_k is the k-th leading principal minor of the form in the
-    pivot basis, so the k-th pivot of the diagonalized form is D_k / D_(k-1).
+    Bareiss' elimination (Bareiss 1968) run as a congruence on int pairs
+    (a, b) for a + b w, reading and writing only the upper half t <= u:
+    a_tp for t > p is conj(a_pt), and conj(a + b w) = (a - b) - b w.  The
+    step on the pivot p sets a_tu <- (d a_tu - a_tp a_pu) / prev on the live
+    block; d and prev are minors of a Hermitian form, so rational integers,
+    and each division is two exact floor divisions.  D_k is the k-th
+    leading principal minor of the form in the pivot basis, so the k-th
+    pivot of the diagonalized form is D_k / D_(k-1).
+
+    A row with a_tp = 0 would only scale by d / prev, so the step skips it:
+    each row holds its entries times scale / prev, scale being the minor of
+    the step that last rewrote it, exact since every live entry is a minor
+    (Sylvester's identity).  The row's next rewrite fuses that scale into
+    its update, and a row read as the pivot row or in the pivot column is
+    read at the current level.  Scaling keeps zero-ness, so the pivots and
+    minors are those of the eager update.
 
     A pivot is the first live nonzero diagonal entry; it must be real, and
-    an ArithmeticError reports one that is not, which only a form that is
-    not Hermitian can give.  When every live diagonal entry is zero but
-    some a_pj (p < j) is not, conj(u) times row j is added to row p and u
-    times column j to column p, the congruence e_p -> e_p + conj(u) e_j,
-    which makes a_pp = 2 Re(u a_pj): with u = 1 that is 2a - b, and when it
-    is 0, a_pj = a theta and u = w gives a_pp = -3a instead.  A symmetric
-    int form is the case b = 0: every entry stays rational, and u = 1.
+    an ArithmeticError reports one that is not, which only a diagonal entry
+    that is not real can give.  When every live diagonal entry is zero but
+    some a_pj (p < j) is not, every live row is brought to the current
+    level and e_p -> e_p + conj(u) e_j applied.  The live rows before p are
+    zero, so only row p changes, and a_pp becomes 2 Re(u a_pj): with u = 1
+    that is 2a - b, and when it is 0, a_pj = a theta and u = w gives a_pp =
+    -3a instead.  A symmetric int form is the case b = 0: every entry stays
+    rational, and u = 1.
     """
     A = [[x.a for x in row] for row in rows]
     B = [[x.b for x in row] for row in rows]
     live = list(range(len(A)))
+    scale = [1] * len(A)
     minors = []
     prev = 1
     while live:
@@ -164,35 +174,59 @@ def herm_eliminate(rows):
             pair = next(((i, j) for i in live for j in live if j > i and (A[i][j] or B[i][j])), None)
             if pair is None:
                 break
+            for t in live:
+                if scale[t] != prev:
+                    _rescale(A[t], B[t], [u for u in live if u >= t], prev, scale[t])
+                    scale[t] = prev
             p, j = pair
-            ua, ub = (1, 0) if 2 * A[p][j] - B[p][j] else (0, 1)
             Ap, Bp, Aj, Bj = A[p], B[p], A[j], B[j]
+            ua, ub = (1, 0) if 2 * Ap[j] - Bp[j] else (0, 1)
+            x, y = _e_mul(ua, ub, Ap[j], Bp[j])  # u a_pj
+            Ap[p] = 2 * x - y
             for t in live:
-                x, y = _e_mul(ua - ub, -ub, Aj[t], Bj[t])  # conj(u) a_jt
-                Ap[t] += x
-                Bp[t] += y
-            for t in live:
-                x, y = _e_mul(ua, ub, A[t][j], B[t][j])  # u a_tj
-                A[t][p] += x
-                B[t][p] += y
-        live.remove(p)
+                if t > p and t != j:  # a_pj gains conj(u) a_jj = 0
+                    x, y = (Aj[t], Bj[t]) if t > j else (A[t][j] - B[t][j], -B[t][j])  # a_jt
+                    x, y = _e_mul(ua - ub, -ub, x, y)
+                    Ap[t] += x
+                    Bp[t] += y
+        i = live.index(p)
+        del live[i]
         Ap, Bp = A[p], B[p]
+        if scale[p] != prev:
+            _rescale(Ap, Bp, [p, *live[i:]], prev, scale[p])
         d = Ap[p]
         if Bp[p]:
             raise ArithmeticError(f"pivot {d} + {Bp[p]}w of a Hermitian elimination is not real")
-        for s, t in enumerate(live):
+        prow = []  # (u, x, y, y - x) for each live u, with a_pu = x + y w at the current level
+        for u in live[:i]:  # a_pu = conj(a_up), from row u
+            x, y, h = A[u][p], B[u][p], scale[u]
+            if h != prev:
+                x, y = x * prev // h, y * prev // h
+            prow.append((u, x - y, -y, -x))
+        prow += [(u, Ap[u], Bp[u], Bp[u] - Ap[u]) for u in live[i:]]
+        for s, (t, x, y, _) in enumerate(prow):
+            if not (x or y):
+                continue
+            c, e, h = x - y, -y, scale[t]  # a_tp = c + e w
+            if h == prev:
+                dn, dd = d, prev
+            else:  # the stored a_tu is the current one times h / prev
+                dn, dd, c, e = d * prev, h * prev, h * c, h * e
             At, Bt = A[t], B[t]
-            c, e = At[p], Bt[p]
-            for u in live[s:]:
-                x, y = Ap[u], Bp[u]
-                ey = e * y
-                At[u] = a = (d * At[u] - c * x + ey) // prev
-                Bt[u] = b = (d * Bt[u] - c * y - e * x + ey) // prev
-                A[u][t] = a - b
-                B[u][t] = -b
+            for u, x, y, z in prow[s:]:  # a_tp a_pu = (c x - e y) + (c y - e z) w
+                At[u] = (dn * At[u] - c * x + e * y) // dd
+                Bt[u] = (dn * Bt[u] - c * y + e * z) // dd
+            scale[t] = d
         minors.append(d)
         prev = d
     return minors
+
+
+def _rescale(a, b, cols, num, den):
+    """Entries cols of the row (a, b) times num / den, a quotient known to be exact."""
+    for u in cols:
+        a[u] = a[u] * num // den
+        b[u] = b[u] * num // den
 
 
 def f3_rref(rows):

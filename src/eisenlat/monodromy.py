@@ -332,7 +332,8 @@ class Orbit:
     gens[letter[p]] applied to point parent[p].  trans[p], which maps e_base to point p, is that
     letter times the parent's, so point p is its base column; trans_inv[p] is its inverse.
     sifted[p, s] is set once the Schreier generator of p and s has sifted to I; it stays set, for
-    the points and transversal elements it rests on never change.
+    the points and transversal elements it rests on never change.  It is set from the start for each
+    tree edge, p = parent[q] and s = letter[q]: trans[q] = gens[s] trans[p], so that one is I.
 
     The orbit grows one breadth-first level at a time, and a fresh point takes the next number in
     the order it first occurs in the (point, generator) scan: the numbering of a point-by-point
@@ -394,6 +395,7 @@ class Orbit:
         self.letter = np.concatenate([self.letter, np.array(letter, np.int64)])
         sifted = np.zeros((size, k), bool)
         sifted[:old, :known] = self.sifted
+        sifted[self.parent[old:], self.letter[old:]] = True
         self.sifted = sifted
         self.invs += [_inverse(g) for g in self.gens[len(self.invs) :]]
         invs = np.stack(self.invs)

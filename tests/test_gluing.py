@@ -503,6 +503,12 @@ def test_orbit_refuses_an_empty_root_list(start):
         gluing.hyperplane_orbit([], lambda10(), start=start)
 
 
+@pytest.mark.parametrize("gens", [np.zeros((0, 4, 4), int), []], ids=["array", "list"])
+def test_line_orbit_refuses_an_empty_generator_set(gens):
+    with pytest.raises(ValueError, match="no generator was given"):
+        gluing.line_orbit(gens, [1, 0, 0, 0])
+
+
 def test_orbit_rejects_bad_start():
     roots = gluing.sp_generating_roots()
     with pytest.raises(ValueError, match="nonzero"):

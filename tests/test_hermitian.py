@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -292,13 +293,25 @@ def _unchecked_gram(rows):
 
 
 def test_det_signature_refuses_a_pivot_that_is_not_real():
-    for rows in [
-        [[(0, 1)]],  # the first pivot is w
-        [[1, 1], [(0, 1), 1]],  # the second is 1 - w
-        [[0, 1], [(0, 1), 0]],  # the zero-diagonal step makes a_00 = 1 + w
+    for rows, pivot in [
+        ([[(0, 1)]], "0 + 1w"),  # the first pivot is w
+        ([[1, 1], [1, (0, 1)]], "-1 + 1w"),  # the second is w - 1
+        # row 2 is never rewritten, so it is read at the level D_2 = 6 as the pivot row
+        ([[2, 0, 0], [0, 3, 0], [0, 0, (0, 1)]], "0 + 6w"),
     ]:
-        with pytest.raises(ArithmeticError, match="is not real"):
+        with pytest.raises(ArithmeticError, match=re.escape(f"pivot {pivot} of a Hermitian elimination is not real")):
             hermitian.det_signature(_unchecked_gram(rows))
+
+
+def test_herm_eliminate_reads_only_the_upper_half():
+    """a_tp for t > p is read as conj(a_pt), so the minors of a matrix are
+    those of the Hermitian form of its upper half, whatever its lower half holds."""
+    for rows, minors in [
+        ([[0, 1], [(0, 1), 0]], [2, -1]),  # the zero-diagonal step makes a_00 = 2 Re(a_01) = 2
+        ([[1, 1], [(0, 1), 1]], [1]),  # [[1, 1], [1, 1]] has rank 1
+        ([[3, (1, 2)], [(5, 5), 3]], [3, 6]),  # chain(2)
+    ]:
+        assert herm_eliminate(_unchecked_gram(rows).g) == minors
 
 
 def test_det_signature_keys_its_cache_on_the_gram_object(monkeypatch):

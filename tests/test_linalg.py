@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from eisenlat.eisenstein import UNITS, E, EisensteinInt, QOmega
+from eisenlat import discpoly
+from eisenlat.eisenstein import THETA, UNITS, ZERO, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
+from eisenlat.hermitian import NAMED_LATTICES, chain, direct_sum, hyp, lambda_, z_realization
 from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, pack, unpack
-from eisenlat.zlattice import ZGram, inertia
+from eisenlat.zlattice import ZGram, an_vanishing_gram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 # the symmetric elimination has more branches: pivots, hyperbolic pairs and radicals
@@ -329,9 +331,9 @@ def test_packing_and_gram_are_written_once():
 
 
 def test_reductions_mod_theta_live_in_gluing():
-    """Only gluing defines the F_3 reductions of Grams and matrices, only
-    gluing and hermitian import ``reduce_mod_theta``, and no module imports
-    ``snf_e``, so theta N*/N comes from the F_3 kernel alone."""
+    """Only gluing defines the F_3 reductions of Grams and matrices or
+    imports ``reduce_mod_theta``, and no module imports ``snf_e``, so
+    theta N*/N comes from the F_3 kernel alone."""
     src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
     definers, reducers, snf = set(), set(), set()
     for path in sorted(src.glob("*.py")):
@@ -345,7 +347,7 @@ def test_reductions_mod_theta_live_in_gluing():
                 if "snf_e" in names:
                     snf.add(path.stem)
     assert definers == {"gluing"}
-    assert reducers == {"gluing", "hermitian"}
+    assert reducers == {"gluing"}
     assert snf == set()
 
 
@@ -707,6 +709,175 @@ def test_pivot_minors_are_the_leading_minors_in_the_pivot_basis(a):
 @example([[0, 2, 0], [2, 0, 0], [0, 0, 0]])  # a pair, then a radical
 def test_live_block_elimination_matches_the_full_row_reference(a):
     assert herm_eliminate(as_e(a)) == sym_eliminate_reference(a, operator.floordiv)[1]
+
+
+# The eager Hermitian elimination, the reference for ``linalg.herm_eliminate`` on forms over E.
+
+
+def herm_eliminate_reference(rows):
+    """The pivot minors of a Hermitian form over E by Bareiss' congruence elimination, eagerly.
+
+    Each step rewrites every live entry: the upper half by a_tu <- (d a_tu -
+    a_tp a_pu) / prev, t <= u, and the lower half as its conjugate, with no
+    scale left pending on any row.  When every live diagonal entry is zero
+    but some a_pj (p < j) is not, conj(u) times row j is added to row p and
+    u times column j to column p, with u = 1 when 2 Re(a_pj) = 2a - b is
+    nonzero and u = w otherwise.
+    """
+
+    def mul(a, b, c, d):  # (a + b w)(c + d w), w^2 = -1 - w
+        return a * c - b * d, a * d + b * c - b * d
+
+    A = [[x.a for x in row] for row in rows]
+    B = [[x.b for x in row] for row in rows]
+    live = list(range(len(A)))
+    minors = []
+    prev = 1
+    while live:
+        p = next((i for i in live if A[i][i] or B[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if j > i and (A[i][j] or B[i][j])), None)
+            if pair is None:
+                break
+            p, j = pair
+            ua, ub = (1, 0) if 2 * A[p][j] - B[p][j] else (0, 1)
+            Ap, Bp, Aj, Bj = A[p], B[p], A[j], B[j]
+            for t in live:
+                x, y = mul(ua - ub, -ub, Aj[t], Bj[t])  # conj(u) a_jt
+                Ap[t] += x
+                Bp[t] += y
+            for t in live:
+                x, y = mul(ua, ub, A[t][j], B[t][j])  # u a_tj
+                A[t][p] += x
+                B[t][p] += y
+        live.remove(p)
+        Ap, Bp = A[p], B[p]
+        d = Ap[p]
+        if Bp[p]:
+            raise ArithmeticError(f"pivot {d} + {Bp[p]}w of a Hermitian elimination is not real")
+        for s, t in enumerate(live):
+            At, Bt = A[t], B[t]
+            c, e = At[p], Bt[p]
+            for u in live[s:]:
+                x, y = Ap[u], Bp[u]
+                ey = e * y
+                At[u] = a = (d * At[u] - c * x + ey) // prev
+                Bt[u] = b = (d * Bt[u] - c * y - e * x + ey) // prev
+                A[u][t] = a - b
+                B[u][t] = -b
+        minors.append(d)
+        prev = d
+    return minors
+
+
+def seeded_gram(rng, n, density, band=None, zero_diagonal=False, theta=True):
+    """A rank-n Hermitian form over E: each a_ij with i < j <= i + band is nonzero with
+    probability density, theta times a small element when theta is set (the Grams of
+    ``lattice invariants`` in the benchmark's query mix) or a small element otherwise."""
+    g = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = ZERO if zero_diagonal else E(3 * rng.randint(-3, 3))
+        for j in range(i + 1, min(n, i + 1 + (band or n))):
+            if rng.random() < density:
+                x = E(rng.randint(-2, 2), rng.randint(-2, 2))
+                g[i][j] = THETA * x if theta else x
+                g[j][i] = g[i][j].conj()
+    return g
+
+
+def chain_minors(n):
+    """The pivot minors of chain(n), which is 3 on the diagonal and theta next to it.
+
+    Its leading minors obey D_k = 3 D_(k-1) - 3 D_(k-2), since |theta|^2 = 3,
+    so they run 3, 6, 9, 9, 0, -27 and then D_(k+6) = -27 D_k.  Where
+    D_k = 0 (k = 5 mod 6) index k is live with a zero diagonal entry, so the
+    elimination pivots on index k + 1 first, and that minor is 3 D_(k-1);
+    chain(n) has rank n - 1 when n = 5 mod 6.
+    """
+    return [(-27) ** (k // 6) * (3, 6, 9, 9, 27, -27)[k % 6] for k in range(n - (n % 6 == 5))]
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_LATTICES))
+def test_elimination_matches_the_eager_reference_on_the_named_lattices(name):
+    g = NAMED_LATTICES[name]().g
+    assert herm_eliminate(g) == herm_eliminate_reference(g)
+
+
+def test_elimination_of_chains_matches_the_eager_reference_and_the_recurrence():
+    # the eager reference is cubic on a chain; it gives chain_minors(n) for every n <= 400
+    for n in range(1, 61):
+        g = chain(n).g
+        assert herm_eliminate(g) == herm_eliminate_reference(g) == chain_minors(n)
+    for n in [*range(61, 395, 13), *range(395, 401)]:  # every residue mod 6, and the top six
+        assert herm_eliminate(chain(n).g) == chain_minors(n)
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_elimination_matches_the_eager_reference_on_dense_theta_grams(n):
+    rng = random.Random(f"dense/{n}")
+    for density in (0.5, 0.5, 0.5, 1.0, 1.0):
+        g = seeded_gram(rng, n, density)
+        assert herm_eliminate(g) == herm_eliminate_reference(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_elimination_matches_the_eager_reference_on_banded_and_sparse_grams(seed):
+    # an odd seed zeroes the diagonal, so zero-diagonal steps meet rows with a pending scale
+    rng = random.Random(f"sparse/{seed}")
+    zero = bool(seed % 2)
+    grams = [seeded_gram(rng, rng.randint(20, 50), 0.9, band=band, zero_diagonal=zero) for band in (1, 2, 3)]
+    grams += [seeded_gram(rng, rng.randint(20, 50), density, zero_diagonal=zero, theta=False) for density in (0.04, 0.1)]
+    for g in grams:
+        assert herm_eliminate(g) == herm_eliminate_reference(g)
+
+
+def test_elimination_matches_the_eager_reference_on_the_integer_forms(monkeypatch):
+    """The Bezout forms behind ``quasihomogeneity_check``, the A_n vanishing
+    lattices and the Z-realization of lambda, read as forms over E."""
+    forms, determinant = [], discpoly.determinant
+
+    def recorded(G):
+        forms.append(G.g)
+        return determinant(G)
+
+    monkeypatch.setattr(discpoly, "determinant", recorded)
+    assert discpoly.quasihomogeneity_check()
+    assert len(forms) == 200
+    forms += [an_vanishing_gram(n).g for n in (5, 11, 12)] + [z_realization(lambda_()).g]
+    for rows in forms:
+        assert herm_eliminate(as_e(rows)) == herm_eliminate_reference(as_e(rows))
+
+
+@st.composite
+def hermitian_rows(draw, max_n=8):
+    """A Hermitian form over E with entries a + b w, b often nonzero: its diagonal is sometimes
+    all zero, and, if asked, one index is doubled (a repeated row) or zeroed (a radical)."""
+    n = draw(st.integers(1, max_n))
+    zero_diagonal = draw(st.booleans())
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = ZERO if zero_diagonal else E(draw(st.integers(-3, 3)))
+        for j in range(i + 1, n):
+            v = draw(st.one_of(st.just(ZERO), st.builds(E, small, small)))
+            rows[i][j], rows[j][i] = v, v.conj()
+    change = draw(st.sampled_from(["none", "repeat", "zero"]))
+    if change == "repeat" and n < max_n:
+        s = list(range(n)) + [draw(st.integers(0, n - 1))]
+        rows = [[rows[i][j] for j in s] for i in s]
+    elif change == "zero":
+        k = draw(st.integers(0, n - 1))
+        rows = [[ZERO if k in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return rows
+
+
+@MANY
+@given(hermitian_rows())
+@example(hyp().g)  # a zero diagonal and a_01 = theta: u = w
+@example(direct_sum(chain(1), hyp()).g)  # the zero-diagonal step levels the rows the first step skipped
+@example(as_e([[2, 0, 0, 1], [0, 3, 1, 0], [0, 1, 5, 0], [1, 0, 0, 7]]))  # pending rows read and rewritten
+@example(as_e([[0, 0, 1], [0, 2, 0], [1, 0, 3]]))  # a pending row before the pivot, read in its column
+def test_elimination_matches_the_eager_reference(rows):
+    assert herm_eliminate(rows) == herm_eliminate_reference(rows)
 
 
 def test_only_linalg_and_monodromy_reach_the_integer_adjugate():

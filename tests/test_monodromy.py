@@ -742,6 +742,39 @@ def test_conjugations_and_labels_are_int32_and_match_an_int64_reference(closures
     assert labels.dtype == np.int32 and np.array_equal(labels, reference_labels(expected, h.order))
 
 
+@pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
+def test_tree_edges_start_sifted_and_leave_the_chain_unchanged(group, monkeypatch):
+    # the Schreier generator of a tree edge, p = parent[q] and s = letter[q], is I, so Orbit.grow
+    # marks it sifted; undoing those marks after each grow forms one more Schreier generator per
+    # tree edge and gives the same orbits, transversals and order
+    gens = mono.chain_triflections(group) if isinstance(group, int) else chain_subset(*group[:2])
+    grow, schreier, formed = mono.Orbit.grow, mono.Orbit.schreier, []
+
+    def counted_schreier(self):
+        out = schreier(self)
+        formed.append(len(out[0]))
+        return out
+
+    def unmarked_grow(self, cap, others):
+        old = len(self.parent)
+        grow(self, cap, others)
+        self.sifted[self.parent[old:], self.letter[old:]] = False
+
+    monkeypatch.setattr(mono.Orbit, "schreier", counted_schreier)
+    h = mono.group_closure(gens)
+    marked = sum(formed)
+    formed.clear()
+    monkeypatch.setattr(mono.Orbit, "grow", unmarked_grow)
+    ref = mono.group_closure(gens)
+    assert sum(formed) - marked == sum(len(o.points) - 1 for o in h.orbits) > 0
+    assert (h.order, len(h.orbits)) == (ref.order, len(ref.orbits))
+    for o, r in zip(h.orbits, ref.orbits):
+        assert o.base == r.base and len(o.gens) == len(r.gens)
+        assert all(np.array_equal(a, b) for a, b in zip(o.gens, r.gens))
+        for name in ("parent", "letter", "trans", "trans_inv", "sifted"):
+            assert np.array_equal(getattr(o, name), getattr(r, name))
+
+
 def test_handle_made_by_hand_gets_the_closure_table(closures):
     h = closures(3)
     by_hand = mono.GroupHandle(h.ambient, h.orbits, h.generators)
