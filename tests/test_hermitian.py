@@ -34,7 +34,7 @@ from eisenlat.hermitian import (
 )
 from eisenlat.linalg import herm_eliminate
 from eisenlat.zlattice import ZGram, determinant, inertia, invariants, is_even
-from test_linalg import BOUNDED, det, kernel, sym_eliminate_reference
+from test_linalg import BOUNDED, det, herm_eliminate_reference, kernel, sym_eliminate_reference
 
 
 def random_vec(rng, n, bound=3):
@@ -263,6 +263,16 @@ def elimination_grams(draw, max_n=7):
 @example(lambda10())
 def test_det_signature_matches_the_real_form(G):
     assert hermitian.det_signature(G) == det_signature_reference(G)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(elimination_grams())
+@example(hyp())  # a zero diagonal and a_01 = theta: u = w
+@example(direct_sum(chain(1), hyp()))  # the zero-diagonal step levels the rows the first step skipped
+@example(HermGram([[2, 0, 0, 1], [0, 3, 1, 0], [0, 1, 5, 0], [1, 0, 0, 7]]))  # pending rows read and rewritten
+@example(HermGram([[0, 0, 1], [0, 2, 0], [1, 0, 3]]))  # a pending row before the pivot, read in its column
+def test_elimination_matches_the_eager_reference(G):
+    assert herm_eliminate(G.g) == herm_eliminate_reference(G.g)
 
 
 @pytest.mark.parametrize(

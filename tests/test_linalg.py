@@ -27,7 +27,7 @@ from sympy.polys.matrices import DomainMatrix
 from eisenlat import discpoly
 from eisenlat.eisenstein import THETA, UNITS, ZERO, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
-from eisenlat.hermitian import NAMED_LATTICES, chain, direct_sum, hyp, lambda_, z_realization
+from eisenlat.hermitian import NAMED_LATTICES, chain, lambda_, z_realization
 from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, pack, unpack
 from eisenlat.zlattice import ZGram, an_vanishing_gram, inertia
 
@@ -846,38 +846,6 @@ def test_elimination_matches_the_eager_reference_on_the_integer_forms(monkeypatc
     forms += [an_vanishing_gram(n).g for n in (5, 11, 12)] + [z_realization(lambda_()).g]
     for rows in forms:
         assert herm_eliminate(as_e(rows)) == herm_eliminate_reference(as_e(rows))
-
-
-@st.composite
-def hermitian_rows(draw, max_n=8):
-    """A Hermitian form over E with entries a + b w, b often nonzero: its diagonal is sometimes
-    all zero, and, if asked, one index is doubled (a repeated row) or zeroed (a radical)."""
-    n = draw(st.integers(1, max_n))
-    zero_diagonal = draw(st.booleans())
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = ZERO if zero_diagonal else E(draw(st.integers(-3, 3)))
-        for j in range(i + 1, n):
-            v = draw(st.one_of(st.just(ZERO), st.builds(E, small, small)))
-            rows[i][j], rows[j][i] = v, v.conj()
-    change = draw(st.sampled_from(["none", "repeat", "zero"]))
-    if change == "repeat" and n < max_n:
-        s = list(range(n)) + [draw(st.integers(0, n - 1))]
-        rows = [[rows[i][j] for j in s] for i in s]
-    elif change == "zero":
-        k = draw(st.integers(0, n - 1))
-        rows = [[ZERO if k in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    return rows
-
-
-@MANY
-@given(hermitian_rows())
-@example(hyp().g)  # a zero diagonal and a_01 = theta: u = w
-@example(direct_sum(chain(1), hyp()).g)  # the zero-diagonal step levels the rows the first step skipped
-@example(as_e([[2, 0, 0, 1], [0, 3, 1, 0], [0, 1, 5, 0], [1, 0, 0, 7]]))  # pending rows read and rewritten
-@example(as_e([[0, 0, 1], [0, 2, 0], [1, 0, 3]]))  # a pending row before the pivot, read in its column
-def test_elimination_matches_the_eager_reference(rows):
-    assert herm_eliminate(rows) == herm_eliminate_reference(rows)
 
 
 def test_only_linalg_and_monodromy_reach_the_integer_adjugate():
