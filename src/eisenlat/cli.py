@@ -36,18 +36,10 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
-# f3 norm-enum scans 3^k vectors: k = 12 writes about 177,000 of them, 16 MB
-# of JSON, in about 0.2 s with a 38 MB peak resident size (2-vCPU Xeon), and
-# each further two coordinates cost about 9 times more
-NORM_ENUM_MAX_COORDINATES = 12
 _TEXT_ROWS = 4096  # rows of norm-enum output per printed block, in text and JSON
 # a word is expanded into one list entry per letter, and word-order multiplies
 # one matrix per letter
 MAX_WORD_LETTERS = 100_000
-# hodge report builds the residue series one weight at a time, each pass over
-# every grade up to the top one, (dim + 1) d - sum(w): that is weights times
-# grades steps, and 100,000 of them take about half a second
-HODGE_MAX_SERIES_STEPS = 100_000
 # the comma-separated names that monodromy closure --report takes
 CLOSURE_REPORTS = ("order", "reflections", "free-action")
 
@@ -157,7 +149,7 @@ def _digit_blocks(a, unit, first, stride):
     block's buffer and text exist at a time.  Each row is a copy of the template ``unit``, whose '0's
     at first, first + stride, ... are raised by the row's digits.  The template opens with the
     separator between rows, and each string leaves out its first row's."""
-    np = sys.modules["numpy"]
+    import numpy as np
     unit = np.frombuffer(unit.encode(), np.uint8)
     for start in range(0, len(a), _TEXT_ROWS):
         digits = a[start : start + _TEXT_ROWS]
@@ -285,10 +277,11 @@ def cmd_f3(args):
             diag_entries = [int(x) % 3 for x in args.form.split(",")]
         except ValueError:
             raise InputError(f"bad --form {args.form!r}: expected integers like 1,-1,1") from None
-        if len(diag_entries) > NORM_ENUM_MAX_COORDINATES:
+        # refused here too, before _diag_space builds a k x k form
+        if len(diag_entries) > gluing.NORM_ENUM_MAX_COORDINATES:
             raise InputError(
                 f"--form has {len(diag_entries)} coordinates; norm-enum scans all 3^k vectors "
-                f"and takes at most {NORM_ENUM_MAX_COORDINATES}"
+                f"and takes at most {gluing.NORM_ENUM_MAX_COORDINATES}"
             )
         space = _diag_space(diag_entries)
         vecs = gluing.enumerate_norm(space, int(args.norm))
@@ -376,13 +369,10 @@ def cmd_hodge(args):
             H = residues.WeightedHypersurface(weights, args.degree, residues.GENERIC_CI, char=char)
     except ValueError as exc:
         raise InputError(f"bad hypersurface: {exc}") from None
-    top = H.grade(H.dim)
-    if len(weights) * (top + 1) > HODGE_MAX_SERIES_STEPS:
-        raise InputError(
-            f"the residue series of {len(weights)} weights would run to grade {top}; "
-            f"hodge report takes at most {HODGE_MAX_SERIES_STEPS} weight-grade steps"
-        )
-    rows = residues.full_report(H)
+    try:
+        rows = residues.full_report(H)
+    except ValueError as exc:  # a series past residues.HODGE_MAX_SERIES_STEPS, refused before it is built
+        raise InputError(str(exc)) from None
     hodge = [0] * (H.dim + 1)  # h^(dim - q, q) sums the report's dims over the eigenvalues
     for _, q, _, dim in rows:
         hodge[q] += dim

@@ -17,10 +17,10 @@ S takes no division: x = a + b w in theta E has x/theta = ((2b - a) +
 (b - 2a) w)/3, which reduces to (b - a) mod 3.  The orbit's tables of chunk
 pattern images come by base-3 expansion in bit-sliced F_3, with no matrix product.
 Every line code of rank n is below 2 * 3^(n-1), so while two boolean tables of
-that length fit in 8 bytes per line the cap admits and in 2 MiB (up to rank 12,
-which holds the rank-10 orbit), the orbit keeps its lines in a table indexed
-by the code, with no sort, search or merge; above that, up to rank 39, it keeps
-sorted codes, whose memory grows with the orbit and not with 3^n.
+that length fit in 2 MiB (up to rank 12, which holds the rank-10 orbit), the
+orbit keeps its lines in a table indexed by the code, with no sort, search or
+merge; above that, up to rank 39, it keeps sorted codes, whose memory grows
+with the orbit and not with 3^n.
 One Gaussian congruence mod 3 diagonalizes the F_3 form; each pair of -1
 entries is then turned into +1, +1, so the diagonal
 is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
@@ -218,6 +218,12 @@ def _digit_rows(k):
     return np.indices((3,) * k, dtype=np.int8).reshape(k, 3**k)[::-1].T
 
 
+# enumerate_norm builds 3^(k - a) x 3^a int8 tables, a = k // 2: at k = 12 the f3 norm-enum command
+# writes about 177,000 vectors, 16 MB of JSON, in about 0.2 s with a 38 MB peak resident size (2-vCPU
+# Xeon); each further two coordinates cost about 9 times more, and at k = 20 each table takes 3.5 GB
+NORM_ENUM_MAX_COORDINATES = 12
+
+
 def enumerate_norm(S: F3QuadSpace, c):
     """All vectors of the space with norm c, as one (m, k) int8 array.
 
@@ -226,9 +232,14 @@ def enumerate_norm(S: F3QuadSpace, c):
     h and reads Q(l + h) = Q(l) + Q(h) + B(l, h) + B(h, l) off three exact
     integer tables: the norms of the 3^a low rows, those of the 3^b high
     rows, and the 3^b x 3^a cross table.  That grid, read row-major, is the
-    base-3 order, so its hits index the two digit tables directly.
+    base-3 order, so its hits index the two digit tables directly.  A space
+    of more than NORM_ENUM_MAX_COORDINATES raises ValueError before any table.
     """
     k = S.k
+    if k > NORM_ENUM_MAX_COORDINATES:
+        raise ValueError(
+            f"the norm scan reads all 3^k vectors and takes at most {NORM_ENUM_MAX_COORDINATES} coordinates, not {k}"
+        )
     a = k // 2
     form = (np.array(S.form, dtype=np.int64).reshape(k, k) % 3).astype(np.int8)
     low, high = _digit_rows(a), _digit_rows(k - a)
@@ -303,8 +314,9 @@ class GluedLattice:
         self.basis = basis  # (d, columns): the basis columns / d, in the old coordinates
 
 
-def glue(N: HermGram, S: F3QuadSpace, line) -> GluedLattice:
-    """The enlargement of N spanned by N and a lift of the isotropic line."""
+def glue(S: F3QuadSpace, line) -> GluedLattice:
+    """The enlargement of N = S.ambient spanned by N and a lift of the isotropic line of theta N*/N."""
+    N = S.ambient
     line = tuple(x % 3 for x in line)
     if not any(line):
         return GluedLattice(N, (1, identity(N.n, ONE)))
@@ -359,7 +371,7 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
 
 _CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
 _BLOCK = 2048  # frontier lines per batch of images: the (m, block) temporaries stay in cache
-_DENSE_BYTES = 2**21  # the most the two boolean tables of ``_dense_orbit`` may take, whatever the cap
+_DENSE_BYTES = 2**21  # the most the two boolean tables of ``_dense_orbit`` may take
 
 
 def _dtypes(n):
@@ -444,25 +456,29 @@ def _line_images(tables, codes):
 def line_orbit(gens, start, cap: int = 200000):
     """Number of lines of F_3^n in the orbit of the line of ``start`` under (m, n, n) F_3 matrices.
 
-    Raises ValueError once the orbit outgrows ``cap``; a whole level is
-    counted first.  A level's images are formed in blocks of ``_BLOCK``
-    frontier lines.  Every ``line_codes`` value is below 2 * 3^(n-1), so the
-    lines can be kept in two boolean tables of that length: the lines
-    reached and those of one level (``_dense_orbit``).  That path runs when
-    the tables take at most 8 bytes per line that ``cap`` admits (what
-    ``cap`` int64 codes would take) and at most ``_DENSE_BYTES``:
-    4 * 3^(n-1) <= min(8 cap, 2^21), which holds up to rank 12.  The tables
-    are allocated whole before the first image, so the second bound keeps
-    a cap far above the orbit from making them large.  Otherwise, up to
-    rank 39, the lines are kept as sorted codes (``_sorted_orbit``), whose
-    memory grows with the orbit and not with 3^n.
+    Raises ValueError, naming the fault, for no generator, generators that
+    are not n x n, or a start that is zero or not of length n; and once the
+    orbit outgrows ``cap``, a whole level counted first.  A level's images
+    are formed in blocks of ``_BLOCK`` frontier lines.  Every ``line_codes``
+    value is below 2 * 3^(n-1), so the lines can be kept in two boolean
+    tables of that length: the lines reached and those of one level
+    (``_dense_orbit``).  That path runs when the tables take at most
+    ``_DENSE_BYTES``, 4 * 3^(n-1) <= 2^21, which holds up to rank 12.
+    Otherwise, up to rank 39, the lines are kept as sorted codes
+    (``_sorted_orbit``), whose memory grows with the orbit and not with 3^n.
     """
-    gens = np.asarray(gens, dtype=np.int64)
+    gens, start = np.asarray(gens, dtype=np.int64), np.asarray(start, dtype=np.int64)
     if not len(gens):
         raise ValueError("no generator was given")
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
+        raise ValueError(f"generators must be n x n matrices, got an array of shape {gens.shape}")
     n = gens.shape[-1]
+    if start.shape != (n,):
+        raise ValueError(f"start must have the generators' {n} coordinates, got an array of shape {start.shape}")
+    if not (start % 3).any():
+        raise ValueError("start must be nonzero mod 3")
     first = line_codes([start]).astype(_dtypes(n)[1])
-    orbit = _dense_orbit if 4 * 3 ** (n - 1) <= min(8 * cap, _DENSE_BYTES) else _sorted_orbit
+    orbit = _dense_orbit if 4 * 3 ** (n - 1) <= _DENSE_BYTES else _sorted_orbit
     return orbit(_chunk_tables(gens), first, cap)
 
 
@@ -489,7 +505,7 @@ def _dense_orbit(tables, first, cap):
 
 
 def _sorted_orbit(tables, first, cap):
-    """``line_orbit`` on sorted codes, for ranks whose boolean tables would outgrow the cap or 2 MiB.
+    """``line_orbit`` on sorted codes, for ranks whose boolean tables would outgrow 2 MiB.
 
     A level's images are sorted once and deduplicated by adjacent
     difference; membership in ``seen`` is a binary search, and ``seen`` takes
@@ -522,7 +538,7 @@ def _check_lengths(roots, n):
             raise ValueError(f"root {i} has {len(r)} coordinates, but the lattice has rank {n}")
 
 
-def reduced_triflections(G: HermGram, S, roots):
+def reduced_triflections(G: HermGram, roots):
     """The (m, n, n) int64 F_3 matrices of the triflections in the norm-3 ``roots``, reduced mod theta.
 
     Since 1 - w = w^2 theta and theta^2 = -3, the triflection in a root r is
@@ -539,7 +555,7 @@ def reduced_triflections(G: HermGram, S, roots):
         if rr != EisensteinInt(3):
             raise ValueError(f"root {i} has norm {rr}, not 3")
     rbar = np.array([reduce_vector(r) for r in roots], dtype=np.int64).reshape(-1, n)
-    S = np.array(S, dtype=np.int64)
+    S = np.array(symplectic_gram(G), dtype=np.int64)
     T = (np.eye(n, dtype=np.int64) + rbar[:, :, None] * (rbar @ S.T)[:, None, :]) % 3
     if np.any((T.transpose(0, 2, 1) @ S @ T - S) % 3):
         raise AssertionError("a reduced triflection does not preserve the symplectic form")
@@ -560,8 +576,7 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     if not len(roots):
         raise ValueError("need at least one root")
     n = G.n
-    sg = symplectic_gram(G)
-    if f3_rank(sg) != n:
+    if f3_rank(symplectic_gram(G)) != n:
         raise ValueError("symplectic form must be nondegenerate")
     _check_lengths(roots, n)
     if start is None:
@@ -574,7 +589,7 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
         raise ValueError(f"start hyperplane normal must have {n} coordinates")
     if not any(start):
         raise ValueError("start hyperplane normal must be nonzero")
-    gens = reduced_triflections(G, sg, roots)
+    gens = reduced_triflections(G, roots)
     return line_orbit(gens, start, cap), len(gens)
 
 

@@ -227,7 +227,7 @@ def z_realization(G: HermGram) -> ZGram:
     Each entry of a block is congruent to -(a + b) mod 3, so all are
     integral exactly when theta | h.
     """
-    if any((h.a + h.b) % 3 for row in G.g for h in row):
+    if not in_theta_dual(G):
         raise ValueError("Z-realization is not integral; inner products must lie in theta*E")
     return ZGram([[x // 3 for x in row] for row in _real_form(G)])
 

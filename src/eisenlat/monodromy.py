@@ -44,19 +44,6 @@ from .linalg import mat_vec
 INFINITE = "Infinite"
 
 
-class Unknown:
-    """Order not determined below the cap."""
-
-    def __init__(self, cap):
-        self.cap = cap
-
-    def __repr__(self):
-        return f"Unknown(cap={self.cap})"
-
-    def __eq__(self, other):
-        return isinstance(other, Unknown) and self.cap == other.cap
-
-
 class GroupElt:
     """Matrix over E together with its ambient Hermitian Gram.
 
@@ -195,7 +182,7 @@ DEFAULT_ORDER_CAP = 10000
 
 
 def _first_power(M: GroupElt, cap: int, hit):
-    """The smallest k <= cap for which hit holds on the matrix M^k, or Unknown(cap)."""
+    """The smallest k <= cap for which hit holds on the matrix M^k, or "Unknown(cap=N)" for cap N."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     acc = M.m
@@ -203,7 +190,7 @@ def _first_power(M: GroupElt, cap: int, hit):
         if hit(acc):
             return k
         acc = mat_mul(acc, M.m)
-    return Unknown(cap)
+    return f"Unknown(cap={cap})"
 
 
 def _unit_scalars(n: int):
@@ -561,9 +548,9 @@ def _refuse_infinite(G: HermGram, gen_z):
     """InfiniteGroup when the packings gen_z, isometries of G, are reflections in roots of nonzero norm that generate
     an infinite group: the form is indefinite or degenerate on the span of some component of the roots, linked
     where they have a nonzero inner product (Shephard and Todd 1954).  Generators of any other kind pass."""
-    roots = _root_and_mirror(gen_z)[0]
+    roots = _reflections(gen_z)[2]  # one per generator that is a reflection
     h, k = gram(G, roots), len(roots)
-    if len(_reflections(gen_z)) < k or not all(h[i][i] for i in range(k)):
+    if k < len(gen_z) or not all(h[i][i] for i in range(k)):
         return
     link = np.array([[bool(x) for x in row] for row in h])  # with its diagonal, so link^k joins each component
     for idx in sorted({tuple(np.flatnonzero(row).tolist()) for row in np.linalg.matrix_power(link, k)}):
@@ -580,14 +567,14 @@ def reflections_in(handle: GroupHandle):
     in blocks of at most _BLOCK elements, the h_j formed at most _BLOCK at a time.  A block takes the a-parts of its
     traces a + b w from one product.  Each unit zeta != 1 has its a in {-1, 0, 1}, so only the elements whose a is
     n - 2, n - 1 or n are formed, and ``_reflections`` certifies them in batches: once _CERTIFY are pending, and at
-    the end of each block.  The certified packings are kept with their indices and sorted once.  The root is the
-    primitive multiple of ``_root_and_mirror``'s root, found once per root line, and the unit is the trace's zeta.
+    the end of each block.  It gives each reflection's unit and root, which are kept with its index and sorted by
+    it once.  The root returned is the primitive multiple of that root, found once per root line.
     """
     n = handle.ambient.n
     T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
     size = handle.order // len(T)
     even = T[:, ::2].reshape(len(T), -1)  # the a-part of a trace sums the even rows of T[i] h_j
-    found, kept = [], []  # the indices and packings of the certified reflections
+    found, kept = [], []  # the indices and (unit, root) pairs of the certified reflections
     for lo in range(0, size, _BLOCK):
         H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
         cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1)  # row j: the even columns of h_j
@@ -600,27 +587,27 @@ def reflections_in(handle: GroupHandle):
                 pending.append((i + start, j))
             if pending and (start + step >= len(T) or sum(len(i) for i, _ in pending) >= _CERTIFY):
                 i, j = (np.concatenate(x) for x in zip(*pending))
-                z = _product(T[i], H[j])
-                at = _reflections(z)
+                at, units, roots, _ = _reflections(_product(T[i], H[j]))
                 found.append(i[at] * size + lo + j[at])
-                kept.append(z[at])
+                kept += zip(units, roots)
                 pending = []
-    z = np.concatenate(kept)[np.argsort(np.concatenate(found))]
-    tr_a, tr_b = (np.einsum("kii->k", z[:, r::2, ::2]).tolist() for r in (0, 1))  # tr M = n - 1 + zeta
     lines = []
-    for v in _root_and_mirror(z)[0]:
+    for _, v in kept:
         u = next(x for x in v if x).canonical_unit()
         lines.append(tuple(u * x for x in v))  # the same for all unit multiples, as _primitive_vector's result is
     root = {line: _primitive_vector(line) for line in set(lines)}
-    return [(root[line], EisensteinInt(a - n + 1, b)) for line, a, b in zip(lines, tr_a, tr_b)]
+    return [(root[lines[k]], kept[k][0]) for k in np.argsort(np.concatenate(found)).tolist()]
 
 
 def _reflections(z):
-    """The positions of the complex reflections among the packings z.
+    """The complex reflections among the packings z: (at, units, roots, mirrors), one entry per reflection.
 
     M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1
     and K^2 = (zeta - 1) K, for K / (zeta - 1) is then an idempotent of trace 1,
     so K has rank one.  Only the matrices with such a trace, for some unit zeta != 1, are squared.
+    For the reflection z[at[r]], units[r] is its zeta; roots[r] is the first nonzero column of K as an
+    E-vector, which spans its root line im K; and mirrors[r] is the first packed row (a, -b, ...) of K's
+    first nonzero E-row, which vanishes exactly on its mirror ker K.
     """
     n = z.shape[-1] // 2
     ident = np.eye(2 * n, dtype=np.int64)
@@ -630,16 +617,12 @@ def _reflections(z):
     # zeta - 1 = a + b w times I, packed: a I + b (the packing of w I)
     a, b = (t[at, None, None] for t in (tr_a - n, tr_b))
     scalar = a * ident + b * np.array(linalg.pack(linalg.identity(n, OMEGA)), np.int64)
-    return at[(_product(K, K) == _product(scalar, K)).all(axis=(1, 2))]
-
-
-def _root_and_mirror(z):
-    """For packings z of reflections M that ``_reflections`` certified, and K = M - I: the first nonzero column
-    of K as an E-vector, which spans M's root line im K, and the first packed row (a, -b, ...) of K's first
-    nonzero E-row, which vanishes exactly on M's mirror ker K, for K has rank one."""
-    K, at, n = z - np.eye(z.shape[-1], dtype=np.int64), np.arange(len(z)), z.shape[-1] // 2
-    col = K[at, :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)].reshape(len(z), n, 2).tolist()
-    return [[EisensteinInt(a, b) for a, b in c] for c in col], K[at, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
+    rank_one = (_product(K, K) == _product(scalar, K)).all(axis=(1, 2))
+    at, K, r = at[rank_one], K[rank_one], np.arange(int(rank_one.sum()))
+    units = [EisensteinInt(x - n + 1, y) for x, y in zip(tr_a[at].tolist(), tr_b[at].tolist())]
+    cols = K[r, :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)].reshape(len(K), n, 2).tolist()
+    roots = [[EisensteinInt(x, y) for x, y in c] for c in cols]
+    return at, units, roots, K[r, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
 
 
 def _primitive_vector(v):
@@ -729,13 +712,13 @@ def _class_labels(handle: GroupHandle):
 
 
 def _mirror_rows(handle: GroupHandle, labels):
-    """One int64 row per reflection of the group, by ascending element index: ``_root_and_mirror``'s row,
+    """One int64 row per reflection of the group, by ascending element index: the mirror row of ``_reflections``,
     which cuts out its mirror.  Trace and rank are class invariants, so the reflections are the members of
     the classes whose representative (label = index) is one."""
     reps = np.flatnonzero(labels == np.arange(len(labels)))
     blocks = np.split(reps, range(_BLOCK, len(reps), _BLOCK))
-    refl = np.concatenate([b[_reflections(handle.matrices(b))] for b in blocks])
-    return _root_and_mirror(handle.matrices(np.flatnonzero(np.isin(labels, refl))))[1]
+    refl = np.concatenate([b[_reflections(handle.matrices(b))[0]] for b in blocks])
+    return _reflections(handle.matrices(np.flatnonzero(np.isin(labels, refl))))[3]
 
 
 def free_action_check(handle: GroupHandle) -> bool:

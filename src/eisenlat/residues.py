@@ -24,6 +24,10 @@ import operator
 
 from .eisenstein import SIXTH_ROOTS, EisensteinInt
 
+# the series is built one weight at a time, each pass over every grade up to the top one: that is
+# weights times grades steps, and 100,000 of them take about half a second
+HODGE_MAX_SERIES_STEPS = 100_000
+
 # unit <-> exponent of zeta6 = -wbar
 _UNIT_TO_EXP = {u: k for k, u in enumerate(SIXTH_ROOTS)}
 
@@ -173,8 +177,14 @@ def _char_series(H: WeightedHypersurface, top):
     group ring Z[Z/6], one factor per variable and one per relation (of
     degree e_r and character chi_r).  Row g holds the counts of grade g by
     character exponent; multiplying by a character chi rotates a row by chi
-    places, which is the slice of the row at (-chi) mod 6.
+    places, which is the slice of the row at (-chi) mod 6.  More than
+    HODGE_MAX_SERIES_STEPS weight-grade steps raise ValueError before any row is built.
     """
+    if len(H.weights) * (top + 1) > HODGE_MAX_SERIES_STEPS:
+        raise ValueError(
+            f"the residue series of {len(H.weights)} weights would run to grade {top}; "
+            f"hodge report takes at most {HODGE_MAX_SERIES_STEPS} weight-grade steps"
+        )
     series = [[0] * 6 for _ in range(top + 1)]
     if top >= 0:
         series[0][0] = 1

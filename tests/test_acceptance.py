@@ -183,7 +183,7 @@ def test_criterion_10_f3_machinery():
     lines = gluing.isotropic_lines(S, not_orth_to=rbar)
     assert len(lines) == 2
     for ln in lines:
-        M = gluing.glue(N, S, ln).gram
+        M = gluing.glue(S, ln).gram
         assert det_e(M) == E(-729)
         assert signature(M) == (10, 0, 1)
         assert in_theta_dual(M)

@@ -183,6 +183,14 @@ def test_monodromy_empty_word_is_the_identity(flags, capsys):
     assert json.loads(out)["order"] == "1"
 
 
+def test_monodromy_word_order_past_the_cap_prints_unknown(capsys):
+    argv = ["monodromy", "word-order", "--lattice", "chain:7", "--word", "a1 a2 a3 a4 a5 a6 a1 a2", "--cap", "20"]
+    code, out, err = run_main(argv + ["--json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"] == "Unknown(cap=20)"
+    assert '"order": "Unknown(cap=20)"' in out
+
+
 def test_longest_word_is_accepted():
     assert cli.parse_word(f"a1^{cli.MAX_WORD_LETTERS - 2} a2 a3", 3) == [1] * (cli.MAX_WORD_LETTERS - 2) + [2, 3]
     assert cli.parse_word("a3..a1 a2^0", 3) == [3, 2, 1]

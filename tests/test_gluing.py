@@ -155,7 +155,7 @@ def test_positive_definite_space_has_no_isotropic_lines():
 def test_glue_zero_line_is_identity():
     N = big_n()
     S = gluing.disc_group(N)
-    GL = gluing.glue(N, S, (0, 0, 0))
+    GL = gluing.glue(S, (0, 0, 0))
     assert GL.gram == N
 
 
@@ -164,7 +164,7 @@ def test_glue_rejects_anisotropic_line():
     S = gluing.disc_group(N)
     abar = S.coords(over_theta(11, 0))
     with pytest.raises(ValueError):
-        gluing.glue(N, S, abar)
+        gluing.glue(S, abar)
 
 
 def test_glue_drops_determinant_by_nine():
@@ -172,7 +172,7 @@ def test_glue_drops_determinant_by_nine():
     S = gluing.disc_group(N)
     rbar = S.coords(over_theta(11, 10))
     for ln in gluing.isotropic_lines(S, not_orth_to=rbar):
-        M = gluing.glue(N, S, ln).gram
+        M = gluing.glue(S, ln).gram
         assert det_e(N).norm() == det_e(M).norm() * 3**2
         assert in_theta_dual(M)
         assert det_e(M) == E(-729)
@@ -185,7 +185,7 @@ def test_glued_lattice_contains_theta_pairing_vector():
     rbar = S.coords(over_theta(11, 10))
     r_old = basis_vector(11, 10)
     for ln in gluing.isotropic_lines(S, not_orth_to=rbar):
-        d, cols = gluing.glue(N, S, ln).basis
+        d, cols = gluing.glue(S, ln).basis
         g = e_gcd(*(ip(N, col, r_old).exact_div(d) for col in cols))
         assert is_associate(g, THETA)
 
@@ -490,7 +490,7 @@ def test_orbit_cap():
 
 
 def test_full_orbit_cap_edge_on_the_dense_path():
-    # 4 * 3^9 bytes of tables fit in 8 bytes per line of either cap
+    # rank 10 takes the dense path at every cap
     L10, roots = lambda10(), gluing.sp_generating_roots()
     assert gluing.hyperplane_orbit(roots, L10, cap=29524) == (29524, 12)
     with pytest.raises(ValueError, match="orbit exceeded cap 29523"):
@@ -532,7 +532,7 @@ def test_orbit_checks_the_start_before_building_a_triflection(monkeypatch, start
     assert calls == []
     # the patched name is the one the orbit builds its generators with, all three in one call
     assert gluing.hyperplane_orbit(roots, lambda10()) == (12, 3)
-    assert len(calls) == 1 and list(calls[0][2]) == roots
+    assert len(calls) == 1 and list(calls[0][1]) == roots
 
 
 def seeded_roots(G, roots, seed, count):
@@ -557,14 +557,13 @@ def test_reduced_triflections_are_the_reduced_lattice_triflections(name):
         G, roots = e8e(), [basis_vector(4, i) for i in range(4)]
     vectors = roots + seeded_roots(G, roots, 33, 40)
     assert all(norm_of(G, v) == E(3) for v in vectors)
-    got = gluing.reduced_triflections(G, gluing.symplectic_gram(G), vectors)
+    got = gluing.reduced_triflections(G, vectors)
     assert got.dtype == np.int64 and got.shape == (len(vectors), G.n, G.n)
     assert np.array_equal(got, np.array([gluing.f3_reduce(mono.triflection(G, v)) for v in vectors]))
 
 
 def test_reduced_triflections_take_only_roots():
     L10, r = lambda10(), gluing.sp_generating_roots()[0]
-    S = gluing.symplectic_gram(L10)
     six = (E(1), E(0), E(1)) + (E(0),) * 7
     minus_three = (E(0),) * 8 + (E(1), -OMEGA)  # its triflection is integral, but it is not a root
     mono.triflection(L10, minus_three)
@@ -575,7 +574,7 @@ def test_reduced_triflections_take_only_roots():
         (r[:9], "root 1 has 9 coordinates, but the lattice has rank 10"),
     ]:
         with pytest.raises(ValueError, match=message):
-            gluing.reduced_triflections(L10, S, [r, bad])
+            gluing.reduced_triflections(L10, [r, bad])
 
 
 def test_orbit_peak_memory_is_bounded():
@@ -642,37 +641,55 @@ def test_line_orbit_of_random_matrices_matches_reference(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_line_orbit_cap_edge_matches_reference_on_both_paths(n):
-    # the whole space's lines: caps size - 1 and size // 2 take the dense path, cap 1 the sorted one
+    # the whole space's lines, on the dense path through line_orbit and on the sorted one called directly:
+    # each returns the size at cap size and raises where the reference raises at caps size - 1, size // 2 and 1
     rng = random.Random(200 + n)
     gens = [random_invertible_f3(rng, n) for _ in range(2)]
     start = seeded_starts(n, 1, n)[0]
     size = reference_line_orbit(gens, start)
-    assert gluing.line_orbit(gens, start, cap=size) == size
+    first = gluing.line_codes([start]).astype(gluing._dtypes(n)[1])
+
+    def sorted_orbit(gens, start, cap):
+        return gluing._sorted_orbit(gluing._chunk_tables(np.stack(gens)), first, cap)
+
+    for run in (gluing.line_orbit, sorted_orbit):
+        assert run(gens, start, cap=size) == size
     for cap in {c for c in (size - 1, size // 2, 1) if 0 < c < size}:
-        for run in (gluing.line_orbit, reference_line_orbit):
+        for run in (gluing.line_orbit, sorted_orbit, reference_line_orbit):
             with pytest.raises(ValueError, match=f"orbit exceeded cap {cap}"):
                 run(gens, start, cap=cap)
 
 
-@pytest.mark.parametrize("n, cap, path", [
-    (1, 1, "_dense_orbit"),
-    (10, 9842, "_dense_orbit"),  # 4 * 3^9 = 78732 <= 8 * 9842
-    (10, 9841, "_sorted_orbit"),
-    (10, 29523, "_dense_orbit"),  # test_full_orbit_cap_edge_on_the_dense_path
-    (10, 39, "_sorted_orbit"),  # test_orbit_cap
-    (12, 200000, "_dense_orbit"),  # 4 * 3^11 = 708588 <= 2^21
-    (13, 200000, "_sorted_orbit"),
-    *((n, 200000, "_sorted_orbit") for n in (15, 16, 19, 20, 31, 32, 39)),  # the dtype and rank-39 tests
-    (12, 10**18, "_dense_orbit"),
-    (13, 10**18, "_sorted_orbit"),  # 4 * 3^12 > 2^21: no cap makes the tables larger
-    (39, 10**18, "_sorted_orbit"),
+@pytest.mark.parametrize("n, path", [
+    (1, "_dense_orbit"),
+    (10, "_dense_orbit"),  # every rank-10 orbit, at any cap
+    (12, "_dense_orbit"),  # 4 * 3^11 = 708588 <= 2^21
+    *((n, "_sorted_orbit") for n in (13, 15, 16, 19, 20, 31, 32, 39)),  # the dtype and rank-39 tests
 ])
-def test_line_orbit_picks_its_path_by_rank_and_cap(monkeypatch, n, cap, path):
+@pytest.mark.parametrize("cap", [1, 39, 9841, 200000, 10**18])  # at rank 10 the old rule took the sorted path up to cap 9841
+def test_line_orbit_picks_its_path_by_rank(monkeypatch, n, path, cap):
     calls = []
     for name in ("_dense_orbit", "_sorted_orbit"):
         monkeypatch.setattr(gluing, name, lambda tables, first, cap, name=name: calls.append(name) or 0)
     gluing.line_orbit(np.eye(n, dtype=np.int64)[None], [1] * n, cap)
     assert calls == [path]
+
+
+def shift4():
+    """The cyclic shift of four coordinates, as one F_3 generator."""
+    return np.roll(np.eye(4, dtype=np.int64), 1, axis=0)[None]
+
+
+@pytest.mark.parametrize("gens, start, message", [
+    (shift4(), [1, 0, 0], r"start must have the generators' 4 coordinates, got an array of shape \(3,\)"),
+    (shift4(), [1, 0, 0, 0, 0], r"start must have the generators' 4 coordinates, got an array of shape \(5,\)"),
+    (shift4(), [0, 0, 0, 0], "start must be nonzero mod 3"),
+    (shift4(), [0, 3, 0, -3], "start must be nonzero mod 3"),
+    (np.zeros((1, 4, 3), np.int64), [1, 0, 0, 0], r"generators must be n x n matrices, got an array of shape \(1, 4, 3\)"),
+], ids=["short-start", "long-start", "zero-start", "zero-mod-3-start", "non-square"])
+def test_line_orbit_refuses_bad_input_by_name(gens, start, message):
+    with pytest.raises(ValueError, match=message):
+        gluing.line_orbit(gens, start)
 
 
 def test_line_orbit_reaches_the_top_codes_of_rank_39():
@@ -827,6 +844,15 @@ def test_enumerate_norm_matches_reference_on_a_full_form_of_ten_coordinates():
     S = f3_space(random_form(10, 10))
     assert vectors(gluing.enumerate_norm(S, 1)) == reference_enumerate_norm(S, 1)
     assert sum(len(gluing.enumerate_norm(S, c)) for c in range(3)) == 3**10
+
+
+def test_enumerate_norm_refuses_more_coordinates_than_its_bound():
+    # 13 coordinates would scan 3^13 vectors; the bound is checked before any table is built
+    space = f3_space([[int(i == j) for j in range(13)] for i in range(13)])
+    with pytest.raises(ValueError, match="at most 12 coordinates, not 13"):
+        gluing.enumerate_norm(space, 1)
+    with pytest.raises(ValueError, match="at most 12 coordinates, not 13"):
+        gluing.isotropic_lines(space)
 
 
 def test_enumerate_norm_without_a_vector_of_the_norm_is_empty():

@@ -224,6 +224,15 @@ def test_chain11_loop_word_order():
     assert mono.projective_order(w, modulo_radical=True, cap=50) == 6
 
 
+def test_an_order_past_the_cap_is_unknown():
+    # a1 a2 a3 a4 a5 a6 a1 a2 on chain(7) has infinite order, but it is not unipotent, and none of its
+    # first 20 powers is I or a unit scalar
+    gens = mono.chain_triflections(7)
+    w = mono.word_eval([gens[i - 1] for i in (1, 2, 3, 4, 5, 6, 1, 2)])
+    assert str(mono.order(w, cap=20)) == "Unknown(cap=20)"
+    assert str(mono.projective_order(w, cap=20)) == "Unknown(cap=20)"
+
+
 def test_projective_order_identity():
     G = chain(2)
     assert mono.projective_order(mono.identity(G)) == 1
@@ -625,7 +634,7 @@ def test_reflections_in_is_the_same_in_any_certification_batch(closures, bound, 
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_reflections_in_forms_no_element_of_the_whole_group(closures, group, monkeypatch):
-    # the certified packings are kept and sorted, so no reflection is formed a second time from its index
+    # each certified reflection's unit and root are kept with its index, so none is formed a second time from it
     h, levels, form = group_handle(closures, group), [], mono.GroupHandle.matrices
 
     def spy(self, idx, level=0):

@@ -133,6 +133,14 @@ def test_generic_ci_degree_must_exceed_every_weight():
             rs.WeightedHypersurface(weights, degree, rs.GENERIC_CI)
 
 
+def test_a_series_past_its_step_bound_is_refused():
+    # weights 1, 1, 1 in degree 40,000 run to grade 79,997: 3 * 79,998 steps, past the bound of 100,000
+    H = rs.WeightedHypersurface.diagonal([1, 1, 1], 40_000)
+    for count in (rs.hodge_vector, rs.full_report, lambda H: rs.eigen_hodge_dim(H, 1, 0)):
+        with pytest.raises(ValueError, match="3 weights would run to grade 79997; .* at most 100000 weight-grade steps"):
+            count(H)
+
+
 def test_unit_exponent_mapping():
     assert rs.exp_unit(0) == E(1)
     assert rs.exp_unit(2) == OMEGA
