@@ -174,15 +174,14 @@ def cmd_lattice(args):
     if args.action == "invariants":
         G = parse_lattice(args.name)
         d = det_e(G)
-        dual = in_theta_dual(G)
         payload = {
             "rank": G.n,
             "det": str(d),
             "signature": list(signature(G)),
-            "in_theta_dual": dual,
+            "in_theta_dual": in_theta_dual(G),
         }
         if d:
-            payload["theta_self_dual"] = theta_self_dual(G, d, dual)
+            payload["theta_self_dual"] = theta_self_dual(G)
         lines = [f"{k}: {v}" for k, v in payload.items()]
         _emit(args, payload, lines)
         return EXIT_OK

@@ -43,7 +43,7 @@ from .eisenstein import (
 )
 from .hermitian import HermGram, basis_vector, det_e, gram, in_theta_dual, norm_of, vector
 from .hnf import hnf_columns_e
-from .linalg import f3_rref, identity
+from .linalg import f3_rref, identity, mat_vec
 
 
 def reduce_vector(v):
@@ -85,20 +85,19 @@ class F3QuadSpace:
         self._solve = solve_data  # (rows, free, change) for coords(): the kernel's rref and free columns, the new basis
 
     def norm(self, v):
-        s = 0
-        for i in range(self.k):
-            for j in range(self.k):
-                s += self.form[i][j] * v[i] * v[j]
-        return s % 3
+        """v^T F v for the form F, through ``linalg.mat_vec``."""
+        _check_length(v, self.k, "vector", "theta N*/N has dimension")
+        return sum(map(operator.mul, v, mat_vec(self.form, v))) % 3
 
     def coords(self, v):
         """F_3 coordinates of a vector (d, x) of theta N*, x / d in N's basis."""
         d, x = v
+        _check_length(x, self.ambient.n, "vector", "the lattice has rank")
         rows, free, change = self._solve
         # x / d = theta z / 3 for z = conj(theta) x / d, which must be an E-vector reducing into the kernel
         qr = [(THETA.conj() * y).divmod(EisensteinInt(d)) for y in x]
         z = [reduce_mod_theta(c) for c, _ in qr]
-        if any(r for _, r in qr) or any(sum(a * b for a, b in zip(row, z)) % 3 for row in rows):
+        if any(r for _, r in qr) or any(c % 3 for c in mat_vec(rows, z)):
             raise ValueError("vector is not in theta N*")
         # raw coords are z at the free columns, w.r.t. the kernel basis, and raw = change^T new
         system = [[row[j] for row in change] + [z[f]] for j, f in enumerate(free)]
@@ -300,8 +299,10 @@ def isotropic_lines(S: F3QuadSpace, orth_to=None, not_orth_to=None):
     lines = line_digits(codes[np.sort(first)], k)
     form = np.array(S.form, dtype=np.int64).reshape(k, k)
     if orth_to is not None:
+        _check_length(orth_to, k, "orth_to", "theta N*/N has dimension")
         lines = lines[lines @ form @ np.array(orth_to) % 3 == 0]
     if not_orth_to is not None:
+        _check_length(not_orth_to, k, "not_orth_to", "theta N*/N has dimension")
         lines = lines[lines @ form @ np.array(not_orth_to) % 3 != 0]
     return list(map(tuple, lines.tolist()))
 
@@ -317,6 +318,7 @@ class GluedLattice:
 def glue(S: F3QuadSpace, line) -> GluedLattice:
     """The enlargement of N = S.ambient spanned by N and a lift of the isotropic line of theta N*/N."""
     N = S.ambient
+    _check_length(line, S.k, "line", "theta N*/N has dimension")
     line = tuple(x % 3 for x in line)
     if not any(line):
         return GluedLattice(N, (1, identity(N.n, ONE)))
@@ -351,6 +353,7 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     """
     if not in_theta_dual(G):
         raise ValueError("inner products must lie in theta*E")
+    _check_length(functional, G.n, "functional", "the lattice has rank")
     phi = tuple(x % 3 for x in functional)
     if not any(phi):
         raise ValueError("functional must be nonzero (the full space is not a hyperplane)")
@@ -456,10 +459,12 @@ def _line_images(tables, codes):
 def line_orbit(gens, start, cap: int = 200000):
     """Number of lines of F_3^n in the orbit of the line of ``start`` under (m, n, n) F_3 matrices.
 
+    The integer entries of the generators and of ``start`` are read mod 3.
     Raises ValueError, naming the fault, for no generator, generators that
-    are not n x n, or a start that is zero or not of length n; and once the
-    orbit outgrows ``cap``, a whole level counted first.  A level's images
-    are formed in blocks of ``_BLOCK`` frontier lines.  Every ``line_codes``
+    are not n x n, a start not of length n, generators or a start whose
+    dtype is not integer, or a start that is zero; and once the orbit
+    outgrows ``cap``, a whole level counted first.  A level's images are
+    formed in blocks of ``_BLOCK`` frontier lines.  Every ``line_codes``
     value is below 2 * 3^(n-1), so the lines can be kept in two boolean
     tables of that length: the lines reached and those of one level
     (``_dense_orbit``).  That path runs when the tables take at most
@@ -467,7 +472,7 @@ def line_orbit(gens, start, cap: int = 200000):
     Otherwise, up to rank 39, the lines are kept as sorted codes
     (``_sorted_orbit``), whose memory grows with the orbit and not with 3^n.
     """
-    gens, start = np.asarray(gens, dtype=np.int64), np.asarray(start, dtype=np.int64)
+    gens, start = np.asarray(gens), np.asarray(start)
     if not len(gens):
         raise ValueError("no generator was given")
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -475,7 +480,10 @@ def line_orbit(gens, start, cap: int = 200000):
     n = gens.shape[-1]
     if start.shape != (n,):
         raise ValueError(f"start must have the generators' {n} coordinates, got an array of shape {start.shape}")
-    if not (start % 3).any():
+    if gens.dtype.kind not in "iu" or start.dtype.kind not in "iu":
+        raise ValueError(f"generators and start must have integer dtypes, not {gens.dtype} and {start.dtype}")
+    gens, start = (gens % 3).astype(np.int64), (start % 3).astype(np.int64)
+    if not start.any():
         raise ValueError("start must be nonzero mod 3")
     first = line_codes([start]).astype(_dtypes(n)[1])
     orbit = _dense_orbit if 4 * 3 ** (n - 1) <= _DENSE_BYTES else _sorted_orbit
@@ -532,10 +540,10 @@ def _sorted_orbit(tables, first, cap):
     return len(seen)
 
 
-def _check_lengths(roots, n):
-    for i, r in enumerate(roots):
-        if len(r) != n:
-            raise ValueError(f"root {i} has {len(r)} coordinates, but the lattice has rank {n}")
+def _check_length(v, n, name, space):
+    """Raise ValueError, naming both lengths, unless v has n coordinates; ``space`` reads "<space> n"."""
+    if len(v) != n:
+        raise ValueError(f"{name} has {len(v)} coordinates, but {space} {n}")
 
 
 def reduced_triflections(G: HermGram, roots):
@@ -549,8 +557,8 @@ def reduced_triflections(G: HermGram, roots):
     norm 3.  Each T_r is certified against S: T_r^T S T_r = S mod 3.
     """
     n = G.n
-    _check_lengths(roots, n)
     for i, r in enumerate(roots):
+        _check_length(r, n, f"root {i}", "the lattice has rank")
         rr = norm_of(G, vector(r))
         if rr != EisensteinInt(3):
             raise ValueError(f"root {i} has norm {rr}, not 3")
@@ -578,7 +586,8 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     n = G.n
     if f3_rank(symplectic_gram(G)) != n:
         raise ValueError("symplectic form must be nondegenerate")
-    _check_lengths(roots, n)
+    for i, r in enumerate(roots):
+        _check_length(r, n, f"root {i}", "the lattice has rank")
     if start is None:
         start = roots[0]
     try:

@@ -3,8 +3,9 @@
 Vectors are columns and group elements act on the left, so a matrix M is an
 isometry of the Gram G exactly when M^T G conj(M) = G, the Gram of M's
 columns.  ``gram`` is the one Gram of a list of vectors, V G conj(V)^T
-through ``linalg.mat_mul``.  The central examples are built by the named
-constructors:
+through ``linalg.mat_mul``, and ``pairings`` the one pairing of a vector v
+with the basis, G conj(v) through ``linalg.mat_vec``.  The central
+examples are built by the named constructors:
 
     lambda_()   rank 11, (3) + E8E + E8E + hyp, signature (10,1), det -3^6
     lambda10()  rank 10, E8E + E8E + hyp, the span of the braid roots
@@ -30,7 +31,7 @@ from .eisenstein import (
     is_associate,
     to_e,
 )
-from .linalg import herm_eliminate, mat_mul
+from .linalg import herm_eliminate, mat_mul, mat_vec
 from .zlattice import ZGram, invariants
 
 
@@ -95,23 +96,24 @@ def basis_vector(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def ip(G: HermGram, x, y):
-    """<x, y> = sum g_ij x_i conj(y_j): E-linear in x, antilinear in y.
+def pairings(G: HermGram, v):
+    """(<e_1, v>, ..., <e_n, v>) = G conj(v) through ``linalg.mat_vec``: the one pairing of v with the basis.
 
-    The entries of x and y may be in any ring that multiplies with E and
-    has ``conj``, such as E itself or Q(w).
+    The entries of v may be in any ring that multiplies with E and has ``conj``, such as Q(w).
+    """
+    return mat_vec(G.g, [y.conj() for y in v])
+
+
+def ip(G: HermGram, x, y):
+    """<x, y> = sum x_i <e_i, y>: E-linear in x, antilinear in y, for entries in E or Q(w).
+
+    The <e_i, y> of ``pairings(G, y)`` are formed on x's support only, from those rows of G, by ``linalg.mat_vec``.
     """
     if len(x) != G.n or len(y) != G.n:
         raise ValueError("vector lengths do not match the Gram rank")
-    s = ZERO
-    for i in range(G.n):
-        if not x[i]:
-            continue
-        row = G.g[i]
-        for j in range(G.n):
-            if y[j]:
-                s = s + row[j] * x[i] * y[j].conj()
-    return s
+    support = [i for i, a in enumerate(x) if a]
+    at = mat_vec([G.g[i] for i in support], [b.conj() for b in y])
+    return sum((x[i] * p for i, p in zip(support, at)), ZERO)
 
 
 def norm_of(G: HermGram, x):
@@ -267,19 +269,16 @@ def in_theta_dual(G: HermGram) -> bool:
     return not any((x.a + x.b) % 3 for row in G.g for x in row)  # a + b w = a + b mod theta
 
 
-def theta_self_dual(G: HermGram, d=None, dual=None) -> bool:
-    """True iff theta L* = L: inner products in theta*E and |det|^2 = 3^n.
+def theta_self_dual(G: HermGram) -> bool:
+    """True iff theta L* = L: |det|^2 = 3^n and every inner product in theta*E.
 
-    ``d`` is det_e(G) and ``dual`` is in_theta_dual(G) when the caller has
-    them already.
+    ``det_e`` reuses the elimination ``det_signature`` keeps for the last Gram, and the theta test runs
+    only when N(det) = 3^n.  Raises ValueError for a singular form.
     """
-    if d is None:
-        d = det_e(G)
+    d = det_e(G)
     if not d:
         raise ValueError("theta-self-duality is undefined for singular forms")
-    if dual is None:
-        dual = in_theta_dual(G)
-    return dual and d.norm() == 3**G.n
+    return d.norm() == 3**G.n and in_theta_dual(G)
 
 
 NODAL = "Nodal"
@@ -289,12 +288,12 @@ CHORDAL = "Chordal"
 def root_classify(G: HermGram, r) -> str:
     """Classify a norm-3 vector by the ideal its inner products generate.
 
-    Nodal roots pair to theta*E with the lattice, chordal roots to 3*E.
+    Nodal roots pair to theta*E with the lattice, chordal roots to 3*E; the ideal is that of ``pairings(G, r)``.
     """
     r = vector(r)
     if norm_of(G, r) != EisensteinInt(3):
         raise ValueError("not a root: norm is not 3")
-    gen = e_gcd(*(ip(G, basis_vector(G.n, i), r) for i in range(G.n)))
+    gen = e_gcd(*pairings(G, r))
     if is_associate(gen, THETA):
         return NODAL
     if is_associate(gen, EisensteinInt(3)):

@@ -52,9 +52,13 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, x):
-    """A*x for a column vector x, as a tuple; the zero is taken from x."""
-    zero = x[0] - x[0]
-    return tuple(sum((a * y for a, y in zip(row, x) if y), zero) for row in A)
+    """A*x for a column vector x, as a tuple; the zero is taken from x (0 for an empty x).
+
+    As in ``mat_mul``, x lists its nonzero (j, y) once by index, and each row adds row[j] * y over that list.
+    """
+    zero = x[0] - x[0] if len(x) else 0
+    support = [(j, y) for j, y in enumerate(x) if y]
+    return tuple(sum((row[j] * y for j, y in support), zero) for row in A)
 
 
 def adjugate(a):

@@ -34,6 +34,7 @@ from .hermitian import (
     is_isometry,
     mat_mul,
     norm_of,
+    pairings,
     signature,
     vector,
 )
@@ -107,24 +108,24 @@ def identity(G: HermGram) -> GroupElt:
 def _rank_one(G: HermGram, v, scale, den, message):
     """The element x -> x - (scale <x, v> / den) v of G's group, built sparsely.
 
-    Entry (i, j) is delta_ij - coeff_j v_i, coeff_j = scale <e_j, v> / den, so
-    only rows in v's support and columns with coeff_j != 0 move.  The first
-    coeff_j not in E raises a ValueError with ``message.format(j)``.
+    Entry (i, j) is delta_ij - coeff_j v_i, coeff_j = scale <e_j, v> / den,
+    with the <e_j, v> read off ``hermitian.pairings``, so only rows in v's
+    support and columns with coeff_j != 0 move.  The first coeff_j not in E
+    raises a ValueError with ``message.format(j)``.
     """
-    support = [(k, x) for k, x in enumerate(v) if x]
-    coeffs = []
-    for j, row in enumerate(G.g):
-        c = scale * sum((row[k] * x.conj() for k, x in support), ZERO)  # scale <e_j, v>
-        try:
-            coeffs.append(c.exact_div(den))
-        except ValueError:
-            raise ValueError(message.format(j)) from None
+    moved = []  # (j, coeff_j) for each <e_j, v> != 0
+    for j, c in enumerate(pairings(G, v)):
+        if c:
+            try:
+                moved.append((j, (scale * c).exact_div(den)))
+            except ValueError:
+                raise ValueError(message.format(j)) from None
     m = [list(row) for row in linalg.identity(G.n, ONE)]
-    moved = [(j, c) for j, c in enumerate(coeffs) if c]
-    for i, x in support:
-        mi = m[i]
-        for j, c in moved:
-            mi[j] = mi[j] - c * x
+    for i, x in enumerate(v):
+        if x:
+            mi = m[i]
+            for j, c in moved:
+                mi[j] = mi[j] - c * x
     return GroupElt(m, G)
 
 
@@ -775,19 +776,19 @@ def a5_transvection_report():
         G = chain_signed(eps)
         if norm_of(G, A5_XI):
             continue
-        gens = [triflection(G, basis_vector(5, i)) for i in range(5)]
-        T = transvection(G, A5_XI)
-        ltr = (word_eval(gens) ** 6).m == T.m
-        rtl = (word_eval(list(reversed(gens))) ** 6).m == T.m
-        out.append(
-            {
-                "pattern": eps,
-                "xi_nonzero": any(A5_XI),
-                "left_to_right": ltr,
-                "right_to_left": rtl,
-            }
-        )
+        out.append({"pattern": eps, "xi_nonzero": any(A5_XI), **_transvection_word(G, A5_XI, 6)})
     return out
+
+
+def _transvection_word(G: HermGram, xi, k):
+    """Whether the k-th power of the product of the triflections in G's basis vectors, read left to right
+    and right to left, equals the transvection in xi."""
+    gens = [triflection(G, basis_vector(G.n, i)) for i in range(G.n)]
+    T = transvection(G, xi)
+    return {
+        "left_to_right": (word_eval(gens) ** k).m == T.m,
+        "right_to_left": (word_eval(gens[::-1]) ** k).m == T.m,
+    }
 
 
 def d4_star_gram():
@@ -810,14 +811,7 @@ D4_XI = (ONE, ONE, ONE, -THETA)
 def d4_transvection_report():
     """(a1 a2 a3 b)^3 versus the transvection in xi = r1 + r2 + r3 - theta r'."""
     G = d4_star_gram()
-    gens = [triflection(G, basis_vector(4, i)) for i in range(4)]
-    T = transvection(G, D4_XI)
-    return {
-        "xi_isotropic": not norm_of(G, D4_XI),
-        "xi_nonzero": any(D4_XI),
-        "left_to_right": (word_eval(gens) ** 3).m == T.m,
-        "right_to_left": (word_eval(list(reversed(gens))) ** 3).m == T.m,
-    }
+    return {"xi_isotropic": not norm_of(G, D4_XI), "xi_nonzero": any(D4_XI), **_transvection_word(G, D4_XI, 3)}
 
 
 def braid_loop_word(n: int = 11):

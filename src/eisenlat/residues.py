@@ -117,11 +117,9 @@ class WeightedHypersurface:
         return sum(self.char) % 6
 
 
-def fermat_cubic_fourfold(char=None):
-    """x0^3 + ... + x5^3 in P^5; char defaults to the cyclic cover action."""
-    if char is None:
-        char = [0, 0, 0, 0, 0, unit_exp(EisensteinInt(0, 1))]
-    return WeightedHypersurface.diagonal([1] * 6, 3, char=char)
+def fermat_cubic_fourfold():
+    """x0^3 + ... + x5^3 in P^5, with the cyclic cover action scaling x5 by w."""
+    return WeightedHypersurface.diagonal([1] * 6, 3, char=[0, 0, 0, 0, 0, unit_exp(EisensteinInt(0, 1))])
 
 
 def chordal_e1_fiber():
@@ -140,12 +138,10 @@ def nodal_e1():
     )
 
 
-def curve_c(char_z=None):
+def curve_c():
     """f(x, y) + z^6 in P(1,1,2) with f generic of degree 12; the deck
     transformation scales z by -w."""
-    if char_z is None:
-        char_z = unit_exp(-EisensteinInt(0, 1))
-    return WeightedHypersurface([1, 1, 2], 12, GENERIC_CI, char=[0, 0, char_z])
+    return WeightedHypersurface([1, 1, 2], 12, GENERIC_CI, char=[0, 0, unit_exp(-EisensteinInt(0, 1))])
 
 
 def z_model():

@@ -28,6 +28,7 @@ from .hermitian import (
     lambda10,
     lambda_,
     norm_of,
+    pairings,
     root_classify,
     signature,
     theta_self_dual,
@@ -478,9 +479,8 @@ def _(ctx):
     for ln in lines:
         GL = gluing.glue(S, ln)
         M = GL.gram
-        r_old = basis_vector(11, 10)
         d, cols = GL.basis
-        g = e_gcd(*(ip(N, col, r_old).exact_div(d) for col in cols))
+        g = e_gcd(*(x.exact_div(d) for x in mat_vec(cols, pairings(N, basis_vector(11, 10)))))  # <col, e_10> / d
         out.append(
             (
                 det_e(M),
@@ -503,9 +503,7 @@ def _lambda_roundtrip(ctx):
 
     L = lambda_()
     rbar = gluing.reduce_vector(NODAL_ROOT)
-    sg = gluing.symplectic_gram(L)
-    phi = tuple(sum(sg[i][j] * rbar[j] for j in range(11)) % 3 for i in range(11))
-    NL = gluing.hyperplane_preimage(L, phi)
+    NL = gluing.hyperplane_preimage(L, mat_vec(gluing.symplectic_gram(L), rbar))  # the functional <., r>/theta
     S2 = gluing.disc_group(NL.gram)
     # coordinates of the nodal root inside the sublattice: B^-1 r = (adj r) / d
     dn, H = NL.basis

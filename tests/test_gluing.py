@@ -80,6 +80,26 @@ def test_disc_norm_independent_of_lift():
         assert S.coords((d, tuple(pert))) == S.coords(base)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda S: gluing.hyperplane_preimage(lambda10(), [1] * 11), "functional has 11 coordinates, but the lattice has rank 10"),
+    (lambda S: gluing.hyperplane_preimage(lambda10(), [1] * 9), "functional has 9 coordinates, but the lattice has rank 10"),
+    (lambda S: gluing.glue(S, (1, 0, 1, 5)), "line has 4 coordinates, but theta N\\*/N has dimension 3"),
+    (lambda S: gluing.glue(S, (1, 0)), "line has 2 coordinates, but theta N\\*/N has dimension 3"),
+    (lambda S: S.norm((1, 0, 0, 2)), "vector has 4 coordinates, but theta N\\*/N has dimension 3"),
+    (lambda S: S.norm((1, 0)), "vector has 2 coordinates, but theta N\\*/N has dimension 3"),
+    (lambda S: S.coords(over_theta(12, 0)), "vector has 12 coordinates, but the lattice has rank 11"),
+    (lambda S: S.coords(over_theta(10, 0)), "vector has 10 coordinates, but the lattice has rank 11"),
+    (lambda S: gluing.isotropic_lines(S, orth_to=(1, 0)), "orth_to has 2 coordinates, but theta N\\*/N has dimension 3"),
+    (lambda S: gluing.isotropic_lines(S, not_orth_to=(1, 0)), "not_orth_to has 2 coordinates, but theta N\\*/N has dimension 3"),
+], ids=[
+    "preimage-long", "preimage-short", "glue-long", "glue-short", "norm-long", "norm-short",
+    "coords-long", "coords-short", "orth-to", "not-orth-to",
+])
+def test_f3_input_of_the_wrong_length_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(gluing.disc_group(big_n()))
+
+
 def test_coords_rejects_a_vector_outside_theta_dual():
     # e_0 / 3 pairs with the (3) summand to 1, which is not in theta E
     S = gluing.disc_group(big_n())
@@ -87,11 +107,12 @@ def test_coords_rejects_a_vector_outside_theta_dual():
         S.coords((3, basis_vector(11, 0)))
 
 
-@pytest.mark.parametrize("rows", [((0, 3), (3, 0)), ((0, 3, 0), (3, 0, 0), (0, 0, 3))])
+@pytest.mark.parametrize("rows", [((3,),), ((0, 3), (3, 0)), ((0, 3, 0), (3, 0, 0), (0, 0, 3))])
 def test_coords_inverts_lift(rows):
     # the raw form of the hyperbolic plane is ((0, 1), (1, 0)): with no
     # nonzero diagonal entry, _f3_diagonalize first adds one basis vector to
-    # the other, and coords must undo that step through the inverse transpose
+    # the other, and coords must undo that step through the inverse transpose;
+    # the symplectic Gram of (3) is 0, so its kernel rref has no row
     S = gluing.disc_group(HermGram([[E(x) for x in row] for row in rows]))
     assert S.k == len(rows)
     for v in itertools.product(range(3), repeat=S.k):
@@ -682,14 +703,24 @@ def shift4():
 
 @pytest.mark.parametrize("gens, start, message", [
     (shift4(), [1, 0, 0], r"start must have the generators' 4 coordinates, got an array of shape \(3,\)"),
+    (shift4(), [], r"start must have the generators' 4 coordinates, got an array of shape \(0,\)"),
     (shift4(), [1, 0, 0, 0, 0], r"start must have the generators' 4 coordinates, got an array of shape \(5,\)"),
     (shift4(), [0, 0, 0, 0], "start must be nonzero mod 3"),
     (shift4(), [0, 3, 0, -3], "start must be nonzero mod 3"),
     (np.zeros((1, 4, 3), np.int64), [1, 0, 0, 0], r"generators must be n x n matrices, got an array of shape \(1, 4, 3\)"),
-], ids=["short-start", "long-start", "zero-start", "zero-mod-3-start", "non-square"])
+    (shift4(), [0.5, 0, 0, 1], "generators and start must have integer dtypes, not int64 and float64"),
+    (1.5 * shift4(), [1, 0, 0, 0], "generators and start must have integer dtypes, not float64 and int64"),
+], ids=["short-start", "empty-start", "long-start", "zero-start", "zero-mod-3-start", "non-square", "float-start", "float-generators"])
 def test_line_orbit_refuses_bad_input_by_name(gens, start, message):
     with pytest.raises(ValueError, match=message):
         gluing.line_orbit(gens, start)
+
+
+def test_line_orbit_reads_integer_entries_mod_3():
+    # -g and 4g are 2g and g mod 3; each power of the shift moves (1, 0, 0, 0) to a new line
+    g = shift4()
+    for gens, start in [(-g, [1, 0, 0, 0]), (4 * g, [-2, 0, 0, 3]), (g.astype(np.uint64) + np.uint64(2**63 + 1), [1, 0, 0, 0])]:
+        assert gluing.line_orbit(gens, start) == reference_line_orbit((gens % 3).astype(np.int64), start) == 4
 
 
 def test_line_orbit_reaches_the_top_codes_of_rank_39():

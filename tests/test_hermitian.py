@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eisenlat import hermitian
-from eisenlat.eisenstein import E, ONE, OMEGA, THETA, ZERO, EisensteinInt, QOmega
+from eisenlat import cli, hermitian
+from eisenlat import monodromy as mono
+from eisenlat.eisenstein import E, ONE, OMEGA, THETA, ZERO, EisensteinInt, QOmega, e_gcd, is_associate
 from eisenlat.hermitian import (
     CHORDAL,
     NODAL,
@@ -27,6 +29,7 @@ from eisenlat.hermitian import (
     lambda10,
     lambda_,
     norm_of,
+    pairings,
     root_classify,
     signature,
     theta_self_dual,
@@ -105,6 +108,67 @@ def test_ip_hermitian_axioms_random():
         cx = tuple(c * a for a in x)
         assert ip(G, cx, y) == c * ip(G, x, y)
         assert ip(G, y, cx) == c.conj() * ip(G, y, x)
+
+
+def ip_reference(G, x, y):
+    """The double loop sum g_ij x_i conj(y_j) that ``ip`` ran before ``pairings``: the reference for it."""
+    s = ZERO
+    for i in range(G.n):
+        if not x[i]:
+            continue
+        row = G.g[i]
+        for j in range(G.n):
+            if y[j]:
+                s = s + row[j] * x[i] * y[j].conj()
+    return s
+
+
+def rank_one_reference(G, v, scale, den):
+    """The matrix delta_ij - (scale <e_j, v> / den) v_i of ``monodromy._rank_one``, with <e_j, v> the
+    pairing sum it ran before ``pairings``: the reference for triflections and transvections."""
+    support = [(k, x) for k, x in enumerate(v) if x]
+    coeffs = [(scale * sum((row[k] * x.conj() for k, x in support), ZERO)).exact_div(den) for row in G.g]
+    return tuple(tuple((ONE if i == j else ZERO) - coeffs[j] * v[i] for j in range(G.n)) for i in range(G.n))
+
+
+def classify_reference(G, r):
+    """``root_classify`` from n calls of ``ip_reference``, one per basis vector."""
+    gen = e_gcd(*(ip_reference(G, basis_vector(G.n, i), r) for i in range(G.n)))
+    return NODAL if is_associate(gen, THETA) else CHORDAL if is_associate(gen, E(3)) else None
+
+
+def test_ip_takes_q_omega_entries():
+    # 1/theta = conj(theta)/3, so e/theta has norm 3/3 in (3), and <e/theta, e> = 3/theta = -theta
+    x = (QOmega(1) / THETA,)
+    assert ip(diag([3]), x, x) == 1
+    assert ip(diag([3]), x, (ONE,)) == -THETA
+    assert pairings(diag([3]), x) == (THETA,)
+
+
+def named_roots():
+    """(Gram, norm-3 root) pairs: the basis vectors of chain(1..6) and the roots of ``sp_generating_roots``."""
+    from eisenlat.gluing import sp_generating_roots
+
+    pairs = [(chain(n), basis_vector(n, i)) for n in range(1, 7) for i in range(n)]
+    return pairs + [(lambda10(), r) for r in sp_generating_roots()]
+
+
+def test_root_classify_and_triflections_match_the_pairing_sum_references():
+    for G, r in named_roots():
+        assert root_classify(G, r) == classify_reference(G, r)
+        assert mono.triflection(G, r).m == rank_one_reference(G, r, ONE - OMEGA, E(3))
+
+
+def test_transvections_match_the_pairing_sum_reference():
+    cases = [(mono.d4_star_gram(), mono.D4_XI), (hyp(), (ONE, ZERO)), (lambda10(), basis_vector(10, 8))]
+    cases += [
+        (G, mono.A5_XI)
+        for G in map(mono.chain_signed, itertools.product((1, -1), repeat=4))
+        if not norm_of(G, mono.A5_XI)
+    ]
+    assert len(cases) > 3
+    for G, xi in cases:
+        assert mono.transvection(G, xi).m == rank_one_reference(G, xi, ONE, THETA)
 
 
 def test_z_realization_examples():
@@ -391,6 +455,19 @@ def test_gram_is_the_table_of_inner_products(G, data):
         assert out[i] == tuple(ip(G, u, v) for v in vs)
 
 
+e_entries = st.one_of(st.just(E(0)), st.builds(E, st.integers(-5, 5), st.integers(-5, 5)))
+q_entries = st.one_of(st.just(QOmega(0)), st.builds(QOmega, st.fractions(max_denominator=6), st.fractions(max_denominator=6)))
+
+
+@BOUNDED
+@given(some_grams, st.data())
+def test_ip_and_pairings_match_the_double_loop(G, data):
+    x, y = (data.draw(st.lists(st.one_of(e_entries, q_entries), min_size=G.n, max_size=G.n)) for _ in "xy")
+    assert ip(G, x, y) == ip_reference(G, x, y)
+    assert pairings(G, y) == tuple(ip_reference(G, basis_vector(G.n, i), y) for i in range(G.n))
+    assert ip(G, x, [E(0)] * G.n) == ZERO
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(some_grams)
 @example(lambda_())
@@ -419,9 +496,34 @@ def test_theta_duality():
     assert theta_self_dual(hyp())
     with pytest.raises(ValueError):
         theta_self_dual(chain(5))
-    # a precomputed determinant is used as given
-    assert theta_self_dual(lambda10(), det_e(lambda10()))
-    assert not theta_self_dual(lambda10(), E(-81))
+
+
+@BOUNDED
+@given(theta_grams())
+@example(lambda_())
+@example(lambda10())
+@example(e8e())
+@example(hyp())
+@example(diag([1, 3]))  # N(det) = 9 = 3^2, but 1 is not in theta E
+@example(chain(5))
+def test_theta_self_dual_is_theta_duality_with_a_determinant_of_norm_3_to_the_n(G):
+    d = det_e(G)
+    if not d:
+        with pytest.raises(ValueError, match="singular"):
+            theta_self_dual(G)
+        return
+    assert theta_self_dual(G) == (in_theta_dual(G) and d.norm() == 3**G.n)
+
+
+def test_lattice_invariants_eliminates_once_per_query(monkeypatch, capsys):
+    calls = []
+    real = hermitian.herm_eliminate
+    monkeypatch.setattr(hermitian, "herm_eliminate", lambda rows: calls.append(len(rows)) or real(rows))
+    for name, n in [("lambda", 11), ("lambda10", 10), ("e8e", 4), ("hyp", 2), ("chain:5", 5)]:
+        calls.clear()
+        assert cli.main(["lattice", "invariants", "--name", name, "--json"]) == 0
+        assert calls == [n], name
+    assert '"theta_self_dual": true' in capsys.readouterr().out
 
 
 def test_norms_in_3z_when_theta_dual():

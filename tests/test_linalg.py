@@ -28,7 +28,7 @@ from eisenlat import discpoly
 from eisenlat.eisenstein import THETA, UNITS, ZERO, E, EisensteinInt, QOmega
 from eisenlat.gluing import _f3_diagonalize
 from eisenlat.hermitian import NAMED_LATTICES, chain, lambda_, z_realization
-from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, pack, unpack
+from eisenlat.linalg import adjugate, adjugate_e, f3_rref, herm_eliminate, identity, mat_mul, mat_vec, pack, unpack
 from eisenlat.zlattice import ZGram, an_vanishing_gram, inertia
 
 BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -330,6 +330,41 @@ def test_packing_and_gram_are_written_once():
     assert packed_grams == []
 
 
+def test_matrix_vector_products_and_pairings_are_written_once():
+    """Only linalg defines ``mat_vec`` and ``mat_mul``, and no module but
+    linalg and eisenstein multiplies by the ``conj()`` of an expression that
+    reads a loop or comprehension variable, so a second hand-written pairing
+    sum g_ij conj(v_j) beside ``hermitian.pairings`` shows here.  A scaling
+    by the conj() of a constant, such as conj(theta), is not flagged."""
+    src = Path(__file__).resolve().parents[1] / "src" / "eisenlat"
+    definers, products = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loop_vars = {
+            name.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.For, ast.comprehension))
+            for name in ast.walk(node.target)
+            if isinstance(name, ast.Name)
+        }
+
+        def conj_of_loop_var(node):
+            return (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "conj"
+                and any(isinstance(n, ast.Name) and n.id in loop_vars for n in ast.walk(node.func.value))
+            )
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("mat_vec", "mat_mul"):
+                definers.add((path.stem, node.name))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and path.stem not in ("linalg", "eisenstein"):
+                if conj_of_loop_var(node.left) or conj_of_loop_var(node.right):
+                    products.append(f"{path.name}:{node.lineno}")
+    assert definers == {("linalg", "mat_vec"), ("linalg", "mat_mul")}
+    assert products == []
+
+
 def test_reductions_mod_theta_live_in_gluing():
     """Only gluing defines the F_3 reductions of Grams and matrices or
     imports ``reduce_mod_theta``, and no module imports ``snf_e``, so
@@ -427,6 +462,34 @@ def test_mat_mul_takes_the_zero_of_its_left_factor():
     assert type(mat_mul(((E(0), E(0)),), ((0,), (5,)))[0][0]) is EisensteinInt
     assert type(mat_mul(((0, 0),), ((E(1),), (E(2),)))[0][0]) is int
     assert mat_mul(((E(2), E(1)),), ((3,), (E(1, 1),))) == ((E(7, 1),),)
+
+
+def mat_vec_reference(A, x):
+    """The dense product that forms every a_ij x_j, the reference for ``mat_vec``."""
+    zero = x[0] - x[0] if x else 0
+    return tuple(sum((a * y for a, y in zip(row, x, strict=True)), zero) for row in A)
+
+
+@pytest.mark.parametrize("ring", [int, E])
+def test_mat_vec_matches_the_dense_reference(ring):
+    rng = random.Random(11)
+    for r, k in [(1, 1), (3, 1), (1, 4), (4, 4), (7, 3), (11, 11)]:
+        for density in (0.0, 0.15, 0.5, 1.0):
+            A = seeded_matrix(rng, r, k, density, ring)
+            (x,) = seeded_matrix(rng, 1, k, density, ring)
+            out = mat_vec(A, x)
+            assert out == mat_vec_reference(A, x)
+            assert all(type(y) is ring for y in out)
+    # an empty matrix, as the kernel rref of a form of rank 0 is, and an empty vector
+    assert mat_vec((), (1, 0, 2)) == mat_vec((), ()) == ()
+    assert mat_vec(((),), ()) == (0,)
+
+
+@BOUNDED
+@given(matrices(st.one_of(st.just(0), ints, e_ints)), st.data())
+def test_mat_vec_over_q_omega_matches_the_dense_reference(A, data):
+    x = data.draw(st.lists(st.one_of(st.just(QOmega(0)), qomegas), min_size=len(A[0]), max_size=len(A[0])))
+    assert mat_vec(A, x) == mat_vec_reference(A, x)
 
 
 def test_mat_mul_rejects_a_row_that_does_not_fit_the_right_factor():
