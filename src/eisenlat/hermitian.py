@@ -101,7 +101,7 @@ def pairings(G: HermGram, v):
 
     The entries of v may be in any ring that multiplies with E and has ``conj``, such as Q(w).
     """
-    return mat_vec(G.g, [y.conj() for y in v])
+    return mat_vec(G.g, [y.conj() if y else y for y in v])
 
 
 def ip(G: HermGram, x, y):
@@ -112,7 +112,7 @@ def ip(G: HermGram, x, y):
     if len(x) != G.n or len(y) != G.n:
         raise ValueError("vector lengths do not match the Gram rank")
     support = [i for i, a in enumerate(x) if a]
-    at = mat_vec([G.g[i] for i in support], [b.conj() for b in y])
+    at = mat_vec([G.g[i] for i in support], [b.conj() if b else b for b in y])
     return sum((x[i] * p for i, p in zip(support, at)), ZERO)
 
 

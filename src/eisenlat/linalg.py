@@ -52,13 +52,18 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, x):
-    """A*x for a column vector x, as a tuple; the zero is taken from x (0 for an empty x).
+    """A*x for a column vector x, as a tuple; each row of A must have len(x) entries.
 
-    As in ``mat_mul``, x lists its nonzero (j, y) once by index, and each row adds row[j] * y over that list.
+    As in ``mat_mul``, x lists its nonzero (j, y) once by index; each row sums row[j] * y over that list from its
+    first term, or is x's zero (0 for an empty x) if none.
     """
-    zero = x[0] - x[0] if len(x) else 0
+    if {*map(len, A)} - {len(x)}:
+        raise ValueError(f"a row does not have the {len(x)} entries of x")
     support = [(j, y) for j, y in enumerate(x) if y]
-    return tuple(sum((row[j] * y for j, y in support), zero) for row in A)
+    if not support:
+        return (x[0] - x[0] if len(x) else 0,) * len(A)
+    (k, z), rest = support[0], support[1:]
+    return tuple(sum([row[j] * y for j, y in rest], row[k] * z) for row in A)
 
 
 def adjugate(a):

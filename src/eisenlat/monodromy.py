@@ -281,7 +281,6 @@ def env_closure_cap() -> int:
 
 
 _BLOCK = 4096  # elements per batch of int64 products
-_CERTIFY = 256  # candidates (trace a-part in n - 2..n) per ``_reflections`` call in ``reflections_in``
 
 
 def _top(a) -> int:
@@ -292,7 +291,7 @@ def _top(a) -> int:
 def _product(a, b, tb=None):
     """a @ b for int64 packings, vectors or batches of them; OverflowError before an entry could leave int64.
 
-    tb is _top(b), for a caller that multiplies many a by one b.
+    tb bounds _top(b), for a caller that multiplies many a by one b.
     """
     ta, tb = _top(a), _top(b) if tb is None else tb
     if a.shape[-1] * ta * tb >= 2**63:
@@ -561,54 +560,65 @@ def _refuse_infinite(G: HermGram, gen_z):
             raise InfiniteGroup(f"infinite reflection group: the form is {kind} on the roots of generators {idx}")
 
 
+def _reflection_rows(handle: GroupHandle):
+    """The group's reflections by ascending element index, each as (unit, root, mirror) read by ``_reflections``.
+
+    A reflection M x = x + phi(x) r first moves the base e_b of some level, to p = e_b + r.  As M is an isometry,
+    phi(x) = <x, r> / <e_b, r> unless r is in the radical, so the coset labelled p holds one candidate, where
+    <x, r> = <T^-1 x - x, e_b> for T = trans[p].  Those with entries in E that ``_reflections`` certifies are
+    sifted, for membership and index.  A coset whose r is in the radical, as only a degenerate form allows, is
+    certified element by element, _BLOCK at a time.
+    """
+    if not handle.orbits:
+        return []
+    n, parts, radical = handle.ambient.n, [], []
+    ident = np.eye(2 * n, dtype=np.int64)
+    for l, o in enumerate(handle.orbits):
+        b = 2 * o.base
+        row = np.array(linalg.pack([pairings(handle.ambient, basis_vector(n, o.base))]), np.int64)  # x -> <x, e_b>
+        F = _product(row, o.trans_inv[1:] - ident)  # x -> <x, r>
+        parts.append((F, F[:, :, b : b + 2], o.trans[1:, :, b : b + 2] - ident[:, b : b + 2]))  # <e_b, r>, c -> c r
+        radical += [(l, p) for p in np.flatnonzero(~F.any(axis=(1, 2))) + 1]
+    F, B, L = map(np.concatenate, zip(*parts))
+    adj = B.transpose(0, 2, 1)[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])  # conj(<e_b, r>); det its norm
+    det = _product(B, adj)[:, 0, 0]
+    num = _product(_product(L, adj), F, _top(F) + 1)  # room to add I after / det
+    whole = (det > 0) & ~(num % np.maximum(det, 1)[:, None, None]).any(axis=(1, 2))
+    z = ident + num[whole] // det[whole, None, None]
+    at, *read = _reflections(z)
+    y = z[at]
+    idx, stop = _sift(handle.orbits, y)
+    member = (stop == len(handle.orbits)) & (y == ident).all(axis=(1, 2))
+    found, kept = [idx[member]], [k for k, m in zip(zip(*read), member) if m]
+    for l, p in radical:
+        o, size = handle.orbits[l], handle.sizes[l + 1]
+        for lo in range(0, size, _BLOCK):
+            H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), l + 1)
+            at, *read = _reflections(_product(o.trans[p], H))
+            found.append(p * size + lo + at)
+            kept += zip(*read)
+    return [kept[k] for k in np.argsort(np.concatenate(found))]
+
+
 def reflections_in(handle: GroupHandle):
     """All complex reflections in the group: (root, rotation unit) pairs, by ascending element index.
 
-    Element i |G_1| + j is T[i] h_j, T the first transversal and h_j in its stabilizer G_1.  The pairs are walked
-    in blocks of at most _BLOCK elements, the h_j formed at most _BLOCK at a time.  A block takes the a-parts of its
-    traces a + b w from one product.  Each unit zeta != 1 has its a in {-1, 0, 1}, so only the elements whose a is
-    n - 2, n - 1 or n are formed, and ``_reflections`` certifies them in batches: once _CERTIFY are pending, and at
-    the end of each block.  It gives each reflection's unit and root, which are kept with its index and sorted by
-    it once.  The root returned is the primitive multiple of that root, found once per root line.
+    Each root is the primitive multiple of the one ``_reflection_rows`` reads, found once per line.
     """
-    n = handle.ambient.n
-    T = handle.orbits[0].trans if handle.orbits else np.eye(2 * n, dtype=np.int64)[None]
-    size = handle.order // len(T)
-    even = T[:, ::2].reshape(len(T), -1)  # the a-part of a trace sums the even rows of T[i] h_j
-    found, kept = [], []  # the indices and (unit, root) pairs of the certified reflections
-    for lo in range(0, size, _BLOCK):
-        H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
-        cols = H[:, :, ::2].transpose(0, 2, 1).reshape(len(H), -1)  # row j: the even columns of h_j
-        top, step = _top(cols), _BLOCK // len(H)
-        pending = []  # (i, j) of the candidates T[i] h_j not yet certified
-        for start in range(0, len(T), step):
-            a = _product(even[start : start + step], cols.T, top)
-            i, j = np.nonzero((a >= n - 2) & (a <= n))
-            if len(i):
-                pending.append((i + start, j))
-            if pending and (start + step >= len(T) or sum(len(i) for i, _ in pending) >= _CERTIFY):
-                i, j = (np.concatenate(x) for x in zip(*pending))
-                at, units, roots, _ = _reflections(_product(T[i], H[j]))
-                found.append(i[at] * size + lo + j[at])
-                kept += zip(units, roots)
-                pending = []
-    lines = []
-    for _, v in kept:
-        u = next(x for x in v if x).canonical_unit()
-        lines.append(tuple(u * x for x in v))  # the same for all unit multiples, as _primitive_vector's result is
+    kept = _reflection_rows(handle)
+    lines = [_oriented(v) for _, v, _ in kept]
     root = {line: _primitive_vector(line) for line in set(lines)}
-    return [(root[lines[k]], kept[k][0]) for k in np.argsort(np.concatenate(found)).tolist()]
+    return [(root[line], u) for line, (u, _, _) in zip(lines, kept)]
 
 
 def _reflections(z):
     """The complex reflections among the packings z: (at, units, roots, mirrors), one entry per reflection.
 
-    M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1
-    and K^2 = (zeta - 1) K, for K / (zeta - 1) is then an idempotent of trace 1,
-    so K has rank one.  Only the matrices with such a trace, for some unit zeta != 1, are squared.
-    For the reflection z[at[r]], units[r] is its zeta; roots[r] is the first nonzero column of K as an
-    E-vector, which spans its root line im K; and mirrors[r] is the first packed row (a, -b, ...) of K's
-    first nonzero E-row, which vanishes exactly on its mirror ker K.
+    M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1 and K^2 = (zeta - 1) K, for
+    K / (zeta - 1) is then an idempotent of trace 1, so of rank one; only the M of trace n - 1 + zeta, zeta a unit
+    != 1, are squared.  For z[at[r]], units[r] is zeta, roots[r] the first nonzero column of K as an E-vector, which
+    spans im K, and mirrors[r] the first packed row (a, -b, ...) of K's first nonzero E-row, which vanishes exactly on
+    ker K.  ``_reflection_rows`` runs it on its candidates and its cosets in the radical.
     """
     n = z.shape[-1] // 2
     ident = np.eye(2 * n, dtype=np.int64)
@@ -626,12 +636,15 @@ def _reflections(z):
     return at, units, roots, K[r, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
 
 
+def _oriented(v):
+    """The unit multiple of v != 0 whose first nonzero entry is canonical, the same for all unit multiples."""
+    u = next(x for x in v if x).canonical_unit()
+    return tuple(u * x for x in v)
+
+
 def _primitive_vector(v):
     g = e_gcd(*v)
-    out = tuple(x.exact_div(g) for x in v)
-    # deterministic orientation: first nonzero coordinate canonical
-    u = next(x for x in out if x).canonical_unit()
-    return tuple(u * x for x in out)
+    return _oriented([x.exact_div(g) for x in v])
 
 
 def _entry_bound(handle: GroupHandle) -> int:
@@ -712,16 +725,6 @@ def _class_labels(handle: GroupHandle):
         last = total
 
 
-def _mirror_rows(handle: GroupHandle, labels):
-    """One int64 row per reflection of the group, by ascending element index: the mirror row of ``_reflections``,
-    which cuts out its mirror.  Trace and rank are class invariants, so the reflections are the members of
-    the classes whose representative (label = index) is one."""
-    reps = np.flatnonzero(labels == np.arange(len(labels)))
-    blocks = np.split(reps, range(_BLOCK, len(reps), _BLOCK))
-    refl = np.concatenate([b[_reflections(handle.matrices(b))[0]] for b in blocks])
-    return _reflections(handle.matrices(np.flatnonzero(np.isin(labels, refl))))[3]
-
-
 def free_action_check(handle: GroupHandle) -> bool:
     """True iff each non-identity element's fixed space lies in some mirror,
     i.e. the group acts freely off the union of its reflection mirrors.
@@ -731,13 +734,13 @@ def free_action_check(handle: GroupHandle) -> bool:
     lies in the mirror of a reflection M iff a nonzero row of M - I times P_g vanishes.
     The zero fixed space (P_g = 0) is vacuously contained.  Conjugation moves
     fixed spaces and mirrors together, so one element per class is tested,
-    and only those elements' matrices are formed; the mirrors come from them too.
+    and only those elements' matrices are formed; ``_reflection_rows`` gives the mirrors.
     """
     n = handle.ambient.n
     top = _entry_bound(handle)
     labels = _class_labels(handle)
     # a packed row vanishes on P_g iff its E-row does, so each row tests one mirror
-    rows = _mirror_rows(handle, labels)
+    rows = np.array([m for *_, m in _reflection_rows(handle)], np.int64).reshape(-1, 2 * n)
     # _power_sums keeps each power within top; P_g sums at most |group| powers, rows @ P_g 2n terms
     row_top = int(np.abs(rows).max(initial=0))
     if handle.order * top * max(1, 2 * n * row_top) >= 2**63:

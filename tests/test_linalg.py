@@ -498,6 +498,15 @@ def test_mat_mul_rejects_a_row_that_does_not_fit_the_right_factor():
             mat_mul(A, ((1,), (2,)))
 
 
+def test_mat_vec_rejects_a_row_that_does_not_fit_the_vector():
+    # a row longer than x would drop its last entries, a shorter one would be read past its end
+    for A, x in ((((1, 2, 3),), (1, 1)), (((1,),), (0, 1)), (((1, 2), (1,)), (E(0), E(0))), (((),), (1,))):
+        with pytest.raises(ValueError, match="does not have the"):
+            mat_vec(A, x)
+    assert mat_vec((), (1, 1)) == ()
+    assert mat_vec(((1, 2),), (0, 0)) == (0,)
+
+
 @BOUNDED
 @given(st.one_of(square(fractions), square(qomegas, max_n=4)), st.data())
 def test_solve_and_inverse(a, data):

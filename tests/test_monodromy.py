@@ -15,6 +15,7 @@ from eisenlat.hermitian import (
     HermGram,
     basis_vector,
     chain,
+    det_e,
     diag,
     direct_sum,
     hyp,
@@ -584,7 +585,7 @@ def test_mirror_rows_cut_out_the_mirrors_of_reflections_in(closures, group):
     h = group_handle(closures, group)
     G, n = h.ambient, h.ambient.n
     refl = mono.reflections_in(h)
-    rows = mono._mirror_rows(h, mono._class_labels(h))
+    rows = np.array([m for *_, m in mono._reflection_rows(h)], np.int64).reshape(-1, 2 * n)
     assert rows.shape == (len(refl), 2 * n)
     for row, (root, unit) in zip(rows, refl):
         u = [EisensteinInt(int(row[2 * j]), -int(row[2 * j + 1])) for j in range(n)]  # (a, -b) is a + b w
@@ -599,56 +600,110 @@ def test_mirror_rows_cut_out_the_mirrors_of_reflections_in(closures, group):
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_reflections_in_come_by_strictly_ascending_element_index(closures, group):
-    # _mirror_rows pairs its rows with reflections_in by this order
+    # part of the contract of reflections_in; _reflection_rows gives its mirror rows in the same order
     h = group_handle(closures, group)
     refl = [mono.reflection(h.ambient, root, unit) for root, unit in mono.reflections_in(h)]
     idx = h.index(np.array([pack(r.m) for r in refl], np.int64).reshape(-1, 2 * h.ambient.n, 2 * h.ambient.n))
     assert (np.diff(idx) > 0).all()
 
 
-@pytest.mark.parametrize("block", [1, 7, 647, 649])
+def radical_example(n):
+    """On diag([3, 0]) the isometry a = [[1, 0], [1, w]] of order 3, whose powers are reflections that move e_0 by
+    a multiple of e_1, in the radical.  n = 3 adds e_2 of norm 3 and the triflection b in it, and generates with
+    a b and b: the stabilizer of e_0 is then <b>, of order 3, and a^k = (a b)^k b^-k is not the first element of
+    its coset."""
+    G = diag([3, 0, 3][:n])
+    m = [[E(int(i == j)) for j in range(n)] for i in range(n)]
+    m[1][0], m[1][1] = ONE, OMEGA
+    a = mono.GroupElt(m, G)
+    if n == 2:
+        return [a]
+    b = mono.triflection(G, basis_vector(3, 2))
+    return [a * b, b]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 647, 649])
 def test_reflections_in_is_the_same_in_any_block_size(closures, block, monkeypatch):
-    # |G_1| is 648 for R4: blocks below it split the stabilizer's matrices into column blocks
+    # only a coset in the radical is walked in blocks: radical_example(3)'s has the 3 elements of its stabilizer
     handles = [group_handle(closures, group) for group in GROUPS]
+    handles += [mono.group_closure(radical_example(n)) for n in (2, 3)]
     expected = [mono.reflections_in(h) for h in handles]
     monkeypatch.setattr(mono, "_BLOCK", block)
     assert [mono.reflections_in(h) for h in handles] == expected
 
 
-@pytest.mark.parametrize("bound", [1, 7, 4000])
-def test_reflections_in_is_the_same_in_any_certification_batch(closures, bound, monkeypatch):
-    # R4 has 3882 candidates whose trace has its a-part in n - 2..n, all in its one block: a bound of 4000
-    # certifies them in one call
-    handles = [group_handle(closures, group) for group in GROUPS]
-    expected = [mono.reflections_in(h) for h in handles]
-    monkeypatch.setattr(mono, "_CERTIFY", bound)
-    assert [mono.reflections_in(h) for h in handles] == expected
-    calls, certify = [], mono._reflections
-    monkeypatch.setattr(mono, "_reflections", lambda z: calls.append(len(z)) or certify(z))
-    assert mono.reflections_in(handles[3]) == expected[3]
-    assert sum(calls) == 3882
-    assert all(c >= bound for c in calls[:-1])  # before the block ends, a batch is certified only once it is full
-    if bound > 3882:
-        assert calls == [3882]
+def reference_candidates(h):
+    """The one possible reflection of each coset, by exact arithmetic over E: at a level with base e_b and a point
+    p != e_b, r = p - e_b and M x = x + <x, r> / <e_b, r> r, kept as a packing when <e_b, r> != 0, every entry of
+    M is in E and its zeta = 1 + <r, r> / <e_b, r> is a unit != 1."""
+    G, n, out = h.ambient, h.ambient.n, []
+    for o in h.orbits:
+        for p in o.points[1:].tolist():
+            r = [E(p[2 * i] - (i == o.base), p[2 * i + 1]) for i in range(n)]
+            d = [ip(G, basis_vector(n, j), r) for j in range(n)]
+            if not d[o.base]:
+                continue
+            try:
+                m = [[E(int(i == j)) + (r[i] * d[j]).exact_div(d[o.base]) for j in range(n)] for i in range(n)]
+                zeta = ONE + norm_of(G, r).exact_div(d[o.base])
+            except ValueError:
+                continue
+            if zeta in UNITS and zeta != ONE:
+                out.append(pack(m))
+    return out
+
+
+@pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
+def test_reflections_in_sifts_one_candidate_per_coset(closures, group, monkeypatch):
+    # the candidates sifted are exactly the reference's; R4 has 239 + 26 + 7 + 2 = 274 cosets off the base
+    # points, and only 80 of their candidates have entries in E: its 80 reflections
+    h = closures(group) if isinstance(group, int) else mono.group_closure(chain_subset(*group[:2]))
+    sifted, sift = [], mono._sift
+    monkeypatch.setattr(mono, "_sift", lambda orbits, y: sifted.append(y.copy()) or sift(orbits, y))
+    refl = mono.reflections_in(h)
+    got = Counter(tuple(map(tuple, y)) for y in np.concatenate(sifted).tolist())
+    assert got == Counter(reference_candidates(h))
+    if group == 4:
+        assert [len(o.points) - 1 for o in h.orbits] == [239, 26, 7, 2]
+        assert len(sifted) == 1 and len(sifted[0]) == len(refl) == 80
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
-def test_reflections_in_forms_no_element_of_the_whole_group(closures, group, monkeypatch):
-    # each certified reflection's unit and root are kept with its index, so none is formed a second time from it
-    h, levels, form = group_handle(closures, group), [], mono.GroupHandle.matrices
-
-    def spy(self, idx, level=0):
-        levels.append(level)
-        return form(self, idx, level)
-
-    monkeypatch.setattr(mono.GroupHandle, "matrices", spy)
+def test_reflections_in_forms_no_element_on_a_nondegenerate_form(closures, group, monkeypatch):
+    # no r = p - e_b lies in the radical, so no coset is certified element by element
+    h, calls, form = group_handle(closures, group), [], mono.GroupHandle.matrices
+    assert det_e(h.ambient)
+    monkeypatch.setattr(mono.GroupHandle, "matrices", lambda self, *args: calls.append(args) or form(self, *args))
     mono.reflections_in(h)
-    assert levels and 0 not in levels
+    assert calls == []
+
+
+def test_reflections_in_certifies_a_coset_in_the_radical_element_by_element():
+    gens = radical_example(2)
+    h = mono.group_closure(gens)
+    assert mono.reflections_in(h) == [((E(0), ONE), OMEGA), ((E(0), ONE), OMEGA_BAR)]
+    assert_same_reflections(h, reference_closure(gens))
+    gens = radical_example(3)
+    h = mono.group_closure(gens)
+    assert [len(o.points) for o in h.orbits] == [3, 3]
+    w, wbar, e2, e3 = OMEGA, OMEGA_BAR, (E(0), ONE, E(0)), (E(0), E(0), ONE)
+    assert mono.reflections_in(h) == [(e3, w), (e3, wbar), (e2, w), (e2, wbar)]
+    assert_same_reflections(h, reference_closure(gens))
+
+
+def test_reflections_in_bounds_the_candidate_products():
+    # the pairing row of e_0 (entries up to 3) times a transversal inverse with an entry of 2^62 could leave
+    # int64: the first product refuses it before any entry is formed
+    h = mono.group_closure(mono.chain_triflections(2))
+    o = h.orbits[0]
+    o.trans_inv = o.trans_inv.copy()
+    o.trans_inv[1, 0, 3] = 2**62
+    with pytest.raises(OverflowError, match="entries up to 3 and 4611686018427387904 could overflow int64"):
+        mono.reflections_in(h)
 
 
 def test_r4_reflections_in_stays_small(closures):
-    # one block of trace a-parts at a time, and only the a-filtered candidates formed, _CERTIFY per batch; all
-    # 155520 traces at once peaked at 4.48 MiB
+    # one candidate per coset off the base points, 274 for R4, and no element of the group formed: 0.47 MiB
     h = closures(4)
     refl, peak = traced_peak(lambda: mono.reflections_in(h))
     assert len(refl) == 80
