@@ -9,6 +9,7 @@ packed by ``linalg.pack`` into int64 arrays so numpy can batch the products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -462,7 +463,6 @@ class GroupHandle:
         self.generators = generators  # (k, 2n, 2n) int64 packings of the generating set
         self.sizes = [math.prod(len(o.points) for o in orbits[l:]) for l in range(len(orbits) + 1)]  # |G_l|
         self.order = self.sizes[0]
-        self._table = None
 
     def matrices(self, idx, level=0):
         """The (len(idx), 2n, 2n) packings of the elements of G_level with indices idx."""
@@ -474,47 +474,10 @@ class GroupHandle:
             out = _product(out, o.trans[i])
         return out
 
-    def index(self, z, level=0):
-        """The indices in G_level of the packings z; ValueError when one is not in G_level."""
-        out, ident = np.empty(len(z), np.int64), np.eye(z.shape[-1], dtype=np.int64)
-        for start in range(0, len(z), _BLOCK):
-            x = z[start : start + _BLOCK].copy()
-            out[start : start + _BLOCK], stop = _sift(self.orbits[level:], x)
-            if (stop < len(self.orbits) - level).any() or (x != ident).any():
-                raise ValueError("not an element of the group: its sift through the chain does not end at I")
-        return out
-
-    @property
-    def table(self):
-        """The (order, k) int32 left Cayley table: the index of g_j x at [x, j]; built on first use.
-
-        It is the transpose of the (k, order) rows of ``_left_rows``, so each generator's column is
-        contiguous and no copy is made.  An index is below the order, so the order must not pass
-        2^31, the int32 index space; OverflowError before any row is built when it does.
-        """
-        if self._table is None:
-            if self.order > 2**31:
-                raise OverflowError(f"a group of order {self.order} has indices past int32")
-            self._table = self._left_rows(self.generators, 0).T
-        return self._table
-
-    def _left_rows(self, z, level):
-        """rows[q, x]: the int32 index in G_level of z[q] x, for elements z[q] and x of G_level.
-
-        z U_i h = U_z(i) s h with s in G_(level+1): sifting z U_i gives z(i) and s at once.  The row
-        of z is i -> z(i) scaled by |G_(level+1)|, plus the level-down row of each distinct s: one
-        int32 gather of those rows, to which the scaled z(i) are added in place.
-        """
-        if level == len(self.orbits):
-            return np.zeros((len(z), 1), np.int32)
-        trans, below = self.orbits[level].trans, self.sizes[level + 1]
-        zu = _product(z[:, None], trans[None]).reshape(-1, *trans.shape[1:])
-        moved, s = np.divmod(self.index(zu, level).reshape(len(z), len(trans)), below)
-        distinct, at = np.unique(s, return_inverse=True)
-        rows = self._left_rows(self.matrices(distinct, level + 1), level + 1)
-        out = np.take(rows, at.reshape(s.shape), axis=0)
-        out += (moved * below).astype(np.int32)[:, :, None]
-        return out.reshape(len(z), -1)
+    @functools.cached_property
+    def reflection_rows(self):
+        """``_reflection_rows`` of the group, searched once on first use: a closed handle does not change."""
+        return _reflection_rows(self)
 
 
 def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
@@ -605,7 +568,7 @@ def reflections_in(handle: GroupHandle):
 
     Each root is the primitive multiple of the one ``_reflection_rows`` reads, found once per line.
     """
-    kept = _reflection_rows(handle)
+    kept = handle.reflection_rows
     lines = [_oriented(v) for _, v, _ in kept]
     root = {line: _primitive_vector(line) for line in set(lines)}
     return [(root[line], u) for line, (u, _, _) in zip(lines, kept)]
@@ -679,50 +642,36 @@ def _power_sums(g, bound: int, top: int):
     raise ValueError("not a finite group: some element's powers never reach I")
 
 
-def _conjugations(handle: GroupHandle):
-    """The conjugations x -> g x g^-1 by the generators g, as int32 index arrays.
+def _largest_prime_factor(m: int) -> int:
+    """The largest prime dividing m > 1, by trial division."""
+    d = 2
+    while d * d <= m:
+        if m % d:
+            d += 1
+        else:
+            m //= d
+    return m
 
-    Element i |G_1| + j is T[i] h_j, T the first orbit's transversal and h_j in G_1.  For i > 0,
-    T[i] = g_a T[p], a and p the letter and parent of point i in the orbit's Schreier tree (whose
-    generators must be the handle's), so x = g_a y, y = p |G_1| + j, and x g^-1 = g_a (y g^-1) is
-    the left table's entry [y g^-1, a].  Row by row of |G_1|, x g^-1 fills in one tree depth at a
-    time from the root row h_j g^-1, located by sifting.  Conjugation is g's column read there.
-    Every root row is sifted before the first map is held, and x g^-1 and the maps are int32.
+
+def _suborbits(handle: GroupHandle):
+    """The least index of each orbit of G_1 on the first orbit's points, G_1 the stabilizer of its base.
+
+    In a complete chain the second orbit's generators generate G_1, which is trivial when there is no second
+    orbit.  Each label falls to the least label it reaches through them, with pointer jumping, until none moves.
     """
-    if not handle.orbits:
-        return []  # the trivial group
-    o, gens = handle.orbits[0], handle.generators
-    if len(o.gens) != len(gens) or not np.array_equal(np.stack(o.gens), gens):
-        raise ValueError("the generators do not generate the group through its first orbit's Schreier tree")
-    parent, letter, depth = np.array(o.parent), np.array(o.letter), [0]
-    for p in o.parent[1:]:  # parents come first
-        depth.append(depth[p] + 1)
-    layers = [np.flatnonzero(np.equal(depth, d)) for d in range(1, max(depth) + 1)]
-    H, table, maps = handle.matrices(np.arange(handle.sizes[1])), handle.table, []
-    roots = [handle.index(_product(H, inv)) for inv in o.invs]
-    for root, col in zip(roots, table.T):
-        right = np.empty((len(parent), len(H)), np.int32)
-        right[0] = root
-        for x in layers:
-            right[x] = table[right[parent[x]], letter[x, None]]
-        maps.append(col[right.ravel()])
-    return maps
-
-
-def _class_labels(handle: GroupHandle):
-    """Each element's int32 class label, the least index in its orbit under the generators' conjugations."""
-    maps = _conjugations(handle)
-    # min-label propagation with pointer jumping, in place; each label stays in its orbit and only
-    # falls, so a pass that leaves the sum of the labels as it was leaves every label as it was
-    labels, last = np.arange(handle.order, dtype=np.int32), -1
+    o = handle.orbits[0]
+    label = np.arange(len(o.points))
+    if len(handle.orbits) == 1:
+        return label
+    gens = np.stack(handle.orbits[1].gens)
+    w = gens.shape[-1]
+    moved = o.find(_product(o.points, gens.reshape(-1, w).T).reshape(len(label), -1, w))  # [p, s]: gens[s] p
     while True:
-        for image in maps:
-            np.minimum(labels, labels[image], out=labels)
-        labels = labels[labels]
-        total = int(labels.sum())
-        if total == last:
-            return labels
-        last = total
+        new = np.minimum(label, label[moved].min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.flatnonzero(label == np.arange(len(label)))
+        label = new
 
 
 def free_action_check(handle: GroupHandle) -> bool:
@@ -731,27 +680,44 @@ def free_action_check(handle: GroupHandle) -> bool:
 
     The fixed space of g is the column span of P_g = I + g + ... + g^(k-1),
     k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
-    lies in the mirror of a reflection M iff a nonzero row of M - I times P_g vanishes.
-    The zero fixed space (P_g = 0) is vacuously contained.  Conjugation moves
-    fixed spaces and mirrors together, so one element per class is tested,
-    and only those elements' matrices are formed; ``_reflection_rows`` gives the mirrors.
+    lies in the mirror of a reflection M iff a nonzero row of M - I times P_g vanishes;
+    the zero fixed space (P_g = 0) is vacuously contained.  Two exact reductions pick the elements tested:
+
+    * fix(g) lies in fix(g^(k/p)) for a prime p dividing k, so only elements of prime order are tested;
+    * conjugation moves fixed spaces and mirrors together, and each x is conjugate by some s in G_1, the
+      stabilizer of the first orbit's base b, to an element of the coset trans[r] G_1 of the least point r
+      of x(b)'s G_1-orbit (s x s^-1 sends b to s x(b) = r), so one coset per G_1-orbit is formed.
+
+    Each coset is formed in blocks of at most _BLOCK elements X, which step through their powers X^k, k = 2 up
+    to the largest prime dividing the order, one product a step and no list of powers kept.  At a prime k the
+    elements with X^k = I are tested; after each k they are dropped.  ``reflection_rows`` gives the mirrors.
     """
-    n = handle.ambient.n
-    top = _entry_bound(handle)
-    labels = _class_labels(handle)
+    if not handle.orbits:
+        return True  # the trivial group
+    n, top = handle.ambient.n, _entry_bound(handle)
     # a packed row vanishes on P_g iff its E-row does, so each row tests one mirror
-    rows = np.array([m for *_, m in _reflection_rows(handle)], np.int64).reshape(-1, 2 * n)
-    # _power_sums keeps each power within top; P_g sums at most |group| powers, rows @ P_g 2n terms
-    row_top = int(np.abs(rows).max(initial=0))
-    if handle.order * top * max(1, 2 * n * row_top) >= 2**63:
+    rows = np.array([m for *_, m in handle.reflection_rows], np.int64).reshape(-1, 2 * n)
+    last = _largest_prime_factor(handle.order)
+    # _power_sums keeps each power within top; P_g sums at most `last` powers, rows @ P_g 2n terms
+    if last * top * max(1, 2 * n * int(np.abs(rows).max(initial=0))) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
-    reps, ident = np.flatnonzero(labels == np.arange(handle.order)), np.eye(2 * n, dtype=np.int64)
-    for start in range(0, len(reps), _BLOCK):
-        g = handle.matrices(reps[start : start + _BLOCK])
-        P = _power_sums(g[(g != ident).any(axis=(1, 2))], handle.order, top)
-        P = P[P.any(axis=(1, 2))]
-        if not (rows @ P == 0).all(axis=2).any(axis=1).all():
-            return False
+    o, size, ident = handle.orbits[0], handle.sizes[1], np.eye(2 * n, dtype=np.int64)
+    cosets = o.trans[_suborbits(handle)]
+    for lo in range(0, size, _BLOCK):
+        H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
+        for t in cosets:
+            x = _product(t, H, top)
+            x = x[(x != ident).any(axis=(1, 2))]
+            power = x[:, :, ::2]  # an E-matrix is its packing's even columns, so X^k = I is read there
+            for k in range(2, last + 1):
+                power = _product(x, power)
+                done = (power == ident[:, ::2]).all(axis=(1, 2))
+                if _largest_prime_factor(k) == k:
+                    P = _power_sums(x[done], k, top)
+                    P = P[P.any(axis=(1, 2))]
+                    if not (rows @ P == 0).all(axis=2).any(axis=1).all():
+                        return False
+                x, power = x[~done], power[~done]
     return True
 
 

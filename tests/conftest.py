@@ -7,7 +7,7 @@ from eisenlat import monodromy as mono
 
 @pytest.fixture(scope="session")
 def closures():
-    """Shared closures of R_1..R_4, so each stabilizer chain and its Cayley table are built once per session."""
+    """Shared closures of R_1..R_4, so each stabilizer chain and its reflection search are made once per session."""
     cache = {}
 
     def get(n):
