@@ -16,11 +16,9 @@ of the symplectic Gram S, built straight from S with no lattice matrix.
 S takes no division: x = a + b w in theta E has x/theta = ((2b - a) +
 (b - 2a) w)/3, which reduces to (b - a) mod 3.  The orbit's tables of chunk
 pattern images come by base-3 expansion in bit-sliced F_3, with no matrix product.
-Every line code of rank n is below 2 * 3^(n-1), so while two boolean tables of
-that length fit in 2 MiB (up to rank 12, which holds the rank-10 orbit), the
-orbit keeps its lines in a table indexed by the code, with no sort, search or
-merge; above that, up to rank 39, it keeps sorted codes, whose memory grows
-with the orbit and not with 3^n.
+Every line code of rank n is below 2 * 3^(n-1), so the orbit keeps its lines
+in a boolean table indexed by the code, with no sort, search or merge; it
+takes ranks up to 12, which holds the rank-10 orbit.
 One Gaussian congruence mod 3 diagonalizes the F_3 form; each pair of -1
 entries is then turned into +1, +1, so the diagonal
 is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
@@ -374,17 +372,9 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
 
 _CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
 _BLOCK = 2048  # frontier lines per batch of images: the (m, block) temporaries stay in cache
-_DENSE_BYTES = 2**21  # the most the two boolean tables of ``_dense_orbit`` may take
-
-
-def _dtypes(n):
-    """The narrowest signed dtypes of the rank-n bit masks and line codes.
-
-    A mask holds bits 0..n-1; ``line_codes`` forms 3 code(support), below
-    3^(n+1) / 2.
-    """
-    mask = np.int16 if n <= 15 else np.int32 if n <= 31 else np.int64
-    return mask, np.int32 if 3 ** (n + 1) < 2**32 else np.int64
+# the orbit's two boolean tables of 2 * 3^(n-1) bytes stay within 2 MiB, a mask of n bits
+# fits int16 and a line code, below 2 * 3^(n-1), fits int32
+_MAX_RANK = 12
 
 
 def _chunk_tables(gens):
@@ -399,14 +389,13 @@ def _chunk_tables(gens):
     Coordinate j is bit n - 1 - j of a mask, as it is place 3^(n-1-j) of a
     line code, so ``value[o << w | t]`` is the line-code value of the
     chunk's bits o of the digits 1 and t of the digits 2, taken down by
-    n - hi places.  Masks and values come in the dtypes of ``_dtypes(n)``.
+    n - hi places.  Masks are int16 and values int32.
     """
     m, n = len(gens), gens.shape[-1]
-    mask, code = _dtypes(n)
-    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(mask)
+    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(np.int16)
     # (m, n) masks of each generator's columns: digit d of column k at bit n - 1 - k
-    col1, col2 = (np.bitwise_or.reduce(np.where(gens == d, bits[:, None], 0).astype(mask), axis=1) for d in (1, 2))
-    zero = np.zeros(m, mask)
+    col1, col2 = (np.bitwise_or.reduce(np.where(gens == d, bits[:, None], 0).astype(np.int16), axis=1) for d in (1, 2))
+    zero = np.zeros(m, np.int16)
     tables = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -419,7 +408,7 @@ def _chunk_tables(gens):
         w = hi - lo
         place = ((np.arange(2**w)[:, None] >> np.arange(w) & 1) * 3 ** np.arange(w)).sum(axis=1)  # bits x as base-3 digits
         value = (place[:, None] + 2 * place).ravel()
-        tables.append((lo, hi, ones, twos, (value * 3 ** (n - hi)).astype(code)))
+        tables.append((lo, hi, ones, twos, (value * 3 ** (n - hi)).astype(np.int32)))
     return tables
 
 
@@ -465,12 +454,12 @@ def line_orbit(gens, start, cap: int = 200000):
     dtype is not integer, or a start that is zero; and once the orbit
     outgrows ``cap``, a whole level counted first.  A level's images are
     formed in blocks of ``_BLOCK`` frontier lines.  Every ``line_codes``
-    value is below 2 * 3^(n-1), so the lines can be kept in two boolean
-    tables of that length: the lines reached and those of one level
-    (``_dense_orbit``).  That path runs when the tables take at most
-    ``_DENSE_BYTES``, 4 * 3^(n-1) <= 2^21, which holds up to rank 12.
-    Otherwise, up to rank 39, the lines are kept as sorted codes
-    (``_sorted_orbit``), whose memory grows with the orbit and not with 3^n.
+    value is below 2 * 3^(n-1), so the lines are kept in two boolean tables
+    indexed by the code, with no sort, search or merge: the lines reached
+    and those of one level.  Each level scatters its images into a fresh
+    table, drops the lines seen before, and reads the next frontier back in
+    code order.  A rank above ``_MAX_RANK`` raises ValueError, naming the
+    rank, before any table is built.
     """
     gens, start = np.asarray(gens), np.asarray(start)
     if not len(gens):
@@ -478,6 +467,8 @@ def line_orbit(gens, start, cap: int = 200000):
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise ValueError(f"generators must be n x n matrices, got an array of shape {gens.shape}")
     n = gens.shape[-1]
+    if n > _MAX_RANK:
+        raise ValueError(f"rank {n} is too large for the orbit tables, which take at most rank {_MAX_RANK}")
     if start.shape != (n,):
         raise ValueError(f"start must have the generators' {n} coordinates, got an array of shape {start.shape}")
     if gens.dtype.kind not in "iu" or start.dtype.kind not in "iu":
@@ -485,59 +476,22 @@ def line_orbit(gens, start, cap: int = 200000):
     gens, start = (gens % 3).astype(np.int64), (start % 3).astype(np.int64)
     if not start.any():
         raise ValueError("start must be nonzero mod 3")
-    first = line_codes([start]).astype(_dtypes(n)[1])
-    orbit = _dense_orbit if 4 * 3 ** (n - 1) <= _DENSE_BYTES else _sorted_orbit
-    return orbit(_chunk_tables(gens), first, cap)
-
-
-def _dense_orbit(tables, first, cap):
-    """``line_orbit`` on boolean tables indexed by the line code: no sort, search or merge.
-
-    Each level scatters its images into a fresh table, drops the lines seen
-    before, and reads the next frontier back in code order.
-    """
-    seen = np.zeros(2 * 3 ** (tables[-1][1] - 1), bool)
-    seen[first] = True
-    count, frontier = 1, first
+    tables = _chunk_tables(gens)
+    frontier = line_codes([start]).astype(np.int32)
+    seen = np.zeros(2 * 3 ** (n - 1), bool)
+    seen[frontier] = True
+    count = 1
     while len(frontier):
         level = np.zeros_like(seen)
         for i in range(0, len(frontier), _BLOCK):
             level[_line_images(tables, frontier[i : i + _BLOCK])] = True
         level &= ~seen
-        frontier = np.flatnonzero(level).astype(first.dtype)
+        frontier = np.flatnonzero(level).astype(np.int32)
         count += len(frontier)
         if count > cap:
             raise ValueError(f"orbit exceeded cap {cap}")
         seen |= level
     return count
-
-
-def _sorted_orbit(tables, first, cap):
-    """``line_orbit`` on sorted codes, for ranks whose boolean tables would outgrow 2 MiB.
-
-    A level's images are sorted once and deduplicated by adjacent
-    difference; membership in ``seen`` is a binary search, and ``seen`` takes
-    the fresh codes by a stable sort of two sorted runs, a linear merge.
-    """
-    m = tables[0][2].shape[1]
-    seen = frontier = first
-    while len(frontier):
-        images = np.empty((len(frontier), m), seen.dtype)
-        for i in range(0, len(frontier), _BLOCK):
-            images[i : i + _BLOCK] = _line_images(tables, frontier[i : i + _BLOCK]).T
-        images = images.ravel()
-        images.sort()
-        keep = np.ones(len(images), bool)
-        np.not_equal(images[1:], images[:-1], out=keep[1:])
-        images = images[keep]
-        found = seen.take(np.searchsorted(seen, images), mode="clip") == images
-        fresh = images[~found]
-        if len(fresh) and len(seen) + len(fresh) > cap:
-            raise ValueError(f"orbit exceeded cap {cap}")
-        seen = np.concatenate([seen, fresh])
-        seen.sort(kind="stable")
-        frontier = fresh
-    return len(seen)
 
 
 def _check_length(v, n, name, space):

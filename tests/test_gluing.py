@@ -511,7 +511,6 @@ def test_orbit_cap():
 
 
 def test_full_orbit_cap_edge_on_the_dense_path():
-    # rank 10 takes the dense path at every cap
     L10, roots = lambda10(), gluing.sp_generating_roots()
     assert gluing.hyperplane_orbit(roots, L10, cap=29524) == (29524, 12)
     with pytest.raises(ValueError, match="orbit exceeded cap 29523"):
@@ -598,18 +597,21 @@ def test_reduced_triflections_take_only_roots():
             gluing.reduced_triflections(L10, [r, bad])
 
 
-def test_orbit_peak_memory_is_bounded():
-    # a level's images come in blocks of narrow codes and land in 39366-byte tables of the line codes: 0.80 MiB
-    # traced; sorted codes peaked at 1.15 MiB, and whole levels of int64 codes at 6.2 MiB
-    L10, roots = lambda10(), gluing.sp_generating_roots()
-    gluing.hyperplane_orbit(roots, L10)
+@pytest.mark.parametrize("run, want, bound", [
+    # a level's images come in blocks of narrow codes and land in 39366-byte tables of the line codes: 0.80 MiB traced
+    (lambda: gluing.hyperplane_orbit(gluing.sp_generating_roots(), lambda10()), (29524, 12), 2.5 * 2**20),
+    # the two 354294-byte tables of rank 12 stay within the 2 MiB that _MAX_RANK allows: 1.03 MiB traced
+    (lambda: gluing.line_orbit(shift_and_swap(12), [1] + [0] * 11), 12, 2**21),
+], ids=["rank-10-hyperplanes", "rank-12-lines"])
+def test_orbit_peak_memory_is_bounded(run, want, bound):
+    run()
     tracemalloc.start()
     try:
-        assert gluing.hyperplane_orbit(roots, L10) == (29524, 12)
+        assert run() == want
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 2**20
+    assert peak < bound
 
 
 def test_orbit_start_takes_integers_and_eisenstein_integers():
@@ -639,10 +641,9 @@ def random_invertible_f3(rng, n):
             return np.array(g, dtype=np.int64)
 
 
-@pytest.mark.parametrize("n", list(range(1, 13)) + [15, 16, 19, 20, 31, 32, 39])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_line_images_match_row_by_row_images(n):
-    # every chunk remainder of the 5-coordinate tables, both sides of each
-    # switch of the mask or code dtype, and the widest codes
+    # every rank the orbit takes, so every chunk remainder of the 5-coordinate tables
     rng = random.Random(n)
     gens = np.stack([random_invertible_f3(rng, n) for _ in range(3)])
     rows = [[2] * n, [1] * n, [0] * (n - 1) + [2]]
@@ -661,39 +662,36 @@ def test_line_orbit_of_random_matrices_matches_reference(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_line_orbit_cap_edge_matches_reference_on_both_paths(n):
-    # the whole space's lines, on the dense path through line_orbit and on the sorted one called directly:
-    # each returns the size at cap size and raises where the reference raises at caps size - 1, size // 2 and 1
+def test_line_orbit_cap_edge_matches_reference(n):
+    # the whole space's lines: line_orbit returns the size at cap size and raises
+    # where the reference raises at caps size - 1, size // 2 and 1
     rng = random.Random(200 + n)
     gens = [random_invertible_f3(rng, n) for _ in range(2)]
     start = seeded_starts(n, 1, n)[0]
     size = reference_line_orbit(gens, start)
-    first = gluing.line_codes([start]).astype(gluing._dtypes(n)[1])
-
-    def sorted_orbit(gens, start, cap):
-        return gluing._sorted_orbit(gluing._chunk_tables(np.stack(gens)), first, cap)
-
-    for run in (gluing.line_orbit, sorted_orbit):
-        assert run(gens, start, cap=size) == size
+    assert gluing.line_orbit(gens, start, cap=size) == size
     for cap in {c for c in (size - 1, size // 2, 1) if 0 < c < size}:
-        for run in (gluing.line_orbit, sorted_orbit, reference_line_orbit):
+        for run in (gluing.line_orbit, reference_line_orbit):
             with pytest.raises(ValueError, match=f"orbit exceeded cap {cap}"):
                 run(gens, start, cap=cap)
 
 
-@pytest.mark.parametrize("n, path", [
-    (1, "_dense_orbit"),
-    (10, "_dense_orbit"),  # every rank-10 orbit, at any cap
-    (12, "_dense_orbit"),  # 4 * 3^11 = 708588 <= 2^21
-    *((n, "_sorted_orbit") for n in (13, 15, 16, 19, 20, 31, 32, 39)),  # the dtype and rank-39 tests
-])
-@pytest.mark.parametrize("cap", [1, 39, 9841, 200000, 10**18])  # at rank 10 the old rule took the sorted path up to cap 9841
-def test_line_orbit_picks_its_path_by_rank(monkeypatch, n, path, cap):
+# the lowest, benchmarked and highest accepted ranks, then ranks the orbit took before its cap of 12:
+# 13, both sides of the old mask and code dtype switches, and rank 39
+@pytest.mark.parametrize("n", [1, 10, 12, 13, 15, 16, 19, 20, 31, 32, 39])
+@pytest.mark.parametrize("cap", [1, 39, 9841, 200000, 10**18])
+def test_line_orbit_refuses_ranks_above_12_before_any_table(monkeypatch, n, cap):
     calls = []
-    for name in ("_dense_orbit", "_sorted_orbit"):
-        monkeypatch.setattr(gluing, name, lambda tables, first, cap, name=name: calls.append(name) or 0)
-    gluing.line_orbit(np.eye(n, dtype=np.int64)[None], [1] * n, cap)
-    assert calls == [path]
+    real = gluing._chunk_tables
+    monkeypatch.setattr(gluing, "_chunk_tables", lambda gens: calls.append(gens.shape[-1]) or real(gens))
+    if n > 12:
+        with pytest.raises(ValueError, match=f"rank {n} is too large"):
+            gluing.line_orbit(np.eye(n, dtype=np.int64)[None], [1] * n, cap)
+        assert calls == []
+    else:
+        # the identity fixes the line of (1, ..., 1), so every accepted rank counts one line at every cap
+        assert gluing.line_orbit(np.eye(n, dtype=np.int64)[None], [1] * n, cap) == 1
+        assert calls == [n]
 
 
 def shift4():
@@ -723,41 +721,35 @@ def test_line_orbit_reads_integer_entries_mod_3():
         assert gluing.line_orbit(gens, start) == reference_line_orbit((gens % 3).astype(np.int64), start) == 4
 
 
-def test_line_orbit_reaches_the_top_codes_of_rank_39():
-    # the 2 of (1, ..., 1, 2) moves through every coordinate; its line
-    # codes lie just above (3^39 - 1) / 2, and (1, 2, ..., 2) has the
-    # largest code of any line, 2 * 3^38 - 1
-    n = 39
-    shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
-    swap = np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
-    start = [1] * (n - 1) + [2]
-    tables = gluing._chunk_tables(np.stack([shift, swap]))
-    assert gluing._line_images(tables, gluing.line_codes([start])).tolist() == [[2 * 3**38 - 1], [(3**39 + 1) // 2]]
-    assert gluing.line_orbit([shift, swap], start) == reference_line_orbit([shift, swap], start) == n
-    with pytest.raises(ValueError, match="orbit exceeded cap 38"):
-        gluing.line_orbit([shift, swap], start, cap=38)
-
-
 def shift_and_swap(n):
     """The cyclic shift and the swap of coordinates 0 and 1, as F_3 matrices of rank n."""
     return np.roll(np.eye(n, dtype=np.int64), 1, axis=0), np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
 
 
-@pytest.mark.parametrize("n, mask, code", [
-    (15, np.int16, np.int32),
-    (16, np.int32, np.int32),
-    (19, np.int32, np.int32),
-    (20, np.int32, np.int64),
-    (31, np.int32, np.int64),
-    (32, np.int64, np.int64),
-])
-def test_line_orbit_across_the_dtype_switches(n, mask, code):
-    # masks: int16 up to rank 15, int32 up to 31; codes: int32 while 3^(n+1) / 2 < 2^31
+def test_line_orbit_reaches_the_top_codes_of_rank_12():
+    # the 2 of (1, ..., 1, 2) moves through every coordinate; its line
+    # codes lie just above (3^12 - 1) / 2, and (1, 2, ..., 2) has the
+    # largest code of any line, 2 * 3^11 - 1, the last index of the table
+    n = 12
     gens = shift_and_swap(n)
     start = [1] * (n - 1) + [2]
     tables = gluing._chunk_tables(np.stack(gens))
-    _, _, ones, twos, value = tables[0]
-    assert ones.dtype == twos.dtype == mask and value.dtype == code
+    assert gluing._line_images(tables, gluing.line_codes([start])).tolist() == [[2 * 3**11 - 1], [(3**12 + 1) // 2]]
+    assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start) == n
+    with pytest.raises(ValueError, match="orbit exceeded cap 11"):
+        gluing.line_orbit(gens, start, cap=11)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_line_orbit_keeps_int16_masks_and_int32_codes_at_every_rank(n):
+    # the fixed dtypes hold every mask and code up to rank 12: the images of the line with the
+    # largest codes match the int64 reference, and the orbit and its cap edge match the reference
+    # (from rank 3, where the shift and the swap differ; at rank 2 both fix the line of (1, 2))
+    gens = shift_and_swap(n)
+    start = [1] * (n - 1) + [2]
+    tables = gluing._chunk_tables(np.stack(gens))
+    for _, _, ones, twos, value in tables:
+        assert ones.dtype == twos.dtype == np.int16 and value.dtype == np.int32
     images = gluing._line_images(tables, gluing.line_codes([start]))
     assert images.tolist() == [[reference_code(g @ start)] for g in gens]
     assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start) == n
@@ -768,8 +760,7 @@ def test_line_orbit_across_the_dtype_switches(n, mask, code):
 def reference_chunk_tables(gens):
     """The chunk tables by matrix products: the digit rows of every chunk pattern times the generators' columns."""
     n = gens.shape[-1]
-    mask, code = gluing._dtypes(n)
-    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(mask)
+    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(np.int16)
     tables = []
     for lo in range(0, n, gluing._CHUNK):
         hi = min(lo + gluing._CHUNK, n)
@@ -777,13 +768,13 @@ def reference_chunk_tables(gens):
         images = (gluing.line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3).transpose(1, 0, 2)
         place = 3 ** np.arange(w, dtype=np.int64)
         value = (np.arange(4**w)[:, None] >> np.arange(2 * w) & 1) @ np.concatenate([2 * place, place])
-        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, (value * 3 ** (n - hi)).astype(code)))
+        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, (value * 3 ** (n - hi)).astype(np.int32)))
     return tables
 
 
-@pytest.mark.parametrize("n", [1, 5, 6, 15, 16, 31, 32, 33, 39])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_chunk_tables_match_the_matrix_products(n):
-    # every chunk remainder 0..4, and both sides of each switch of the mask or code dtype
+    # every rank the orbit takes, so every chunk remainder 0..4
     rng = np.random.default_rng(n)
     gens = rng.integers(0, 3, size=(4, n, n))
     got, want = gluing._chunk_tables(gens), reference_chunk_tables(gens)
