@@ -681,23 +681,30 @@ def free_action_check(handle: GroupHandle) -> bool:
     The fixed space of g is the column span of P_g = I + g + ... + g^(k-1),
     k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
     lies in the mirror of a reflection M iff a nonzero row of M - I times P_g vanishes;
-    the zero fixed space (P_g = 0) is vacuously contained.  Two exact reductions pick the elements tested:
+    the zero fixed space (P_g = 0) is vacuously contained.  Three exact reductions pick the elements tested:
 
     * fix(g) lies in fix(g^(k/p)) for a prime p dividing k, so only elements of prime order are tested;
     * conjugation moves fixed spaces and mirrors together, and each x is conjugate by some s in G_1, the
       stabilizer of the first orbit's base b, to an element of the coset trans[r] G_1 of the least point r
-      of x(b)'s G_1-orbit (s x s^-1 sends b to s x(b) = r), so one coset per G_1-orbit is formed.
+      of x(b)'s G_1-orbit (s x s^-1 sends b to s x(b) = r), so one coset per G_1-orbit is formed;
+    * an element g of prime order p >= 5 with p > n, the rank, fixes no vector, so only the primes
+      p <= max(3, n) are stepped.  The characteristic polynomial of g has coefficients in Q(w), and the
+      cyclotomic polynomial of p stays irreducible over Q(w), as Q(zeta_p) meets Q(w) only in Q.  So every
+      primitive p-th root of unity is an eigenvalue of g, each as often, and 1 is one at most n - (p - 1)
+      times, none when p > n: P_g = 0.  The primes 2 and 3 split over Q(w) and are always stepped.
 
-    Each coset is formed in blocks of at most _BLOCK elements X, which step through their powers X^k, k = 2 up
-    to the largest prime dividing the order, one product a step and no list of powers kept.  At a prime k the
-    elements with X^k = I are tested; after each k they are dropped.  ``reflection_rows`` gives the mirrors.
+    Each coset is formed in blocks of at most _BLOCK elements X, several small cosets to a block, which step
+    through their powers X^k, k = 2 up to the largest prime p <= max(3, n) dividing the order, one product a
+    step and no list of powers kept.  At a prime k the elements with X^k = I are tested; after each k they are
+    dropped.  ``reflection_rows`` gives the mirrors.
     """
     if not handle.orbits:
         return True  # the trivial group
     n, top = handle.ambient.n, _entry_bound(handle)
     # a packed row vanishes on P_g iff its E-row does, so each row tests one mirror
     rows = np.array([m for *_, m in handle.reflection_rows], np.int64).reshape(-1, 2 * n)
-    last = _largest_prime_factor(handle.order)
+    primes = [p for p in range(2, max(3, n) + 1) if handle.order % p == 0 and _largest_prime_factor(p) == p]
+    last = max(primes, default=1)
     # _power_sums keeps each power within top; P_g sums at most `last` powers, rows @ P_g 2n terms
     if last * top * max(1, 2 * n * int(np.abs(rows).max(initial=0))) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
@@ -705,14 +712,15 @@ def free_action_check(handle: GroupHandle) -> bool:
     cosets = o.trans[_suborbits(handle)]
     for lo in range(0, size, _BLOCK):
         H = handle.matrices(np.arange(lo, min(lo + _BLOCK, size)), 1)
-        for t in cosets:
-            x = _product(t, H, top)
+        step = max(1, _BLOCK // 4 // len(H))  # cosets a block: one when G_1 is large, where more are slower
+        for c in range(0, len(cosets), step):
+            x = _product(cosets[c : c + step, None], H[None], top).reshape(-1, 2 * n, 2 * n)
             x = x[(x != ident).any(axis=(1, 2))]
             power = x[:, :, ::2]  # an E-matrix is its packing's even columns, so X^k = I is read there
             for k in range(2, last + 1):
                 power = _product(x, power)
                 done = (power == ident[:, ::2]).all(axis=(1, 2))
-                if _largest_prime_factor(k) == k:
+                if k in primes:
                     P = _power_sums(x[done], k, top)
                     P = P[P.any(axis=(1, 2))]
                     if not (rows @ P == 0).all(axis=2).any(axis=1).all():

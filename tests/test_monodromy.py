@@ -342,6 +342,35 @@ def test_free_action_fixed_point_free_rotation():
     assert mono.free_action_check(h)
 
 
+def test_free_action_steps_a_prime_above_3_up_to_the_rank():
+    # n >= p: the 5-cycle of the basis of diag([3] * 5) is no reflection and fixes (1, ..., 1), so its group of
+    # order 5 has no mirror and does not act freely; this is decided only by stepping to k = 5
+    G = diag([3] * 5)
+    gens = [mono.GroupElt([[int(i == (j + 1) % 5) for j in range(5)] for i in range(5)], G)]
+    h = mono.group_closure(gens)
+    assert h.order == 5 and mono.reflections_in(h) == []
+    assert reference_free_action(G, reference_closure(gens)) is False
+    assert mono.free_action_check(h) is False
+
+
+def test_free_action_skips_a_prime_above_the_rank(monkeypatch):
+    # n < p: the companion matrix C of x^4 + x^3 + x^2 + x + 1 preserves 3 sum_k (C^k)^T C^k; its group of order 5
+    # has no mirror and fixes no vector, as its eigenvalues are the primitive 5th roots of unity, so it acts
+    # freely and no projector is formed
+    C = np.array([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]], np.int64)
+    powers = [np.linalg.matrix_power(C, k) for k in range(5)]
+    G = HermGram((3 * sum(c.T @ c for c in powers)).tolist())
+    gens = [mono.GroupElt(C.tolist(), G)]
+    h = mono.group_closure(gens)
+    assert h.order == 5 and mono.reflections_in(h) == []
+    assert reference_free_action(G, reference_closure(gens)) is True
+    bounds, sums = [], mono._power_sums
+    monkeypatch.setattr(mono, "_power_sums", lambda g, bound, top: bounds.append(bound) or sums(g, bound, top))
+    assert mono.free_action_check(h) is True
+    assert 5 not in bounds
+    assert not sums(np.array(pack(gens[0].m), np.int64)[None], 5, mono._entry_bound(h)).any()
+
+
 def reference_closure(gens):
     """The per-row BFS that group_closure replaced: einsum products, whole packings as keys."""
     n = gens[0].ambient.n
@@ -622,7 +651,8 @@ def test_reflections_in_is_the_same_in_any_block_size(closures, block, monkeypat
 
 @pytest.mark.parametrize("block", [2, 7, 647, 649])
 def test_free_action_check_tests_the_same_elements_in_any_block_size(closures, block, monkeypatch):
-    # G_1 has 9 elements in R3, 648 in R4 and 3 in small1, so each size splits some coset into several blocks;
+    # G_1 has 9 elements in R3, 648 in R4 and 3 in small1, so each size splits some coset into several blocks,
+    # and 647 and 649 put several cosets in one block where a slice of G_1 is small (R2, R3, the last of R4 at 647);
     # a group that fails returns at its first failing block, so only the verdicts are compared there
     groups, sums, tested = [g for g in GROUPS if g != 4 or block > 7], mono._power_sums, Counter()
 
@@ -784,21 +814,28 @@ def is_prime(k):
 @pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
 def test_tested_cosets_meet_every_class_of_prime_order(closures, group, monkeypatch):
     # the elements handed to _power_sums at a prime k have order k, and among them lies one of each conjugacy
-    # class of elements of prime order: on R4, 17 such classes met within 13 cosets of 648 elements
+    # class of elements of prime order, but for a class of order p >= 5 above the rank, whose projector is 0:
+    # on R4, 16 of its 17 such classes met within 13 cosets of 648 elements, and the class of order 5 has P = 0
     h = closures(group) if isinstance(group, int) else mono.group_closure(chain_subset(*group[:2]))
     tested, sums = [], mono._power_sums
     monkeypatch.setattr(mono, "_power_sums", lambda g, bound, top: tested.append((g, bound)) or sums(g, bound, top))
     assert mono.free_action_check(h) is True
     labels = class_labels(h)
     reps = np.flatnonzero(labels == np.arange(h.order))
-    prime = {int(i) for i, z in zip(reps, h.matrices(reps)) if is_prime(element_order(z))}
+    orders = {int(i): element_order(z) for i, z in zip(reps, h.matrices(reps))}
+    prime = {i for i, k in orders.items() if is_prime(k)}
     met = set()
     for g, k in tested:
         assert is_prime(k) and all(element_order(z) == k for z in g)
         met |= set(labels[index(h, g)].tolist())
-    assert met == prime
+    assert met <= prime
+    n, top = h.ambient.n, mono._entry_bound(h)
+    for i in prime - met:
+        p = orders[i]
+        assert p >= 5 and p > n and not sums(h.matrices([i]), p, top).any()
     if group == 4:
-        assert len(prime) == 17 and len(mono._suborbits(h)) * h.sizes[1] == 13 * 648
+        assert len(prime) == 17 and len(met) == 16 and [orders[i] for i in prime - met] == [5]
+        assert len(mono._suborbits(h)) * h.sizes[1] == 13 * 648
 
 
 @pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
