@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -92,12 +93,13 @@ class WeightedMonomial:
     """Monomial in u2..u12 with wt(u_i) = i."""
 
     def __init__(self, exponents):
-        self.exponents = {int(i): int(e) for i, e in exponents.items() if e}
-        for i, e in self.exponents.items():
+        exponents = {int(i): int(e) for i, e in exponents.items()}
+        for i, e in exponents.items():
             if not 2 <= i <= 12:
                 raise ValueError(f"u_{i} is not a coordinate of the family")
             if e < 0:
                 raise ValueError(f"negative exponent {e} on u_{i}")
+        self.exponents = {i: e for i, e in exponents.items() if e}
 
     @property
     def weight(self):
@@ -114,18 +116,13 @@ class WeightedMonomial:
 
     @staticmethod
     def parse(text):
-        """Parse "u12^9 u11^2 u2" style monomial text."""
-        exps = {}
+        """Parse "u12^9 u11^2 u2" style monomial text; each factor is checked before equal variables merge."""
+        exps = Counter()
         for tok in text.replace("*", " ").split():
             if not tok.startswith("u"):
                 raise ValueError(f"bad monomial factor {tok!r}")
-            body = tok[1:]
-            if "^" in body:
-                var, e = body.split("^", 1)
-            else:
-                var, e = body, "1"
-            i, e = int(var), int(e)
-            exps[i] = exps.get(i, 0) + e
+            var, hat, e = tok[1:].partition("^")
+            exps.update(WeightedMonomial({int(var): int(e if hat else 1)}).exponents)
         return WeightedMonomial(exps)
 
 

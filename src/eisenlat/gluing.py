@@ -540,20 +540,17 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
     n = G.n
     if f3_rank(symplectic_gram(G)) != n:
         raise ValueError("symplectic form must be nondegenerate")
-    for i, r in enumerate(roots):
-        _check_length(r, n, f"root {i}", "the lattice has rank")
-    if start is None:
-        start = roots[0]
-    try:
-        start = [reduce_mod_theta(x) if isinstance(x, EisensteinInt) else operator.index(x) % 3 for x in start]
-    except TypeError:
-        raise ValueError("start hyperplane normal must have integer or Eisenstein coordinates") from None
-    if len(start) != n:
-        raise ValueError(f"start hyperplane normal must have {n} coordinates")
-    if not any(start):
-        raise ValueError("start hyperplane normal must be nonzero")
-    gens = reduced_triflections(G, roots)
-    return line_orbit(gens, start, cap), len(gens)
+    if start is not None:  # an explicit start is checked before any triflection is built
+        try:
+            start = [reduce_mod_theta(x) if isinstance(x, EisensteinInt) else operator.index(x) % 3 for x in start]
+        except TypeError:
+            raise ValueError("start hyperplane normal must have integer or Eisenstein coordinates") from None
+        if len(start) != n:
+            raise ValueError(f"start hyperplane normal must have {n} coordinates")
+        if not any(start):
+            raise ValueError("start hyperplane normal must be nonzero")
+    gens = reduced_triflections(G, roots)  # checks every root, the default start root 0 among them
+    return line_orbit(gens, reduce_vector(roots[0]) if start is None else start, cap), len(gens)
 
 
 def sp_generating_roots():

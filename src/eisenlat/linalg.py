@@ -10,9 +10,10 @@ form whose entries are all rational.
 E-matrices are solved through ``pack``, the ring map a + b w ->
 [[a, -b], [b, a - b]] into integer 2 x 2 blocks, and read back whole by
 ``unpack``: ``adjugate_e`` is ``adjugate`` of the packing.  ``monodromy``'s
-int64 group elements are packings too; it reads their traces, roots and
-mirrors off the blocks' first columns and rows.  A rational vector travels
-as a pair (d, x) of a positive int d and an integer vector x, meaning x / d.
+int64 group elements are packings too; it reads their traces and roots off
+the blocks' first columns, and their mirrors off both rows of a block row.
+A rational vector travels as a pair (d, x) of a positive int d and an
+integer vector x, meaning x / d.
 ``f3_rref`` is Gauss-Jordan elimination on integer rows modulo 3.
 """
 

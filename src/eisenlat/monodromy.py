@@ -524,7 +524,7 @@ def _refuse_infinite(G: HermGram, gen_z):
 
 
 def _reflection_rows(handle: GroupHandle):
-    """The group's reflections by ascending element index, each as (unit, root, mirror) read by ``_reflections``.
+    """The group's reflections by ascending element index, each as (unit, root, mirror pair) read by ``_reflections``.
 
     A reflection M x = x + phi(x) r first moves the base e_b of some level, to p = e_b + r.  As M is an isometry,
     phi(x) = <x, r> / <e_b, r> unless r is in the radical, so the coset labelled p holds one candidate, where
@@ -580,8 +580,9 @@ def _reflections(z):
     M is a reflection with eigenvalue zeta != 1 iff K = M - I has trace zeta - 1 and K^2 = (zeta - 1) K, for
     K / (zeta - 1) is then an idempotent of trace 1, so of rank one; only the M of trace n - 1 + zeta, zeta a unit
     != 1, are squared.  For z[at[r]], units[r] is zeta, roots[r] the first nonzero column of K as an E-vector, which
-    spans im K, and mirrors[r] the first packed row (a, -b, ...) of K's first nonzero E-row, which vanishes exactly on
-    ker K.  ``_reflection_rows`` runs it on its candidates and its cosets in the radical.
+    spans im K, and mirrors[r] both packed rows (a, -b, ...) and (b, a - b, ...) of K's first nonzero E-row m, which
+    give the a- and b-parts of m v on a packed E-vector v and so both vanish exactly on ker K.  ``_reflection_rows``
+    runs it on its candidates and its cosets in the radical.
     """
     n = z.shape[-1] // 2
     ident = np.eye(2 * n, dtype=np.int64)
@@ -596,7 +597,7 @@ def _reflections(z):
     units = [EisensteinInt(x - n + 1, y) for x, y in zip(tr_a[at].tolist(), tr_b[at].tolist())]
     cols = K[r, :, 2 * K[:, :, ::2].any(axis=1).argmax(axis=1)].reshape(len(K), n, 2).tolist()
     roots = [[EisensteinInt(x, y) for x, y in c] for c in cols]
-    return at, units, roots, K[r, 2 * K[:, ::2].any(axis=2).argmax(axis=1)]
+    return at, units, roots, K[r[:, None], 2 * K[:, ::2].any(axis=2).argmax(axis=1)[:, None] + [0, 1]]
 
 
 def _oriented(v):
@@ -621,36 +622,17 @@ def _entry_bound(handle: GroupHandle) -> int:
     return top
 
 
-def _power_sums(g, bound: int, top: int):
-    """P = I + g + ... + g^(k-1) for a batch g of packings, k the order of g.
+def _power_sums(g, k: int, top: int):
+    """The even columns of P = I + g + ... + g^(k-1) for a batch g of packings of order k: P as an E-matrix.
 
-    k is at most bound.  Raises ValueError when a power leaves the entry
-    bound top (it is then no element) or does not reach I in time.
+    Each power is a group element, so within the entry bound top, and costs one product.
     """
-    ident = np.eye(g.shape[1], dtype=np.int64)
-    P = np.broadcast_to(ident, g.shape).copy()
-    live, power = np.arange(len(g)), g
-    for _ in range(bound):
-        keep = (power != ident).any(axis=(1, 2))
-        live, power = live[keep], power[keep]
-        if not len(live):
-            return P
-        if _top(power) > top:
-            raise ValueError("not a finite group: some element's power is not in it")
-        P[live] += power
-        power = power @ g[live]
-    raise ValueError("not a finite group: some element's powers never reach I")
-
-
-def _largest_prime_factor(m: int) -> int:
-    """The largest prime dividing m > 1, by trial division."""
-    d = 2
-    while d * d <= m:
-        if m % d:
-            d += 1
-        else:
-            m //= d
-    return m
+    power = g[:, :, ::2]
+    P = np.eye(g.shape[1], dtype=np.int64)[:, ::2] + power
+    for _ in range(k - 2):
+        power = _product(g, power, top)
+        P += power
+    return P
 
 
 def _suborbits(handle: GroupHandle):
@@ -680,8 +662,9 @@ def free_action_check(handle: GroupHandle) -> bool:
 
     The fixed space of g is the column span of P_g = I + g + ... + g^(k-1),
     k the order of g (g P_g = P_g, and P_g v = k v when g fixes v), so it
-    lies in the mirror of a reflection M iff a nonzero row of M - I times P_g vanishes;
-    the zero fixed space (P_g = 0) is vacuously contained.  Three exact reductions pick the elements tested:
+    lies in the mirror of a reflection M iff a nonzero E-row of M - I vanishes on P_g, that is iff both its
+    packed rows vanish on the even columns of P_g's packing, which are P_g as an E-matrix; the zero fixed
+    space (P_g = 0) is vacuously contained.  Three exact reductions pick the elements tested:
 
     * fix(g) lies in fix(g^(k/p)) for a prime p dividing k, so only elements of prime order are tested;
     * conjugation moves fixed spaces and mirrors together, and each x is conjugate by some s in G_1, the
@@ -694,18 +677,17 @@ def free_action_check(handle: GroupHandle) -> bool:
       times, none when p > n: P_g = 0.  The primes 2 and 3 split over Q(w) and are always stepped.
 
     Each coset is formed in blocks of at most _BLOCK elements X, several small cosets to a block, which step
-    through their powers X^k, k = 2 up to the largest prime p <= max(3, n) dividing the order, one product a
-    step and no list of powers kept.  At a prime k the elements with X^k = I are tested; after each k they are
-    dropped.  ``reflection_rows`` gives the mirrors.
+    through the even columns of their powers X^k, k = 2 up to the largest prime p <= max(3, n) dividing the
+    order, one product a step and no list of powers kept.  At a prime k the elements with X^k = I, of order k,
+    are tested; after each k they are dropped.  ``reflection_rows`` gives the mirrors' pairs of rows.
     """
     if not handle.orbits:
         return True  # the trivial group
     n, top = handle.ambient.n, _entry_bound(handle)
-    # a packed row vanishes on P_g iff its E-row does, so each row tests one mirror
-    rows = np.array([m for *_, m in handle.reflection_rows], np.int64).reshape(-1, 2 * n)
-    primes = [p for p in range(2, max(3, n) + 1) if handle.order % p == 0 and _largest_prime_factor(p) == p]
+    rows = np.array([m for *_, m in handle.reflection_rows], np.int64).reshape(-1, 2, 2 * n)
+    primes = [p for p in range(2, max(3, n) + 1) if handle.order % p == 0 and all(p % d for d in range(2, p))]
     last = max(primes, default=1)
-    # _power_sums keeps each power within top; P_g sums at most `last` powers, rows @ P_g 2n terms
+    # P_g sums at most `last` powers, each within top; rows @ P_g sums 2n terms
     if last * top * max(1, 2 * n * int(np.abs(rows).max(initial=0))) >= 2**63:
         raise OverflowError(f"entries up to {top} could overflow int64 in the fixed-space projectors")
     o, size, ident = handle.orbits[0], handle.sizes[1], np.eye(2 * n, dtype=np.int64)
@@ -718,12 +700,12 @@ def free_action_check(handle: GroupHandle) -> bool:
             x = x[(x != ident).any(axis=(1, 2))]
             power = x[:, :, ::2]  # an E-matrix is its packing's even columns, so X^k = I is read there
             for k in range(2, last + 1):
-                power = _product(x, power)
+                power = _product(x, power, top)
                 done = (power == ident[:, ::2]).all(axis=(1, 2))
                 if k in primes:
                     P = _power_sums(x[done], k, top)
                     P = P[P.any(axis=(1, 2))]
-                    if not (rows @ P == 0).all(axis=2).any(axis=1).all():
+                    if not (rows @ P[:, None] == 0).all(axis=(2, 3)).any(axis=1).all():
                         return False
                 x, power = x[~done], power[~done]
     return True

@@ -389,6 +389,9 @@ GRAM_SHAPE = 'expected {"g": [[[a, b], ...], ...]}'
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0"], {}, 2, "--cap"),
         (["monodromy", "word-order", "--lattice", "chain:3", "--word", "a1", "--cap", "0", "--projective"], {}, 2, "--cap"),
         (["disc", "a11-coeff", "--monomial", "u12^-1"], {}, 3, "negative exponent"),
+        (["disc", "a11-coeff", "--monomial", "u12^12 u12^-1"], {}, 3, "negative exponent -1 on u_12"),
+        (["disc", "a11-coeff", "--monomial", "u1 u1^-1 u12^11"], {}, 3, "u_1 is not a coordinate"),
+        (["disc", "a11-coeff", "--monomial", "u13^0 u12^11"], {}, 3, "u_13 is not a coordinate"),
         (["monodromy", "closure", "--lattice", "chain:4", "--report", "order"], {"EISENLAT_CLOSURE_CAP": "1000"}, 3, "cap 1000"),
         (["hodge", "report", "--weights", "0,1", "--degree", "3"], {}, 3, "weights must be positive"),
         (["hodge", "report", "--weights", "1,1,1", "--degree", "0"], {}, 3, "degree must be >= 1"),

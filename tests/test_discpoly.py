@@ -212,6 +212,15 @@ def test_weighted_monomial():
         dp.WeightedMonomial.parse("u12^-1")
     with pytest.raises(ValueError, match="negative exponent"):
         dp.WeightedMonomial({12: 2, 2: -1})
+    # each factor is checked before equal variables merge, and a zero exponent does not hide a bad variable
+    with pytest.raises(ValueError, match="negative exponent -1 on u_12"):
+        dp.WeightedMonomial.parse("u12^12 u12^-1")
+    for text in ("u1 u1^-1 u12^11", "u13^0 u12^11"):
+        with pytest.raises(ValueError, match="is not a coordinate"):
+            dp.WeightedMonomial.parse(text)
+    with pytest.raises(ValueError, match="u_13 is not a coordinate"):
+        dp.WeightedMonomial({13: 0, 12: 11})
+    assert str(dp.WeightedMonomial.parse("u12^0 u12^11")) == "u12^11"
 
 
 def test_rigidity_monomials_list():

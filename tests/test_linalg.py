@@ -13,6 +13,7 @@ import ast
 import math
 import operator
 import random
+import re
 from pathlib import Path
 from fractions import Fraction
 
@@ -282,6 +283,33 @@ def test_only_eisenstein_imports_fractions_or_names_qomega():
             if bad:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_top_level_function_and_class_has_a_caller_outside_the_tests():
+    """No helper whose only caller is its own test: each top-level function and class of ``src/eisenlat`` is named,
+    as a name, attribute or import, in another top-level statement of ``src/``, or else in ``perfbench/``.
+    ``verify``'s checks, each a ``_`` under ``@check``, are used through that decorator.  Four names pass only
+    through ``perfbench/``, ROADMAP item 1's pins: ``snf_e`` (a traced layer), ``_weight_132_exponents`` and
+    ``reconstructed_delta_eval`` (a query workload and its cross-check) and ``registered_checks`` (the tracer)."""
+    root = Path(__file__).resolve().parents[1]
+    bench = "\n".join(path.read_text() for path in sorted((root / "perfbench").rglob("*.py")))
+    tops = [(path.stem, node) for path in sorted((root / "src" / "eisenlat").glob("*.py"))
+            for node in ast.parse(path.read_text(), str(path)).body]
+    kinds = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    used = [{getattr(n, kinds[type(n)]) for n in ast.walk(node) if type(n) in kinds} for _, node in tops]
+    unused, pinned = [], set()
+    for i, (module, node) in enumerate(tops):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name == "_":
+            assert [ast.unparse(d.func) for d in node.decorator_list if isinstance(d, ast.Call)] == ["check"]
+        elif not any(node.name in names for j, names in enumerate(used) if j != i):
+            if re.search(rf"\b{node.name}\b", bench):
+                pinned.add(node.name)
+            else:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
+    assert pinned <= {"snf_e", "_weight_132_exponents", "reconstructed_delta_eval", "registered_checks"}
 
 
 def test_only_zlattice_and_hermitian_import_the_elimination():

@@ -502,6 +502,18 @@ def test_free_action_small_groups_against_reference(diagonals, free):
     assert mono.free_action_check(h) is free
 
 
+def test_free_action_reads_both_packed_rows_of_a_mirror():
+    # diag(-1, 1, -1) fixes e2, which the one mirror, e2's orthogonal complement, misses; for the reflection
+    # diag(1, -wbar, 1) = diag(1, 1 + w, 1), K's first nonzero E-row (0, w, 0) sends e2 to w, whose a-part is 0,
+    # so only the second packed row (b, a - b, ...) shows that e2 is off that mirror
+    gens = diagonal_gens(diag([3, 3, 3]), (-ONE, ONE, -ONE), (ONE, ONE + OMEGA, ONE))
+    h, z = mono.group_closure(gens), reference_closure(gens)
+    assert h.order == 12 and len(mono.reflections_in(h)) == 5
+    assert reference_free_action(h.ambient, z) is False
+    assert reference_projector_free_action(h, z) is False
+    assert mono.free_action_check(h) is False
+
+
 @pytest.mark.parametrize(
     "gens",
     [
@@ -595,16 +607,19 @@ GROUP_IDS = ["R1", "R2", "R3", "R4", "small0", "small1", "small2", "small3"]
 
 @pytest.mark.parametrize("group", GROUPS, ids=GROUP_IDS)
 def test_mirror_rows_cut_out_the_mirrors_of_reflections_in(closures, group):
-    # row i belongs to reflection M_i of reflections_in (both by ascending element index): it is nonzero, a
-    # Q(w)-multiple of the root's row (<e_j, r_i>)_j = G rbar, and zero on ker(M_i - I).  A row of M - I need
-    # not be an E-multiple of the root's row: on small2 it is (0, w - 1, 0) against (0, 3, 0)
+    # pair i belongs to reflection M_i of reflections_in (both by ascending element index): its row 0 is nonzero,
+    # a Q(w)-multiple of the root's row (<e_j, r_i>)_j = G rbar, and zero on ker(M_i - I), and its row 1 is the
+    # second packed row (b, a - b) of the same E-row.  A row of M - I need not be an E-multiple of the root's row:
+    # on small2 it is (0, w - 1, 0) against (0, 3, 0)
     h = group_handle(closures, group)
     G, n = h.ambient, h.ambient.n
     refl = mono.reflections_in(h)
-    rows = np.array([m for *_, m in mono._reflection_rows(h)], np.int64).reshape(-1, 2 * n)
-    assert rows.shape == (len(refl), 2 * n)
-    for row, (root, unit) in zip(rows, refl):
-        u = [EisensteinInt(int(row[2 * j]), -int(row[2 * j + 1])) for j in range(n)]  # (a, -b) is a + b w
+    pairs = np.array([m for *_, m in mono._reflection_rows(h)], np.int64).reshape(-1, 2, 2 * n)
+    assert pairs.shape == (len(refl), 2, 2 * n)
+    for (row, second), (root, unit) in zip(pairs, refl):
+        a, b = row[::2], -row[1::2]  # (a, -b) is a + b w
+        assert np.array_equal(second[::2], b) and np.array_equal(second[1::2], a - b)
+        u = [EisensteinInt(int(x), int(y)) for x, y in zip(a, b)]
         v = mat_vec(G.g, [y.conj() for y in root])
         assert any(u)
         assert all(u[j] * v[k] == u[k] * v[j] for j, k in itertools.combinations(range(n), 2))
@@ -839,6 +854,27 @@ def test_tested_cosets_meet_every_class_of_prime_order(closures, group, monkeypa
 
 
 @pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
+def test_power_sums_are_the_even_columns_of_the_full_sum(closures, group, monkeypatch):
+    # each batch handed to _power_sums at k against I + g + ... + g^(k-1) summed at full width, every power by
+    # its own product: a power dropped or repeated changes the sum, for no power of g has a zero column
+    h = closures(group) if isinstance(group, int) else mono.group_closure(chain_subset(*group[:2]))
+    checked, sums = [], mono._power_sums
+
+    def compare(g, k, top):
+        P = sums(g, k, top)
+        power, full = np.broadcast_to(np.eye(g.shape[1], dtype=np.int64), g.shape), 0
+        for _ in range(k):
+            full, power = full + power, power @ g
+        assert P.dtype == np.int64 and np.array_equal(P, full[:, :, ::2])
+        checked.append(len(g))
+        return P
+
+    monkeypatch.setattr(mono, "_power_sums", compare)
+    assert mono.free_action_check(h) is True
+    assert sum(checked) > 0
+
+
+@pytest.mark.parametrize("group", [1, 2, 3, 4, *CHAIN_SUBSETS], ids=["R1", "R2", "R3", "R4", *map(str, CHAIN_SUBSETS)])
 def test_suborbits_are_the_least_points_of_the_stabilizer_orbits(closures, group):
     # every element of G_1 applied to every point of the first orbit: {h p} is p's whole G_1-orbit
     h = closures(group) if isinstance(group, int) else mono.group_closure(chain_subset(*group[:2]))
@@ -846,12 +882,6 @@ def test_suborbits_are_the_least_points_of_the_stabilizer_orbits(closures, group
     images = o.find(np.einsum("hij,pj->hpi", h.matrices(np.arange(h.sizes[1]), 1), o.points))
     assert (images >= 0).all()
     assert np.array_equal(mono._suborbits(h), np.unique(images.min(axis=0)))
-
-
-def test_largest_prime_factor_matches_brute_force():
-    for m in range(2, 1000):
-        assert mono._largest_prime_factor(m) == max(p for p in range(2, m + 1) if m % p == 0 and is_prime(p))
-    assert [mono._largest_prime_factor(m) for m in (3, 24, 648, 155520)] == [3, 3, 3, 5]
 
 
 def test_reflection_rows_are_searched_once_per_handle(closures, monkeypatch):
@@ -1180,16 +1210,6 @@ def test_free_action_rejects_infinite_order():
     t = mono.transvection(G, tuple(list(mono.A5_XI) + [E(0)]))
     with pytest.raises(mono.CapExceeded, match="cap 1000"):
         mono.free_action_check(mono.group_closure([t], cap=1000))
-    # and the projector sums stop a power that never returns to I
-    with pytest.raises(ValueError, match="never reach I"):
-        mono._power_sums(np.array(pack(t.m), np.int64)[None], 50, 10**6)
-
-
-def test_free_action_stops_a_power_that_leaves_the_entry_bound():
-    # 2^20 has infinite order; within 4 steps its power 2^80 would wrap in int64
-    g = np.array(pack(((E(2**20),),)), np.int64)
-    with pytest.raises(ValueError, match="power is not in it"):
-        mono._power_sums(g[None], 4, 2**20)
 
 
 def test_free_action_overflow_guard():
