@@ -14,11 +14,11 @@ triflection in a norm-3 root r is x -> x + w^2 (<x, r>/theta) r, and
 w = 1 mod theta, so it reduces to the transvection T_r = I + rbar (S rbar)^T
 of the symplectic Gram S, built straight from S with no lattice matrix.
 S takes no division: x = a + b w in theta E has x/theta = ((2b - a) +
-(b - 2a) w)/3, which reduces to (b - a) mod 3.  The orbit's tables of chunk
-pattern images come by base-3 expansion in bit-sliced F_3, with no matrix product.
-Every line code of rank n is below 2 * 3^(n-1), so the orbit keeps its lines
-in a boolean table indexed by the code, with no sort, search or merge; it
-takes ranks up to 12, which holds the rank-10 orbit.
+(b - 2a) w)/3, which reduces to (b - a) mod 3.  The orbit maps base-3 line
+codes through lookup tables of half codes, built by base-3 expansion with no
+matrix product.  Every line code of rank n is below 2 * 3^(n-1), so the orbit
+keeps its lines in a boolean table indexed by the code, with no sort, search
+or merge; it takes ranks up to 10, the rank of L.
 One Gaussian congruence mod 3 diagonalizes the F_3 form; each pair of -1
 entries is then turned into +1, +1, so the diagonal
 is 1, ..., 1[, -1], 0, ..., 0 in every basis of N, and ``coords`` solves
@@ -28,6 +28,7 @@ bases come from ``hermitian.gram``.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -370,79 +371,68 @@ def hyperplane_preimage(G: HermGram, functional) -> GluedLattice:
     return GluedLattice(HermGram(gram(G, H)), (1, H))
 
 
-_CHUNK = 5  # coordinates per image table: 3^5 patterns of each generator
-_BLOCK = 2048  # frontier lines per batch of images: the (m, block) temporaries stay in cache
-# the orbit's two boolean tables of 2 * 3^(n-1) bytes stay within 2 MiB, a mask of n bits
-# fits int16 and a line code, below 2 * 3^(n-1), fits int32
-_MAX_RANK = 12
+_BLOCK = 2048  # frontier lines per batch of images: the (block, m) temporaries stay in cache
+# every code and table index of rank n is below 3^(2 ceil(n/2)), which fits uint16 up to rank 10
+_MAX_RANK = 10
 
 
-def _chunk_tables(gens):
-    """Image tables of the (m, n, n) F_3 generators, one per chunk of coordinates.
+@functools.cache
+def _code_tables(n):
+    """The uint16 tables (addh, addl, canon) of rank n, built on first use with no % or // on a 3^n array.
 
-    For a chunk [lo, hi) of width w the entry (lo, hi, ones, twos, value)
-    has ``ones[p, g]`` and ``twos[p, g]``, the bit-sliced image under
-    generator g of the vector whose digits on the chunk read p in base 3
-    (coordinate lo most significant) and are 0 elsewhere.  They come by
-    base-3 expansion: the image of pattern 3p + d is that of p plus d times
-    the generator's column of the next coordinate, added in bit-sliced F_3.
-    Coordinate j is bit n - 1 - j of a mask, as it is place 3^(n-1-j) of a
-    line code, so ``value[o << w | t]`` is the line-code value of the
-    chunk's bits o of the digits 1 and t of the digits 2, taken down by
-    n - hi places.  Masks are int16 and values int32.
+    With h = ceil(n/2) leading and l = floor(n/2) trailing coordinates,
+    ``addh[a * 3^h + b]`` is the tritwise sum of the h-digit codes a and b
+    times 3^l, ``addl[a * 3^l + b]`` that of two l-digit codes, and
+    ``canon[v]`` the line code min(v, code(2v)) of the vector coded v.
+    The sums come by base-3 expansion, code d 3^j + s from the j-digit s.
+    """
+    h, l = (n + 1) // 2, n // 2
+
+    def sums(k):
+        d, s = np.arange(3, dtype=np.uint16), np.zeros((1, 1), np.uint16)
+        for j in range(k):  # digits (d_a, d_b) on the new axes 0 and 2
+            s = ((d[:, None, None, None] + d[:, None]) % 3 * np.uint16(3**j) + s[:, None]).reshape(3 ** (j + 1), -1)
+        return s.ravel()
+
+    addh, addl = sums(h) * np.uint16(3**l), sums(l)
+    double = addh[np.arange(3**h) * (3**h + 1), None] + addl[np.arange(3**l) * (3**l + 1)]  # 2v = v + v, split
+    return addh, addl, np.minimum(np.arange(3**n, dtype=np.uint16), double.ravel())
+
+
+def _pattern_tables(gens, addh, addl):
+    """The split image codes (HH, HL, LH, LL) of every leading and trailing pattern under the (m, n, n) generators.
+
+    Row p of the (3^h, m) tables HH and HL holds the leading code times 3^h
+    and the trailing code times 3^l, as ``addh`` and ``addl`` take their
+    first operand, of the image of the vector whose h leading digits read p
+    and whose others are 0; row q of the (3^l, m) tables LH and LL, the two
+    codes of the image of the vector whose l trailing digits read q.
     """
     m, n = len(gens), gens.shape[-1]
-    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(np.int16)
-    # (m, n) masks of each generator's columns: digit d of column k at bit n - 1 - k
-    col1, col2 = (np.bitwise_or.reduce(np.where(gens == d, bits[:, None], 0).astype(np.int16), axis=1) for d in (1, 2))
-    zero = np.zeros(m, np.int16)
+    h, l = (n + 1) // 2, n // 2
+    # the split codes of 0, 1 and 2 times each column, (3, m, n) each
+    col_h, col_l = np.divmod(_places(n) @ (np.arange(3)[:, None, None, None] * gens % 3), 3**l)
     tables = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        ones = twos = zero[None]
-        for k in range(lo, hi):
-            c1, c2 = col1[:, k], col2[:, k]
-            # patterns 3p, 3p + 1, 3p + 2 add 0, the column, or twice it: its digits 1 and 2 swapped
-            ones, twos = _f3_add(ones[:, None], twos[:, None], np.stack([zero, c1, c2]), np.stack([zero, c2, c1]))
-            ones, twos = ones.reshape(-1, m), twos.reshape(-1, m)
-        w = hi - lo
-        place = ((np.arange(2**w)[:, None] >> np.arange(w) & 1) * 3 ** np.arange(w)).sum(axis=1)  # bits x as base-3 digits
-        value = (place[:, None] + 2 * place).ravel()
-        tables.append((lo, hi, ones, twos, (value * 3 ** (n - hi)).astype(np.int32)))
-    return tables
+    for lo, hi in [(0, h), (h, n)]:
+        a = b = np.zeros((1, m), np.uint16)
+        for k in range(lo, hi):  # the image of pattern 3p + d is that of p plus d times column k
+            a = (addh[a[:, None] * 3**h + col_h[:, :, k]] // 3**l).reshape(-1, m)
+            b = addl[b[:, None] * 3**l + col_l[:, :, k]].reshape(-1, m)
+        tables += [a, b]
+    HH, HL, LH, LL = tables
+    return HH * np.uint16(3**h), HL * np.uint16(3**l), LH, LL
 
 
-def _f3_add(ones, twos, b1, b2):
-    """The bit-sliced F_3 sum of the masks (ones, twos) and (b1, b2) of the digits 1 and 2."""
-    t = (ones | b2) ^ (twos | b1)
-    return (twos | b2) ^ t, (ones | b1) ^ t
+def _line_images(code_tables, pattern_tables, codes):
+    """The (F, m) uint16 line codes of the images of F coded lines under each tabulated generator.
 
-
-def _line_images(tables, codes):
-    """The (m, F) line codes of the images of F coded lines under each tabulated generator.
-
-    The chunk images are added in bit-sliced F_3, and an image whose leading
-    digit is 2 (the only case with twos > ones) is scaled by 2.  The work
-    runs on (F, m) arrays, and the result is their transpose.
+    A code splits as x_h 3^l + x_l, and the image of its line is
+    ``canon[addh[HH[x_h] + LH[x_l]] + addl[HL[x_h] + LL[x_l]]]``: four row
+    gathers, three adds and three table lookups.
     """
-    n = tables[-1][1]
-    ones = twos = None
-    for lo, hi, t1, t2, _ in tables:
-        p = codes // 3 ** (n - hi) % 3 ** (hi - lo)
-        b1, b2 = np.take(t1, p, axis=0), np.take(t2, p, axis=0)
-        if ones is None:
-            ones, twos = b1, b2
-        else:
-            ones, twos = _f3_add(ones, twos, b1, b2)
-    swap = (ones ^ twos) * (twos > ones)
-    ones ^= swap
-    twos ^= swap
-    out = 0
-    for lo, hi, _, _, value in tables:
-        w = hi - lo
-        low = (1 << w) - 1
-        out = out + np.take(value, (ones >> (n - hi) & low) << w | twos >> (n - hi) & low)
-    return out.T
+    (addh, addl, canon), (HH, HL, LH, LL) = code_tables, pattern_tables
+    x_h, x_l = np.divmod(codes, len(LH))  # take, not fancy indexing, which is half as fast on uint16
+    return canon.take(addh.take(HH.take(x_h, 0) + LH.take(x_l, 0)) + addl.take(HL.take(x_h, 0) + LL.take(x_l, 0)))
 
 
 def line_orbit(gens, start, cap: int = 200000):
@@ -451,15 +441,15 @@ def line_orbit(gens, start, cap: int = 200000):
     The integer entries of the generators and of ``start`` are read mod 3.
     Raises ValueError, naming the fault, for no generator, generators that
     are not n x n, a start not of length n, generators or a start whose
-    dtype is not integer, or a start that is zero; and once the orbit
-    outgrows ``cap``, a whole level counted first.  A level's images are
-    formed in blocks of ``_BLOCK`` frontier lines.  Every ``line_codes``
-    value is below 2 * 3^(n-1), so the lines are kept in two boolean tables
-    indexed by the code, with no sort, search or merge: the lines reached
-    and those of one level.  Each level scatters its images into a fresh
-    table, drops the lines seen before, and reads the next frontier back in
-    code order.  A rank above ``_MAX_RANK`` raises ValueError, naming the
-    rank, before any table is built.
+    dtype is not integer, a start that is zero, or a generator that maps a
+    line of the orbit to zero; and once the orbit outgrows ``cap``, a whole
+    level counted first.  A level's images come in blocks of ``_BLOCK``
+    frontier lines.  Every ``line_codes`` value is below 2 * 3^(n-1), so the
+    lines are kept in two boolean tables indexed by the code, with no sort,
+    search or merge: the lines reached and those of one level.  Each level
+    scatters its images into a fresh table, drops the lines seen before, and
+    reads the next frontier back in code order.  A rank above ``_MAX_RANK``
+    raises ValueError, naming the rank, before any table is built.
     """
     gens, start = np.asarray(gens), np.asarray(start)
     if not len(gens):
@@ -469,29 +459,37 @@ def line_orbit(gens, start, cap: int = 200000):
     n = gens.shape[-1]
     if n > _MAX_RANK:
         raise ValueError(f"rank {n} is too large for the orbit tables, which take at most rank {_MAX_RANK}")
-    if start.shape != (n,):
-        raise ValueError(f"start must have the generators' {n} coordinates, got an array of shape {start.shape}")
+    _check_start(start, n)
     if gens.dtype.kind not in "iu" or start.dtype.kind not in "iu":
         raise ValueError(f"generators and start must have integer dtypes, not {gens.dtype} and {start.dtype}")
-    gens, start = (gens % 3).astype(np.int64), (start % 3).astype(np.int64)
-    if not start.any():
-        raise ValueError("start must be nonzero mod 3")
-    tables = _chunk_tables(gens)
-    frontier = line_codes([start]).astype(np.int32)
+    code_tables = _code_tables(n)
+    pattern_tables = _pattern_tables((gens % 3).astype(np.int64), *code_tables[:2])
+    frontier = line_codes([(start % 3).astype(np.int64)])
     seen = np.zeros(2 * 3 ** (n - 1), bool)
     seen[frontier] = True
     count = 1
     while len(frontier):
         level = np.zeros_like(seen)
-        for i in range(0, len(frontier), _BLOCK):
-            level[_line_images(tables, frontier[i : i + _BLOCK])] = True
+        for i in range(0, len(frontier), _BLOCK):  # an intp index scatters 3 times as fast as a narrow one
+            level[_line_images(code_tables, pattern_tables, frontier[i : i + _BLOCK]).astype(np.intp)] = True
+        if level[0]:
+            raise ValueError("a generator maps a line of the orbit to zero")
         level &= ~seen
-        frontier = np.flatnonzero(level).astype(np.int32)
+        frontier = np.flatnonzero(level)
         count += len(frontier)
         if count > cap:
             raise ValueError(f"orbit exceeded cap {cap}")
         seen |= level
     return count
+
+
+def _check_start(start, n):
+    """Raise ValueError unless ``start`` has n coordinates and, if they are integers, is nonzero mod 3."""
+    start = np.asarray(start)
+    if start.shape != (n,):
+        raise ValueError(f"start must have the generators' {n} coordinates, got an array of shape {start.shape}")
+    if start.dtype.kind in "iu" and not (start % 3).any():
+        raise ValueError("start must be nonzero mod 3")
 
 
 def _check_length(v, n, name, space):
@@ -545,10 +543,7 @@ def hyperplane_orbit(roots, G: HermGram, start=None, cap: int = 200000):
             start = [reduce_mod_theta(x) if isinstance(x, EisensteinInt) else operator.index(x) % 3 for x in start]
         except TypeError:
             raise ValueError("start hyperplane normal must have integer or Eisenstein coordinates") from None
-        if len(start) != n:
-            raise ValueError(f"start hyperplane normal must have {n} coordinates")
-        if not any(start):
-            raise ValueError("start hyperplane normal must be nonzero")
+        _check_start(start, n)
     gens = reduced_triflections(G, roots)  # checks every root, the default start root 0 among them
     return line_orbit(gens, reduce_vector(roots[0]) if start is None else start, cap), len(gens)
 

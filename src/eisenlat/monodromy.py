@@ -301,10 +301,10 @@ def _product(a, b, tb=None):
 
 
 def _inverse(z):
-    """The inverse of an int64 packing, exactly; ValueError when it has no integer inverse."""
+    """The inverse of an int64 packing, exactly; None when it has no integer inverse."""
     d, adj = linalg.adjugate(z.tolist())
     if not d or any(x % d for row in adj for x in row):
-        raise ValueError("a generator is not invertible over E")
+        return None
     return np.array([[x // d for x in row] for row in adj], np.int64)
 
 
@@ -318,7 +318,8 @@ class Orbit:
 
     Points are packed vectors, compared exactly through their bytes in ``where``.  Point p is
     gens[letter[p]] applied to point parent[p].  trans[p], which maps e_base to point p, is that
-    letter times the parent's, so point p is its base column; trans_inv[p] is its inverse.
+    letter times the parent's, so point p is its base column; trans_inv[p] is its inverse.  invs[s]
+    is the inverse of gens[s] (None if it has none), formed once where gens[s] is made.
     sifted[p, s] is set once the Schreier generator of p and s has sifted to I; it stays set, for
     the points and transversal elements it rests on never change.  It is set from the start for each
     tree edge, p = parent[q] and s = letter[q]: trans[q] = gens[s] trans[p], so that one is I.
@@ -385,7 +386,8 @@ class Orbit:
         sifted[:old, :known] = self.sifted
         sifted[self.parent[old:], self.letter[old:]] = True
         self.sifted = sifted
-        self.invs += [_inverse(g) for g in self.gens[len(self.invs) :]]
+        if any(inv is None for inv in self.invs[known:]):
+            raise ValueError("a generator is not invertible over E")
         invs = np.stack(self.invs)
         trans, trans_inv = np.empty((2, size, w, w), np.int64)
         trans[:old], trans_inv[:old] = self.trans, self.trans_inv
@@ -443,8 +445,10 @@ def _schreier_sims(levels, cap):
             j = i + int(stop[bad[0]])
             if not levels[i + 1 : j + 1]:
                 raise RuntimeError(f"Schreier-Sims made no progress: a residue at level {i} joins no level")
+            inv = _inverse(y[bad[0]])
             for lv in levels[i + 1 : j + 1]:
                 lv.gens.append(y[bad[0]])
+                lv.invs.append(inv)
         i = j if len(bad) else i - 1
 
 
@@ -498,9 +502,10 @@ def group_closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupHandle:
     gen_z = np.stack([np.array(linalg.pack(g.m), np.int64) for g in gens])
     _refuse_infinite(G, gen_z)
     levels = [Orbit(G.n, b) for b in range(G.n)]
-    for z in gen_z:
+    for z, inv in zip(gen_z, map(_inverse, gen_z)):
         for level in levels:
             level.gens.append(z)
+            level.invs.append(inv)
             if not (z[:, 2 * level.base] == level.points[0]).all():
                 break
     _schreier_sims(levels, cap)

@@ -598,11 +598,12 @@ def test_reduced_triflections_take_only_roots():
 
 
 @pytest.mark.parametrize("run, want, bound", [
-    # a level's images come in blocks of narrow codes and land in 39366-byte tables of the line codes: 0.80 MiB traced
+    # a level's images come in blocks of uint16 codes and land in 39366-byte tables of the line codes: 0.52 MiB
+    # traced, past the rank's code tables, which the first call builds and keeps
     (lambda: gluing.hyperplane_orbit(gluing.sp_generating_roots(), lambda10()), (29524, 12), 2.5 * 2**20),
-    # the two 354294-byte tables of rank 12 stay within the 2 MiB that _MAX_RANK allows: 1.03 MiB traced
-    (lambda: gluing.line_orbit(shift_and_swap(12), [1] + [0] * 11), 12, 2**21),
-], ids=["rank-10-hyperplanes", "rank-12-lines"])
+    # the two 39366-byte tables of rank 10, the highest that _MAX_RANK allows, stay within 2 MiB: 0.12 MiB traced
+    (lambda: gluing.line_orbit(shift_and_swap(10), [1] + [0] * 9), 10, 2**21),
+], ids=["rank-10-hyperplanes", "rank-10-lines"])
 def test_orbit_peak_memory_is_bounded(run, want, bound):
     run()
     tracemalloc.start()
@@ -641,16 +642,22 @@ def random_invertible_f3(rng, n):
             return np.array(g, dtype=np.int64)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+def tabulated_images(gens, rows):
+    """The (len(rows), m) line codes of the images of the rows' lines, through the orbit's tables."""
+    code_tables = gluing._code_tables(gens.shape[-1])
+    pattern_tables = gluing._pattern_tables(gens, *code_tables[:2])
+    return gluing._line_images(code_tables, pattern_tables, gluing.line_codes(rows))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_line_images_match_row_by_row_images(n):
-    # every rank the orbit takes, so every chunk remainder of the 5-coordinate tables
+    # every rank the orbit takes, so both parities of the split into leading and trailing digits
     rng = random.Random(n)
     gens = np.stack([random_invertible_f3(rng, n) for _ in range(3)])
     rows = [[2] * n, [1] * n, [0] * (n - 1) + [2]]
     rows += [[rng.randrange(3) for _ in range(n)] for _ in range(200)]
     rows = [r for r in rows if any(r)]
-    images = gluing._line_images(gluing._chunk_tables(gens), gluing.line_codes(rows))
-    assert images.tolist() == [[reference_code(g @ r) for r in rows] for g in gens]
+    assert tabulated_images(gens, rows).tolist() == [[reference_code(g @ r) for g in gens] for r in rows]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -676,15 +683,15 @@ def test_line_orbit_cap_edge_matches_reference(n):
                 run(gens, start, cap=cap)
 
 
-# the lowest, benchmarked and highest accepted ranks, then ranks the orbit took before its cap of 12:
-# 13, both sides of the old mask and code dtype switches, and rank 39
-@pytest.mark.parametrize("n", [1, 10, 12, 13, 15, 16, 19, 20, 31, 32, 39])
+# the lowest accepted rank and the highest, which is the benchmarked one, then ranks the orbit
+# took before its cap of 10: 11 and 12, 13, both sides of the old mask and code dtype switches, and rank 39
+@pytest.mark.parametrize("n", [1, 10, 11, 12, 13, 15, 16, 19, 20, 31, 32, 39])
 @pytest.mark.parametrize("cap", [1, 39, 9841, 200000, 10**18])
-def test_line_orbit_refuses_ranks_above_12_before_any_table(monkeypatch, n, cap):
+def test_line_orbit_refuses_ranks_above_10_before_any_table(monkeypatch, n, cap):
     calls = []
-    real = gluing._chunk_tables
-    monkeypatch.setattr(gluing, "_chunk_tables", lambda gens: calls.append(gens.shape[-1]) or real(gens))
-    if n > 12:
+    real = gluing._code_tables
+    monkeypatch.setattr(gluing, "_code_tables", lambda n: calls.append(n) or real(n))
+    if n > 10:
         with pytest.raises(ValueError, match=f"rank {n} is too large"):
             gluing.line_orbit(np.eye(n, dtype=np.int64)[None], [1] * n, cap)
         assert calls == []
@@ -708,7 +715,11 @@ def shift4():
     (np.zeros((1, 4, 3), np.int64), [1, 0, 0, 0], r"generators must be n x n matrices, got an array of shape \(1, 4, 3\)"),
     (shift4(), [0.5, 0, 0, 1], "generators and start must have integer dtypes, not int64 and float64"),
     (1.5 * shift4(), [1, 0, 0, 0], "generators and start must have integer dtypes, not float64 and int64"),
-], ids=["short-start", "empty-start", "long-start", "zero-start", "zero-mod-3-start", "non-square", "float-start", "float-generators"])
+    # a singular generator sends a line of the orbit to the zero vector, which is no line
+    (np.zeros((1, 2, 2), np.int64), [1, 0], "a generator maps a line of the orbit to zero"),
+    (np.array([[[1, 1], [1, 1]]]), [1, 2], "a generator maps a line of the orbit to zero"),
+], ids=["short-start", "empty-start", "long-start", "zero-start", "zero-mod-3-start", "non-square", "float-start", "float-generators",
+        "zero-generator", "singular-generator"])
 def test_line_orbit_refuses_bad_input_by_name(gens, start, message):
     with pytest.raises(ValueError, match=message):
         gluing.line_orbit(gens, start)
@@ -726,63 +737,81 @@ def shift_and_swap(n):
     return np.roll(np.eye(n, dtype=np.int64), 1, axis=0), np.eye(n, dtype=np.int64)[[1, 0] + list(range(2, n))]
 
 
-def test_line_orbit_reaches_the_top_codes_of_rank_12():
+def test_line_orbit_reaches_the_top_codes_of_rank_10():
     # the 2 of (1, ..., 1, 2) moves through every coordinate; its line
-    # codes lie just above (3^12 - 1) / 2, and (1, 2, ..., 2) has the
-    # largest code of any line, 2 * 3^11 - 1, the last index of the table
-    n = 12
+    # codes lie just above (3^10 - 1) / 2, and (1, 2, ..., 2) has the
+    # largest code of any line, 2 * 3^9 - 1, the last index of the table
+    n = 10
     gens = shift_and_swap(n)
     start = [1] * (n - 1) + [2]
-    tables = gluing._chunk_tables(np.stack(gens))
-    assert gluing._line_images(tables, gluing.line_codes([start])).tolist() == [[2 * 3**11 - 1], [(3**12 + 1) // 2]]
+    assert tabulated_images(np.stack(gens), [start]).tolist() == [[2 * 3**9 - 1, (3**10 + 1) // 2]]
     assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start) == n
-    with pytest.raises(ValueError, match="orbit exceeded cap 11"):
-        gluing.line_orbit(gens, start, cap=11)
+    with pytest.raises(ValueError, match="orbit exceeded cap 9"):
+        gluing.line_orbit(gens, start, cap=9)
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_line_orbit_keeps_int16_masks_and_int32_codes_at_every_rank(n):
-    # the fixed dtypes hold every mask and code up to rank 12: the images of the line with the
+@pytest.mark.parametrize("n", range(3, 11))
+def test_line_orbit_keeps_uint16_tables_and_codes_at_every_rank(n):
+    # uint16 holds every table entry and code up to rank 10: the images of the line with the
     # largest codes match the int64 reference, and the orbit and its cap edge match the reference
     # (from rank 3, where the shift and the swap differ; at rank 2 both fix the line of (1, 2))
     gens = shift_and_swap(n)
     start = [1] * (n - 1) + [2]
-    tables = gluing._chunk_tables(np.stack(gens))
-    for _, _, ones, twos, value in tables:
-        assert ones.dtype == twos.dtype == np.int16 and value.dtype == np.int32
-    images = gluing._line_images(tables, gluing.line_codes([start]))
-    assert images.tolist() == [[reference_code(g @ start)] for g in gens]
+    code_tables = gluing._code_tables(n)
+    for table in code_tables + gluing._pattern_tables(np.stack(gens), *code_tables[:2]):
+        assert table.dtype == np.uint16
+    images = tabulated_images(np.stack(gens), [start])
+    assert images.dtype == np.uint16 and images.tolist() == [[reference_code(g @ start) for g in gens]]
     assert gluing.line_orbit(gens, start) == reference_line_orbit(gens, start) == n
     with pytest.raises(ValueError, match=f"orbit exceeded cap {n - 1}"):
         gluing.line_orbit(gens, start, cap=n - 1)
 
 
-def reference_chunk_tables(gens):
-    """The chunk tables by matrix products: the digit rows of every chunk pattern times the generators' columns."""
+def digit_code(rows):
+    """The base-3 codes of integer rows read mod 3, coordinate 0 most significant (0 for an empty row)."""
+    rows = np.asarray(rows) % 3
+    return rows @ gluing._places(rows.shape[-1])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_code_tables_match_digit_sums_and_line_codes(n):
+    # every accepted rank, by brute force over every pair of half codes and every vector code
+    h, l = (n + 1) // 2, n // 2
+    addh, addl, canon = gluing._code_tables(n)
+    for table, size in [(addh, 9**h), (addl, 9**l), (canon, 3**n)]:
+        assert table.dtype == np.uint16 and table.shape == (size,)
+        assert int(table.max()) <= np.iinfo(np.uint16).max
+    for k, table, scale in [(h, addh, 3**l), (l, addl, 1)]:
+        a, b = np.divmod(np.arange(9**k), 3**k)
+        want = digit_code(gluing.line_digits(a, k) + gluing.line_digits(b, k)) * scale
+        assert np.array_equal(table, want)
+    vectors = gluing.line_digits(np.arange(1, 3**n), n)
+    assert canon[0] == 0 and np.array_equal(canon[1:], gluing.line_codes(vectors))
+    # the largest entries: 2 * 3^(n-1) - 1 of canon, the top code of any line, and 3^n - 3^l of addh
+    assert int(canon.max()) == 2 * 3 ** (n - 1) - 1 and int(addh.max()) == 3**n - 3**l
+
+
+def reference_pattern_tables(gens):
+    """The pattern tables by matrix products: the digit rows of every half pattern times the generators' columns."""
     n = gens.shape[-1]
-    bits = np.left_shift(1, np.arange(n - 1, -1, -1)).astype(np.int16)
+    h, l = (n + 1) // 2, n // 2
     tables = []
-    for lo in range(0, n, gluing._CHUNK):
-        hi = min(lo + gluing._CHUNK, n)
-        w = hi - lo
-        images = (gluing.line_digits(np.arange(3**w), w) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3).transpose(1, 0, 2)
-        place = 3 ** np.arange(w, dtype=np.int64)
-        value = (np.arange(4**w)[:, None] >> np.arange(2 * w) & 1) @ np.concatenate([2 * place, place])
-        tables.append((lo, hi, (images == 1) @ bits, (images == 2) @ bits, (value * 3 ** (n - hi)).astype(np.int32)))
-    return tables
+    for lo, hi in [(0, h), (h, n)]:
+        images = (gluing.line_digits(np.arange(3 ** (hi - lo)), hi - lo) @ gens[:, :, lo:hi].transpose(0, 2, 1) % 3).transpose(1, 0, 2)
+        tables += [digit_code(images[..., :h]), digit_code(images[..., h:])]
+    HH, HL, LH, LL = tables
+    return HH * 3**h, HL * 3**l, LH, LL
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_chunk_tables_match_the_matrix_products(n):
-    # every rank the orbit takes, so every chunk remainder 0..4
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pattern_tables_match_the_matrix_products(n):
+    # every rank the orbit takes, so both parities of the split into leading and trailing digits
     rng = np.random.default_rng(n)
     gens = rng.integers(0, 3, size=(4, n, n))
-    got, want = gluing._chunk_tables(gens), reference_chunk_tables(gens)
-    assert [(lo, hi) for lo, hi, *_ in got] == [(lo, hi) for lo, hi, *_ in want]
-    for (_, _, *arrays), (_, _, *expected) in zip(got, want):
-        for x, y in zip(arrays, expected):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert np.array_equal(x, y)
+    got = gluing._pattern_tables(gens, *gluing._code_tables(n)[:2])
+    for x, y in zip(got, reference_pattern_tables(gens), strict=True):
+        assert x.dtype == np.uint16 and x.shape == y.shape
+        assert np.array_equal(x, y)
 
 
 def reference_symplectic_gram(G):

@@ -1076,6 +1076,20 @@ def test_closure_sifts_each_schreier_generator_until_it_passes(n, order, most, m
     assert sum(rows) <= most
 
 
+@pytest.mark.parametrize("n, order, distinct", [(1, 3, 1), (2, 24, 2), (3, 648, 4), (4, 155520, 7)])
+def test_closure_inverts_each_chain_generator_once(n, order, distinct, monkeypatch):
+    # a generator or residue joins several levels, with the one inverse formed where it is made
+    # (before, R3 made 5 inversions of 4 matrices and R4 10 of 7, one per level joined)
+    calls, inverse = [], mono._inverse
+    monkeypatch.setattr(mono, "_inverse", lambda z: calls.append(z.tobytes()) or inverse(z))
+    h = mono.group_closure(mono.chain_triflections(n))
+    assert h.order == order and len(calls) == len(set(calls)) == distinct
+    assert {g.tobytes() for o in h.orbits for g in o.gens} == set(calls)
+    for o in h.orbits:
+        assert len(o.invs) == len(o.gens)
+        assert all((g @ inv == np.eye(len(g), dtype=np.int64)).all() for g, inv in zip(o.gens, o.invs))
+
+
 def test_closure_refuses_a_residue_that_joins_no_level(monkeypatch):
     # stop 0 would append the residue nowhere and run the same level again forever
     class Looping(Exception):
